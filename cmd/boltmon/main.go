@@ -381,11 +381,7 @@ func interpRun(ctx context.Context, unit *bvm.Unit, inst *nf.Instance, mon *moni
 			return fmt.Errorf("packet %d: %w", i, err)
 		}
 		delta := meter.Since(before)
-		pcvs := make(map[string]uint64, len(inst.Env.PCVs()))
-		for k, v := range inst.Env.PCVs() {
-			pcvs[k] = v
-		}
-		rec := distill.Record{Action: act, IC: delta.Instructions, MA: delta.MemAccesses, PCVs: pcvs}
+		rec := distill.Record{Action: act, IC: delta.Instructions, MA: delta.MemAccesses, PCVs: inst.Env.PCVs()}
 		mon.Observe(p, &rec, log.Records())
 	}
 	return nil

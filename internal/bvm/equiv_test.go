@@ -42,7 +42,7 @@ func (e *equivNF) step(t testing.TB, pkt []byte, port, now uint64) {
 	beforeI := e.mI.Snapshot()
 	actI, errI := Run(e.unit.BC, e.envI)
 	deltaI := e.mI.Since(beforeI)
-	pcvI := maps.Clone(e.envI.PCVs())
+	pcvI := e.envI.PCVs()
 
 	e.envC.ResetPacket(pkt, port, now)
 	beforeC := e.mC.Snapshot()
@@ -163,5 +163,37 @@ func TestEquivalenceLoop(t *testing.T) {
 	}
 	for i, pkt := range pkts {
 		e.step(t, pkt, uint64(i)%2, uint64(1000+i))
+	}
+}
+
+// A store past the end of a short packet must not leak into the next
+// short packet: both engines write env.Pkt directly, and ResetPacket
+// zeroes everything beyond the new packet's length.
+func TestStoreBeyondPacketEndDoesNotLeak(t *testing.T) {
+	const src = `
+.name tail-store
+.ports 2
+  ldpkt r5, 100, 1
+  stpkt 100, 255, 1
+  jeq r5, 0, clean
+  drop
+clean:
+  fwd 1
+`
+	u, err := Load(src, Options{Source: "bvm:tail-store"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf := newEquivNF(t, u)
+	short := make([]byte, 20)
+	for i := 0; i < 3; i++ {
+		nf.step(t, short, 0, uint64(i))
+		if nf.envI.Action.Kind != nfir.ActionForward || nf.envC.Action.Kind != nfir.ActionForward {
+			t.Fatalf("packet %d read the previous packet's store past its end: interp %v, compiled %v",
+				i, nf.envI.Action.Kind, nf.envC.Action.Kind)
+		}
+		if nf.envI.Pkt[100] != 255 || nf.envC.Pkt[100] != 255 {
+			t.Fatalf("packet %d: store not applied", i)
+		}
 	}
 }

@@ -19,7 +19,7 @@ type BuildOptions struct {
 }
 
 // BuildDS instantiates the program's declared data structures against
-// env — linking concrete implementations into env.DS — and returns the
+// env — linking concrete implementations into env — and returns the
 // symbolic models contract generation needs. Flow tables use the
 // VigNAT cost preset (the library's canonical hash-table contract).
 func (p *Program) BuildDS(env *nfir.Env, opts BuildOptions) (map[string]nfir.Model, error) {
@@ -41,7 +41,7 @@ func (p *Program) BuildDS(env *nfir.Env, opts BuildOptions) (map[string]nfir.Mod
 				TimeoutNS: timeout, GranularityNS: d.GranularityNS,
 				Costs: dslib.VigNATCosts(),
 			})
-			env.DS[d.Name] = t
+			env.Link(d.Name, t)
 			models[d.Name] = t.Model()
 		case KindLPM:
 			if d.DefaultPort >= p.Ports {
@@ -56,7 +56,7 @@ func (p *Program) BuildDS(env *nfir.Env, opts BuildOptions) (map[string]nfir.Mod
 					return nil, fmt.Errorf("bvm: %s: lpm %q: %w", p.Name, d.Name, err)
 				}
 			}
-			env.DS[d.Name] = dir
+			env.Link(d.Name, dir)
 			models[d.Name] = dir.Model()
 		case KindRules:
 			rules := make([]dslib.Rule, len(d.Rules))
@@ -68,7 +68,7 @@ func (p *Program) BuildDS(env *nfir.Env, opts BuildOptions) (map[string]nfir.Mod
 				}
 			}
 			rs := dslib.NewRuleSet(env, rules, d.DefaultAction)
-			env.DS[d.Name] = rs
+			env.Link(d.Name, rs)
 			models[d.Name] = rs.Model()
 		default:
 			return nil, fmt.Errorf("bvm: %s: data structure %q has unknown kind %d", p.Name, d.Name, d.Kind)

@@ -90,14 +90,12 @@ func Run(p *Program, env *nfir.Env) (nfir.Action, error) {
 			if !ok {
 				return nfir.Action{}, fmt.Errorf("bvm: %s: %s has no method %q", p.Name, in.DS, in.Method)
 			}
-			ds, ok := env.DS[in.DS]
+			ds, ok := env.Linked(in.DS)
 			if !ok {
 				return nfir.Action{}, fmt.Errorf("bvm: %s: data structure %q not linked into env", p.Name, in.DS)
 			}
-			args := make([]uint64, sig.Args)
-			for i := range args {
-				args[i] = regs[i+1]
-			}
+			args := env.Args(sig.Args)
+			copy(args, regs[1:])
 			results, err := ds.Invoke(in.Method, args, env)
 			if err != nil {
 				return nfir.Action{}, fmt.Errorf("bvm: %s: %s.%s: %w", p.Name, in.DS, in.Method, err)

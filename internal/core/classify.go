@@ -424,16 +424,9 @@ func (r *recordingDS) Invoke(method string, args []uint64, env *nfir.Env) ([]uin
 // concrete calls append to *log; the returned function restores the
 // originals. The monitor brackets each monitored run with it.
 func AttachRecorder(env *nfir.Env, log *[]CallRecord) (restore func()) {
-	orig := make(map[string]nfir.ConcreteDS, len(env.DS))
-	for name, ds := range env.DS {
-		orig[name] = ds
-		env.DS[name] = &recordingDS{name: name, inner: ds, log: log}
-	}
-	return func() {
-		for name, ds := range orig {
-			env.DS[name] = ds
-		}
-	}
+	return env.WrapLinked(func(name string, ds nfir.ConcreteDS) nfir.ConcreteDS {
+		return &recordingDS{name: name, inner: ds, log: log}
+	})
 }
 
 // CallLog is a reusable call-record sink: Reset it per packet and the
@@ -505,14 +498,7 @@ func (r *callLogDS) Invoke(method string, args []uint64, env *nfir.Env) ([]uint6
 // AttachCallLog is AttachRecorder over a pooled CallLog: calls append to
 // log without per-call allocations once the arenas are warm.
 func AttachCallLog(env *nfir.Env, log *CallLog) (restore func()) {
-	orig := make(map[string]nfir.ConcreteDS, len(env.DS))
-	for name, ds := range env.DS {
-		orig[name] = ds
-		env.DS[name] = &callLogDS{name: name, inner: ds, log: log}
-	}
-	return func() {
-		for name, ds := range orig {
-			env.DS[name] = ds
-		}
-	}
+	return env.WrapLinked(func(name string, ds nfir.ConcreteDS) nfir.ConcreteDS {
+		return &callLogDS{name: name, inner: ds, log: log}
+	})
 }

@@ -28,7 +28,7 @@ func (g *Generator) replay(prog *nfir.Program, pa *nfir.Path, witness map[string
 	env.ResetPacket(pkt[:pktLen], witness[nfir.SymInPort], witness[nfir.SymNow])
 	stub := &replayDS{events: pa.Events, witness: witness}
 	for ds := range pathDSNames(pa) {
-		env.DS[ds] = stub
+		env.Link(ds, stub)
 	}
 	act, err := env.Run(prog)
 	if err != nil {
@@ -71,9 +71,9 @@ func (r *replayDS) Invoke(method string, args []uint64, env *nfir.Env) ([]uint64
 	if ev.Method != method {
 		return nil, fmt.Errorf("replay: call %s, recorded %s.%s", method, ev.DS, ev.Method)
 	}
-	out := make([]uint64, len(ev.Outcome.Results))
-	for i, res := range ev.Outcome.Results {
-		out[i] = res.Eval(r.witness)
+	out := env.Results()
+	for _, res := range ev.Outcome.Results {
+		out = append(out, res.Eval(r.witness))
 	}
 	return out, nil
 }

@@ -1,0 +1,144 @@
+package distill
+
+import (
+	"reflect"
+	"testing"
+
+	"gobolt/internal/nf"
+	"gobolt/internal/nfir"
+	"gobolt/internal/traffic"
+)
+
+// bridgeStreams is the benchmark's dp-* shape: 8 single-flow streams
+// through a bridge with a one-hour timeout, interleaved.
+func bridgeStreams(perStream int) (*nf.Bridge, []traffic.Packet) {
+	br := nf.NewBridge(nf.BridgeConfig{
+		Ports: 4, Capacity: 8192, TimeoutNS: 3_600_000_000_000, GranularityNS: 1_000_000,
+		RehashThreshold: 16, Seed: 77,
+	})
+	ss := traffic.BridgeStreams(traffic.StreamConfig{Streams: 8, PacketsPerStream: perStream, Seed: 13})
+	return br, traffic.Interleave(1, 1_000, 1_000, ss...)
+}
+
+// The per-packet path of an established flow allocates nothing: not in
+// the interpreter, not in the data structures' charging or results.
+func TestEstablishedPacketsAllocateNothing(t *testing.T) {
+	br, pkts := bridgeStreams(64)
+	if _, err := (&Runner{}).Run(br.Instance, pkts); err != nil {
+		t.Fatal(err)
+	}
+	nat := nf.NewNAT(nf.NATConfig{
+		ExternalIP: 0xC0A80001, Capacity: 4096,
+		TimeoutNS: 3_600_000_000_000, GranularityNS: 1_000_000,
+	})
+	flows := traffic.UDPFlows(traffic.UDPFlowConfig{
+		Packets: 256, Flows: 64, RoundRobin: true, StartNS: 1_000, GapNS: 1_000,
+		InPort: nf.NATPortInternal,
+	})
+	natRecs, err := (&Runner{}).Run(nat.Instance, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := natRecs[len(natRecs)-1]; last.Action.Kind != nfir.ActionForward || nat.Map.Count() != 64 {
+		t.Fatalf("NAT flows not established: %+v, %d flows", last, nat.Map.Count())
+	}
+	for _, c := range []struct {
+		name string
+		inst *nf.Instance
+		pkts []traffic.Packet
+	}{
+		{"bridge, known source and destination", br.Instance, pkts},
+		{"NAT lookup_int:hit", nat.Instance, flows},
+	} {
+		i := 0
+		allocs := testing.AllocsPerRun(500, func() {
+			p := c.pkts[i%len(c.pkts)]
+			i++
+			c.inst.Env.ResetPacket(p.Data, p.InPort, p.Time)
+			if _, err := c.inst.Env.Run(c.inst.Prog); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per ResetPacket+Run, want 0", c.name, allocs)
+		}
+	}
+}
+
+// Runner.Run builds no map per record: over the bridge-streams trace it
+// stays at or under one allocation per packet amortised (in fact a
+// handful per call: the record slice, the meter, one map per distinct
+// PCV vector), and equal PCV vectors share one map.
+func TestRunnerAllocationsAmortised(t *testing.T) {
+	br, pkts := bridgeStreams(256)
+	r := &Runner{}
+	if _, err := r.Run(br.Instance, pkts); err != nil { // learn every station
+		t.Fatal(err)
+	}
+	var recs []Record
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if recs, err = r.Run(br.Instance, pkts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perPkt := allocs / float64(len(pkts)); perPkt > 1 {
+		t.Errorf("%v allocs per Run of %d packets = %.3f per packet, want ≤ 1", allocs, len(pkts), perPkt)
+	}
+	if allocs > 16 {
+		t.Errorf("%v allocs per Run over established flows, want a handful", allocs)
+	}
+	shared := 0
+	for i := 1; i < len(recs); i++ {
+		if sameMap(recs[i].PCVs, recs[0].PCVs) {
+			shared++
+		}
+	}
+	if shared < len(recs)/2 {
+		t.Errorf("only %d of %d records share the first record's PCV map", shared, len(recs))
+	}
+}
+
+// sameMap reports whether two maps are one object.
+func sameMap(a, b map[string]uint64) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// The intern table is bounded. Under the benchmark's churn trace — 2-ms
+// expiry over 8192 random stations — it stays far below its cap, and a
+// workload with more distinct PCV vectors than the cap makes it start
+// over rather than grow; every record keeps its own correct values.
+func TestInternTableBounded(t *testing.T) {
+	br := nf.NewBridge(nf.BridgeConfig{
+		Ports: 4, Capacity: 8192, TimeoutNS: 2_000_000, GranularityNS: 1_000,
+		RehashThreshold: 16, Seed: 77,
+	})
+	churn := traffic.BridgeFrames(traffic.BridgeConfig{
+		Packets: 9096, MACs: 8192, Ports: 4, StartNS: 1_000, GapNS: 1_000, Seed: 42,
+	})
+	r := &Runner{}
+	recs, err := r.Run(br.Instance, churn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[[3]uint64]bool{}
+	for _, rec := range recs {
+		distinct[[3]uint64{rec.PCVs["e"], rec.PCVs["c"], rec.PCVs["t"]}] = true
+	}
+	if n := len(r.pcvs.table); n > maxInterned || n > 2*len(distinct) {
+		t.Errorf("churn trace: %d interned maps for %d distinct PCV vectors (cap %d)", n, len(distinct), maxInterned)
+	}
+
+	env := nfir.NewEnv()
+	var in pcvInterner
+	for v := uint64(0); v < 3*maxInterned; v++ {
+		env.ResetPacket(nil, 0, 0)
+		env.ObservePCV("e", v)
+		if got := in.snapshot(env); len(got) != 1 || got["e"] != v {
+			t.Fatalf("vector %d interned as %v", v, got)
+		}
+		if len(in.table) > maxInterned {
+			t.Fatalf("after %d distinct vectors the table holds %d entries, cap %d", v+1, len(in.table), maxInterned)
+		}
+	}
+}

@@ -8,6 +8,7 @@ package distill
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gobolt/internal/dpdk"
@@ -27,6 +28,7 @@ type Record struct {
 	// when the runner has no cycle model attached.
 	Cycles uint64
 	// PCVs are the per-packet PCV observations (e, c, t, o, l, n, s, b).
+	// The map is read-only: records with equal observations share one.
 	PCVs map[string]uint64
 }
 
@@ -41,6 +43,53 @@ type Runner struct {
 	// measured, before the next packet runs — the online monitor's tap.
 	// The record is the same value appended to the returned slice.
 	Observer func(i int, pkt traffic.Packet, rec *Record)
+
+	pcvs pcvInterner
+}
+
+// pcvInterner builds Record.PCVs. Most packets of a workload observe one
+// of a few PCV vectors (an established flow: e=0, c=0, t=1), so instead
+// of a map per record, records with equal observations share one map,
+// found through a table keyed by the observations' hash. The table is
+// bounded: at maxInterned entries it starts over, which costs the next
+// packets one map each and forgets nothing a record still needs.
+type pcvInterner struct {
+	table   map[uint64]internedPCVs
+	scratch []nfir.PCVObs
+}
+
+type internedPCVs struct {
+	obs []nfir.PCVObs
+	m   map[string]uint64
+}
+
+const maxInterned = 1024
+
+// snapshot returns the current packet's PCV observations as a map the
+// caller must not modify.
+func (in *pcvInterner) snapshot(env *nfir.Env) map[string]uint64 {
+	in.scratch = env.AppendPCVs(in.scratch[:0])
+	h := uint64(14695981039346656037) // FNV-1a over names and values
+	for _, o := range in.scratch {
+		for i := 0; i < len(o.Name); i++ {
+			h = (h ^ uint64(o.Name[i])) * 1099511628211
+		}
+		h = (h ^ o.Value) * 1099511628211
+	}
+	if hit, ok := in.table[h]; ok && slices.Equal(hit.obs, in.scratch) {
+		return hit.m
+	}
+	m := make(map[string]uint64, len(in.scratch))
+	for _, o := range in.scratch {
+		m[o.Name] = o.Value
+	}
+	if in.table == nil {
+		in.table = make(map[uint64]internedPCVs)
+	} else if len(in.table) >= maxInterned {
+		clear(in.table)
+	}
+	in.table[h] = internedPCVs{obs: slices.Clone(in.scratch), m: m}
+	return m
 }
 
 // Run processes the workload through the instance's production build.
@@ -98,13 +147,10 @@ func (r *Runner) RunContext(ctx context.Context, inst *nf.Instance, pkts []traff
 			Action: act,
 			IC:     delta.Instructions,
 			MA:     delta.MemAccesses,
-			PCVs:   make(map[string]uint64, len(inst.Env.PCVs())),
+			PCVs:   r.pcvs.snapshot(inst.Env),
 		}
 		if r.Detailed != nil {
 			rec.Cycles = r.Detailed.Cycles() - cyclesBefore
-		}
-		for k, v := range inst.Env.PCVs() {
-			rec.PCVs[k] = v
 		}
 		out = append(out, rec)
 		if r.Observer != nil {

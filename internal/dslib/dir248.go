@@ -137,14 +137,14 @@ func (d *Dir248) Invoke(method string, args []uint64, env *nfir.Env) ([]uint64, 
 		// The short and long outcomes both return one port value, so the
 		// branch taken is invisible in the results; report it explicitly.
 		env.ObserveOutcome("short")
-		return []uint64{uint64(v)}, nil
+		return env.Results(uint64(v)), nil
 	}
 	g := int(v &^ dirExtFlag)
 	idx := g*dirTbl8 + int(ip&0xff)
 	charge(env, dir248Second, []uint64{d.tbl8Addr + uint64(idx)*2}, true)
 	env.ObservePCVMax(PCVPrefixLen, uint64(d.depth8[idx]))
 	env.ObserveOutcome("long")
-	return []uint64{uint64(d.tbl8[idx])}, nil
+	return env.Results(uint64(d.tbl8[idx])), nil
 }
 
 // ExtendedSlots lists the tbl24 slots routed through a second-tier

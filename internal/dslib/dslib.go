@@ -99,26 +99,31 @@ func (s StepCost) Add(o StepCost) StepCost {
 // charge meters one step. Memory operations touch the given addresses in
 // order, cycling if the step has more accesses than addresses; loads come
 // first, then stores. dep marks loads as pointer-chasing (dependent).
+// Without a trace sink nothing can observe the individual operations, so
+// the step is charged as two additions; with one, the sink receives the
+// same event stream either way.
 func charge(env *nfir.Env, s StepCost, addrs []uint64, dep bool) {
 	m := env.Meter
+	if m.Bulk(s.IC(), s.MA()) {
+		return
+	}
 	m.Exec(perf.OpALU, s.ALU)
 	m.Exec(perf.OpMul, s.Mul)
 	m.Exec(perf.OpBranch, s.Branch)
-	ai := 0
-	next := func() uint64 {
-		if len(addrs) == 0 {
-			return 0
-		}
-		a := addrs[ai%len(addrs)]
-		ai++
-		return a
-	}
 	for i := uint64(0); i < s.Load; i++ {
-		m.Load(next(), 8, dep)
+		m.Load(stepAddr(addrs, i), 8, dep)
 	}
 	for i := uint64(0); i < s.Store; i++ {
-		m.Store(next(), 8)
+		m.Store(stepAddr(addrs, s.Load+i), 8)
 	}
+}
+
+// stepAddr is the address of a step's i-th memory operation.
+func stepAddr(addrs []uint64, i uint64) uint64 {
+	if len(addrs) == 0 {
+		return 0
+	}
+	return addrs[i%uint64(len(addrs))]
 }
 
 // term builds a one-PCV contract term from a step cost: IC, MA and

@@ -238,7 +238,7 @@ func (t *FlowTable) Invoke(method string, args []uint64, env *nfir.Env) ([]uint6
 		if len(args) != 1 {
 			return nil, fmt.Errorf("expire wants (now), got %d args", len(args))
 		}
-		return []uint64{t.expire(env, args[0])}, nil
+		return env.Results(t.expire(env, args[0])), nil
 	case "get":
 		if len(args) != kw+1 {
 			return nil, fmt.Errorf("get wants (%d key words, now), got %d args", kw, len(args))
@@ -253,7 +253,7 @@ func (t *FlowTable) Invoke(method string, args []uint64, env *nfir.Env) ([]uint6
 		if len(args) != kw+2 {
 			return nil, fmt.Errorf("put wants (%d key words, value, now), got %d args", kw, len(args))
 		}
-		return []uint64{t.put(env, args[:kw], args[kw], args[kw+1])}, nil
+		return env.Results(t.put(env, args[:kw], args[kw], args[kw+1])), nil
 	default:
 		return nil, fmt.Errorf("flowtable %s: unknown method %q", t.cfg.Name, method)
 	}
@@ -295,11 +295,11 @@ func (t *FlowTable) get(env *nfir.Env, keys []uint64, now uint64) []uint64 {
 	env.ObservePCVMax(PCVCollisions, wc)
 	if ent == nil {
 		charge(env, t.cfg.Costs.GetMiss, []uint64{t.ch.bucketsAddr}, false)
-		return []uint64{0, 0}
+		return env.Results(0, 0)
 	}
 	charge(env, t.cfg.Costs.GetHit, []uint64{ent.addr}, false)
 	t.ch.refresh(ent, t.quantize(now))
-	return []uint64{ent.val, 1}
+	return env.Results(ent.val, 1)
 }
 
 func (t *FlowTable) peek(env *nfir.Env, keys []uint64) []uint64 {
@@ -308,10 +308,10 @@ func (t *FlowTable) peek(env *nfir.Env, keys []uint64) []uint64 {
 	env.ObservePCVMax(PCVCollisions, wc)
 	if ent == nil {
 		charge(env, t.cfg.Costs.PeekMiss, []uint64{t.ch.bucketsAddr}, false)
-		return []uint64{0, 0}
+		return env.Results(0, 0)
 	}
 	charge(env, t.cfg.Costs.PeekHit, []uint64{ent.addr}, false)
-	return []uint64{ent.val, 1}
+	return env.Results(ent.val, 1)
 }
 
 func (t *FlowTable) put(env *nfir.Env, keys []uint64, value, now uint64) uint64 {

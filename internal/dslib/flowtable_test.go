@@ -34,11 +34,7 @@ func invoke(t *testing.T, env *nfir.Env, ds nfir.ConcreteDS, method string, args
 	if err != nil {
 		t.Fatalf("%s(%v): %v", method, args, err)
 	}
-	pcvs := make(map[string]uint64, len(env.PCVs()))
-	for k, v := range env.PCVs() {
-		pcvs[k] = v
-	}
-	return res, env.Meter.Since(before), pcvs
+	return res, env.Meter.Since(before), env.PCVs()
 }
 
 // checkOutcome asserts contract soundness: the metered IC/MA of the call

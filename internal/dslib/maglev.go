@@ -125,7 +125,7 @@ func (r *MaglevRing) Invoke(method string, args []uint64, env *nfir.Env) ([]uint
 		}
 		slot := args[0] % uint64(r.m)
 		charge(env, maglevPick, []uint64{r.ringAddr + slot*8}, false)
-		return []uint64{uint64(r.table[slot])}, nil
+		return env.Results(uint64(r.table[slot])), nil
 
 	case "pick_alive":
 		if len(args) != 2 {
@@ -140,7 +140,7 @@ func (r *MaglevRing) Invoke(method string, args []uint64, env *nfir.Env) ([]uint
 			// direct and fallback both return (backend, 1): the branch is
 			// invisible in the results, so report it explicitly.
 			env.ObserveOutcome("direct")
-			return []uint64{uint64(b), 1}, nil
+			return env.Results(uint64(b), 1), nil
 		}
 		// Fallback: probe successive ring slots for an alive backend.
 		var probes uint64
@@ -152,12 +152,12 @@ func (r *MaglevRing) Invoke(method string, args []uint64, env *nfir.Env) ([]uint
 			if r.isAlive(cand, now) {
 				env.ObservePCVMax(PCVBackendProbes, probes)
 				env.ObserveOutcome("fallback")
-				return []uint64{uint64(cand), 1}, nil
+				return env.Results(uint64(cand), 1), nil
 			}
 		}
 		env.ObservePCVMax(PCVBackendProbes, probes)
 		env.ObserveOutcome("none")
-		return []uint64{0, 0}, nil
+		return env.Results(0, 0), nil
 
 	case "heartbeat":
 		if len(args) != 2 {
@@ -181,9 +181,9 @@ func (r *MaglevRing) Invoke(method string, args []uint64, env *nfir.Env) ([]uint
 		}
 		charge(env, maglevAliveChk, []uint64{r.hbAddr + idx*8}, false)
 		if r.isAlive(int(idx), args[1]) {
-			return []uint64{1}, nil
+			return env.Results(1), nil
 		}
-		return []uint64{0}, nil
+		return env.Results(0), nil
 	default:
 		return nil, fmt.Errorf("maglev: unknown method %q", method)
 	}

@@ -133,7 +133,7 @@ func (n *NATMap) Invoke(method string, args []uint64, env *nfir.Env) ([]uint64, 
 		if len(args) != 1 {
 			return nil, fmt.Errorf("natmap: expire wants (now)")
 		}
-		return []uint64{n.expire(env, args[0])}, nil
+		return env.Results(n.expire(env, args[0])), nil
 	case "lookup_int":
 		if len(args) != 4 {
 			return nil, fmt.Errorf("natmap: lookup_int wants (k1,k2,k3, now)")
@@ -190,23 +190,23 @@ func (n *NATMap) lookupInt(env *nfir.Env, keys []uint64, now uint64) []uint64 {
 	env.ObservePCVMax(PCVCollisions, wc)
 	if ent == nil {
 		charge(env, n.cfg.Costs.GetMiss, []uint64{n.ch.bucketsAddr}, false)
-		return []uint64{0, 0}
+		return env.Results(0, 0)
 	}
 	charge(env, n.cfg.Costs.GetHit, []uint64{ent.addr}, false)
 	n.ch.refresh(ent, n.quantize(now))
-	return []uint64{ent.val >> 48, 1}
+	return env.Results(ent.val>>48, 1)
 }
 
 func (n *NATMap) lookupExt(env *nfir.Env, extPort, now uint64) []uint64 {
 	idx := int(extPort) - n.cfg.FirstPort
 	if idx < 0 || idx >= len(n.byPort) || n.byPort[idx] == nil {
 		charge(env, natExtMiss, []uint64{n.byPortAddr + uint64(maxInt(idx, 0))*8}, false)
-		return []uint64{0, 0}
+		return env.Results(0, 0)
 	}
 	ent := n.byPort[idx]
 	charge(env, natExtHit, []uint64{n.byPortAddr + uint64(idx)*8, ent.addr}, true)
 	n.ch.refresh(ent, n.quantize(now))
-	return []uint64{ent.val & 0xffff_ffff_ffff, 1}
+	return env.Results(ent.val&0xffff_ffff_ffff, 1)
 }
 
 func (n *NATMap) add(env *nfir.Env, keys []uint64, intInfo, now uint64) []uint64 {
@@ -219,16 +219,16 @@ func (n *NATMap) add(env *nfir.Env, keys []uint64, intInfo, now uint64) []uint64
 		// outcome's contract (which budgets for the costlier insert).
 		charge(env, n.cfg.Costs.PutKnown, []uint64{existing.addr}, false)
 		n.ch.refresh(existing, n.quantize(now))
-		return []uint64{existing.val >> 48, AddStatusOK}
+		return env.Results(existing.val>>48, AddStatusOK)
 	}
 	if n.ch.count >= n.cfg.Capacity {
 		charge(env, n.cfg.Costs.PutFull, []uint64{n.ch.bucketsAddr}, false)
-		return []uint64{0, AddStatusFull}
+		return env.Results(0, AddStatusFull)
 	}
 	port, ok := n.alloc.Alloc(env)
 	if !ok {
 		charge(env, n.cfg.Costs.PutFull, []uint64{n.ch.bucketsAddr}, false)
-		return []uint64{0, AddStatusFull}
+		return env.Results(0, AddStatusFull)
 	}
 	e := n.ch.insert(env, keys, port<<48|(intInfo&0xffff_ffff_ffff), n.quantize(now))
 	for i := uint64(0); i < wt; i++ {
@@ -236,7 +236,7 @@ func (n *NATMap) add(env *nfir.Env, keys []uint64, intInfo, now uint64) []uint64
 	}
 	charge(env, n.cfg.Costs.PutNew, []uint64{e.addr, n.byPortAddr + (port-uint64(n.cfg.FirstPort))*8}, false)
 	n.byPort[int(port)-n.cfg.FirstPort] = e
-	return []uint64{port, AddStatusOK}
+	return env.Results(port, AddStatusOK)
 }
 
 // Model returns the NAT map's symbolic model; the contract composes the

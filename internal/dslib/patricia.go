@@ -100,7 +100,7 @@ func (p *Patricia) Invoke(method string, args []uint64, env *nfir.Env) ([]uint64
 	}
 	charge(env, patriciaExit, []uint64{n.addr}, true)
 	env.ObservePCVMax(PCVPrefixLen, depth)
-	return []uint64{port}, nil
+	return env.Results(port), nil
 }
 
 // Model implements the §3.3 symbolic model (Algorithm 3: return a fresh

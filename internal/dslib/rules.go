@@ -70,7 +70,7 @@ func (r *RuleSet) Invoke(method string, args []uint64, env *nfir.Env) ([]uint64,
 		action = rule.Action
 		break
 	}
-	return []uint64{action}, nil
+	return env.Results(action), nil
 }
 
 // Model returns the accept/deny model with the coalesced full-scan
@@ -124,7 +124,7 @@ func (OptionProcessor) Invoke(method string, args []uint64, env *nfir.Env) ([]ui
 	if ihl <= 5 {
 		// No options: free at this level (the caller's branch covers it).
 		env.ObservePCV(PCVOptions, 0)
-		return []uint64{0}, nil
+		return env.Results(0), nil
 	}
 	if ihl > 15 {
 		ihl = 15
@@ -144,7 +144,7 @@ func (OptionProcessor) Invoke(method string, args []uint64, env *nfir.Env) ([]ui
 		}
 	}
 	env.ObservePCV(PCVOptions, n)
-	return []uint64{n}, nil
+	return env.Results(n), nil
 }
 
 // Model returns the two-outcome model: "none" (ihl = 5) and "options"

@@ -144,7 +144,7 @@ func Microbench(n int) ([]MicrobenchRow, error) {
 		det := hwmodel.NewDetailed()
 		env := nfir.NewEnv()
 		env.Meter = perf.NewMeter(det)
-		env.DS["mem"] = p.tr
+		env.Link("mem", p.tr)
 		env.ResetPacket(nil, 0, 0)
 		if _, err := env.Run(prog); err != nil {
 			return nil, err

@@ -126,9 +126,9 @@ func (d *sharedBracketDS) Invoke(method string, args []uint64, env *nfir.Env) ([
 
 // attachSharedBrackets wraps every concrete DS of the environment.
 func attachSharedBrackets(env *nfir.Env, sim *hwmodel.ShardSim, shared map[string]bool) {
-	for name, ds := range env.DS {
-		env.DS[name] = &sharedBracketDS{name: name, inner: ds, sim: sim, shared: shared}
-	}
+	env.WrapLinked(func(name string, ds nfir.ConcreteDS) nfir.ConcreteDS {
+		return &sharedBracketDS{name: name, inner: ds, sim: sim, shared: shared}
+	})
 }
 
 func shardBenchNF(sc Scale, name string) ([]ShardRow, error) {
@@ -206,8 +206,9 @@ func runSharded(sc Scale, name string, ct *core.Contract, shared map[string]bool
 				continue
 			}
 			meas := sim.Cycles(shard) - before
+			pcvs := inst.Env.PCVs()
 			for v := range pcvNames {
-				binding[v] = inst.Env.PCVs()[v]
+				binding[v] = pcvs[v]
 			}
 			// The prediction is scoped to the packet's input class, the
 			// paper's contract semantics: classify the observed trace to

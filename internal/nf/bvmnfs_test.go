@@ -53,10 +53,10 @@ func TestBVMBuildByName(t *testing.T) {
 	if inst.Prog.Source != "bvm:ratelimit.bvm" {
 		t.Errorf("Prog.Source = %q", inst.Prog.Source)
 	}
-	if len(inst.Models) == 0 || len(inst.Env.DS) == 0 {
-		t.Fatalf("instance not wired: %d models, %d ds", len(inst.Models), len(inst.Env.DS))
+	if len(inst.Models) == 0 {
+		t.Fatal("instance not wired: no models")
 	}
-	if _, ok := inst.Env.DS["sched"]; !ok {
+	if _, ok := inst.Env.Linked("sched"); !ok {
 		t.Errorf("flow table %q not linked", "sched")
 	}
 }

@@ -43,7 +43,7 @@ func newInstance(name string, numPorts uint64) *Instance {
 
 // register links a data structure into both builds.
 func (in *Instance) register(name string, ds nfir.ConcreteDS, model nfir.Model) {
-	in.Env.DS[name] = ds
+	in.Env.Link(name, ds)
 	in.Models[name] = model
 }
 

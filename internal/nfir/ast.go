@@ -36,6 +36,8 @@
 package nfir
 
 import (
+	"sync/atomic"
+
 	"gobolt/internal/symb"
 )
 
@@ -175,6 +177,10 @@ type Program struct {
 	// part of the program's printed identity (and therefore its contract
 	// cache key) only when set, so builtin keys are unchanged.
 	Source string
+
+	// low caches Body's executable form for the concrete interpreter; see
+	// lower. Programs are shared by pointer, never copied.
+	low atomic.Pointer[lowered]
 }
 
 // Convenience constructors keep NF definitions readable.

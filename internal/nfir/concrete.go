@@ -2,55 +2,12 @@ package nfir
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"gobolt/internal/perf"
 	"gobolt/internal/symb"
 )
-
-// Heap is the simulated flat memory used by MemLoad/MemStore and by the
-// data-structure library to reserve address ranges (so access traces have
-// realistic, stable addresses). It is byte-addressed and sparse.
-type Heap struct {
-	mem  map[uint64]byte
-	next uint64
-}
-
-// heapBase leaves low addresses free so packet buffers and device rings
-// can live below the heap.
-const heapBase = 0x1000_0000
-
-// NewHeap returns an empty heap.
-func NewHeap() *Heap {
-	return &Heap{mem: make(map[uint64]byte), next: heapBase}
-}
-
-// Alloc reserves size bytes and returns the base address. The region is
-// zeroed. Alignment is 64 bytes so distinct objects never share a cache
-// line.
-func (h *Heap) Alloc(size uint64) uint64 {
-	const align = 64
-	h.next = (h.next + align - 1) &^ (align - 1)
-	base := h.next
-	h.next += size
-	return base
-}
-
-// Read loads size ∈ {1,2,4,8} bytes little-endian at addr.
-func (h *Heap) Read(addr uint64, size int) uint64 {
-	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(h.mem[addr+uint64(i)]) << (8 * i)
-	}
-	return v
-}
-
-// Write stores size ∈ {1,2,4,8} bytes little-endian at addr.
-func (h *Heap) Write(addr uint64, size int, v uint64) {
-	for i := 0; i < size; i++ {
-		h.mem[addr+uint64(i)] = byte(v >> (8 * i))
-	}
-}
 
 // Env is the execution environment for one packet through the concrete
 // interpreter. Reuse an Env across packets via ResetPacket to keep the
@@ -70,75 +27,184 @@ type Env struct {
 	Meter *perf.Meter
 	// Heap is the simulated memory; shared across packets.
 	Heap *Heap
-	// DS maps data-structure names to their linked implementations —
-	// real ones in the production build, replay stubs during analysis.
-	DS map[string]ConcreteDS
 	// Action is the processing outcome, valid after Run returns.
 	Action Action
 
 	// TxAddr is the simulated TX-descriptor address charged by Forward.
 	TxAddr uint64
 
-	locals   map[string]uint64
-	localDep map[string]bool
-	pcvs     map[string]uint64
-	outcome  string
+	// linked are the data structures by name, in link order — real ones
+	// in the production build, replay stubs during analysis. linkGen
+	// counts changes, so a bound program knows its handles are stale.
+	linked  []linkedDS
+	linkGen uint64
+
+	// The per-packet state of the program last run, as slot vectors sized
+	// by bind: local values, their load-dependence taints and which of
+	// them are assigned; the operand stack with its taints; one
+	// iteration counter per loop; and the program's data-structure
+	// handles, resolved against linked as of boundGen.
+	low      *lowered
+	boundGen uint64
+	ds       []ConcreteDS
+	locals   []uint64
+	dep      []bool
+	assigned []bool
+	vals     []uint64
+	deps     []bool
+	iters    []uint64
+
+	// res backs Results and args backs Args.
+	res, args []uint64
+
+	// PCV observations of the current packet: names are interned into
+	// slots the first time this Env sees them; seen is the presence
+	// mask that keeps "observed 0" apart from "not observed".
+	pcvNames []string
+	pcvVals  []uint64
+	pcvSeen  []bool
+
+	outcome string
+}
+
+type linkedDS struct {
+	name string
+	impl ConcreteDS
 }
 
 // NewEnv builds an environment with a fresh heap and packet buffer.
 func NewEnv() *Env {
-	h := NewHeap()
 	return &Env{
-		Pkt:      make([]byte, MaxPacket),
-		PktAddr:  0x10_0000,
-		TxAddr:   0x20_0000,
-		Heap:     h,
-		DS:       make(map[string]ConcreteDS),
-		locals:   make(map[string]uint64),
-		localDep: make(map[string]bool),
-		pcvs:     make(map[string]uint64),
+		Pkt:     make([]byte, MaxPacket),
+		PktAddr: 0x10_0000,
+		TxAddr:  0x20_0000,
+		Heap:    NewHeap(),
+	}
+}
+
+// Link makes ds the implementation behind the data-structure name,
+// replacing any earlier one. It takes effect on the next Run.
+func (e *Env) Link(name string, ds ConcreteDS) {
+	e.linkGen++
+	for i := range e.linked {
+		if e.linked[i].name == name {
+			e.linked[i].impl = ds
+			return
+		}
+	}
+	e.linked = append(e.linked, linkedDS{name, ds})
+}
+
+// Linked returns the implementation linked under name.
+func (e *Env) Linked(name string) (ConcreteDS, bool) {
+	for _, l := range e.linked {
+		if l.name == name {
+			return l.impl, l.impl != nil
+		}
+	}
+	return nil, false
+}
+
+// WrapLinked replaces every linked data structure by wrap(name, ds) —
+// how call recorders and contention simulators interpose on an NF's
+// stateful calls — and returns a function that links the originals back.
+func (e *Env) WrapLinked(wrap func(name string, ds ConcreteDS) ConcreteDS) (restore func()) {
+	orig := append([]linkedDS(nil), e.linked...)
+	for _, l := range orig {
+		e.Link(l.name, wrap(l.name, l.impl))
+	}
+	return func() {
+		for _, l := range orig {
+			e.Link(l.name, l.impl)
+		}
 	}
 }
 
 // ResetPacket prepares the Env for the next packet: locals, PCV
 // observations and the previous action are cleared; data-structure state
-// and the heap persist.
+// and the heap persist. The buffer beyond the packet reads as zero,
+// whatever an earlier, longer packet or a store past the end left there.
 func (e *Env) ResetPacket(pkt []byte, inPort, timeNS uint64) {
 	if len(pkt) > MaxPacket {
 		pkt = pkt[:MaxPacket]
 	}
 	copy(e.Pkt, pkt)
-	for i := len(pkt); i < MaxPacket; i++ {
-		e.Pkt[i] = 0
-	}
+	clear(e.Pkt[len(pkt):])
 	e.PktLen = uint64(len(pkt))
 	e.InPort = inPort
 	e.Time = timeNS
 	e.Action = Action{}
-	clear(e.locals)
-	clear(e.localDep)
-	clear(e.pcvs)
+	clear(e.assigned)
+	clear(e.pcvSeen)
+}
+
+// pcvSlot interns a PCV name. An Env meets a handful of names, so a
+// scan beats hashing.
+func (e *Env) pcvSlot(name string) int {
+	for i, n := range e.pcvNames {
+		if n == name {
+			return i
+		}
+	}
+	e.pcvNames = append(e.pcvNames, name)
+	e.pcvVals = append(e.pcvVals, 0)
+	e.pcvSeen = append(e.pcvSeen, false)
+	return len(e.pcvNames) - 1
 }
 
 // ObservePCV accumulates an observation of a performance-critical
 // variable for the current packet; the Distiller and the soundness tests
 // read the per-packet totals via PCVs. Counting PCVs (expired entries)
 // sum across calls.
-func (e *Env) ObservePCV(name string, v uint64) { e.pcvs[name] += v }
+func (e *Env) ObservePCV(name string, v uint64) {
+	i := e.pcvSlot(name)
+	if !e.pcvSeen[i] {
+		e.pcvSeen[i], e.pcvVals[i] = true, 0
+	}
+	e.pcvVals[i] += v
+}
 
 // ObservePCVMax records a per-operation PCV with max semantics: PCVs like
 // "hash collisions" and "bucket traversals" denote the worst single
 // operation the packet induced, which is what makes per-call contract
 // terms sum soundly into the per-packet contract.
 func (e *Env) ObservePCVMax(name string, v uint64) {
-	if cur, ok := e.pcvs[name]; !ok || v > cur {
-		e.pcvs[name] = v
+	i := e.pcvSlot(name)
+	if !e.pcvSeen[i] || v > e.pcvVals[i] {
+		e.pcvSeen[i], e.pcvVals[i] = true, v
 	}
 }
 
-// PCVs returns the PCV observations accumulated for the current packet.
-// The map is live; copy it before the next ResetPacket.
-func (e *Env) PCVs() map[string]uint64 { return e.pcvs }
+// PCVObs is one PCV's accumulated observation for a packet.
+type PCVObs struct {
+	Name  string
+	Value uint64
+}
+
+// AppendPCVs appends the current packet's PCV observations to dst, in
+// the order this Env first met each name — so two packets with equal
+// observations yield equal sequences — and returns the extended slice.
+// It allocates only to grow dst.
+func (e *Env) AppendPCVs(dst []PCVObs) []PCVObs {
+	for i, seen := range e.pcvSeen {
+		if seen {
+			dst = append(dst, PCVObs{e.pcvNames[i], e.pcvVals[i]})
+		}
+	}
+	return dst
+}
+
+// PCVs returns a snapshot of the PCV observations accumulated for the
+// current packet; the caller owns the map.
+func (e *Env) PCVs() map[string]uint64 {
+	out := make(map[string]uint64, len(e.pcvNames))
+	for i, seen := range e.pcvSeen {
+		if seen {
+			out[e.pcvNames[i]] = e.pcvVals[i]
+		}
+	}
+	return out
+}
 
 // ObserveOutcome reports which of the running method's model outcomes
 // (by Outcome.Label) the concrete execution took. Only data structures
@@ -156,237 +222,194 @@ func (e *Env) TakeOutcome() string {
 	return o
 }
 
-// Local returns a local's value, for tests and replay validation.
+// Results returns vals in a buffer the Env owns: what a ConcreteDS
+// returns from Invoke without allocating. The slice is valid until the
+// next call of Results, i.e. until the next Invoke.
+func (e *Env) Results(vals ...uint64) []uint64 {
+	e.res = append(e.res[:0], vals...)
+	return e.res
+}
+
+// Args returns an n-word buffer the Env owns, in which an interpreter
+// other than Run (package bvm's) marshals a stateful call's arguments
+// without allocating. It is valid until the next call of Args.
+func (e *Env) Args(n int) []uint64 {
+	if cap(e.args) < n {
+		e.args = make([]uint64, n)
+	}
+	return e.args[:n]
+}
+
+// Local returns a local's value in the program last run, for tests and
+// replay validation.
 func (e *Env) Local(name string) (uint64, bool) {
-	v, ok := e.locals[name]
-	return v, ok
+	if e.low != nil {
+		for i, n := range e.low.locals {
+			if n == name && e.assigned[i] {
+				return e.locals[i], true
+			}
+		}
+	}
+	return 0, false
+}
+
+// bind sizes the slot vectors for a newly seen program — which starts
+// with no local assigned — and resolves the program's data-structure
+// slots against the current links.
+func (e *Env) bind(lp *lowered) {
+	if e.low != lp {
+		e.low = lp
+		nl, ns := len(lp.locals), lp.stack
+		words := make([]uint64, nl+ns+lp.loops)
+		e.locals, e.vals, e.iters = words[:nl:nl], words[nl:nl+ns:nl+ns], words[nl+ns:]
+		flags := make([]bool, 2*nl+ns)
+		e.assigned, e.dep, e.deps = flags[:nl:nl], flags[nl:2*nl:2*nl], flags[2*nl:]
+		e.ds = make([]ConcreteDS, len(lp.ds))
+	}
+	for i, name := range lp.ds {
+		e.ds[i], _ = e.Linked(name)
+	}
+	e.boundGen = e.linkGen
 }
 
 // Run executes the program's body on the current packet. It returns the
 // resulting action; every path must end in Forward or Drop.
+//
+// Locals live in the Env until the next ResetPacket; they do not carry
+// over from one program to a different one.
 func (e *Env) Run(p *Program) (Action, error) {
-	done, err := e.execStmts(p.Body)
-	if err != nil {
-		return Action{}, fmt.Errorf("nfir: %s: %w", p.Name, err)
+	lp := p.lower()
+	if e.low != lp || e.boundGen != e.linkGen {
+		e.bind(lp)
 	}
-	if !done {
-		return Action{}, fmt.Errorf("nfir: %s: fell off the end without Forward/Drop", p.Name)
+	if err := e.exec(lp); err != nil {
+		return Action{}, fmt.Errorf("nfir: %s: %w", p.Name, err)
 	}
 	return e.Action, nil
 }
 
-func (e *Env) execStmts(stmts []Stmt) (done bool, err error) {
-	for _, s := range stmts {
-		done, err = e.execStmt(s)
-		if err != nil || done {
-			return done, err
-		}
-	}
-	return false, nil
-}
+var errFellOff = errors.New("fell off the end without Forward/Drop")
 
-func (e *Env) execStmt(s Stmt) (done bool, err error) {
-	switch st := s.(type) {
-	case Assign:
-		v, dep, err := e.eval(st.E)
-		if err != nil {
-			return false, err
-		}
-		e.locals[st.Dst] = v
-		e.localDep[st.Dst] = dep
-		return false, nil
-	case If:
-		v, _, err := e.evalCond(st.Cond)
-		if err != nil {
-			return false, err
-		}
-		if v != 0 {
-			return e.execStmts(st.Then)
-		}
-		return e.execStmts(st.Else)
-	case While:
-		for iter := 0; ; iter++ {
-			if st.MaxIter > 0 && iter > st.MaxIter {
-				return false, fmt.Errorf("loop exceeded MaxIter=%d", st.MaxIter)
+// exec runs the lowered program. Every operand carries its
+// load-dependence taint, which the detailed hardware model uses to
+// decide which misses can overlap. Charges reach the Meter in exactly
+// the order a walk of the statement tree would make them.
+func (e *Env) exec(lp *lowered) error {
+	code, vals, deps := lp.code, e.vals, e.deps
+	locals, dep, assigned := e.locals, e.dep, e.assigned
+	m := e.Meter
+	sp := 0
+	for pc := 0; ; pc++ {
+		in := &code[pc]
+		switch in.op {
+		case opConst:
+			vals[sp], deps[sp] = in.imm, false
+			sp++
+		case opLocal:
+			if !assigned[in.a] {
+				return fmt.Errorf("read of unassigned local %q", lp.locals[in.a])
 			}
-			v, _, err := e.evalCond(st.Cond)
+			vals[sp], deps[sp] = locals[in.a], dep[in.a]
+			sp++
+		case opNow:
+			vals[sp], deps[sp] = e.Time, false
+			sp++
+		case opInPort:
+			vals[sp], deps[sp] = e.InPort, false
+			sp++
+		case opPktLen:
+			vals[sp], deps[sp] = e.PktLen, false
+			sp++
+		case opNot:
+			if vals[sp-1] == 0 {
+				vals[sp-1] = 1
+			} else {
+				vals[sp-1] = 0
+			}
+		case opBin:
+			sp--
+			m.Exec(perf.OpClass(in.cls), 1)
+			vals[sp-1] = symb.ApplyOp(symb.Op(in.sop), vals[sp-1], vals[sp])
+			deps[sp-1] = deps[sp-1] || deps[sp]
+		case opPktLoad:
+			off, size := vals[sp-1], int(in.a)
+			if !inPacket(off, size) {
+				return fmt.Errorf("packet load out of bounds: off=%d size=%d", off, size)
+			}
+			m.Load(e.PktAddr+off, uint8(size), false)
+			vals[sp-1], deps[sp-1] = getBE(e.Pkt[off:], size), true
+		case opMemLoad:
+			addr, size := vals[sp-1], int(in.a)
+			m.Load(addr, uint8(size), deps[sp-1])
+			vals[sp-1], deps[sp-1] = e.Heap.Read(addr, size), true
+		case opAssign:
+			sp--
+			locals[in.a], dep[in.a], assigned[in.a] = vals[sp], deps[sp], true
+		case opJz:
+			sp--
+			if in.imm != 0 {
+				m.Exec(perf.OpBranch, 1)
+			}
+			if vals[sp] == 0 {
+				pc = int(in.a) - 1
+			}
+		case opJmp:
+			pc = int(in.a) - 1
+		case opLoopInit:
+			e.iters[in.a] = 0
+		case opLoopNext:
+			if in.imm > 0 && e.iters[in.a] > in.imm {
+				return fmt.Errorf("loop exceeded MaxIter=%d", in.imm)
+			}
+			e.iters[in.a]++
+		case opCall:
+			site := &lp.calls[in.a]
+			sp -= site.nargs
+			ds := e.ds[site.ds]
+			if ds == nil {
+				return fmt.Errorf("unknown data structure %q", site.name)
+			}
+			// The arguments are lent straight from the operand stack.
+			results, err := ds.Invoke(site.method, vals[sp:sp+site.nargs:sp+site.nargs], e)
 			if err != nil {
-				return false, err
+				return fmt.Errorf("%s.%s: %w", site.name, site.method, err)
 			}
-			if v == 0 {
-				return false, nil
+			if len(results) < len(site.dsts) {
+				return fmt.Errorf("%s.%s returned %d values, want ≥ %d", site.name, site.method, len(results), len(site.dsts))
 			}
-			done, err := e.execStmts(st.Body)
-			if err != nil || done {
-				return done, err
+			for i, dst := range site.dsts {
+				// Model results flow through memory.
+				locals[dst], dep[dst], assigned[dst] = results[i], true, true
 			}
-		}
-	case Call:
-		args := make([]uint64, len(st.Args))
-		for i, a := range st.Args {
-			v, _, err := e.eval(a)
-			if err != nil {
-				return false, err
+		case opPktStore:
+			sp -= 2
+			off, size := vals[sp], int(in.a)
+			if !inPacket(off, size) {
+				return fmt.Errorf("packet store out of bounds: off=%d size=%d", off, size)
 			}
-			args[i] = v
+			m.Store(e.PktAddr+off, uint8(size))
+			putBE(e.Pkt[off:], size, vals[sp+1])
+		case opMemStore:
+			sp -= 2
+			m.Store(vals[sp], uint8(in.a))
+			e.Heap.Write(vals[sp], int(in.a), vals[sp+1])
+		case opForward:
+			e.Action = Action{Kind: ActionForward, Port: vals[sp-1]}
+			return nil
+		case opDrop:
+			e.Action = Action{Kind: ActionDrop}
+			return nil
+		case opFellOff:
+			return errFellOff
+		case opUnknown:
+			return errors.New(lp.msgs[in.a])
 		}
-		ds, ok := e.DS[st.DS]
-		if !ok {
-			return false, fmt.Errorf("unknown data structure %q", st.DS)
-		}
-		results, err := ds.Invoke(st.Method, args, e)
-		if err != nil {
-			return false, fmt.Errorf("%s.%s: %w", st.DS, st.Method, err)
-		}
-		if len(results) < len(st.Dsts) {
-			return false, fmt.Errorf("%s.%s returned %d values, want ≥ %d", st.DS, st.Method, len(results), len(st.Dsts))
-		}
-		for i, dst := range st.Dsts {
-			e.locals[dst] = results[i]
-			e.localDep[dst] = true // model results flow through memory
-		}
-		return false, nil
-	case PktStore:
-		off, _, err := e.eval(st.Off)
-		if err != nil {
-			return false, err
-		}
-		v, _, err := e.eval(st.Val)
-		if err != nil {
-			return false, err
-		}
-		if off+uint64(st.Size) > MaxPacket {
-			return false, fmt.Errorf("packet store out of bounds: off=%d size=%d", off, st.Size)
-		}
-		e.Meter.Store(e.PktAddr+off, uint8(st.Size))
-		putBE(e.Pkt[off:], st.Size, v)
-		return false, nil
-	case MemStore:
-		addr, _, err := e.eval(st.Addr)
-		if err != nil {
-			return false, err
-		}
-		v, _, err := e.eval(st.Val)
-		if err != nil {
-			return false, err
-		}
-		e.Meter.Store(addr, uint8(st.Size))
-		e.Heap.Write(addr, st.Size, v)
-		return false, nil
-	case Forward:
-		port, _, err := e.eval(st.Port)
-		if err != nil {
-			return false, err
-		}
-		e.Action = Action{Kind: ActionForward, Port: port}
-		return true, nil
-	case DropStmt:
-		e.Action = Action{Kind: ActionDrop}
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown statement %T", s)
 	}
 }
 
-// evalCond evaluates a branch condition, charging the extra branch
-// instruction when the condition is not itself comparison-shaped (a bare
-// value needs an explicit test+jump).
-func (e *Env) evalCond(cond Expr) (uint64, bool, error) {
-	v, dep, err := e.eval(cond)
-	if err != nil {
-		return 0, false, err
-	}
-	if !isCmpShaped(cond) {
-		e.Meter.Exec(perf.OpBranch, 1)
-	}
-	return v, dep, nil
-}
-
-// isCmpShaped reports whether evaluating the expression already ends in a
-// comparison whose result feeds the branch (so cmp+jcc fuse).
-func isCmpShaped(e Expr) bool {
-	switch x := e.(type) {
-	case Bin:
-		return x.Op.IsComparison()
-	case Not:
-		return isCmpShaped(x.X)
-	}
-	return false
-}
-
-// eval computes an expression, charging its cost. The bool result is the
-// load-dependence taint used by the detailed hardware model to decide
-// which misses can overlap.
-func (e *Env) eval(x Expr) (uint64, bool, error) {
-	switch ex := x.(type) {
-	case Const:
-		return ex.V, false, nil
-	case Local:
-		v, ok := e.locals[ex.Name]
-		if !ok {
-			return 0, false, fmt.Errorf("read of unassigned local %q", ex.Name)
-		}
-		return v, e.localDep[ex.Name], nil
-	case Now:
-		return e.Time, false, nil
-	case InPort:
-		return e.InPort, false, nil
-	case PktLen:
-		return e.PktLen, false, nil
-	case Not:
-		v, dep, err := e.eval(ex.X)
-		if err != nil {
-			return 0, false, err
-		}
-		if v == 0 {
-			return 1, dep, nil
-		}
-		return 0, dep, nil
-	case Bin:
-		l, ldep, err := e.eval(ex.L)
-		if err != nil {
-			return 0, false, err
-		}
-		r, rdep, err := e.eval(ex.R)
-		if err != nil {
-			return 0, false, err
-		}
-		e.Meter.Exec(opClass(ex.Op), 1)
-		return symb.ApplyOp(ex.Op, l, r), ldep || rdep, nil
-	case PktLoad:
-		off, _, err := e.eval(ex.Off)
-		if err != nil {
-			return 0, false, err
-		}
-		if off+uint64(ex.Size) > MaxPacket {
-			return 0, false, fmt.Errorf("packet load out of bounds: off=%d size=%d", off, ex.Size)
-		}
-		e.Meter.Load(e.PktAddr+off, uint8(ex.Size), false)
-		return getBE(e.Pkt[off:], ex.Size), true, nil
-	case MemLoad:
-		addr, adep, err := e.eval(ex.Addr)
-		if err != nil {
-			return 0, false, err
-		}
-		e.Meter.Load(addr, uint8(ex.Size), adep)
-		return e.Heap.Read(addr, ex.Size), true, nil
-	default:
-		return 0, false, fmt.Errorf("unknown expression %T", x)
-	}
-}
-
-// opClass maps an operator to its hardware cost class.
-func opClass(op symb.Op) perf.OpClass {
-	switch {
-	case op == symb.Mul:
-		return perf.OpMul
-	case op == symb.Div || op == symb.Mod:
-		return perf.OpDiv
-	case op.IsComparison():
-		return perf.OpBranch
-	default:
-		return perf.OpALU
-	}
+// inPacket reports whether size bytes at off lie inside the buffer.
+func inPacket(off uint64, size int) bool {
+	return off <= MaxPacket && off+uint64(size) <= MaxPacket
 }
 
 func getBE(b []byte, size int) uint64 {

@@ -55,7 +55,7 @@ func arpPacket() []byte {
 func TestConcreteInvalidPacketCost(t *testing.T) {
 	env := NewEnv()
 	env.Meter = perf.NewMeter(nil)
-	env.DS["lpm"] = &fixedDS{results: []uint64{0}}
+	env.Link("lpm", &fixedDS{results: []uint64{0}})
 	env.ResetPacket(arpPacket(), 0, 0)
 	act, err := env.Run(etherTypeProgram())
 	if err != nil {
@@ -77,7 +77,7 @@ func TestConcreteInvalidPacketCost(t *testing.T) {
 func TestConcreteValidPacketStatelessCost(t *testing.T) {
 	env := NewEnv()
 	env.Meter = perf.NewMeter(nil)
-	env.DS["lpm"] = &fixedDS{results: []uint64{3}} // zero-cost stub
+	env.Link("lpm", &fixedDS{results: []uint64{3}}) // zero-cost stub
 	env.ResetPacket(ipv4Packet(), 0, 0)
 	act, err := env.Run(etherTypeProgram())
 	if err != nil {
@@ -102,7 +102,7 @@ func TestConcreteValidPacketStatelessCost(t *testing.T) {
 func TestConcreteDSCostCharged(t *testing.T) {
 	env := NewEnv()
 	env.Meter = perf.NewMeter(nil)
-	env.DS["lpm"] = &fixedDS{results: []uint64{1}, ic: 10, ma: 4}
+	env.Link("lpm", &fixedDS{results: []uint64{1}, ic: 10, ma: 4})
 	env.ResetPacket(ipv4Packet(), 0, 0)
 	if _, err := env.Run(etherTypeProgram()); err != nil {
 		t.Fatal(err)
@@ -375,9 +375,27 @@ func TestObservePCV(t *testing.T) {
 	if env.PCVs()["e"] != 5 || env.PCVs()["c"] != 1 {
 		t.Errorf("PCVs = %v", env.PCVs())
 	}
+	snap := env.PCVs()
 	env.ResetPacket(nil, 0, 0)
 	if len(env.PCVs()) != 0 {
 		t.Error("ResetPacket must clear PCVs")
+	}
+	if snap["e"] != 5 || len(snap) != 2 {
+		t.Errorf("a PCVs snapshot changed under ResetPacket: %v", snap)
+	}
+	// An observation of 0 is an observation; a name seen on an earlier
+	// packet only is not.
+	env.ObservePCV("e", 0)
+	env.ObservePCVMax("t", 0)
+	env.ObservePCVMax("t", 4)
+	env.ObservePCVMax("t", 2)
+	if got := env.PCVs(); len(got) != 2 || got["t"] != 4 {
+		t.Errorf("PCVs = %v, want e:0 t:4", got)
+	} else if _, ok := got["e"]; !ok {
+		t.Errorf("PCVs = %v: observed 0 must be present", got)
+	}
+	if got := env.AppendPCVs(nil); len(got) != 2 || got[0] != (PCVObs{"e", 0}) || got[1] != (PCVObs{"t", 4}) {
+		t.Errorf("AppendPCVs = %v, want e then t in first-seen order", got)
 	}
 }
 

@@ -1,0 +1,238 @@
+package nfir
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"gobolt/internal/perf"
+)
+
+// byteHeap is the byte-per-map-entry heap the page table replaced, kept
+// as the reference the paged Heap must be indistinguishable from.
+type byteHeap map[uint64]byte
+
+func (h byteHeap) read(addr uint64, size int) uint64 {
+	var v uint64
+	for i := 0; i < size; i++ {
+		v |= uint64(h[addr+uint64(i)]) << (8 * i)
+	}
+	return v
+}
+
+func (h byteHeap) write(addr uint64, size int, v uint64) {
+	for i := 0; i < size; i++ {
+		h[addr+uint64(i)] = byte(v >> (8 * i))
+	}
+}
+
+// Arbitrary 64-bit addresses — clustered ones that hit the last-page
+// cache, page-straddling ones, and ones wrapping past 2^64 — read and
+// write exactly as the byte map did.
+func TestHeapMatchesByteMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	h, ref := NewHeap(), byteHeap{}
+	bases := []uint64{0, heapBase, heapPageSize - 3, 7*heapPageSize - 1, 1 << 40, ^uint64(0) - 5, rng.Uint64()}
+	for i := 0; i < 20000; i++ {
+		addr := bases[rng.Intn(len(bases))] + uint64(rng.Intn(12))
+		if rng.Intn(16) == 0 {
+			addr = rng.Uint64()
+		}
+		size := []int{1, 2, 4, 8}[rng.Intn(4)]
+		if rng.Intn(2) == 0 {
+			v := rng.Uint64()
+			h.Write(addr, size, v)
+			ref.write(addr, size, v)
+		}
+		if got, want := h.Read(addr, size), ref.read(addr, size); got != want {
+			t.Fatalf("op %d: Read(%#x, %d) = %#x, want %#x", i, addr, size, got, want)
+		}
+	}
+	before := len(h.pages)
+	for i := 0; i < 1000; i++ {
+		h.Read(rng.Uint64(), 8)
+	}
+	if len(h.pages) != before {
+		t.Errorf("reads of unwritten memory materialised %d pages", len(h.pages)-before)
+	}
+}
+
+// A short packet reads zeros beyond its length, whatever a longer
+// predecessor or a store past the packet end left in the buffer.
+func TestResetPacketZeroesTail(t *testing.T) {
+	env := NewEnv()
+	long := make([]byte, 200)
+	for i := range long {
+		long[i] = 0xAB
+	}
+	store := &Program{Name: "store", Body: []Stmt{
+		PktStore{Off: C(300), Size: 8, Val: C(^uint64(0))},
+		PktStore{Off: C(MaxPacket - 1), Size: 1, Val: C(0xFF)},
+		Drop(),
+	}}
+	env.ResetPacket(long, 0, 0)
+	if _, err := env.Run(store); err != nil {
+		t.Fatal(err)
+	}
+
+	read := &Program{Name: "read", Body: []Stmt{
+		Set("in", Field(8, 2)),
+		Set("old", Field(100, 8)),
+		Set("stored", Field(300, 8)),
+		Set("last", Field(MaxPacket-1, 1)),
+		Drop(),
+	}}
+	env.ResetPacket(long[:10], 0, 0)
+	if _, err := env.Run(read); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]uint64{"in": 0xABAB, "old": 0, "stored": 0, "last": 0} {
+		if got, _ := env.Local(name); got != want {
+			t.Errorf("%s = %#x, want %#x", name, got, want)
+		}
+	}
+}
+
+// Program.Body is exported and mutable; every way of changing it between
+// two runs must be honoured by the next run, cached lowering or not.
+func TestBodyMutationHonoured(t *testing.T) {
+	env := NewEnv()
+	env.Link("ds", &fixedDS{results: []uint64{7, 8}})
+	inner := []Stmt{Fwd(C(1))}
+	args := []Expr{C(0)}
+	dsts := []string{"x", "y"}
+	p := &Program{Name: "mut", Body: []Stmt{
+		Call{DS: "ds", Method: "m", Args: args, Dsts: dsts},
+		IfElse(Eq(L("x"), C(7)), inner, []Stmt{Drop()}),
+	}}
+	run := func() Action {
+		t.Helper()
+		env.ResetPacket(nil, 0, 0)
+		act, err := env.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return act
+	}
+	if act := run(); act != (Action{ActionForward, 1}) {
+		t.Fatalf("unmutated: %+v", act)
+	}
+	low := p.low.Load()
+	if run(); p.low.Load() != low {
+		t.Error("an unchanged body was lowered again")
+	}
+
+	inner[0] = Fwd(C(2)) // an element of a nested slice
+	if act := run(); act.Port != 2 {
+		t.Errorf("nested statement replaced: port %d, want 2", act.Port)
+	}
+	dsts[0], dsts[1] = "y", "x" // a call's destination names: x is now 8
+	if act := run(); act.Kind != ActionDrop {
+		t.Errorf("call destinations swapped: %+v, want drop", act)
+	}
+	dsts[0], dsts[1] = "x", "y"
+	args[0] = L("undefined") // a call argument
+	env.ResetPacket(nil, 0, 0)
+	if _, err := env.Run(p); err == nil {
+		t.Error("call argument replaced by an unassigned local: no error")
+	}
+	args[0] = C(0)
+	p.Body[1] = Fwd(C(3)) // an element of Body itself
+	if act := run(); act.Port != 3 {
+		t.Errorf("top-level statement replaced: port %d, want 3", act.Port)
+	}
+	p.Body = p.Body[:1] // the slice header alone
+	env.ResetPacket(nil, 0, 0)
+	if _, err := env.Run(p); err == nil {
+		t.Error("body truncated before its Forward: no error")
+	}
+	p.Body = []Stmt{Fwd(C(4))} // a new slice
+	if act := run(); act.Port != 4 {
+		t.Errorf("body replaced: port %d, want 4", act.Port)
+	}
+	p.Body = nil
+	env.ResetPacket(nil, 0, 0)
+	if _, err := env.Run(p); err == nil {
+		t.Error("empty body: no error")
+	}
+}
+
+// Linking a different implementation takes effect on the next Run, and
+// WrapLinked's restore puts the originals back.
+func TestRelinkTakesEffectNextRun(t *testing.T) {
+	env := NewEnv()
+	env.Link("lpm", &fixedDS{results: []uint64{1}})
+	p := etherTypeProgram()
+	port := func() uint64 {
+		t.Helper()
+		env.ResetPacket(ipv4Packet(), 0, 0)
+		act, err := env.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return act.Port
+	}
+	if got := port(); got != 1 {
+		t.Fatalf("port = %d, want 1", got)
+	}
+	env.Link("lpm", &fixedDS{results: []uint64{2}})
+	if got := port(); got != 2 {
+		t.Errorf("after Link: port = %d, want 2", got)
+	}
+	restore := env.WrapLinked(func(string, ConcreteDS) ConcreteDS { return &fixedDS{results: []uint64{3}} })
+	if got := port(); got != 3 {
+		t.Errorf("after WrapLinked: port = %d, want 3", got)
+	}
+	restore()
+	if got := port(); got != 2 {
+		t.Errorf("after restore: port = %d, want 2", got)
+	}
+}
+
+// One *Program may be run from many goroutines at once, each on its own
+// Env, including the first runs that race to lower it (run with -race).
+func TestConcurrentRunsShareProgram(t *testing.T) {
+	p := etherTypeProgram()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env := NewEnv()
+			env.Meter = perf.NewMeter(nil)
+			env.Link("lpm", &fixedDS{results: []uint64{3}})
+			for i := 0; i < 200; i++ {
+				env.ResetPacket(ipv4Packet(), 0, 0)
+				if act, err := env.Run(p); err != nil || act.Port != 3 {
+					t.Errorf("run %d: %+v, %v", i, act, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// The per-packet path allocates nothing once an Env has run a program:
+// no maps, no argument or result slices.
+func TestRunAllocatesNothing(t *testing.T) {
+	env := NewEnv()
+	env.Meter = perf.NewMeter(nil)
+	env.Link("tbl", &scriptDS{})
+	p := &Program{Name: "calls", Body: []Stmt{
+		Invoke("tbl", "count", []Expr{Field(0, 4), Now{}}, "n"),
+		Set("i", C(0)),
+		While{Cond: Lt(L("i"), C(3)), MaxIter: 4, Body: []Stmt{Set("i", Add(L("i"), C(1)))}},
+		Invoke("tbl", "none", nil),
+		Fwd(L("n")),
+	}}
+	pkt := ipv4Packet()
+	if allocs := testing.AllocsPerRun(200, func() {
+		env.ResetPacket(pkt, 1, 2)
+		if _, err := env.Run(p); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ResetPacket+Run: %v allocs/packet, want 0", allocs)
+	}
+}

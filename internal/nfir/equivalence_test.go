@@ -1,7 +1,12 @@
 package nfir
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -141,5 +146,220 @@ func TestSymbolicConcreteEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// wildProgram extends randomProgram's shapes to everything the concrete
+// interpreter can meet, valid or not: bounded loops whose bound trips,
+// stateful calls (to a linked and to an unlinked structure, with failing
+// and short-result methods), heap accesses at packet-derived addresses,
+// packet accesses at packet-derived offsets (some out of bounds, some
+// wrapping 2^64), reads of locals no path assigned, bare-value
+// conditions that pay the extra branch, and bodies that fall off the
+// end.
+func wildProgram(rng *rand.Rand) *Program {
+	names := []string{"a", "b", "c", "tmp", "r0", "r1"}
+	name := func() string { return names[rng.Intn(len(names))] }
+	size := func() int { return []int{1, 2, 4, 8}[rng.Intn(4)] }
+	allOps := []symb.Op{symb.Add, symb.Sub, symb.Mul, symb.Div, symb.Mod, symb.And, symb.Or,
+		symb.Xor, symb.Shl, symb.Shr, symb.Eq, symb.Ne, symb.Ult, symb.Ule, symb.Ugt, symb.Uge,
+		symb.LAnd, symb.LOr}
+	var genExpr func(depth int) Expr
+	// offset is mostly in bounds, so that programs run on past their
+	// first packet access.
+	offset := func(depth int) Expr {
+		if rng.Intn(4) == 0 {
+			return genExpr(depth)
+		}
+		return Band(genExpr(depth), C(127))
+	}
+	genExpr = func(depth int) Expr {
+		k := rng.Intn(10)
+		if depth >= 3 && k >= 5 {
+			k = rng.Intn(5)
+		}
+		switch k {
+		case 0:
+			return C(uint64(rng.Intn(300)))
+		case 1:
+			if rng.Intn(3) == 0 {
+				return C(^uint64(0) - uint64(rng.Intn(4))) // wraps offset arithmetic
+			}
+			return C(uint64(rng.Intn(8)))
+		case 2:
+			return Field(uint64(rng.Intn(64)), size())
+		case 3:
+			return L(name())
+		case 4:
+			return []Expr{Now{}, InPort{}, PktLen{}}[rng.Intn(3)]
+		case 5, 6:
+			return Op(allOps[rng.Intn(len(allOps))], genExpr(depth+1), genExpr(depth+1))
+		case 7:
+			return Not{X: genExpr(depth + 1)}
+		case 8:
+			return PktLoad{Off: offset(depth + 1), Size: size()}
+		default:
+			return MemLoad{Addr: genExpr(depth + 1), Size: size()}
+		}
+	}
+	var genStmts func(depth int) []Stmt
+	genStmts = func(depth int) []Stmt {
+		var out []Stmt
+		for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+			switch k := rng.Intn(12); {
+			case k < 3:
+				out = append(out, Set(name(), genExpr(0)))
+			case k == 3 && depth < 3:
+				out = append(out, IfElse(genExpr(1), genStmts(depth+1), genStmts(depth+1)))
+			case k == 4 && depth < 2:
+				out = append(out, While{Cond: genExpr(1), Body: genStmts(depth + 1), MaxIter: 1 + rng.Intn(4)})
+			case k == 5 || k == 6:
+				ds := "tbl"
+				if rng.Intn(12) == 0 {
+					ds = "missing"
+				}
+				call := Call{DS: ds, Method: []string{"count", "probe", "none", "fail", "count", "probe"}[rng.Intn(6)]}
+				for j, na := 0, rng.Intn(4); j < na; j++ {
+					call.Args = append(call.Args, genExpr(1))
+				}
+				for j, nd := 0, rng.Intn(3); j < nd; j++ {
+					call.Dsts = append(call.Dsts, name())
+				}
+				out = append(out, call)
+			case k == 7:
+				out = append(out, PktStore{Off: offset(1), Size: size(), Val: genExpr(1)})
+			case k == 8:
+				out = append(out, MemStore{Addr: genExpr(1), Size: size(), Val: genExpr(1)})
+			case k == 9 && depth > 0:
+				out = append(out, Fwd(genExpr(1)))
+				return out
+			case k == 10 && depth > 0:
+				out = append(out, Drop())
+				return out
+			default:
+				out = append(out, Set(name(), genExpr(1)))
+			}
+		}
+		return out
+	}
+	p := &Program{Name: "wild", NumPorts: 4}
+	for _, n := range names { // most locals start assigned, so most reads succeed
+		if rng.Intn(5) != 0 {
+			p.Body = append(p.Body, Set(n, Field(uint64(rng.Intn(64)), size())))
+		}
+	}
+	p.Body = append(p.Body, genStmts(0)...)
+	if rng.Intn(8) != 0 { // most bodies terminate; the rest fall off the end
+		p.Body = append(p.Body, IfElse(genExpr(1), []Stmt{Fwd(genExpr(1))}, []Stmt{Drop()}))
+	}
+	return p
+}
+
+// scriptDS is wildProgram's stateful structure: a deterministic function
+// of its call history that charges the meter, observes PCVs through both
+// channels (including observations of 0), and returns Env-owned or
+// fresh result slices of every length the interpreter must handle.
+type scriptDS struct{ calls uint64 }
+
+func (d *scriptDS) Invoke(method string, args []uint64, env *Env) ([]uint64, error) {
+	d.calls++
+	sum := d.calls
+	for _, a := range args {
+		sum = sum*31 + a
+	}
+	env.Meter.Exec(perf.OpALU, 1+sum%3)
+	env.Meter.Load(0x5000_0000+(sum%8)*64, 8, sum%2 == 0)
+	switch method {
+	case "count":
+		env.ObservePCV("e", sum%3)
+		return env.Results(sum % 5), nil
+	case "probe":
+		env.ObservePCVMax("t", sum%4)
+		env.ObservePCVMax("c", 0)
+		return []uint64{sum % 7, sum & 1}, nil
+	case "none":
+		return nil, nil
+	}
+	return nil, fmt.Errorf("scripted failure %d", sum%3)
+}
+
+type recordingSink struct{ evs []perf.Access }
+
+func (s *recordingSink) Op(ev perf.Access) { s.evs = append(s.evs, ev) }
+
+// The identity the slot-compiled interpreter is held to: on any program
+// and any packet sequence it is indistinguishable from the tree walker
+// it replaced — action, IC, MA, the full access stream, PCVs, locals,
+// packet and heap contents, and error text.
+func TestCompiledMatchesWalker(t *testing.T) {
+	const programs, packets = 8000, 3 // 24 k program × packet pairs, about half of which run to an action
+	errKinds := map[string]int{}
+	for seed := int64(0); seed < programs; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := wildProgram(rng)
+
+		sinkW, sinkC := &recordingSink{}, &recordingSink{}
+		envW, envC := NewEnv(), NewEnv()
+		envW.Meter, envC.Meter = perf.NewMeter(sinkW), perf.NewMeter(sinkC)
+		envW.Link("tbl", &scriptDS{})
+		envC.Link("tbl", &scriptDS{})
+		w := newWalker(envW)
+
+		for n := 0; n < packets; n++ {
+			pkt := make([]byte, 1+rng.Intn(160))
+			rng.Read(pkt)
+			inPort, now := uint64(rng.Intn(4)), uint64(rng.Intn(1<<20))
+			if n == 0 || rng.Intn(4) != 0 { // sometimes run again on the same packet: locals persist
+				w.resetPacket(pkt, inPort, now)
+				envC.ResetPacket(pkt, inPort, now)
+			}
+			actW, errW := w.run(prog)
+			actC, errC := envC.Run(prog)
+
+			where := fmt.Sprintf("seed %d packet %d:\n%s", seed, n, prog.String())
+			if (errW == nil) != (errC == nil) || (errW != nil && errW.Error() != errC.Error()) {
+				t.Fatalf("%s\nwalker error %v, compiled error %v", where, errW, errC)
+			}
+			if errW != nil {
+				errKinds[strings.SplitN(strings.TrimPrefix(errW.Error(), "nfir: wild: "), " ", 3)[0]]++
+			}
+			if actW != actC || envW.Action != envC.Action {
+				t.Fatalf("%s\nwalker action %v/%v, compiled %v/%v", where, actW, envW.Action, actC, envC.Action)
+			}
+			if envW.Meter.Snapshot() != envC.Meter.Snapshot() {
+				t.Fatalf("%s\nwalker %+v, compiled %+v", where, envW.Meter.Snapshot(), envC.Meter.Snapshot())
+			}
+			if !slices.Equal(sinkW.evs, sinkC.evs) {
+				t.Fatalf("%s\naccess streams differ:\nwalker   %v\ncompiled %v", where, sinkW.evs, sinkC.evs)
+			}
+			if !reflect.DeepEqual(envW.PCVs(), envC.PCVs()) {
+				t.Fatalf("%s\nwalker PCVs %v, compiled %v", where, envW.PCVs(), envC.PCVs())
+			}
+			for _, name := range []string{"a", "b", "c", "tmp", "r0", "r1", "never"} {
+				vW, okW := w.locals[name]
+				vC, okC := envC.Local(name)
+				if vW != vC || okW != okC {
+					t.Fatalf("%s\nlocal %s: walker %d,%v compiled %d,%v", where, name, vW, okW, vC, okC)
+				}
+			}
+			if !bytes.Equal(envW.Pkt, envC.Pkt) {
+				t.Fatalf("%s\npacket buffers differ", where)
+			}
+			if !reflect.DeepEqual(envW.Heap.pages, envC.Heap.pages) {
+				t.Fatalf("%s\nheaps differ", where)
+			}
+		}
+	}
+	t.Logf("error kinds over %d runs: %v", programs*packets, errKinds)
+	// The generator must actually reach every failure the two
+	// interpreters have to word identically.
+	for _, kind := range []string{"read", "packet", "loop", "unknown", "tbl.fail:", "tbl.count", "fell"} {
+		found := false
+		for k := range errKinds {
+			found = found || strings.HasPrefix(k, kind)
+		}
+		if !found {
+			t.Errorf("no generated program failed with a %q error; kinds seen: %v", kind, errKinds)
+		}
 	}
 }

@@ -58,6 +58,11 @@ type Action struct {
 type ConcreteDS interface {
 	// Invoke runs a method. It must charge env.Meter for its cost and
 	// add observed PCV values via env.ObservePCV.
+	//
+	// args is lent from the caller's scratch for the duration of the
+	// call: copy what must outlive it. The results may likewise be
+	// scratch — env.Results builds them without allocating — and the
+	// caller reads them before the next Invoke on the same Env.
 	Invoke(method string, args []uint64, env *Env) ([]uint64, error)
 }
 

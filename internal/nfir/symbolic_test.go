@@ -146,7 +146,7 @@ func TestSymbolicStatelessCostMatchesConcrete(t *testing.T) {
 		env.Meter = perf.NewMeter(nil)
 		// Replay stub: return the witness values for the recorded events.
 		idx := 0
-		env.DS["table"] = replayStub{events: pa.Events, model: model, idx: &idx}
+		env.Link("table", replayStub{events: pa.Events, model: model, idx: &idx})
 		env.ResetPacket(pkt, model[SymInPort], model[SymNow])
 		act, err := env.Run(prog)
 		if err != nil {

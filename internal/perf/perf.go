@@ -211,6 +211,24 @@ func (m *Meter) Exec(class OpClass, count uint64) {
 	}
 }
 
+// Bulk charges ic instructions, ma of them memory accesses, in one step
+// and reports true — unless a sink is attached, in which case it charges
+// nothing and reports false, because the sink is owed one event per
+// operation and the caller must charge them one by one. It lets a caller
+// that knows a whole step's cost skip the per-operation calls on the
+// untraced hot path without ever changing a traced stream.
+func (m *Meter) Bulk(ic, ma uint64) bool {
+	if m == nil {
+		return true
+	}
+	if m.sink != nil {
+		return false
+	}
+	m.instructions += ic
+	m.memAccesses += ma
+	return true
+}
+
 // Load charges one load instruction touching size bytes at addr.
 func (m *Meter) Load(addr uint64, size uint8, loadDependent bool) {
 	if m == nil {
