@@ -28,8 +28,8 @@
 // tool sharing the store) is loaded instead of regenerated, and fresh
 // generations are persisted for later runs. boltctl administers DIR.
 //
-// -json emits the versioned lossless artifact (codec v1: constraints,
-// domains, traces, costs, witnesses, raw paths). -json=summary emits
+// -json emits the versioned lossless artifact (constraints, domains,
+// traces, costs, shard verdicts, witnesses, raw paths). -json=summary emits
 // the legacy provisioning summary instead.
 package main
 

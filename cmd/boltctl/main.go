@@ -2,8 +2,8 @@
 // artifacts that cmd/bolt, boltbench, boltmon, and distiller share via
 // their -store flag. It lists and inspects stored contracts, diffs two
 // of them (across stores, for before/after comparisons of a code
-// change), moves artifacts in and out as files, and garbage-collects
-// torn writes and corrupted objects.
+// change), moves artifacts in and out as files, verifies stored objects
+// end to end, and garbage-collects torn writes and corrupted objects.
 //
 // Usage:
 //
@@ -12,6 +12,7 @@
 //	boltctl -store DIR diff KEY1 KEY2 [-store2 DIR2] [-metric M]
 //	boltctl -store DIR export KEY [-o FILE]
 //	boltctl -store DIR import FILE...
+//	boltctl -store DIR verify [KEY...]
 //	boltctl -store DIR gc
 //
 // KEY arguments may be unambiguous key prefixes (as printed by list).
@@ -53,7 +54,7 @@ func run(args []string, out io.Writer) error {
 	)
 	fs.SetOutput(out)
 	fs.Usage = func() {
-		fmt.Fprintln(out, "usage: boltctl -store DIR {list|inspect|diff|export|import|gc} [args]")
+		fmt.Fprintln(out, "usage: boltctl -store DIR {list|inspect|diff|export|import|verify|gc} [args]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -120,6 +121,8 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("usage: boltctl -store DIR import FILE...")
 		}
 		return cmdImport(s, rest, out)
+	case "verify":
+		return cmdVerify(s, rest, out)
 	case "gc":
 		return cmdGC(s, out)
 	default:
@@ -197,9 +200,9 @@ func cmdInspect(s *store.Store, prefix string, m perf.Metric, out io.Writer) err
 	return nil
 }
 
-// printSharing summarises the sharability verdicts a version-2 artifact
-// carries: each state call's class and the analysis's reason. Version-1
-// artifacts have no verdicts and print nothing.
+// printSharing summarises the sharability verdicts an artifact carries:
+// each state call's class and the analysis's reason. A contract without
+// call traces (a composite) has none and prints nothing.
 func printSharing(ct *core.Contract, out io.Writer) {
 	verdicts := map[string]nfir.Sharing{}
 	for _, p := range ct.Paths {
@@ -293,6 +296,73 @@ func cmdImport(s *store.Store, files []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "imported %s (%s, %d paths) from %s\n", a.Key[:12], a.Contract.NF, len(a.Contract.Paths), file)
+	}
+	return nil
+}
+
+// cmdVerify checks stored objects end to end, the whole store when no
+// key is given: one line per object, an error if any failed. It is where
+// the decode→re-encode→compare identity is checked now that the decoder
+// enforces canonical form as it reads instead.
+func cmdVerify(s *store.Store, prefixes []string, out io.Writer) error {
+	var keys, temps []string
+	var err error
+	if len(prefixes) == 0 {
+		if keys, err = s.Keys(); err != nil {
+			return err
+		}
+		if temps, err = s.Temps(); err != nil {
+			return err
+		}
+	}
+	for _, prefix := range prefixes {
+		key, err := s.Resolve(prefix)
+		if err != nil {
+			return err
+		}
+		keys = append(keys, key)
+	}
+	failed := len(temps)
+	for _, key := range keys {
+		if err := verifyObject(s, key); err != nil {
+			failed++
+			fmt.Fprintf(out, "%s  FAIL  %v\n", key[:12], err)
+		} else {
+			fmt.Fprintf(out, "%s  ok\n", key[:12])
+		}
+	}
+	for _, tmp := range temps {
+		fmt.Fprintf(out, "%s  FAIL  leftover of a torn write (never served; gc removes it)\n", tmp)
+	}
+	if failed > 0 {
+		return fmt.Errorf("verify: %d of %d objects failed", failed, len(keys)+len(temps))
+	}
+	fmt.Fprintf(out, "verify: %d checked, all ok\n", len(keys))
+	return nil
+}
+
+// verifyObject re-checks everything that makes a stored object
+// trustworthy: the framing's length and SHA-256 (Get), the canonical
+// schema (DecodeArtifact), the key the artifact labels itself with, and
+// that re-encoding reproduces the stored bytes exactly.
+func verifyObject(s *store.Store, key string) error {
+	payload, err := s.Get(key)
+	if err != nil {
+		return err
+	}
+	a, err := core.DecodeArtifact(payload)
+	if err != nil {
+		return err
+	}
+	if a.Key != key {
+		return fmt.Errorf("artifact is labelled with key %.12s", a.Key)
+	}
+	re, err := core.EncodeArtifact(a)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(re, payload) {
+		return fmt.Errorf("stored bytes are not the encoding of what they decode to")
 	}
 	return nil
 }

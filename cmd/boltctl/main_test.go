@@ -187,3 +187,105 @@ func TestTornWriteCollected(t *testing.T) {
 		t.Fatalf("valid object lost after gc: %v\n%s", err, out)
 	}
 }
+
+// TestVerify drives `boltctl verify` over one damaged store per row:
+// every check the decoder's old re-encode gate and the cache's read path
+// made between them has to fail here, by name, with a non-zero exit.
+func TestVerify(t *testing.T) {
+	objectPath := func(dir, key string) string { return filepath.Join(dir, "objects", key[:2], key) }
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, dir string, keys []string) (victim string)
+		want   string // in the victim's line; "" means the store is clean
+	}{
+		{"clean store", func(*testing.T, string, []string) string { return "" }, ""},
+		{"flipped payload byte", func(t *testing.T, dir string, keys []string) string {
+			path := objectPath(dir, keys[0])
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-10] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return keys[0][:12]
+		}, "checksum mismatch"},
+		{"mislabeled key", func(t *testing.T, dir string, keys []string) string {
+			// A valid object copied under another key: framing and schema
+			// hold, the self-label does not.
+			other := strings.Repeat("5", 64)
+			data, err := os.ReadFile(objectPath(dir, keys[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Dir(objectPath(dir, other)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(objectPath(dir, other), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return other[:12]
+		}, "labelled with key " + "%.12s"},
+		{"non-canonical but valid JSON", func(t *testing.T, dir string, keys []string) string {
+			// The same contract with one space in it, put through the
+			// store's own writer so the framing checksum is right.
+			s, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := s.Get(keys[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			spaced := strings.Replace(string(payload), `"version":2`, `"version": 2`, 1)
+			if err := s.Delete(keys[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(keys[0], []byte(spaced), store.Meta{Kind: "contract"}); err != nil {
+				t.Fatal(err)
+			}
+			return keys[0][:12]
+		}, "decoding artifact"},
+		{"torn write", func(t *testing.T, dir string, keys []string) string {
+			torn := objectPath(dir, keys[0]) + ".tmp7"
+			if err := os.WriteFile(torn, []byte("boltstore1 torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return filepath.Base(torn)
+		}, "torn write"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, keys := populate(t)
+			victim := tc.damage(t, dir, keys)
+			want := strings.Replace(tc.want, "%.12s", keys[0][:12], 1)
+			out, err := runCtl(t, "-store", dir, "verify")
+			lines := strings.Split(strings.TrimSpace(out), "\n")
+			if tc.want == "" {
+				if err != nil || !strings.Contains(out, "all ok") || len(lines) != len(keys)+1 {
+					t.Fatalf("clean store: err=%v\n%s", err, out)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "1 of ") {
+				t.Fatalf("verify did not fail on exactly one object: err=%v\n%s", err, out)
+			}
+			for _, line := range lines {
+				failed := strings.Contains(line, "FAIL")
+				if strings.Contains(line, victim) != failed {
+					t.Errorf("wrong verdict: %s", line)
+				}
+				if failed && !strings.Contains(line, want) {
+					t.Errorf("verdict lacks %q: %s", want, line)
+				}
+			}
+			// Naming an undamaged object verifies it alone.
+			if good := keys[len(keys)-1]; !strings.HasPrefix(good, victim) {
+				if out, err := runCtl(t, "-store", dir, "verify", good[:16]); err != nil || !strings.Contains(out, "verify: 1 checked, all ok") {
+					t.Errorf("verify %s: err=%v\n%s", good[:16], err, out)
+				}
+			}
+		})
+	}
+}

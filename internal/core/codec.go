@@ -2,40 +2,47 @@ package core
 
 // codec.go is the versioned, lossless serialization of performance
 // contracts — the interchange format that turns a contract from a
-// process-local struct into a durable artifact (ROADMAP: "contracts as
-// artifacts"). An encoded artifact carries everything the in-memory
-// representation does: every path's constraints (full symb.Expr trees),
-// symbol domains, call traces, cost polynomials, PCV ranges, and
-// witnesses, plus — when the artifact backs a cache entry — the raw
-// symbolic paths chain composition needs, so a stored fold prefix can be
-// extended without regenerating a single stage.
+// process-local struct into a durable artifact. An encoded artifact
+// carries everything the in-memory representation does: every path's
+// constraints (full symb.Expr trees), symbol domains, call traces, cost
+// polynomials, PCV ranges, and witnesses, plus — when the artifact backs
+// a cache entry — the raw symbolic paths chain composition needs, so a
+// stored fold prefix can be extended without regenerating a stage.
 //
-// Design rules:
+// The wire format is JSON under a {format, version} envelope, canonical
+// by construction: every in-memory value has exactly one spelling, the
+// encoder writes it, and the decoder accepts nothing else.
 //
-//   - Versioned envelope. Every artifact starts with a format tag and a
-//     version number. Decoders reject unknown versions outright rather
-//     than guessing; adding fields means bumping ArtifactVersion.
-//   - Canonical bytes. EncodeArtifact is deterministic (struct fields in
-//     declaration order, map keys sorted by encoding/json), and
-//     DecodeArtifact accepts ONLY canonical bytes: after structural
-//     decoding it re-encodes and requires byte identity with the input.
-//     decode∘encode is therefore the identity on stored artifacts by
-//     construction, and duplicate keys, reordered fields, stray
-//     whitespace, and non-canonical number spellings are all rejected —
-//     the property FuzzContractCodec pins.
-//   - Strict decoding. Unknown fields are rejected
-//     (DisallowUnknownFields), operator/action/metric/op-class names
-//     must parse, monomials must be canonical, and raw paths must align
-//     one-to-one with contract paths.
+//   - Encoding appends straight from the structures: object fields in
+//     one fixed order, zero-valued optional fields omitted, map keys
+//     sorted bytewise, integers in shortest decimal, strings escaped the
+//     way encoding/json escapes them (appendString).
+//   - Decoding is one recursive-descent pass over the byte slice along
+//     the same schema. A field unknown, repeated or out of order, an
+//     optional field present with its zero value, map keys not strictly
+//     ascending, "01", "1e3", "A" for "A", whitespace, trailing
+//     bytes, nesting beyond maxExprDepth, an unknown operator, action,
+//     metric or op-class name, a non-canonical monomial, raw paths
+//     misaligned with contract paths: each is a syntax error where it
+//     occurs. decode∘encode is the identity on every accepted input
+//     without re-encoding it; `boltctl verify` and FuzzContractCodec
+//     check that identity from outside.
+//   - Decoded values share structure. Strings are interned per artifact,
+//     expression nodes are hash-consed (identical subtrees are one node)
+//     and equal polynomials are one Poly. symb.Expr and expr.Poly are
+//     immutable and cached contracts are shared read-only anyway (see
+//     ContractCache), so sharing shows only in the allocation count: a
+//     582-path composite holds ~63,000 expression nodes, under a hundred
+//     of them distinct.
 //
-// The on-disk store (internal/store) wraps these bytes in a checksummed
-// header for corruption detection; this file is only concerned with the
-// payload.
+// Integrity is not this file's job: the on-disk store (internal/store)
+// frames these bytes with a SHA-256 checksum that Store.Get verifies.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
 
 	"gobolt/internal/expr"
 	"gobolt/internal/nfir"
@@ -43,21 +50,22 @@ import (
 	"gobolt/internal/symb"
 )
 
-// ArtifactVersion is the codec version this build writes by default.
-// Version 2 (PR 9) added the shard dimension: per-path shared-MA
-// polynomials and per-call sharability verdicts with the recorded key
-// arguments. The build still reads (and can write, see
-// EncodeArtifactAt) version 1; a version-1 artifact decodes to a
-// contract whose paths report ShardAnalysed=false and are evaluated
-// with the conservative all-accesses-shared fallback.
+// ArtifactVersion is the one codec version this build reads and writes.
+// Version 2 carries the shard dimension (per-path shared-MA polynomials,
+// per-call sharability verdicts and key arguments); version-1 objects
+// predate it and are rejected — the cache key's schema tag already keeps
+// them from being looked up.
 const ArtifactVersion = 2
-
-// minArtifactVersion is the oldest version DecodeArtifact accepts.
-const minArtifactVersion = 1
 
 // artifactFormat tags encoded artifacts; it never changes (the version
 // number does).
 const artifactFormat = "gobolt-contract"
+
+// maxExprDepth bounds JSON nesting (objects plus arrays, the outermost
+// brace being level 1) during decoding. Only expression trees nest
+// without a schema bound; deeper inputs are corrupt or hostile, not
+// contracts.
+const maxExprDepth = 10000
 
 // Artifact is a contract as a durable object: the contract itself, the
 // store key it is content-addressed by (empty when the generation was
@@ -68,839 +76,767 @@ type Artifact struct {
 	Key      string
 	Contract *Contract
 	Paths    []*nfir.Path
-	// Version is the codec version the artifact is (or was) encoded at.
-	// DecodeArtifact records the input's declared version here, and
-	// EncodeArtifact honours it, so decode→re-encode round-trips an old
-	// artifact at its own version instead of silently upgrading the
-	// bytes. Zero means "current" (ArtifactVersion).
+	// Version is the codec version of the bytes DecodeArtifact read the
+	// artifact from. EncodeArtifact ignores it and writes ArtifactVersion.
 	Version int
 }
 
-// --- wire types -----------------------------------------------------
-//
-// The art* structs are the exact JSON shape of an encoded artifact.
-// Field order is the canonical encoding order; do not reorder without
-// bumping ArtifactVersion. Fields marked "v2" are omitted when encoding
-// at version 1 (omitempty plus explicit stripping), which keeps the
-// version-1 projection byte-identical to what pre-shard builds wrote.
-
-type artFile struct {
-	Format   string        `json:"format"`
-	Version  int           `json:"version"`
-	Key      string        `json:"key,omitempty"`
-	Contract *artContract  `json:"contract"`
-	Paths    []*artRawPath `json:"raw_paths,omitempty"`
-}
-
-type artContract struct {
-	NF         string     `json:"nf"`
-	Level      string     `json:"level"`
-	Provenance string     `json:"provenance,omitempty"`
-	Paths      []*artPath `json:"paths"`
-}
-
-type artPath struct {
-	ID          int                 `json:"id"`
-	Action      string              `json:"action"`
-	Constraints []*artExpr          `json:"constraints,omitempty"`
-	Domains     map[string]artRange `json:"domains,omitempty"`
-	Events      string              `json:"events,omitempty"`
-	Trace       []artCallEvent      `json:"trace,omitempty"`
-	Cost        map[string]artPoly  `json:"cost,omitempty"`
-	PCVRanges   map[string]artRange `json:"pcv_ranges,omitempty"`
-	// SharedMA (v2) is the path's shared-access polynomial; an analysed
-	// path with nothing shared omits it (the zero polynomial).
-	SharedMA artPoly `json:"shared_ma,omitempty"`
-	// ShardAnalysed (v2) records whether the sharability analysis ran;
-	// false (omitted) for paths that originated in version-1 artifacts.
-	ShardAnalysed bool `json:"shard_analysed,omitempty"`
-	// Witness distinguishes nil (solver returned Unknown; the path is
-	// retained conservatively) from an empty binding, so it is encoded
-	// without omitempty: null vs {}.
-	Witness map[string]uint64 `json:"witness"`
-}
-
-type artRawPath struct {
-	ID          int                 `json:"id"`
-	Action      string              `json:"action"`
-	Constraints []*artExpr          `json:"constraints,omitempty"`
-	Domains     map[string]artRange `json:"domains,omitempty"`
-	Events      []artCallEvent      `json:"events,omitempty"`
-	Port        *artExpr            `json:"port,omitempty"`
-	StatelessIC uint64              `json:"stateless_ic,omitempty"`
-	StatelessMA uint64              `json:"stateless_ma,omitempty"`
-	Ops         map[string]uint64   `json:"ops,omitempty"`
-	Accesses    []artAccess         `json:"accesses,omitempty"`
-	PCVRanges   map[string]artRange `json:"pcv_ranges,omitempty"`
-	PktWrites   []artPktWrite       `json:"pkt_writes,omitempty"`
-}
-
-type artCallEvent struct {
-	DS         string     `json:"ds"`
-	Method     string     `json:"method"`
-	Outcome    artOutcome `json:"outcome"`
-	ResultSyms []string   `json:"result_syms,omitempty"`
-	// Args (v2) are the call's symbolic arguments, kept so cached paths
-	// can be re-analysed and inspected without re-exploration.
-	Args []*artExpr `json:"args,omitempty"`
-	// Sharing/SharingReason (v2) are the sharability verdict.
-	Sharing       string `json:"sharing,omitempty"`
-	SharingReason string `json:"sharing_reason,omitempty"`
-}
-
-type artOutcome struct {
-	Label       string              `json:"label"`
-	Results     []*artExpr          `json:"results,omitempty"`
-	Constraints []*artExpr          `json:"constraints,omitempty"`
-	Domains     map[string]artRange `json:"domains,omitempty"`
-	Cost        map[string]artPoly  `json:"cost,omitempty"`
-	PCVs        []artPCV            `json:"pcvs,omitempty"`
-}
-
-type artPCV struct {
-	Name  string   `json:"name"`
-	Range artRange `json:"range"`
-}
-
-type artAccess struct {
-	Known bool   `json:"known,omitempty"`
-	Addr  uint64 `json:"addr,omitempty"`
-	Size  uint8  `json:"size,omitempty"`
-	Store bool   `json:"store,omitempty"`
-}
-
-type artPktWrite struct {
-	Off  uint64   `json:"off"`
-	Size int      `json:"size"`
-	Val  *artExpr `json:"val"`
-}
-
-// artRange serializes both symb.Domain and expr.Range (both are
-// inclusive uint64 intervals).
-type artRange struct {
-	Lo uint64 `json:"lo"`
-	Hi uint64 `json:"hi"`
-}
-
-// artPoly is a polynomial as canonical-monomial → coefficient. The empty
-// monomial "" is the constant term; zero coefficients never appear.
-type artPoly map[string]uint64
-
-// artExpr is the tagged union of symbolic expression nodes:
-// k = "c" (Const, v), "s" (Sym, n), "b" (Bin, op/l/r), "n" (Not, x).
-type artExpr struct {
-	K  string   `json:"k"`
-	V  uint64   `json:"v,omitempty"`
-	N  string   `json:"n,omitempty"`
-	Op string   `json:"op,omitempty"`
-	L  *artExpr `json:"l,omitempty"`
-	R  *artExpr `json:"r,omitempty"`
-	X  *artExpr `json:"x,omitempty"`
-}
+// metricKeys names the metrics in the wire format, in the (sorted) order
+// a cost object lists them.
+var metricKeys = [...]struct {
+	m   perf.Metric
+	key string
+}{{perf.Cycles, "cycles"}, {perf.Instructions, "ic"}, {perf.MemAccesses, "ma"}}
 
 // --- encoding -------------------------------------------------------
 
-// EncodeArtifact serializes an artifact to its canonical bytes at the
-// artifact's own version (a.Version; the current ArtifactVersion when
-// zero). The output is deterministic: encoding the same artifact twice
-// yields identical bytes, and DecodeArtifact inverts it exactly.
-func EncodeArtifact(a *Artifact) ([]byte, error) {
-	version := ArtifactVersion
-	if a != nil && a.Version != 0 {
-		version = a.Version
-	}
-	return EncodeArtifactAt(a, version)
+// encoder appends an artifact's canonical bytes to buf. Its writers take
+// the literal that precedes the value (a field name, or "" in lists).
+// The first value it cannot spell is recorded in err and encoding
+// carries on; EncodeArtifact checks err once per path.
+type encoder struct {
+	buf   []byte
+	err   error
+	keys  []string    // scratch: a map's keys, sorted
+	monos []expr.Mono // scratch: a polynomial's monomials, sorted
+	offs  []uint64    // scratch: packet-write offsets, sorted
 }
 
-// EncodeArtifactAt serializes at a specific codec version. Version 1 is
-// the shard-oblivious projection: shard fields (SharedMA, sharability
-// verdicts, call arguments) are stripped, producing bytes identical to
-// what a pre-shard build would write for the same contract — the
-// "strictly additive" guarantee TestShardFieldsAdditive pins against a
-// golden pre-PR-9 artifact.
-func EncodeArtifactAt(a *Artifact, version int) ([]byte, error) {
-	if version < minArtifactVersion || version > ArtifactVersion {
-		return nil, fmt.Errorf("core: cannot encode artifact version %d (this build writes %d..%d)",
-			version, minArtifactVersion, ArtifactVersion)
-	}
+// EncodeArtifact serializes an artifact to its canonical bytes. The
+// output is deterministic — encoding the same artifact twice yields
+// identical bytes — and DecodeArtifact inverts it exactly.
+func EncodeArtifact(a *Artifact) ([]byte, error) {
 	if a == nil || a.Contract == nil {
 		return nil, fmt.Errorf("core: cannot encode a nil contract")
 	}
-	if a.Paths != nil && len(a.Paths) != len(a.Contract.Paths) {
+	ct := a.Contract
+	if a.Paths != nil && len(a.Paths) != len(ct.Paths) {
 		return nil, fmt.Errorf("core: artifact raw paths (%d) do not align with contract paths (%d)",
-			len(a.Paths), len(a.Contract.Paths))
+			len(a.Paths), len(ct.Paths))
 	}
-	f := &artFile{Format: artifactFormat, Version: version, Key: a.Key}
-	ac, err := encContract(a.Contract, version)
-	if err != nil {
-		return nil, err
-	}
-	f.Contract = ac
-	for i, rp := range a.Paths {
-		arp, err := encRawPath(rp, version)
-		if err != nil {
-			return nil, fmt.Errorf("core: raw path %d: %w", i, err)
-		}
-		f.Paths = append(f.Paths, arp)
-	}
-	return json.Marshal(f)
-}
-
-func encContract(ct *Contract, version int) (*artContract, error) {
 	if ct.NF == "" {
 		return nil, fmt.Errorf("core: contract has no NF name")
 	}
-	ac := &artContract{NF: ct.NF, Level: ct.Level, Provenance: ct.Provenance, Paths: make([]*artPath, 0, len(ct.Paths))}
+	e := &encoder{}
+	e.int(`{"format":"`+artifactFormat+`","version":`, ArtifactVersion)
+	e.optStr(`,"key":`, a.Key)
+	e.str(`,"contract":{"nf":`, ct.NF)
+	e.str(`,"level":`, ct.Level)
+	e.optStr(`,"provenance":`, ct.Provenance)
+	// Before each path, double the buffer unless it has room for two more
+	// of the mean size so far: append alone grows a large slice by a
+	// quarter at a time, and a multi-megabyte composite spent a third of
+	// its encoding copying itself.
+	n := 0
+	reserve := func() {
+		if n++; cap(e.buf)-len(e.buf) < 2*len(e.buf)/n {
+			e.buf = slices.Grow(e.buf, cap(e.buf))
+		}
+	}
+	e.lit(`,"paths":[`)
 	for i, p := range ct.Paths {
-		ap, err := encPath(p, version)
-		if err != nil {
-			return nil, fmt.Errorf("core: path %d: %w", i, err)
+		reserve()
+		e.sep(i)
+		if e.path(p); e.err != nil {
+			return nil, fmt.Errorf("core: path %d: %w", i, e.err)
 		}
-		ac.Paths = append(ac.Paths, ap)
 	}
-	return ac, nil
+	e.lit(`]}`)
+	if len(a.Paths) > 0 {
+		e.lit(`,"raw_paths":[`)
+		for i, rp := range a.Paths {
+			reserve()
+			e.sep(i)
+			if e.rawPath(rp); e.err != nil {
+				return nil, fmt.Errorf("core: raw path %d: %w", i, e.err)
+			}
+		}
+		e.lit(`]`)
+	}
+	e.lit(`}`)
+	return e.buf, nil
 }
 
-func encPath(p *PathContract, version int) (*artPath, error) {
-	cons, err := encExprs(p.Constraints)
-	if err != nil {
-		return nil, err
+func (e *encoder) fail(format string, args ...any) {
+	if e.err == nil {
+		e.err = fmt.Errorf(format, args...)
 	}
-	trace, err := encEvents(p.Trace, version)
-	if err != nil {
-		return nil, err
-	}
-	cost, err := encCost(p.Cost)
-	if err != nil {
-		return nil, err
-	}
-	ap := &artPath{
-		ID:          p.ID,
-		Action:      p.Action.String(),
-		Constraints: cons,
-		Domains:     encDomains(p.Domains),
-		Events:      p.Events,
-		Trace:       trace,
-		Cost:        cost,
-		PCVRanges:   encRanges(p.PCVRanges),
-		Witness:     p.Witness,
-	}
-	if version >= 2 {
-		if !p.SharedMA.IsZero() {
-			ap.SharedMA = encPoly(p.SharedMA)
-		}
-		ap.ShardAnalysed = p.ShardAnalysed
-	}
-	return ap, nil
 }
 
-func encRawPath(rp *nfir.Path, version int) (*artRawPath, error) {
-	cons, err := encExprs(rp.Constraints)
-	if err != nil {
-		return nil, err
+func (e *encoder) lit(s string) { e.buf = append(e.buf, s...) }
+
+func (e *encoder) str(field, s string) { e.buf = appendString(append(e.buf, field...), s) }
+
+func (e *encoder) u64(field string, v uint64) {
+	e.buf = strconv.AppendUint(append(e.buf, field...), v, 10)
+}
+
+func (e *encoder) int(field string, v int) {
+	e.buf = strconv.AppendInt(append(e.buf, field...), int64(v), 10)
+}
+
+// optStr, optU64 and optTrue write a field that is omitted at its zero
+// value.
+func (e *encoder) optStr(field, s string) {
+	if s != "" {
+		e.str(field, s)
 	}
-	events, err := encEvents(rp.Events, version)
-	if err != nil {
-		return nil, err
+}
+
+func (e *encoder) optU64(field string, v uint64) {
+	if v != 0 {
+		e.u64(field, v)
 	}
-	var port *artExpr
+}
+
+func (e *encoder) optTrue(field string, v bool) {
+	if v {
+		e.lit(field)
+	}
+}
+
+// sep separates the i-th element of a list or object from the one before.
+func (e *encoder) sep(i int) {
+	if i > 0 {
+		e.lit(`,`)
+	}
+}
+
+// list writes an array or object of n elements under field (whose last
+// byte opens it), omitted when empty.
+func (e *encoder) list(field string, n int, elem func(i int)) {
+	if n == 0 {
+		return
+	}
+	e.lit(field)
+	for i := 0; i < n; i++ {
+		e.sep(i)
+		elem(i)
+	}
+	e.buf = append(e.buf, field[len(field)-1]+2) // '[' + 2 == ']', '{' + 2 == '}'
+}
+
+// object writes a string-keyed map under field with its keys in bytewise
+// order, omitted when empty.
+func object[V any](e *encoder, field string, m map[string]V, val func(V)) {
+	e.keys = e.keys[:0]
+	for k := range m {
+		e.keys = append(e.keys, k)
+	}
+	slices.Sort(e.keys)
+	e.list(field, len(m), func(i int) {
+		e.str(``, e.keys[i])
+		e.lit(`:`)
+		val(m[e.keys[i]])
+	})
+}
+
+// ranges writes a symbol→interval object (symb.Domain and expr.Range are
+// both inclusive uint64 intervals).
+func ranges[V symb.Domain | expr.Range](e *encoder, field string, m map[string]V) {
+	object(e, field, m, func(v V) { e.lohi(``, expr.Range(v)) })
+}
+
+func (e *encoder) lohi(field string, r expr.Range) {
+	e.lit(field)
+	e.u64(`{"lo":`, r.Lo)
+	e.u64(`,"hi":`, r.Hi)
+	e.lit(`}`)
+}
+
+func (e *encoder) path(p *PathContract) {
+	e.int(`{"id":`, p.ID)
+	e.str(`,"action":`, p.Action.String())
+	e.exprs(`,"constraints":[`, p.Constraints)
+	ranges(e, `,"domains":{`, p.Domains)
+	e.optStr(`,"events":`, p.Events)
+	e.events(`,"trace":[`, p.Trace)
+	e.cost(p.Cost)
+	ranges(e, `,"pcv_ranges":{`, p.PCVRanges)
+	if !p.SharedMA.IsZero() {
+		e.poly(`,"shared_ma":`, p.SharedMA)
+	}
+	e.optTrue(`,"shard_analysed":true`, p.ShardAnalysed)
+	// Witness distinguishes nil (the solver returned Unknown; the path is
+	// kept conservatively) from an empty binding: null vs {}.
+	switch {
+	case p.Witness == nil:
+		e.lit(`,"witness":null}`)
+	case len(p.Witness) == 0:
+		e.lit(`,"witness":{}}`)
+	default:
+		object(e, `,"witness":{`, p.Witness, func(v uint64) { e.u64(``, v) })
+		e.lit(`}`)
+	}
+}
+
+func (e *encoder) rawPath(rp *nfir.Path) {
+	e.int(`{"id":`, rp.ID)
+	e.str(`,"action":`, rp.Action.String())
+	e.exprs(`,"constraints":[`, rp.Constraints)
+	ranges(e, `,"domains":{`, rp.Domains)
+	e.events(`,"events":[`, rp.Events)
 	if rp.Port != nil {
-		if port, err = encExpr(rp.Port); err != nil {
-			return nil, err
+		e.expr(`,"port":`, rp.Port)
+	}
+	e.optU64(`,"stateless_ic":`, rp.StatelessIC)
+	e.optU64(`,"stateless_ma":`, rp.StatelessMA)
+	ops := make(map[string]uint64, len(rp.Ops))
+	for c, n := range rp.Ops {
+		if _, ok := perf.ParseOpClass(c.String()); !ok {
+			e.fail("unencodable op class %v", c)
 		}
+		ops[c.String()] = n
 	}
-	var ops map[string]uint64
-	if rp.Ops != nil {
-		ops = make(map[string]uint64, len(rp.Ops))
-		for c, n := range rp.Ops {
-			if _, ok := perf.ParseOpClass(c.String()); !ok {
-				return nil, fmt.Errorf("unencodable op class %v", c)
-			}
-			ops[c.String()] = n
+	object(e, `,"ops":{`, ops, func(n uint64) { e.u64(``, n) })
+	e.list(`,"accesses":[`, len(rp.Accesses), func(i int) {
+		a := rp.Accesses[i]
+		e.lit(`{`)
+		n := len(e.buf)
+		e.optTrue(`,"known":true`, a.Known)
+		e.optU64(`,"addr":`, a.Addr)
+		e.optU64(`,"size":`, uint64(a.Size))
+		e.optTrue(`,"store":true`, a.Store)
+		if len(e.buf) > n { // every field is optional: the first has no comma
+			e.buf = slices.Delete(e.buf, n, n+1)
 		}
+		e.lit(`}`)
+	})
+	ranges(e, `,"pcv_ranges":{`, rp.PCVRanges)
+	e.offs = e.offs[:0]
+	for off := range rp.PktWrites {
+		e.offs = append(e.offs, off)
 	}
-	var accesses []artAccess
-	for _, a := range rp.Accesses {
-		accesses = append(accesses, artAccess{Known: a.Known, Addr: a.Addr, Size: a.Size, Store: a.Store})
-	}
-	writes, err := encPktWrites(rp.PktWrites)
-	if err != nil {
-		return nil, err
-	}
-	return &artRawPath{
-		ID:          rp.ID,
-		Action:      rp.Action.String(),
-		Constraints: cons,
-		Domains:     encDomains(rp.Domains),
-		Events:      events,
-		Port:        port,
-		StatelessIC: rp.StatelessIC,
-		StatelessMA: rp.StatelessMA,
-		Ops:         ops,
-		Accesses:    accesses,
-		PCVRanges:   encRanges(rp.PCVRanges),
-		PktWrites:   writes,
-	}, nil
+	slices.Sort(e.offs)
+	e.list(`,"pkt_writes":[`, len(e.offs), func(i int) {
+		w := rp.PktWrites[e.offs[i]]
+		e.u64(`{"off":`, e.offs[i])
+		e.int(`,"size":`, w.Size)
+		e.expr(`,"val":`, w.Val)
+		e.lit(`}`)
+	})
+	e.lit(`}`)
 }
 
-func encPktWrites(w map[uint64]nfir.PktWrite) ([]artPktWrite, error) {
-	if len(w) == 0 {
-		return nil, nil
-	}
-	offs := make([]uint64, 0, len(w))
-	for off := range w {
-		offs = append(offs, off)
-	}
-	// Numeric sort keeps the slice canonical.
-	for i := 1; i < len(offs); i++ {
-		for j := i; j > 0 && offs[j-1] > offs[j]; j-- {
-			offs[j-1], offs[j] = offs[j], offs[j-1]
-		}
-	}
-	out := make([]artPktWrite, 0, len(offs))
-	for _, off := range offs {
-		val, err := encExpr(w[off].Val)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, artPktWrite{Off: off, Size: w[off].Size, Val: val})
-	}
-	return out, nil
+func (e *encoder) events(field string, evs []nfir.CallEvent) {
+	e.list(field, len(evs), func(i int) {
+		ev, o := &evs[i], &evs[i].Outcome
+		e.str(`{"ds":`, ev.DS)
+		e.str(`,"method":`, ev.Method)
+		e.str(`,"outcome":{"label":`, o.Label)
+		e.exprs(`,"results":[`, o.Results)
+		e.exprs(`,"constraints":[`, o.Constraints)
+		ranges(e, `,"domains":{`, o.Domains)
+		e.cost(o.Cost)
+		e.list(`,"pcvs":[`, len(o.PCVs), func(j int) {
+			e.str(`{"name":`, o.PCVs[j].Name)
+			e.lohi(`,"range":`, o.PCVs[j].Range)
+			e.lit(`}`)
+		})
+		e.lit(`}`)
+		e.list(`,"result_syms":[`, len(ev.ResultSyms), func(j int) { e.str(``, ev.ResultSyms[j]) })
+		e.exprs(`,"args":[`, ev.Args)
+		e.optStr(`,"sharing":`, ev.Sharing.Class.String())
+		e.optStr(`,"sharing_reason":`, ev.Sharing.Reason)
+		e.lit(`}`)
+	})
 }
 
-func encEvents(evs []nfir.CallEvent, version int) ([]artCallEvent, error) {
-	if len(evs) == 0 {
-		return nil, nil
+func (e *encoder) cost(cost map[perf.Metric]expr.Poly) {
+	if len(cost) == 0 {
+		return
 	}
-	out := make([]artCallEvent, 0, len(evs))
-	for _, ev := range evs {
-		results, err := encExprs(ev.Outcome.Results)
-		if err != nil {
-			return nil, err
+	e.lit(`,"cost":{`)
+	n := 0
+	for _, mk := range metricKeys {
+		if p, ok := cost[mk.m]; ok {
+			e.sep(n)
+			e.str(``, mk.key)
+			e.poly(`:`, p)
+			n++
 		}
-		cons, err := encExprs(ev.Outcome.Constraints)
-		if err != nil {
-			return nil, err
-		}
-		cost, err := encCost(ev.Outcome.Cost)
-		if err != nil {
-			return nil, err
-		}
-		var pcvs []artPCV
-		for _, pcv := range ev.Outcome.PCVs {
-			pcvs = append(pcvs, artPCV{Name: pcv.Name, Range: artRange{Lo: pcv.Range.Lo, Hi: pcv.Range.Hi}})
-		}
-		ae := artCallEvent{
-			DS:     ev.DS,
-			Method: ev.Method,
-			Outcome: artOutcome{
-				Label:       ev.Outcome.Label,
-				Results:     results,
-				Constraints: cons,
-				Domains:     encDomains(ev.Outcome.Domains),
-				Cost:        cost,
-				PCVs:        pcvs,
-			},
-			ResultSyms: ev.ResultSyms,
-		}
-		if version >= 2 {
-			if ae.Args, err = encExprs(ev.Args); err != nil {
-				return nil, err
-			}
-			ae.Sharing = ev.Sharing.Class.String()
-			ae.SharingReason = ev.Sharing.Reason
-		}
-		out = append(out, ae)
 	}
-	return out, nil
+	if n != len(cost) {
+		e.fail("unencodable metric in %v", cost)
+	}
+	e.lit(`}`)
 }
 
-func encCost(cost map[perf.Metric]expr.Poly) (map[string]artPoly, error) {
-	if cost == nil {
-		return nil, nil
+// poly writes a polynomial as canonical-monomial → coefficient. The
+// empty monomial "" is the constant term; zero coefficients never occur.
+func (e *encoder) poly(field string, p expr.Poly) {
+	e.monos = p.AppendMonos(e.monos[:0])
+	slices.Sort(e.monos)
+	e.lit(field)
+	e.lit(`{`)
+	for i, m := range e.monos {
+		e.sep(i)
+		e.str(``, string(m))
+		e.u64(`:`, p.Coef(m))
 	}
-	out := make(map[string]artPoly, len(cost))
-	for m, p := range cost {
-		key, err := metricKey(m)
-		if err != nil {
-			return nil, err
-		}
-		out[key] = encPoly(p)
-	}
-	return out, nil
+	e.lit(`}`)
 }
 
-// metricKey names a metric in the wire format with the lowercase
-// spelling perf.ParseMetric reads back.
-func metricKey(m perf.Metric) (string, error) {
-	switch m {
-	case perf.Instructions:
-		return "ic", nil
-	case perf.MemAccesses:
-		return "ma", nil
-	case perf.Cycles:
-		return "cycles", nil
-	}
-	return "", fmt.Errorf("unencodable metric %v", m)
+func (e *encoder) exprs(field string, es []symb.Expr) {
+	e.list(field, len(es), func(i int) { e.expr(``, es[i]) })
 }
 
-func encPoly(p expr.Poly) artPoly {
-	out := make(artPoly, 8)
-	for _, m := range p.Monos() {
-		if c := p.Coef(m); c != 0 {
-			out[string(m)] = c
-		}
-	}
-	return out
-}
-
-func encDomains(d map[string]symb.Domain) map[string]artRange {
-	if d == nil {
-		return nil
-	}
-	out := make(map[string]artRange, len(d))
-	for s, dom := range d {
-		out[s] = artRange{Lo: dom.Lo, Hi: dom.Hi}
-	}
-	return out
-}
-
-func encRanges(r map[string]expr.Range) map[string]artRange {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]artRange, len(r))
-	for s, rng := range r {
-		out[s] = artRange{Lo: rng.Lo, Hi: rng.Hi}
-	}
-	return out
-}
-
-func encExprs(es []symb.Expr) ([]*artExpr, error) {
-	if len(es) == 0 {
-		return nil, nil
-	}
-	out := make([]*artExpr, 0, len(es))
-	for _, e := range es {
-		ae, err := encExpr(e)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ae)
-	}
-	return out, nil
-}
-
-func encExpr(e symb.Expr) (*artExpr, error) {
-	switch x := e.(type) {
+// expr writes the tagged union of expression nodes: k = "c" (Const, v
+// omitted when 0), "s" (Sym, n), "b" (Bin, op/l/r), "n" (Not, x).
+func (e *encoder) expr(field string, x symb.Expr) {
+	e.lit(field)
+	switch x := x.(type) {
 	case symb.Const:
-		return &artExpr{K: "c", V: x.V}, nil
+		e.lit(`{"k":"c"`)
+		e.optU64(`,"v":`, x.V)
 	case symb.Sym:
 		if x.Name == "" {
-			return nil, fmt.Errorf("unencodable empty symbol name")
+			e.fail("unencodable empty symbol name")
 		}
-		return &artExpr{K: "s", N: x.Name}, nil
+		e.str(`{"k":"s","n":`, x.Name)
 	case symb.Bin:
 		if _, ok := symb.ParseOp(x.Op.String()); !ok {
-			return nil, fmt.Errorf("unencodable operator %v", x.Op)
+			e.fail("unencodable operator %v", x.Op)
 		}
-		l, err := encExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := encExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &artExpr{K: "b", Op: x.Op.String(), L: l, R: r}, nil
+		e.str(`{"k":"b","op":`, x.Op.String())
+		e.expr(`,"l":`, x.L)
+		e.expr(`,"r":`, x.R)
 	case symb.Not:
-		sub, err := encExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &artExpr{K: "n", X: sub}, nil
+		e.expr(`{"k":"n","x":`, x.X)
 	case nil:
-		return nil, fmt.Errorf("unencodable nil expression")
+		e.fail("unencodable nil expression")
 	default:
-		return nil, fmt.Errorf("unencodable expression type %T", e)
+		e.fail("unencodable expression type %T", x)
 	}
+	e.lit(`}`)
 }
 
 // --- decoding -------------------------------------------------------
 
-// DecodeArtifact parses and validates canonical artifact bytes of any
-// supported version (1 or 2). It rejects unknown formats and versions,
-// unknown fields, malformed operator/action/metric/monomial names,
-// misaligned raw paths, and any input that is not byte-for-byte the
-// canonical encoding of its own content *at its declared version* — so
-// EncodeArtifactAt(DecodeArtifact(b), version(b)) == b for every
-// accepted b. In particular a version-1 artifact that smuggles shard
-// fields fails the gate (re-encoding at version 1 strips them).
+// decoder is one pass over b. Its readers take the literal that must
+// precede the value, like the encoder's writers. It too records the
+// first error and lets the descent unwind: once err is set every
+// primitive reports "no match", so every loop ends.
+type decoder struct {
+	b   []byte
+	i   int
+	err error
+
+	strs  map[string]string  // interned strings
+	ids   map[exprKey]uint32 // hash-consed expression nodes, by index in nodes
+	nodes []symb.Expr        // nodes[0] is the nil a failed parse returns
+
+	sbuf  []byte      // scratch: an escaped string, unescaped
+	kvs   []member    // scratch: the members of the object being read
+	exprs []symb.Expr // scratch: the expression list being read
+}
+
+// member is one key of a flat object with its value: a coefficient,
+// witness value or tally in a, an interval in a..b.
+type member struct {
+	k    string
+	a, b uint64
+}
+
+// exprKey identifies an expression node by its own fields and its
+// children's indices, so a lookup is O(1) whatever the subtree's size.
+type exprKey struct {
+	kind byte // 'c', 's', 'b', 'n'
+	op   symb.Op
+	l, r uint32 // children (a Not's x in l)
+	v    uint64
+	name string
+}
+
+// DecodeArtifact parses canonical artifact bytes. It accepts exactly the
+// image of EncodeArtifact — the file comment lists what that excludes —
+// so EncodeArtifact(DecodeArtifact(b)) == b for every accepted b.
 func DecodeArtifact(data []byte) (*Artifact, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var f artFile
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("core: decoding artifact: %w", err)
+	d := &decoder{
+		b:     data,
+		strs:  make(map[string]string, 64),
+		ids:   make(map[exprKey]uint32, 64),
+		nodes: []symb.Expr{nil},
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("core: trailing data after artifact")
+	if f := d.str(`{"format":`); f != artifactFormat {
+		d.fail("not a contract artifact (format %q, want %q)", f, artifactFormat)
 	}
-	if f.Format != artifactFormat {
-		return nil, fmt.Errorf("core: not a contract artifact (format %q, want %q)", f.Format, artifactFormat)
+	if v := d.int(`,"version":`); v != ArtifactVersion {
+		d.fail("unsupported artifact version %d (this build reads version %d)", v, ArtifactVersion)
 	}
-	if f.Version < minArtifactVersion || f.Version > ArtifactVersion {
-		return nil, fmt.Errorf("core: unsupported artifact version %d (this build reads versions %d..%d)",
-			f.Version, minArtifactVersion, ArtifactVersion)
+	ct := &Contract{Paths: []*PathContract{}}
+	a := &Artifact{Key: d.optStr(`,"key":`), Contract: ct, Version: ArtifactVersion}
+	if ct.NF = d.str(`,"contract":{"nf":`); ct.NF == "" {
+		d.fail("contract has no NF name")
 	}
-	if f.Contract == nil {
-		return nil, fmt.Errorf("core: artifact has no contract")
+	ct.Level = d.str(`,"level":`)
+	ct.Provenance = d.optStr(`,"provenance":`)
+	d.expect(`,"paths":[`)
+	if !d.lit(`]`) {
+		d.list(``, func() { ct.Paths = append(ct.Paths, d.path()) })
 	}
-	ct, err := decContract(f.Contract, f.Version)
-	if err != nil {
-		return nil, err
+	d.expect(`}`)
+	d.list(`,"raw_paths":[`, func() { a.Paths = append(a.Paths, d.rawPath()) })
+	if a.Paths != nil && len(a.Paths) != len(ct.Paths) {
+		d.fail("raw paths (%d) do not align with contract paths (%d)", len(a.Paths), len(ct.Paths))
 	}
-	a := &Artifact{Key: f.Key, Contract: ct, Version: f.Version}
-	if f.Paths != nil {
-		if len(f.Paths) != len(ct.Paths) {
-			return nil, fmt.Errorf("core: artifact raw paths (%d) do not align with contract paths (%d)",
-				len(f.Paths), len(ct.Paths))
-		}
-		a.Paths = make([]*nfir.Path, 0, len(f.Paths))
-		for i, arp := range f.Paths {
-			rp, err := decRawPath(arp, f.Version)
-			if err != nil {
-				return nil, fmt.Errorf("core: raw path %d: %w", i, err)
-			}
-			a.Paths = append(a.Paths, rp)
-		}
+	if d.expect(`}`); d.i != len(d.b) {
+		d.fail("trailing data after artifact")
 	}
-	// Canonicality gate: the input must be exactly what this decoder's
-	// inverse produces at the input's own version. This catches
-	// duplicate keys, reordered fields, whitespace, every non-canonical
-	// spelling structural decoding tolerates, and version-1 inputs
-	// carrying fields their version does not define — and makes
-	// decode∘encode the identity by construction.
-	re, err := EncodeArtifactAt(a, f.Version)
-	if err != nil {
-		return nil, fmt.Errorf("core: re-encoding decoded artifact: %w", err)
-	}
-	if !bytes.Equal(re, data) {
-		return nil, fmt.Errorf("core: artifact is not in canonical encoding")
+	if d.err != nil {
+		return nil, fmt.Errorf("core: decoding artifact: %w", d.err)
 	}
 	return a, nil
 }
 
-func decContract(ac *artContract, version int) (*Contract, error) {
-	if ac.NF == "" {
-		return nil, fmt.Errorf("core: artifact contract has no NF name")
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("offset %d: %s", d.i, fmt.Sprintf(format, args...))
 	}
-	ct := &Contract{NF: ac.NF, Level: ac.Level, Provenance: ac.Provenance}
-	if ac.Paths != nil {
-		ct.Paths = make([]*PathContract, 0, len(ac.Paths))
-	}
-	for i, ap := range ac.Paths {
-		p, err := decPath(ap, version)
-		if err != nil {
-			return nil, fmt.Errorf("core: path %d: %w", i, err)
-		}
-		ct.Paths = append(ct.Paths, p)
-	}
-	return ct, nil
 }
 
-func decPath(ap *artPath, version int) (*PathContract, error) {
-	action, ok := nfir.ParseActionKind(ap.Action)
-	if !ok {
-		return nil, fmt.Errorf("unknown action %q", ap.Action)
+// lit consumes s if the input continues with it.
+func (d *decoder) lit(s string) bool {
+	if d.err != nil || len(d.b)-d.i < len(s) || string(d.b[d.i:d.i+len(s)]) != s {
+		return false
 	}
-	cons, err := decExprs(ap.Constraints)
-	if err != nil {
-		return nil, err
-	}
-	trace, err := decEvents(ap.Trace)
-	if err != nil {
-		return nil, err
-	}
-	cost, err := decCost(ap.Cost)
-	if err != nil {
-		return nil, err
-	}
-	p := &PathContract{
-		ID:          ap.ID,
-		Action:      action,
-		Constraints: cons,
-		Domains:     decDomains(ap.Domains),
-		Events:      ap.Events,
-		Trace:       trace,
-		Cost:        cost,
-		PCVRanges:   decRanges(ap.PCVRanges),
-		Witness:     ap.Witness,
-	}
-	if version >= 2 {
-		if p.SharedMA, err = decPoly(ap.SharedMA); err != nil {
-			return nil, err
-		}
-		p.ShardAnalysed = ap.ShardAnalysed
-	}
-	return p, nil
+	d.i += len(s)
+	return true
 }
 
-func decRawPath(arp *artRawPath, version int) (*nfir.Path, error) {
-	_ = version // raw-path v2 additions live inside the shared call events
-	action, ok := nfir.ParseActionKind(arp.Action)
-	if !ok {
-		return nil, fmt.Errorf("unknown action %q", arp.Action)
+func (d *decoder) expect(s string) {
+	if !d.lit(s) {
+		d.fail("expected %s", s)
 	}
-	cons, err := decExprs(arp.Constraints)
-	if err != nil {
-		return nil, err
+}
+
+// list reads an optional array under field: never empty when present,
+// elem once per element.
+func (d *decoder) list(field string, elem func()) {
+	if !d.lit(field) {
+		return
 	}
-	events, err := decEvents(arp.Events)
-	if err != nil {
-		return nil, err
+	for elem(); d.lit(`,`); elem() {
 	}
-	var port symb.Expr
-	if arp.Port != nil {
-		if port, err = decExpr(arp.Port, 0); err != nil {
-			return nil, err
+	d.expect(`]`)
+}
+
+// path reads one contract path, an object at nesting level 4.
+func (d *decoder) path() *PathContract {
+	p := &PathContract{ID: d.int(`{"id":`), Action: d.action(`,"action":`)}
+	p.Constraints = d.exprList(`,"constraints":[`, 6)
+	p.Domains = parseRanges[symb.Domain](d, `,"domains":{`)
+	p.Events = d.optStr(`,"events":`)
+	p.Trace = d.events(`,"trace":[`, 6)
+	p.Cost = d.cost()
+	p.PCVRanges = parseRanges[expr.Range](d, `,"pcv_ranges":{`)
+	if d.lit(`,"shared_ma":`) {
+		if p.SharedMA = d.poly(); p.SharedMA.IsZero() {
+			d.fail("zero shared_ma must be omitted")
 		}
 	}
-	var ops map[perf.OpClass]uint64
-	if arp.Ops != nil {
-		ops = make(map[perf.OpClass]uint64, len(arp.Ops))
-		for name, n := range arp.Ops {
-			c, ok := perf.ParseOpClass(name)
+	p.ShardAnalysed = d.lit(`,"shard_analysed":true`)
+	if !d.lit(`,"witness":null`) {
+		kvs := d.members(`,"witness":{`, d.u64Pair, true)
+		p.Witness = make(map[string]uint64, len(kvs))
+		for _, kv := range kvs {
+			p.Witness[kv.k] = kv.a
+		}
+	}
+	d.expect(`}`)
+	return p
+}
+
+// rawPath reads one raw symbolic path, an object at nesting level 3.
+func (d *decoder) rawPath() *nfir.Path {
+	p := &nfir.Path{ID: d.int(`{"id":`), Action: d.action(`,"action":`)}
+	p.Constraints = d.exprList(`,"constraints":[`, 5)
+	p.Domains = parseRanges[symb.Domain](d, `,"domains":{`)
+	p.Events = d.events(`,"events":[`, 5)
+	if d.lit(`,"port":`) {
+		p.Port = d.expr(4)
+	}
+	p.StatelessIC = d.optU64(`,"stateless_ic":`)
+	p.StatelessMA = d.optU64(`,"stateless_ma":`)
+	if d.lit(`,"ops":`) {
+		kvs := d.members(`{`, d.u64Pair, false)
+		p.Ops = make(map[perf.OpClass]uint64, len(kvs))
+		for _, kv := range kvs {
+			c, ok := perf.ParseOpClass(kv.k)
 			if !ok {
-				return nil, fmt.Errorf("unknown op class %q", name)
+				d.fail("unknown op class %q", kv.k)
 			}
-			ops[c] = n
+			p.Ops[c] = kv.a
 		}
 	}
-	var accesses []nfir.SymAccess
-	for _, a := range arp.Accesses {
-		accesses = append(accesses, nfir.SymAccess{Known: a.Known, Addr: a.Addr, Size: a.Size, Store: a.Store})
-	}
-	var writes map[uint64]nfir.PktWrite
-	if arp.PktWrites != nil {
-		writes = make(map[uint64]nfir.PktWrite, len(arp.PktWrites))
-		for _, w := range arp.PktWrites {
-			if w.Val == nil {
-				return nil, fmt.Errorf("packet write at offset %d has no value", w.Off)
+	d.list(`,"accesses":[`, func() {
+		var a nfir.SymAccess
+		d.expect(`{`)
+		start := d.i
+		field := func(f string) bool { // every field is optional: the first has no comma
+			if d.i == start {
+				f = f[1:]
 			}
-			if _, dup := writes[w.Off]; dup {
-				return nil, fmt.Errorf("duplicate packet write at offset %d", w.Off)
-			}
-			val, err := decExpr(w.Val, 0)
-			if err != nil {
-				return nil, err
-			}
-			writes[w.Off] = nfir.PktWrite{Size: w.Size, Val: val}
+			return d.lit(f)
 		}
-	}
-	return &nfir.Path{
-		ID:          arp.ID,
-		Constraints: cons,
-		Domains:     decDomains(arp.Domains),
-		Events:      events,
-		Action:      action,
-		Port:        port,
-		StatelessIC: arp.StatelessIC,
-		StatelessMA: arp.StatelessMA,
-		Ops:         ops,
-		Accesses:    accesses,
-		PCVRanges:   decRanges(arp.PCVRanges),
-		PktWrites:   writes,
-	}, nil
+		a.Known = field(`,"known":true`)
+		if field(`,"addr":`) {
+			a.Addr = d.nonZero()
+		}
+		if field(`,"size":`) {
+			v := d.nonZero()
+			if a.Size = uint8(v); v > math.MaxUint8 {
+				d.fail("access size %d out of range", v)
+			}
+		}
+		a.Store = field(`,"store":true`)
+		d.expect(`}`)
+		p.Accesses = append(p.Accesses, a)
+	})
+	p.PCVRanges = parseRanges[expr.Range](d, `,"pcv_ranges":{`)
+	prev := uint64(0)
+	d.list(`,"pkt_writes":[`, func() {
+		off := d.u64(`{"off":`)
+		if p.PktWrites == nil {
+			p.PktWrites = make(map[uint64]nfir.PktWrite)
+		} else if off <= prev {
+			d.fail("packet writes not in strictly ascending offset order")
+		}
+		prev = off
+		size := d.int(`,"size":`)
+		d.expect(`,"val":`)
+		p.PktWrites[off] = nfir.PktWrite{Size: size, Val: d.expr(6)}
+		d.expect(`}`)
+	})
+	d.expect(`}`)
+	return p
 }
 
-func decEvents(aes []artCallEvent) ([]nfir.CallEvent, error) {
-	if aes == nil {
-		return nil, nil
-	}
-	out := make([]nfir.CallEvent, 0, len(aes))
-	for i, ae := range aes {
-		if ae.DS == "" || ae.Method == "" {
-			return nil, fmt.Errorf("call event %d has an empty data-structure or method name", i)
+// events reads a list of call events, objects at nesting level lvl.
+func (d *decoder) events(field string, lvl int) (out []nfir.CallEvent) {
+	d.list(field, func() {
+		ev := nfir.CallEvent{DS: d.str(`{"ds":`), Method: d.str(`,"method":`)}
+		if ev.DS == "" || ev.Method == "" {
+			d.fail("call event has an empty data-structure or method name")
 		}
-		results, err := decExprs(ae.Outcome.Results)
-		if err != nil {
-			return nil, err
-		}
-		cons, err := decExprs(ae.Outcome.Constraints)
-		if err != nil {
-			return nil, err
-		}
-		cost, err := decCost(ae.Outcome.Cost)
-		if err != nil {
-			return nil, err
-		}
-		var pcvs []nfir.PCV
-		for _, pcv := range ae.Outcome.PCVs {
+		o := &ev.Outcome
+		o.Label = d.str(`,"outcome":{"label":`)
+		o.Results = d.exprList(`,"results":[`, lvl+3)
+		o.Constraints = d.exprList(`,"constraints":[`, lvl+3)
+		o.Domains = parseRanges[symb.Domain](d, `,"domains":{`)
+		o.Cost = d.cost()
+		d.list(`,"pcvs":[`, func() {
+			pcv := nfir.PCV{Name: d.str(`{"name":`)}
 			if pcv.Name == "" {
-				return nil, fmt.Errorf("call event %d has a PCV with an empty name", i)
+				d.fail("PCV with an empty name")
 			}
-			pcvs = append(pcvs, nfir.PCV{Name: pcv.Name, Range: expr.Range{Lo: pcv.Range.Lo, Hi: pcv.Range.Hi}})
-		}
-		args, err := decExprs(ae.Args)
-		if err != nil {
-			return nil, err
-		}
-		class, ok := nfir.ParseSharingClass(ae.Sharing)
-		if !ok {
-			return nil, fmt.Errorf("call event %d has an unknown sharing class %q", i, ae.Sharing)
-		}
-		if class == nfir.SharingUnknown && ae.SharingReason != "" {
-			return nil, fmt.Errorf("call event %d has a sharing reason without a sharing class", i)
-		}
-		out = append(out, nfir.CallEvent{
-			DS:     ae.DS,
-			Method: ae.Method,
-			Outcome: nfir.Outcome{
-				Label:       ae.Outcome.Label,
-				Results:     results,
-				Constraints: cons,
-				Domains:     decDomains(ae.Outcome.Domains),
-				Cost:        cost,
-				PCVs:        pcvs,
-			},
-			ResultSyms: ae.ResultSyms,
-			Args:       args,
-			Sharing:    nfir.Sharing{Class: class, Reason: ae.SharingReason},
+			d.expect(`,"range":`)
+			pcv.Range.Lo, pcv.Range.Hi = d.lohi()
+			d.expect(`}`)
+			o.PCVs = append(o.PCVs, pcv)
 		})
-	}
-	return out, nil
-}
-
-func decCost(ac map[string]artPoly) (map[perf.Metric]expr.Poly, error) {
-	if ac == nil {
-		return nil, nil
-	}
-	out := make(map[perf.Metric]expr.Poly, len(ac))
-	for name, ap := range ac {
-		m, err := perf.ParseMetric(name)
-		if err != nil {
-			return nil, err
+		d.expect(`}`)
+		d.list(`,"result_syms":[`, func() { ev.ResultSyms = append(ev.ResultSyms, d.str(``)) })
+		ev.Args = d.exprList(`,"args":[`, lvl+2)
+		if s := d.optStr(`,"sharing":`); s != "" {
+			var ok bool
+			if ev.Sharing.Class, ok = nfir.ParseSharingClass(s); !ok {
+				d.fail("unknown sharing class %q", s)
+			}
 		}
-		if key, _ := metricKey(m); key != name {
-			return nil, fmt.Errorf("non-canonical metric name %q", name)
+		ev.Sharing.Reason = d.optStr(`,"sharing_reason":`)
+		if ev.Sharing.Class == nfir.SharingUnknown && ev.Sharing.Reason != "" {
+			d.fail("sharing reason without a sharing class")
 		}
-		p, err := decPoly(ap)
-		if err != nil {
-			return nil, err
-		}
-		out[m] = p
-	}
-	return out, nil
-}
-
-func decPoly(ap artPoly) (expr.Poly, error) {
-	terms := make(map[expr.Mono]uint64, len(ap))
-	for ms, c := range ap {
-		m, err := expr.ParseMono(ms)
-		if err != nil {
-			return expr.Poly{}, err
-		}
-		if c == 0 {
-			return expr.Poly{}, fmt.Errorf("expr: zero coefficient for monomial %q", ms)
-		}
-		terms[m] = c
-	}
-	return expr.FromTerms(terms), nil
-}
-
-func decDomains(ad map[string]artRange) map[string]symb.Domain {
-	if ad == nil {
-		return nil
-	}
-	out := make(map[string]symb.Domain, len(ad))
-	for s, r := range ad {
-		out[s] = symb.Domain{Lo: r.Lo, Hi: r.Hi}
-	}
+		d.expect(`}`)
+		out = append(out, ev)
+	})
 	return out
 }
 
-func decRanges(ar map[string]artRange) map[string]expr.Range {
-	if ar == nil {
+func (d *decoder) action(field string) nfir.ActionKind {
+	s := d.str(field)
+	k, ok := nfir.ParseActionKind(s)
+	if !ok {
+		d.fail("unknown action %q", s)
+	}
+	return k
+}
+
+// members reads an object opened by the literal open, its values by val,
+// into scratch the next call reuses. encoding/json sorted map keys, so
+// keys must be strictly ascending: a repeated or out-of-order key is not
+// canonical.
+func (d *decoder) members(open string, val func() (uint64, uint64), allowEmpty bool) []member {
+	d.expect(open)
+	d.kvs = d.kvs[:0]
+	if allowEmpty && d.lit(`}`) {
+		return d.kvs
+	}
+	for more := true; more; more = d.lit(`,`) {
+		k := d.str(``)
+		if n := len(d.kvs); n > 0 && k <= d.kvs[n-1].k {
+			d.fail("object keys not strictly ascending at %q", k)
+		}
+		d.expect(`:`)
+		a, b := val()
+		d.kvs = append(d.kvs, member{k, a, b})
+	}
+	d.expect(`}`)
+	return d.kvs
+}
+
+func (d *decoder) u64Pair() (uint64, uint64) { return d.u64(``), 0 }
+
+func (d *decoder) lohi() (lo, hi uint64) {
+	lo, hi = d.u64(`{"lo":`), d.u64(`,"hi":`)
+	d.expect(`}`)
+	return lo, hi
+}
+
+// parseRanges reads an optional symbol→interval object, never empty
+// when present.
+func parseRanges[V symb.Domain | expr.Range](d *decoder, field string) map[string]V {
+	if !d.lit(field) {
 		return nil
 	}
-	out := make(map[string]expr.Range, len(ar))
-	for s, r := range ar {
-		out[s] = expr.Range{Lo: r.Lo, Hi: r.Hi}
+	kvs := d.members(``, d.lohi, false)
+	m := make(map[string]V, len(kvs))
+	for _, kv := range kvs {
+		m[kv.k] = V(expr.Range{Lo: kv.a, Hi: kv.b})
 	}
-	return out
+	return m
 }
 
-func decExprs(aes []*artExpr) ([]symb.Expr, error) {
-	if aes == nil {
-		return nil, nil
+func (d *decoder) cost() map[perf.Metric]expr.Poly {
+	if !d.lit(`,"cost":{`) {
+		return nil
 	}
-	out := make([]symb.Expr, 0, len(aes))
-	for _, ae := range aes {
-		e, err := decExpr(ae, 0)
-		if err != nil {
-			return nil, err
+	m := make(map[perf.Metric]expr.Poly, len(metricKeys))
+	next := 0 // metricKeys is sorted, so ascending keys only move forward
+	for more := true; more; more = d.lit(`,`) {
+		k := d.str(``)
+		for next < len(metricKeys) && metricKeys[next].key != k {
+			next++
 		}
-		out = append(out, e)
+		if next == len(metricKeys) {
+			d.fail("unknown, repeated or out-of-order metric %q", k)
+			return nil
+		}
+		d.expect(`:`)
+		m[metricKeys[next].m] = d.poly()
+		next++
 	}
-	return out, nil
+	d.expect(`}`)
+	return m
 }
 
-// maxExprDepth bounds expression-tree nesting during decoding, matching
-// encoding/json's own nesting limit; deeper inputs are corrupt or
-// hostile, not contracts.
-const maxExprDepth = 10000
+// poly reads a polynomial object, monomial → non-zero coefficient.
+func (d *decoder) poly() expr.Poly {
+	kvs := d.members(`{`, d.u64Pair, true)
+	terms := make(map[expr.Mono]uint64, len(kvs))
+	for _, kv := range kvs {
+		m, err := expr.ParseMono(kv.k)
+		if err != nil {
+			d.fail("%v", err)
+		} else if kv.a == 0 {
+			d.fail("zero coefficient for monomial %q", kv.k)
+		}
+		terms[m] = kv.a
+	}
+	return expr.FromTerms(terms)
+}
 
-// decExpr rebuilds a symbolic expression EXACTLY as stored: it uses the
-// raw node constructors, never symb.B, because B's constant folding
-// would rewrite the tree and break losslessness.
-func decExpr(ae *artExpr, depth int) (symb.Expr, error) {
-	if ae == nil {
-		return nil, fmt.Errorf("missing expression node")
+// exprList reads an optional, never-empty list of expressions, objects
+// at nesting level lvl.
+func (d *decoder) exprList(field string, lvl int) []symb.Expr {
+	if !d.lit(field) {
+		return nil
 	}
-	if depth > maxExprDepth {
-		return nil, fmt.Errorf("expression nesting exceeds %d", maxExprDepth)
+	d.exprs = d.exprs[:0]
+	d.list(``, func() { d.exprs = append(d.exprs, d.expr(lvl)) })
+	return slices.Clone(d.exprs)
+}
+
+func (d *decoder) expr(lvl int) symb.Expr { return d.nodes[d.node(lvl)] }
+
+// node reads one expression object at nesting level lvl and returns its
+// index in d.nodes. It rebuilds the tree EXACTLY as stored — raw node
+// constructors, never symb.B, whose constant folding would rewrite it —
+// but allocates a node only the first time its kind, fields and children
+// occur together.
+func (d *decoder) node(lvl int) uint32 {
+	if lvl > maxExprDepth {
+		d.fail("nesting exceeds %d", maxExprDepth)
 	}
-	switch ae.K {
-	case "c":
-		if ae.N != "" || ae.Op != "" || ae.L != nil || ae.R != nil || ae.X != nil {
-			return nil, fmt.Errorf("malformed const node")
+	var k exprKey
+	switch {
+	case d.lit(`{"k":"c"`):
+		k.kind, k.v = 'c', d.optU64(`,"v":`)
+	case d.lit(`{"k":"s","n":`):
+		if k.kind, k.name = 's', d.str(``); k.name == "" {
+			d.fail("symbol node with empty name")
 		}
-		return symb.Const{V: ae.V}, nil
-	case "s":
-		if ae.N == "" {
-			return nil, fmt.Errorf("symbol node with empty name")
+	case d.lit(`{"k":"b","op":`):
+		s := d.str(``)
+		op, ok := symb.ParseOp(s)
+		if k.kind, k.op = 'b', op; !ok {
+			d.fail("unknown operator %q", s)
 		}
-		if ae.V != 0 || ae.Op != "" || ae.L != nil || ae.R != nil || ae.X != nil {
-			return nil, fmt.Errorf("malformed symbol node")
-		}
-		return symb.Sym{Name: ae.N}, nil
-	case "b":
-		op, ok := symb.ParseOp(ae.Op)
-		if !ok {
-			return nil, fmt.Errorf("unknown operator %q", ae.Op)
-		}
-		if ae.V != 0 || ae.N != "" || ae.X != nil {
-			return nil, fmt.Errorf("malformed binary node")
-		}
-		l, err := decExpr(ae.L, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		r, err := decExpr(ae.R, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return symb.Bin{Op: op, L: l, R: r}, nil
-	case "n":
-		if ae.V != 0 || ae.N != "" || ae.Op != "" || ae.L != nil || ae.R != nil {
-			return nil, fmt.Errorf("malformed not node")
-		}
-		x, err := decExpr(ae.X, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return symb.Not{X: x}, nil
+		d.expect(`,"l":`)
+		k.l = d.node(lvl + 1)
+		d.expect(`,"r":`)
+		k.r = d.node(lvl + 1)
+	case d.lit(`{"k":"n","x":`):
+		k.kind, k.l = 'n', d.node(lvl+1)
+	default:
+		d.fail("expected an expression node")
 	}
-	return nil, fmt.Errorf("unknown expression kind %q", ae.K)
+	if d.expect(`}`); d.err != nil {
+		return 0
+	}
+	id, ok := d.ids[k]
+	if !ok {
+		var e symb.Expr
+		switch k.kind {
+		case 'c':
+			e = symb.Const{V: k.v}
+		case 's':
+			e = symb.Sym{Name: k.name}
+		case 'b':
+			e = symb.Bin{Op: k.op, L: d.nodes[k.l], R: d.nodes[k.r]}
+		case 'n':
+			e = symb.Not{X: d.nodes[k.l]}
+		}
+		id = uint32(len(d.nodes))
+		d.nodes, d.ids[k] = append(d.nodes, e), id
+	}
+	return id
+}
+
+// optStr and optU64 read a field that is omitted at its zero value.
+func (d *decoder) optStr(field string) string {
+	if !d.lit(field) {
+		return ""
+	}
+	s := d.str(``)
+	if s == "" {
+		d.fail("empty %s must be omitted", field[1:])
+	}
+	return s
+}
+
+func (d *decoder) optU64(field string) uint64 {
+	if !d.lit(field) {
+		return 0
+	}
+	return d.nonZero()
+}
+
+func (d *decoder) nonZero() uint64 {
+	v := d.u64(``)
+	if v == 0 {
+		d.fail("zero field must be omitted")
+	}
+	return v
 }

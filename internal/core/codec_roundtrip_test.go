@@ -5,11 +5,26 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gobolt/internal/core"
 	"gobolt/internal/experiments"
+	"gobolt/internal/store"
 )
+
+// sameAsOracle checks the hand-written encoder against the reflection
+// codec it replaced: identical bytes for the same artifact.
+func sameAsOracle(t *testing.T, what string, a *core.Artifact, data []byte) {
+	t.Helper()
+	want, err := core.OracleEncode(a)
+	if err != nil {
+		t.Fatalf("%s: oracle encode: %v", what, err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("%s: encoder and oracle disagree (%d vs %d bytes)", what, len(data), len(want))
+	}
+}
 
 // TestCodecRoundTripFigure1 round-trips every Figure-1 scenario contract
 // through the artifact codec: all fourteen classes across NAT, bridge,
@@ -28,6 +43,7 @@ func TestCodecRoundTripFigure1(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", s.Name, err)
 		}
+		sameAsOracle(t, s.Name, &core.Artifact{Contract: s.Contract}, data)
 		got, err := core.DecodeArtifact(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", s.Name, err)
@@ -75,6 +91,7 @@ func TestCodecRoundTripRawPaths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", stage.Prog.Name, err)
 		}
+		sameAsOracle(t, stage.Prog.Name, &core.Artifact{Contract: ct, Paths: paths}, data)
 		got, err := core.DecodeArtifact(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", stage.Prog.Name, err)
@@ -146,6 +163,7 @@ func TestCodecRoundTripComposedChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode composed chain: %v", err)
 	}
+	sameAsOracle(t, "composed chain", &core.Artifact{Contract: ct}, data)
 	got, err := core.DecodeArtifact(data)
 	if err != nil {
 		t.Fatalf("decode composed chain: %v", err)
@@ -161,5 +179,132 @@ func TestCodecRoundTripComposedChain(t *testing.T) {
 	}
 	if !bytes.Equal(data, re) {
 		t.Fatalf("decode∘encode is not the identity on the composed chain")
+	}
+}
+
+// composeChain composes the 4-stage chain on a fresh serial generator
+// over cache, as a restarted process would.
+func composeChain(t *testing.T, stages []core.ChainStage, cache *core.ContractCache) *core.Contract {
+	t.Helper()
+	g := experiments.QuickScale().Generator()
+	g.Parallelism = 1
+	g.Cache = cache
+	ct, _, err := core.ComposeManyStats(context.Background(), g, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ct
+}
+
+// chainStore composes the 4-stage chain cold over an empty store and
+// returns the stages and the populated store: four stage artifacts and
+// three fold prefixes, the last of them the 582-path composite with its
+// raw paths — the object a warm restart reads.
+func chainStore(t *testing.T) ([]core.ChainStage, *store.Store) {
+	t.Helper()
+	stages, _, err := experiments.ChainBenchStages(experiments.QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := core.NewContractCache()
+	cache.AttachDisk(s)
+	composeChain(t, stages[:4], cache)
+	if ts := cache.TierStats(); ts.DiskErrs != 0 {
+		t.Fatalf("populating the store: %d disk errors", ts.DiskErrs)
+	}
+	return stages[:4], s
+}
+
+// TestCodecStoredChainObjects checks every object a composed chain
+// leaves in the store, as stored: both decoders build the same artifact
+// from it, both encoders give the stored bytes back, and decoding the
+// composite stays under its allocation budget — interning and
+// hash-consing are what keep a 3 MB object with 63,000 expression nodes
+// from costing 1.39 M allocations, and a count repeats where a time
+// does not.
+func TestCodecStoredChainObjects(t *testing.T) {
+	_, s := chainStore(t)
+	entries, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 7 {
+		t.Fatalf("store holds %d objects, want 4 stages + 3 fold prefixes", len(entries))
+	}
+	composite := false
+	for _, e := range entries {
+		payload, err := s.Get(e.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.DecodeArtifact(payload)
+		if err != nil {
+			t.Fatalf("%.12s: %v", e.Key, err)
+		}
+		want, err := core.OracleDecode(payload)
+		if err != nil || !reflect.DeepEqual(a, want) {
+			t.Fatalf("%.12s: decoder and oracle disagree (oracle err %v)", e.Key, err)
+		}
+		re, err := core.EncodeArtifact(a)
+		if err != nil || !bytes.Equal(re, payload) {
+			t.Fatalf("%.12s: stored bytes are not their own encoding (%v)", e.Key, err)
+		}
+		sameAsOracle(t, e.Key[:12], a, payload)
+		if len(a.Contract.Paths) != 582 {
+			continue
+		}
+		composite = true
+		if len(a.Paths) != 582 {
+			t.Fatalf("composite carries %d raw paths", len(a.Paths))
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := core.DecodeArtifact(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("composite: %d bytes, %.0f allocations to decode", len(payload), allocs)
+		if allocs > 100_000 {
+			t.Errorf("decoding the composite takes %.0f allocations, want <= 100000", allocs)
+		}
+	}
+	if !composite {
+		t.Fatal("no 582-path composite in the store")
+	}
+}
+
+// TestWarmRestartCheaperThanCold is the point of the store in one
+// comparison: composing the chain on a fresh memory tier over a
+// populated store must take fewer allocations and fewer bytes than
+// composing it from nothing. (Time says the same but does not repeat on
+// a shared machine; go run ./bench measures it.)
+func TestWarmRestartCheaperThanCold(t *testing.T) {
+	stages, s := chainStore(t)
+	measure := func(disk *store.Store) (mallocs, bytes uint64, ct *core.Contract) {
+		cache := core.NewContractCache()
+		cache.AttachDisk(disk)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ct = composeChain(t, stages, cache)
+		runtime.ReadMemStats(&after)
+		if ts := cache.TierStats(); disk != nil && (ts.Misses != 0 || ts.DiskHits == 0 || ts.DiskErrs != 0) {
+			t.Fatalf("warm compose was not served from the store: %+v", ts)
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, ct
+	}
+	coldN, coldB, cold := measure(nil)
+	warmN, warmB, warm := measure(s)
+	t.Logf("cold: %d allocations, %d bytes; warm: %d allocations, %d bytes", coldN, coldB, warmN, warmB)
+	if warmN >= coldN || warmB >= coldB {
+		t.Errorf("a warm restart (%d allocations, %d bytes) is not cheaper than a cold compose (%d, %d)", warmN, warmB, coldN, coldB)
+	}
+	want, _ := json.Marshal(cold)
+	have, _ := json.Marshal(warm)
+	if !bytes.Equal(want, have) {
+		t.Fatal("warm and cold composites differ")
 	}
 }

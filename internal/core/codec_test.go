@@ -126,6 +126,9 @@ func TestCodecRoundTripRich(t *testing.T) {
 	if !reflect.DeepEqual(a, got) {
 		t.Fatalf("decode is not the inverse of encode:\n  in:  %+v\n  out: %+v", a, got)
 	}
+	if want, err := oracleEncode(a); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("encoder and oracle disagree on the every-feature artifact (%v)", err)
+	}
 	re, err := EncodeArtifact(got)
 	if err != nil {
 		t.Fatalf("re-encode: %v", err)
@@ -166,69 +169,52 @@ func TestCodecGolden(t *testing.T) {
 	}
 }
 
-// TestShardFieldsAdditive pins that the shard dimension (v2) is
-// strictly additive over the version-1 wire format:
-//
-//   - encoding today's richArtifact — shard annotations and all — at
-//     version 1 reproduces byte-for-byte the golden bytes a pre-shard
-//     build wrote for the same artifact;
-//   - those version-1 bytes still decode, losslessly, with the shard
-//     fields at their zero values;
-//   - a decoded version-1 artifact re-encodes at version 1 (the codec
-//     never silently upgrades stored bytes);
-//   - upgrading is explicit (EncodeArtifactAt at version 2) and changes
-//     nothing but the declared version for shard-less content.
+// TestShardFieldsAdditive pins what is left of "version 2 is strictly
+// additive over version 1" now that version 1 is retired: the pre-shard
+// golden bytes are refused as an unsupported version, and today's
+// artifact with its shard annotations stripped still encodes to exactly
+// that golden's payload under a version-2 envelope — the shard fields
+// added bytes and moved none.
 func TestShardFieldsAdditive(t *testing.T) {
-	golden := filepath.Join("testdata", "artifact_v1.golden.json")
-	want, err := os.ReadFile(golden)
+	v1, err := os.ReadFile(filepath.Join("testdata", "artifact_v1.golden.json"))
 	if err != nil {
 		t.Fatalf("reading pre-shard golden file: %v", err)
 	}
-
-	data, err := EncodeArtifactAt(richArtifact(), 1)
-	if err != nil {
-		t.Fatalf("encode at version 1: %v", err)
+	if _, err := DecodeArtifact(v1); err == nil || !strings.Contains(err.Error(), "unsupported artifact version 1") {
+		t.Fatalf("version-1 golden: err = %v, want unsupported artifact version 1", err)
 	}
+
+	a := richArtifact()
+	for _, p := range a.Contract.Paths {
+		p.SharedMA, p.ShardAnalysed = expr.Poly{}, false
+		for i := range p.Trace {
+			p.Trace[i].Args, p.Trace[i].Sharing = nil, nfir.Sharing{}
+		}
+	}
+	for _, rp := range a.Paths {
+		for i := range rp.Events {
+			rp.Events[i].Args, rp.Events[i].Sharing = nil, nfir.Sharing{}
+		}
+	}
+	data, err := EncodeArtifact(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Replace(v1, []byte(`"version":1`), []byte(`"version":2`), 1)
 	if !bytes.Equal(data, want) {
-		t.Fatalf("version-1 projection drifted from the pre-shard golden bytes")
+		t.Fatalf("shard-less content no longer encodes to the pre-shard payload under a version-2 envelope")
 	}
-
-	a, err := DecodeArtifact(want)
+	got, err := DecodeArtifact(data)
 	if err != nil {
-		t.Fatalf("version-1 golden no longer decodes: %v", err)
+		t.Fatalf("shard-less version-2 artifact does not decode: %v", err)
 	}
-	if a.Version != 1 {
-		t.Fatalf("decoded version = %d, want 1", a.Version)
+	if got.Version != ArtifactVersion {
+		t.Fatalf("decoded version = %d, want %d", got.Version, ArtifactVersion)
 	}
-	for i, p := range a.Contract.Paths {
+	for i, p := range got.Contract.Paths {
 		if p.ShardAnalysed || !p.SharedMA.IsZero() {
-			t.Fatalf("path %d of a version-1 artifact carries shard analysis", i)
+			t.Fatalf("path %d of a shard-less artifact carries shard analysis", i)
 		}
-	}
-	for i, ev := range a.Contract.Paths[0].Trace {
-		if ev.Args != nil || ev.Sharing != (nfir.Sharing{}) {
-			t.Fatalf("trace event %d of a version-1 artifact carries call args or a sharing verdict", i)
-		}
-	}
-
-	re, err := EncodeArtifact(a)
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(re, want) {
-		t.Fatalf("decoded version-1 artifact re-encoded at a different version")
-	}
-
-	up, err := EncodeArtifactAt(a, 2)
-	if err != nil {
-		t.Fatalf("explicit upgrade: %v", err)
-	}
-	wantUp := bytes.Replace(want, []byte(`"version":1`), []byte(`"version":2`), 1)
-	if !bytes.Equal(up, wantUp) {
-		t.Fatalf("upgrading shard-less version-1 content changed more than the version number")
-	}
-	if _, err := DecodeArtifact(up); err != nil {
-		t.Fatalf("upgraded artifact does not decode: %v", err)
 	}
 }
 
@@ -299,11 +285,8 @@ func TestCodecDecodeRejects(t *testing.T) {
 		"empty symbol name": mutate(`{"k":"s","n":"nat.port"}`, `{"k":"s","n":""}`),
 		"unknown sharing":   mutate(`"sharing":"local"`, `"sharing":"lokal"`),
 		"orphaned reason":   mutate(`"sharing":"local","sharing_reason":"key pins the flow-hash fields"`, `"sharing_reason":"key pins the flow-hash fields"`),
-		// Version 1 does not define the shard fields; an artifact that
-		// declares version 1 but smuggles them in must fail the
-		// canonicality gate (re-encoding at version 1 strips them).
-		"downgraded version smuggles shard fields": mutate(`"version":2`, `"version":1`),
-		"witness omitted": mutate(`,"witness":null`, ``),
+		"retired version":   mutate(`"version":2`, `"version":1`),
+		"witness omitted":   mutate(`,"witness":null`, ``),
 	}
 	for name, data := range cases {
 		if _, err := DecodeArtifact(data); err == nil {
@@ -364,15 +347,12 @@ func FuzzContractCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(minimal)
-	// The version-1 projection of the same artifact: a supported older
-	// version that must round-trip at its own version, not upgrade.
-	v1, err := EncodeArtifactAt(richArtifact(), 1)
+	// Version 1 is retired: the pre-shard golden must be refused.
+	v1, err := os.ReadFile(filepath.Join("testdata", "artifact_v1.golden.json"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v1)
-	// A version-1 envelope smuggling version-2 fields (canonicality gate
-	// must reject it).
 	f.Add(bytes.Replace(valid, []byte(`"version":2`), []byte(`"version":1`), 1))
 	f.Add([]byte(`{"format":"gobolt-contract","version":1,"contract":{"nf":"m","level":"","paths":[]}}`))
 	f.Add([]byte(`{"format":"gobolt-contract","version":9,"contract":null}`))
@@ -380,8 +360,17 @@ func FuzzContractCodec(f *testing.F) {
 	f.Add(bytes.ToUpper(valid))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeArtifact(data)
+		// The reflection codec this one replaced accepted exactly the
+		// same inputs and built exactly the same structures.
+		oa, oerr := oracleDecode(data)
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("accept sets differ: decoder says %v, oracle says %v", err, oerr)
+		}
 		if err != nil {
 			return // rejected is always a fine outcome for fuzz input
+		}
+		if !reflect.DeepEqual(a, oa) {
+			t.Fatalf("decoder and oracle built different artifacts from %q", data)
 		}
 		// Accepted input must be the canonical encoding of its content:
 		// decode ∘ encode is the identity on everything DecodeArtifact

@@ -51,10 +51,10 @@ type PathContract struct {
 	// the coherence penalty when the NF runs sharded. See shard.go.
 	SharedMA expr.Poly
 	// ShardAnalysed records whether SharedMA was actually computed: true
-	// for freshly generated and composed paths, false for paths decoded
-	// from version-1 artifacts (which predate the analysis). Unanalysed
-	// paths fall back to a conservative shared-MA estimate; see
-	// EffectiveSharedMA.
+	// for freshly generated and composed paths, false for paths built
+	// without the analysis (by hand, or by a producer that omitted it).
+	// Unanalysed paths fall back to a conservative shared-MA estimate;
+	// see EffectiveSharedMA.
 	ShardAnalysed bool
 	// Witness is a concrete input exercising the path (nil when the
 	// solver returned Unknown; such paths are retained conservatively).

@@ -1,0 +1,8 @@
+package core
+
+// The reflection codec kept as oracle, for the tests in package
+// core_test (which can import experiments).
+var (
+	OracleEncode = oracleEncode
+	OracleDecode = oracleDecode
+)

@@ -289,9 +289,9 @@ func classify(sa nfir.StateAccess, pins func() bool) nfir.Sharing {
 
 // EffectiveSharedMA is the shared-MA polynomial shard-aware evaluation
 // charges contention on: the analysed SharedMA when available, and the
-// path's entire memory-access polynomial for paths decoded from
-// version-1 artifacts — treating every access as potentially shared is
-// the conservative reading of a contract that predates the analysis.
+// path's entire memory-access polynomial for paths that were never
+// analysed — treating every access as potentially shared is the
+// conservative reading of a contract without verdicts.
 func (p *PathContract) EffectiveSharedMA() expr.Poly {
 	if p.ShardAnalysed {
 		return p.SharedMA

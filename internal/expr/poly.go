@@ -77,32 +77,27 @@ func ParseMono(s string) (Mono, error) {
 	if s == "" {
 		return ConstMono, nil
 	}
-	pow := make(map[string]int)
-	prev := ""
-	for _, f := range strings.Split(s, "*") {
-		name, k := f, 1
-		if i := strings.IndexByte(f, '^'); i >= 0 {
-			name = f[:i]
-			var err error
-			k, err = strconv.Atoi(f[i+1:])
-			if err != nil || k < 2 {
+	prev, rest := "", s
+	for more := true; more; {
+		var f string
+		f, rest, more = strings.Cut(rest, "*")
+		name, pow, hasPow := strings.Cut(f, "^")
+		if hasPow {
+			// Atoi also reads "+2" and "02"; the canonical power is the
+			// one Itoa writes back.
+			if k, err := strconv.Atoi(pow); err != nil || k < 2 || strconv.Itoa(k) != pow {
 				return ConstMono, fmt.Errorf("expr: malformed monomial factor %q in %q", f, s)
 			}
 		}
-		if name == "" || strings.ContainsAny(name, "*^") {
+		if name == "" {
 			return ConstMono, fmt.Errorf("expr: malformed monomial factor %q in %q", f, s)
 		}
 		if prev != "" && name <= prev {
 			return ConstMono, fmt.Errorf("expr: non-canonical monomial %q (factors unsorted or repeated)", s)
 		}
 		prev = name
-		pow[name] = k
 	}
-	m := monoFromPowers(pow)
-	if string(m) != s {
-		return ConstMono, fmt.Errorf("expr: non-canonical monomial %q", s)
-	}
-	return m, nil
+	return Mono(s), nil
 }
 
 // Powers decomposes the monomial into its per-variable powers.
@@ -220,12 +215,19 @@ func (p Poly) Coef(m Mono) uint64 { return p.terms[m] }
 // ConstTerm returns the constant coefficient.
 func (p Poly) ConstTerm() uint64 { return p.terms[ConstMono] }
 
+// AppendMonos appends the monomials with non-zero coefficients to dst in
+// no particular order, for callers that impose their own (the contract
+// codec sorts them as strings) and reuse dst.
+func (p Poly) AppendMonos(dst []Mono) []Mono {
+	for m := range p.terms {
+		dst = append(dst, m)
+	}
+	return dst
+}
+
 // Monos returns the monomials with non-zero coefficients, in display order.
 func (p Poly) Monos() []Mono {
-	ms := make([]Mono, 0, len(p.terms))
-	for m := range p.terms {
-		ms = append(ms, m)
-	}
+	ms := p.AppendMonos(make([]Mono, 0, len(p.terms)))
 	sort.Slice(ms, func(i, j int) bool { return displayLess(ms[i], ms[j]) })
 	return ms
 }

@@ -2,6 +2,8 @@ package expr
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -359,5 +361,78 @@ func TestDerivativeDiscreteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// parseMonoReference is ParseMono as it was before it stopped
+// allocating (a power map, a split slice and a re-rendered string per
+// call — three quarters of the contract codec's allocations): the
+// canonical form is whatever monoFromPowers renders back unchanged.
+func parseMonoReference(s string) (Mono, bool) {
+	if s == "" {
+		return ConstMono, true
+	}
+	pow := make(map[string]int)
+	prev := ""
+	for _, f := range strings.Split(s, "*") {
+		name, k := f, 1
+		if i := strings.IndexByte(f, '^'); i >= 0 {
+			name = f[:i]
+			var err error
+			k, err = strconv.Atoi(f[i+1:])
+			if err != nil || k < 2 {
+				return ConstMono, false
+			}
+		}
+		if name == "" || strings.ContainsAny(name, "*^") {
+			return ConstMono, false
+		}
+		if prev != "" && name <= prev {
+			return ConstMono, false
+		}
+		prev = name
+		pow[name] = k
+	}
+	if m := monoFromPowers(pow); string(m) == s {
+		return m, true
+	}
+	return ConstMono, false
+}
+
+func TestParseMonoMatchesReference(t *testing.T) {
+	cases := []string{
+		"", "e", "c*e", "c*e^2", "e^2", "b.c*b.e", "a*b*c^12", "e^100",
+		"e*c", "e*e", "e^1", "e^0", "e^02", "e^+2", "e^-2", "e^2^3", "e^", "^2", "*", "e*", "*e", "e**c", "e^x", "e^2*", "a^3*a", " e", "e^99999999999999999999",
+	}
+	// Every string over a small alphabet up to length 6 covers the
+	// factor/power grammar exhaustively.
+	const alphabet = "ab*^012+"
+	var grow func(prefix string, n int)
+	grow = func(prefix string, n int) {
+		cases = append(cases, prefix)
+		if n == 0 {
+			return
+		}
+		for _, c := range alphabet {
+			grow(prefix+string(c), n-1)
+		}
+	}
+	grow("", 6)
+	accepted := 0
+	for _, s := range cases {
+		want, ok := parseMonoReference(s)
+		got, err := ParseMono(s)
+		if (err == nil) != ok || got != want {
+			t.Fatalf("ParseMono(%q) = %q, %v; reference says %q, %t", s, got, err, want, ok)
+		}
+		if ok {
+			accepted++
+		}
+	}
+	if accepted < 100 {
+		t.Fatalf("only %d of %d cases are canonical monomials", accepted, len(cases))
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseMono("b.b.c*b.b.e^2") }); n != 0 {
+		t.Fatalf("ParseMono allocates %v times per call", n)
 	}
 }

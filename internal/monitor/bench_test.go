@@ -28,27 +28,37 @@ func BenchmarkMonitoredReplaySharded2Chan(b *testing.B) {
 	benchMonitored(b, monitor.Config{Shards: 2, Batch: 64, NoRing: true})
 }
 
-func benchMonitored(b *testing.B, cfg monitor.Config) {
+// warmedReplay builds a monitor over the attack bridge, warms it on the
+// 2048-frame benchmark trace, and returns the replay of that trace: the
+// steady-state Run the benchmarks time and the allocation pin counts.
+func warmedReplay(tb testing.TB, cfg monitor.Config) (run func(), packets int) {
 	sc := experiments.QuickScale()
 	br, ct, err := experiments.AttackBridge(sc)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mon, err := monitor.New(ct, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pkts := benchFrames(sc, 2048)
 	if err := mon.Warm(context.Background(), br.Instance, pkts); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return func() {
+		if _, err := mon.Run(context.Background(), br.Instance, pkts); err != nil {
+			tb.Fatal(err)
+		}
+	}, len(pkts)
+}
+
+func benchMonitored(b *testing.B, cfg monitor.Config) {
+	run, packets := warmedReplay(b, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mon.Run(context.Background(), br.Instance, pkts); err != nil {
-			b.Fatal(err)
-		}
+		run()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*packets), "ns/pkt")
 }
 
 func BenchmarkBareReplay(b *testing.B) {

@@ -235,3 +235,38 @@ func TestPartialFlushCountsAccumulate(t *testing.T) {
 		t.Fatalf("sanity: report rendered empty:\n%s", report)
 	}
 }
+
+// TestShardedRunAllocationsRepeat pins that a steady-state sharded Run
+// allocates a fixed, small count: the batch buffers live on the Monitor
+// across Runs, so the only per-Run allocations on top of the serial
+// monitor's are the ingester itself — its header and three per-shard
+// slices, and per shard the queue ring (header, slots, two wake
+// channels) and the worker goroutine's closure and start: 4 + 6·Shards.
+// Before, acquire allocated a fresh batch whenever the shard had not yet
+// handed one back, and every such batch grew its observation and
+// call-log arenas from nothing: how many depended on how the two threads
+// interleaved, and a Run cost 161 allocations here instead of 22.
+func TestShardedRunAllocationsRepeat(t *testing.T) {
+	perRun := func(cfg monitor.Config) (lo, hi float64) {
+		run, _ := warmedReplay(t, cfg)
+		run() // the first sharded Run fills the freelists and grows the arenas
+		lo = testing.AllocsPerRun(5, run)
+		hi = lo
+		for i := 0; i < 4; i++ {
+			n := testing.AllocsPerRun(5, run)
+			lo, hi = min(lo, n), max(hi, n)
+		}
+		return lo, hi
+	}
+	const shards = 2
+	serial, _ := perRun(monitor.Config{})
+	lo, hi := perRun(monitor.Config{Shards: shards, Batch: 64})
+	// One allocation of slack: the runtime itself occasionally allocates
+	// inside a window (the serial monitor reads 6, 6, 6, 7 here).
+	if hi-lo > 1 {
+		t.Errorf("sharded Run allocations do not repeat: %v..%v per Run", lo, hi)
+	}
+	if limit := serial + 4 + 6*shards + 1; hi > limit {
+		t.Errorf("sharded Run allocates %v times, want <= %v (serial %v + ingester 4 + 6 per shard)", hi, limit, serial)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"gobolt/internal/nf"
 	"gobolt/internal/nfir"
 	"gobolt/internal/perf"
+	"gobolt/internal/ring"
 	"gobolt/internal/traffic"
 )
 
@@ -222,6 +223,9 @@ type Monitor struct {
 	obs core.PacketObservation
 
 	ing *ingester // non-nil while a sharded Run is draining
+	// frees are the per-shard freelists of batch buffers (ring backend),
+	// kept across Runs; see startIngest.
+	frees []*ring.SPSC[*batch]
 }
 
 // New compiles the contract's classifier and returns a monitor.

@@ -318,10 +318,10 @@ type ingester struct {
 	probe   int
 	partial int // batches handed off by the adaptive flush
 
-	// ring backend: queues carry filled batches replay→shard, frees
-	// recycle emptied buffers shard→replay.
+	// ring backend: queues carry filled batches replay→shard; the
+	// monitor's freelists (Monitor.frees) recycle emptied buffers
+	// shard→replay.
 	queues []*ring.SPSC[*batch]
-	frees  []*ring.SPSC[*batch]
 
 	// channel backend (Config.NoRing).
 	chans []chan *batch
@@ -362,19 +362,33 @@ func (m *Monitor) startIngest() {
 		return
 	}
 	ing.queues = make([]*ring.SPSC[*batch], n)
-	ing.frees = make([]*ring.SPSC[*batch], n)
+	if m.frees == nil {
+		m.frees = make([]*ring.SPSC[*batch], n)
+	}
 	for i, e := range m.engines {
 		q, err := ring.New[*batch](m.cfg.Queue)
 		if err != nil {
 			panic(err) // New validated Queue <= maxQueue <= ring.MaxCap
 		}
-		// The freelist holds every buffer the shard can have in flight:
-		// the queue's worth, the pending one, and the one being drained.
-		f, err := ring.New[*batch](q.Cap() + 2)
-		if err != nil {
-			panic(err)
+		// The freelist is filled once, on the monitor's first sharded Run,
+		// with every buffer the shard can have in flight — the queue's
+		// worth, the pending one, and the one being drained — and outlives
+		// the Run: finishIngest returns only after the worker has pushed
+		// every buffer back. So acquire always finds one, memory stays
+		// bounded by the freelist's capacity, and what a Run allocates
+		// (this ingester, its queues and goroutines) does not depend on
+		// how the two threads happened to interleave.
+		f := m.frees[i]
+		if f == nil {
+			if f, err = ring.New[*batch](q.Cap() + 2); err != nil {
+				panic(err)
+			}
+			for j := 0; j < q.Cap()+2; j++ {
+				f.TryPush(&batch{})
+			}
+			m.frees[i] = f
 		}
-		ing.queues[i], ing.frees[i] = q, f
+		ing.queues[i] = q
 		ing.wg.Add(1)
 		go func(e *engine, q, f *ring.SPSC[*batch]) {
 			defer ing.wg.Done()
@@ -406,14 +420,16 @@ func (e *engine) observeP(po *pObs) {
 	e.observe(po.idx, &e.obs, po.ic, po.ma, po.cyc, po.pcvs)
 }
 
-// acquire returns an empty batch for a shard: recycled off the shard's
-// freelist ring (or the shared pool on the channel backend), freshly
-// allocated only when nothing has come back yet.
+// acquire returns an empty batch for a shard off the shard's freelist
+// ring (or the shared pool on the channel backend). The freelist cannot
+// be empty here — it holds Cap+2 buffers and with none pending at most
+// Cap are queued and one is being drained — but a fresh buffer is cheap
+// to tolerate.
 func (ing *ingester) acquire(sh int) *batch {
 	if ing.chans != nil {
 		return ing.pool.Get().(*batch)
 	}
-	if b, ok := ing.frees[sh].TryPop(); ok {
+	if b, ok := ing.m.frees[sh].TryPop(); ok {
 		return b
 	}
 	return &batch{}

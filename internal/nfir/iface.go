@@ -140,7 +140,7 @@ type CallEvent struct {
 	// call's key pins the flow-hash fields of the path.
 	Args []symb.Expr
 	// Sharing is the sharability verdict for this call, filled in by the
-	// generator's analysis stage (zero / SharingUnknown on paths decoded
-	// from version-1 artifacts).
+	// generator's analysis stage (zero / SharingUnknown on paths that
+	// never went through it).
 	Sharing Sharing
 }

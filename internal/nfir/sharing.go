@@ -17,14 +17,13 @@ package nfir
 // heartbeat stamps) is charged a per-contender coherence penalty.
 
 // SharingClass is the three-way sharability verdict for one stateful
-// call. The zero value is SharingUnknown: calls decoded from version-1
-// artifacts predate the analysis and are treated as shared-rw
-// (conservative) by shard-aware evaluation.
+// call. The zero value is SharingUnknown: a call the analysis never saw
+// is treated as shared-rw (conservative) by shard-aware evaluation.
 type SharingClass int
 
 const (
-	// SharingUnknown means the call was never analysed (version-1
-	// artifacts); evaluation treats it as shared-rw.
+	// SharingUnknown means the call was never analysed; evaluation
+	// treats it as shared-rw.
 	SharingUnknown SharingClass = iota
 	// SharingLocal: the call is keyed and its key pins the flow-hash
 	// fields, so under flow-hash sharding only the owning shard ever
@@ -40,8 +39,8 @@ const (
 	SharingSharedRW
 )
 
-// String returns the wire spelling ("" for unknown — version-2
-// artifacts omit the field for unanalysed calls).
+// String returns the wire spelling ("" for unknown — artifacts omit
+// the field for unanalysed calls).
 func (c SharingClass) String() string {
 	switch c {
 	case SharingLocal:

@@ -303,6 +303,23 @@ func (s *Store) Keys() ([]string, error) {
 	return keys, nil
 }
 
+// Temps returns the sorted paths, relative to the store directory, of
+// the files under objects/ that are not objects: what a torn write
+// leaves behind. No read path serves them and GC removes them.
+func (s *Store) Temps() ([]string, error) {
+	_, temps, err := s.scanObjects()
+	if err != nil {
+		return nil, err
+	}
+	for i, tmp := range temps {
+		if rel, err := filepath.Rel(s.dir, tmp); err == nil {
+			temps[i] = rel
+		}
+	}
+	sort.Strings(temps)
+	return temps, nil
+}
+
 // Resolve expands a key prefix to the full stored key. A 64-hex-char
 // prefix is returned as-is (it is already a full key); anything shorter
 // must match exactly one stored object's key or Resolve errors
