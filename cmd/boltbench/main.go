@@ -239,7 +239,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		section("Chain composition — indexed vs exhaustive joins, coalescing, serial vs pooled, incremental vs reference, cold vs warm")
+		section("Chain composition — coalescing, serial vs pooled, incremental vs reference, cold vs warm")
 		fmt.Print(experiments.RenderChainBench(res))
 		if *verbose {
 			fmt.Println()

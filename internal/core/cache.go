@@ -304,10 +304,10 @@ func (g *Generator) derivedKey(parts ...string) string {
 // program, models, and the generator knobs the join depends on
 // (feasibility budgets, NoIncremental), so hashing the pair addresses
 // the whole fold prefix — which is what makes re-composing a warm chain
-// one map lookup per step. Parallelism and NoJoinIndex are deliberately
-// absent, as in cacheKey: neither can change the output. Coalesce CAN —
-// it merges composite paths — so the recipe tag is versioned by it and
-// coalesced and uncoalesced composites never alias.
+// one map lookup per step. Parallelism is deliberately absent, as in
+// cacheKey: it cannot change the output. Coalesce CAN — it merges
+// composite paths — so the recipe tag is versioned by it and coalesced
+// and uncoalesced composites never alias.
 func (g *Generator) composedKey(aKey, bKey string) string {
 	return g.derivedKey(g.composeTag("compose"), aKey, bKey)
 }

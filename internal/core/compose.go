@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strings"
 	"sync/atomic"
 
@@ -91,38 +92,81 @@ func (g *Generator) composeFeasibility() *joinFeas {
 }
 
 // prefix prepares the shared a-side state one upstream path reuses
-// across every b-candidate it is joined with: the prefix constraints
-// are flattened, compiled and propagated once in a solver session, and
-// each candidate pays only for its own suffix. Domains are deliberately
-// NOT part of the prefix — joinPair's domain merge overwrites (a
-// substituted b-symbol's bound replaces, not intersects), while session
-// domains always intersect, so each fork applies the full merged map
-// itself (each name exactly once, which makes intersect-from-full an
-// exact assignment and keeps verdicts identical to a fresh solve).
-func (jf *joinFeas) prefix(aCons []symb.Expr) *joinPrefix {
-	jp := &joinPrefix{jf: jf, aLen: len(aCons)}
-	if jf.eng != nil {
-		s := jf.eng.NewSession()
-		s.AssertAll(aCons)
-		jp.sess = s
+// across every b-candidate it is joined with: the path's constraints
+// and domains are flattened, compiled and propagated once in a solver
+// session, and each candidate pays only for its own suffix and domain
+// overlay.
+//
+// The merge in joinPair intersects a b-domain with a's for a shared
+// name, which is what the session's SetDomain does, but OVERWRITES a's
+// domain of a symbol rawA writes into a field b bounds (b's bound for
+// the field replaces a's for the symbol). Those domains are withheld
+// from the prefix — installed there they could only be intersected,
+// never replaced — and every fork installs them itself through the
+// overlay (see feasible). Names under the fold's namespace bns are
+// withheld too: a b-local renamed onto one would overwrite it. In a
+// chain fold no a-side name carries the deeper prefix, but composing a
+// composite again with the same bns can produce one.
+func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string) *joinPrefix {
+	jp := &joinPrefix{jf: jf, aLen: len(pa.Constraints)}
+	if jf.eng == nil {
+		return jp
 	}
+	overwritten := func(name string) bool {
+		if strings.HasPrefix(name, bns) {
+			return true
+		}
+		for _, w := range rawA.PktWrites {
+			if sym, ok := w.Val.(symb.Sym); ok && sym.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	install := pa.Domains
+	for n, d := range pa.Domains {
+		if overwritten(n) {
+			if jp.held == nil {
+				jp.held = make(map[string]symb.Domain)
+			}
+			jp.held[n] = d
+		}
+	}
+	if jp.held != nil {
+		install = make(map[string]symb.Domain, len(pa.Domains)-len(jp.held))
+		for n, d := range pa.Domains {
+			if _, held := jp.held[n]; !held {
+				install[n] = d
+			}
+		}
+	}
+	// Domains go in before the constraints, as in a fresh solve
+	// (symb.prepare): interval propagation of an order cycle such as
+	// x < y ∧ y <= x narrows by one value per round, so it must not run
+	// over full 64-bit domains a bound would have cut short.
+	s := jf.eng.NewSession()
+	s.SetDomains(install)
+	s.AssertAll(pa.Constraints)
+	jp.sess = s
 	return jp
 }
 
 // joinPrefix is a prepared a-side constraint prefix. feasible() calls
 // must pass constraint slices whose first aLen entries are exactly the
-// prefix this joinPrefix was built from.
+// prefix this joinPrefix was built from, and a merged domain map that
+// holds every a-domain the prefix withheld (held).
 type joinPrefix struct {
 	jf   *joinFeas
 	aLen int
 	sess *symb.Session
+	held map[string]symb.Domain
 }
 
 // extend returns a joinPrefix whose prefix is this one's plus extra,
 // sharing the parent's prepared solver state (DAG composition narrows
 // one root path to several output ports this way).
 func (jp *joinPrefix) extend(extra ...symb.Expr) *joinPrefix {
-	child := &joinPrefix{jf: jp.jf, aLen: jp.aLen + len(extra)}
+	child := &joinPrefix{jf: jp.jf, aLen: jp.aLen + len(extra), held: jp.held}
 	if jp.sess != nil {
 		s := jp.sess.Fork()
 		s.AssertAll(extra)
@@ -132,11 +176,19 @@ func (jp *joinPrefix) extend(extra ...symb.Expr) *joinPrefix {
 }
 
 // feasible reports whether a joined constraint set might be satisfiable.
-// The static pre-filter runs first in every mode — it only rejects sets
-// both solver engines would also refute, so the kept-pair set (and hence
-// the composite contract) is identical across incremental and reference
-// feasibility.
-func (jp *joinPrefix) feasible(ctx context.Context, constraints []symb.Expr, domains map[string]symb.Domain) bool {
+// domains is the full merged map; touched names the entries the b-side
+// wrote into it (nil when there is no b-side). The static pre-filter
+// runs first in every mode — it only rejects sets both solver engines
+// would also refute, so the kept-pair set (and hence the composite
+// contract) is identical across incremental and reference feasibility.
+// The reference engine solves over the full map; the session fork
+// asserts the b-side suffix and then applies only the overlay the
+// prefix lacks: the held a-domains plus the touched entries, each with
+// its merged value. Every other merged entry is either a's domain,
+// already in the prefix, or the intersection of a's and b's, which
+// intersecting into the prefix reproduces — so the fork's propagation
+// fixpoint, and with it the verdict, is the fresh solve's.
+func (jp *joinPrefix) feasible(ctx context.Context, constraints []symb.Expr, domains map[string]symb.Domain, touched []string) bool {
 	if joinObviouslyInfeasible(constraints, domains) {
 		jp.jf.prefiltered.Add(1)
 		return false
@@ -145,9 +197,16 @@ func (jp *joinPrefix) feasible(ctx context.Context, constraints []symb.Expr, dom
 	if jp.sess == nil {
 		ok = jp.jf.sv.FeasibleContext(ctx, constraints, domains)
 	} else {
+		overlay := make(map[string]symb.Domain, len(jp.held)+len(touched))
+		for n := range jp.held {
+			overlay[n] = domains[n]
+		}
+		for _, n := range touched {
+			overlay[n] = domains[n]
+		}
 		child := jp.sess.Fork()
 		child.AssertAll(constraints[jp.aLen:])
-		child.SetDomains(domains)
+		child.SetDomains(overlay)
 		ok = child.FeasibleContext(ctx, jp.jf.sv)
 	}
 	if !ok {
@@ -230,103 +289,124 @@ func singleSymOf(e symb.Expr) (string, bool) {
 
 // joinPair attempts to join a forwarding path of a with a path of b,
 // checking the conjoined constraint set against jp (which must have been
-// prepared from pa.Constraints). bns is the namespace prefix for b's
-// local symbols — "b." for a pairwise join, one more "b." per fold
+// prepared from pa and rawA under bns). bns is the namespace prefix for
+// b's local symbols — "b." for a pairwise join, one more "b." per fold
 // level in a chain, so every stage's variables stay distinct in the
 // composite (stage 3's "x" must not collide with stage 2's "b.x").
-// bm carries the b-path's precomputed symbol set (see buildJoinIndex);
-// the same join against many a-paths reuses it instead of re-walking
-// b's constraints per pair. The returned path carries ID 0; the caller
-// assigns IDs during assembly.
+// bm is the b-path's per-fold metadata (see buildJoinIndex), built
+// under the same bns: everything that depends on b alone — the renamed
+// constraints, costs, shared-MA and PCV ranges — is computed there once,
+// and this function does only what depends on a as well. The returned
+// path carries ID 0; the caller assigns IDs during assembly.
 func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathContract, rawB *nfir.Path, jp *joinPrefix, bns string, bm *bPathMeta) (*PathContract, bool) {
-	// Build b's symbol substitution: packet fields written by a map to
-	// a's output expressions; unwritten fields stay shared with a's
-	// input; everything else is namespaced.
-	subst := make(map[string]symb.Expr)
-	rename := func(s string) string { return bns + s }
-	for _, s := range bm.syms {
-		if off, size, isField := nfir.ParseFieldSym(s); isField {
-			if w, written := rawA.PktWrites[off]; written {
-				if w.Size == size {
-					subst[s] = w.Val
-				} else {
-					// Overlapping mixed-size rewrite: sound fallback is
-					// an unconstrained fresh symbol.
-					subst[s] = symb.S(rename(s))
-				}
-			}
-			// Unwritten field: shared input symbol, no substitution.
+	// b's symbol substitution: packet fields written by a map to a's
+	// output expressions; unwritten fields stay shared with a's input;
+	// b-locals are namespaced (bm.renames). Only the first part depends
+	// on a, so the full map is built only when a wrote a field b reads.
+	var subst map[string]symb.Expr
+	for _, f := range bm.fields {
+		w, written := rawA.PktWrites[f.key.off]
+		if !written {
 			continue
 		}
-		if s == nfir.SymNow || s == nfir.SymPktLen {
-			continue // same packet, same instant: shared
+		if subst == nil {
+			subst = make(map[string]symb.Expr, len(bm.renames)+len(bm.fields))
+			maps.Copy(subst, bm.renames)
 		}
-		subst[s] = symb.S(rename(s))
-	}
-
-	constraints := append([]symb.Expr(nil), pa.Constraints...)
-	for _, c := range pb.Constraints {
-		constraints = append(constraints, symb.Substitute(c, subst))
-	}
-	domains := make(map[string]symb.Domain, len(pa.Domains)+len(pb.Domains))
-	for s, d := range pa.Domains {
-		domains[s] = d
-	}
-	for s, d := range pb.Domains {
-		if r, ok := subst[s]; ok {
-			if sym, isSym := r.(symb.Sym); isSym {
-				domains[sym.Name] = d
-			}
-			// Substituted to a non-symbol expression: the domain is
-			// implied by a's constraints.
-			continue
-		}
-		if old, ok := domains[s]; ok {
-			// Shared symbol: intersect conservatively.
-			if d.Lo > old.Lo {
-				old.Lo = d.Lo
-			}
-			if d.Hi < old.Hi {
-				old.Hi = d.Hi
-			}
-			domains[s] = old
+		if w.Size == f.key.size {
+			subst[f.name] = w.Val
 		} else {
-			domains[s] = d
+			// Overlapping mixed-size rewrite: sound fallback is an
+			// unconstrained fresh symbol.
+			subst[f.name] = symb.S(bns + f.name)
 		}
 	}
 
-	if !jp.feasible(ctx, constraints, domains) {
+	constraints := make([]symb.Expr, len(pa.Constraints), len(pa.Constraints)+len(bm.cons))
+	copy(constraints, pa.Constraints)
+	for i, c := range bm.cons {
+		if subst != nil && mentionsWritten(bm.consOffs[i], rawA) {
+			c = symb.Substitute(pb.Constraints[i], subst)
+		}
+		constraints = append(constraints, c)
+	}
+
+	domains := make(map[string]symb.Domain, len(pa.Domains)+len(bm.doms))
+	maps.Copy(domains, pa.Domains)
+	var touchedBuf [8]string
+	touched := touchedBuf[:0]
+	for _, bd := range bm.doms {
+		name, overwrite := bd.name, false
+		w, written := rawA.PktWrites[bd.key.off]
+		switch {
+		case bd.local:
+			name, overwrite = bd.renamed, true
+		case !bd.field || !written:
+			// now, pkt_len or an unwritten field: shared with a.
+		case w.Size != bd.key.size:
+			// Mixed-size rewrite: the field became a fresh b symbol.
+			name, overwrite = bd.renamed, true
+		default:
+			sym, isSym := w.Val.(symb.Sym)
+			if !isSym {
+				// Substituted to a non-symbol expression: the domain is
+				// implied by a's constraints.
+				continue
+			}
+			name, overwrite = sym.Name, true
+		}
+		d := bd.d
+		if old, ok := domains[name]; ok && !overwrite {
+			// Shared symbol: intersect conservatively.
+			if d.Lo < old.Lo {
+				d.Lo = old.Lo
+			}
+			if d.Hi > old.Hi {
+				d.Hi = old.Hi
+			}
+		}
+		domains[name] = d
+		touched = append(touched, name)
+	}
+
+	if !jp.feasible(ctx, constraints, domains, touched) {
 		return nil, false
 	}
 
 	cost := make(map[perf.Metric]expr.Poly, perf.NumMetrics)
-	ranges := make(map[string]expr.Range, len(pa.PCVRanges)+len(pb.PCVRanges))
-	for v, r := range pa.PCVRanges {
-		ranges[v] = r
-	}
-	for v, r := range pb.PCVRanges {
-		ranges[bns+v] = r
-	}
 	for _, m := range perf.Metrics {
-		cost[m] = pa.Cost[m].Add(pb.Cost[m].RenameVars(func(v string) string { return bns + v }))
+		cost[m] = pa.Cost[m].Add(bm.cost[m])
 	}
-	// Shared-MA composes exactly like cost: both stages run on the same
-	// shard (the chain is dispatched once), so their shared accesses add.
-	// EffectiveSharedMA keeps the composition conservative when either
-	// side predates the sharability analysis.
-	sharedMA := pa.EffectiveSharedMA().Add(
-		pb.EffectiveSharedMA().RenameVars(func(v string) string { return bns + v }))
+	ranges := make(map[string]expr.Range, len(pa.PCVRanges)+len(bm.ranges))
+	maps.Copy(ranges, pa.PCVRanges)
+	maps.Copy(ranges, bm.ranges)
 
 	return &PathContract{
-		Action:        pb.Action,
-		Constraints:   constraints,
-		Domains:       domains,
-		Events:        joinEvents(pa.Events, pb.Events),
-		Cost:          cost,
-		PCVRanges:     ranges,
-		SharedMA:      sharedMA,
+		Action:      pb.Action,
+		Constraints: constraints,
+		Domains:     domains,
+		Events:      joinEvents(pa.Events, pb.Events),
+		Cost:        cost,
+		PCVRanges:   ranges,
+		// Shared-MA composes exactly like cost: both stages run on the
+		// same shard (the chain is dispatched once), so their shared
+		// accesses add. EffectiveSharedMA keeps the composition
+		// conservative when either side predates the sharability
+		// analysis.
+		SharedMA:      pa.EffectiveSharedMA().Add(bm.sharedMA),
 		ShardAnalysed: true,
 	}, true
+}
+
+// mentionsWritten reports whether any of a conjunct's field offsets is
+// one rawA writes.
+func mentionsWritten(offs []uint64, rawA *nfir.Path) bool {
+	for _, off := range offs {
+		if _, ok := rawA.PktWrites[off]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 func prefixEvents(prefix, events string) string {
@@ -423,7 +503,7 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 	}
 
 	jf := g.composeFeasibility()
-	ix := buildJoinIndex(bCt, g.NoJoinIndex)
+	ix := buildJoinIndex(bCt, bns)
 	var indexSkipped atomic.Uint64
 	type slot struct {
 		pcs  []*PathContract
@@ -439,7 +519,7 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 			slots[i] = slot{pcs: []*PathContract{&cp}, raws: []*nfir.Path{rawA}}
 			return nil
 		}
-		jp := jf.prefix(pa.Constraints)
+		jp := jf.prefix(pa, rawA, bns)
 		aw := buildAJoinInfo(pa, rawA)
 		cands, partPruned := ix.candidates(aw)
 		if partPruned > 0 {

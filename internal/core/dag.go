@@ -76,7 +76,7 @@ func ComposeDAGContext(ctx context.Context, g *Generator, root ChainStage, succe
 		if err != nil {
 			return fmt.Errorf("core: successor on port %d: %w", ports[i], err)
 		}
-		succs[i] = succ{port: ports[i], ct: ct, paths: paths, ix: buildJoinIndex(ct, g.NoJoinIndex)}
+		succs[i] = succ{port: ports[i], ct: ct, paths: paths, ix: buildJoinIndex(ct, "b.")}
 		return nil
 	})
 	if err != nil {
@@ -95,7 +95,7 @@ func ComposeDAGContext(ctx context.Context, g *Generator, root ChainStage, succe
 			slots[i] = []*PathContract{&cp}
 			return nil
 		}
-		jp := jf.prefix(pa.Constraints)
+		jp := jf.prefix(pa, rawA, "b.")
 		aw := buildAJoinInfo(pa, rawA)
 		var sl []*PathContract
 
@@ -104,7 +104,7 @@ func ComposeDAGContext(ctx context.Context, g *Generator, root ChainStage, succe
 		for _, s := range succs {
 			egress = append(egress, symb.B(symb.Ne, rawA.Port, symb.C(s.port)))
 		}
-		if jp.feasible(ctx, egress, pa.Domains) {
+		if jp.feasible(ctx, egress, pa.Domains, nil) {
 			cp := *pa
 			cp.Constraints = egress
 			cp.Events = prefixEvents("a.", pa.Events) + " | egress"
@@ -120,7 +120,7 @@ func ComposeDAGContext(ctx context.Context, g *Generator, root ChainStage, succe
 			portEq := symb.B(symb.Eq, rawA.Port, symb.C(s.port))
 			narrowed := *pa
 			narrowed.Constraints = append(append([]symb.Expr(nil), pa.Constraints...), portEq)
-			if !jp.feasible(ctx, narrowed.Constraints, narrowed.Domains) {
+			if !jp.feasible(ctx, narrowed.Constraints, narrowed.Domains, nil) {
 				continue
 			}
 			np := jp.extend(portEq)

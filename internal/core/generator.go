@@ -53,15 +53,6 @@ type Generator struct {
 	// SkipReplay disables the witness-replay validation step (it is on
 	// by default because it is BOLT's own consistency check).
 	SkipReplay bool
-	// NoJoinIndex disables guard-partitioned join pruning during chain
-	// composition: every a×b path pair goes through the pre-filter and
-	// solver instead of the b-side guard index skipping provably
-	// incompatible candidates up front. The composite is byte-identical
-	// either way — the index only drops pairs the pre-filter or solver
-	// propagation refutes unconditionally (see joinindex.go) — so the
-	// knob exists for the chainbench serial-vs-indexed ablation and is
-	// deliberately absent from cache keys.
-	NoJoinIndex bool
 	// Coalesce merges composite paths that differ only in dead upstream
 	// branches between fold levels, taking the conservative max of their
 	// cost expressions (see coalesce.go). Bounds can only grow, never

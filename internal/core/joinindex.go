@@ -3,7 +3,9 @@ package core
 import (
 	"sort"
 
+	"gobolt/internal/expr"
 	"gobolt/internal/nfir"
+	"gobolt/internal/perf"
 	"gobolt/internal/symb"
 )
 
@@ -78,17 +80,60 @@ type fieldPin struct {
 	notFree  []symb.Expr
 }
 
-// bPathMeta is the per-b-path state shared by every join against that
-// path: the symbol set joinPair substitutes over (previously recomputed
-// per pair) and the path's field pins.
+// bPathMeta is the per-b-path state every join against that path
+// shares. All of it depends only on the b-path and the fold's namespace
+// prefix, so buildJoinIndex computes it once per fold and joinPair pays
+// per pair only for what also depends on the a-path: the substitution
+// entries of fields a wrote, the domain merge, and the cost sums.
 type bPathMeta struct {
-	syms []string
+	// fields are b's packet-field symbols with their parsed keys, in
+	// sorted order; whether a wrote each one is decided per pair.
+	fields []bField
+	// renames is the a-independent part of b's substitution: every
+	// b-local symbol to its namespaced name. Packet fields, now and
+	// pkt_len are shared with a and have no entry.
+	renames map[string]symb.Expr
+	// cons is pb.Constraints substituted through renames alone — the
+	// exact joined form of every conjunct that mentions no field a
+	// wrote. consOffs lists, per conjunct, the offsets of the fields it
+	// mentions (nil when it mentions none).
+	cons     []symb.Expr
+	consOffs [][]uint64
+	// doms is b's declared domains, classified for the merge, in sorted
+	// name order.
+	doms []bDom
+	// cost, sharedMA and ranges are b's per-metric cost, effective
+	// shared-MA and PCV ranges with every PCV renamed into the fold's
+	// namespace.
+	cost     map[perf.Metric]expr.Poly
+	sharedMA expr.Poly
+	ranges   map[string]expr.Range
+
 	pins map[fieldKey]*fieldPin
 	// eqConst records fields pinned by a direct (field == k) conjunct;
 	// only those participate in equality partitions, because a bare
 	// singleton declared domain is dropped (not contradicted) when the
 	// field is substituted with a constant.
 	eqConst map[fieldKey]uint64
+}
+
+// bField is one packet-field symbol of a b-path.
+type bField struct {
+	name string
+	key  fieldKey
+}
+
+// bDom is one declared domain of a b-path. A b-local symbol's domain
+// lands on its namespaced name (renamed); a field's depends on whether
+// a wrote it, which joinPair decides per pair; now and pkt_len are
+// shared with a as they stand.
+type bDom struct {
+	name    string
+	d       symb.Domain
+	renamed string // bns+name: the target for b-locals and mixed-size rewrites
+	field   bool
+	key     fieldKey
+	local   bool
 }
 
 // fieldPartition is the equality index for one guarded field: b-paths
@@ -102,13 +147,10 @@ type fieldPartition struct {
 }
 
 // joinIndex is the prepared b-side of one fold: per-path metadata plus
-// the per-field equality partitions. disabled turns pruning off (the
-// NoJoinIndex ablation) while keeping the precomputed symbol sets, so
-// the ablation isolates the pruning lever itself.
+// the per-field equality partitions.
 type joinIndex struct {
-	metas    []bPathMeta
-	parts    map[fieldKey]*fieldPartition
-	disabled bool
+	metas []bPathMeta
+	parts map[fieldKey]*fieldPartition
 }
 
 // flipCmp mirrors a comparison so the symbol lands on the left; ok is
@@ -318,38 +360,13 @@ func computePins(cons []symb.Expr, doms map[string]symb.Domain) map[fieldKey]*fi
 	return pins
 }
 
-// buildJoinIndex prepares the b-side of a fold: symbol sets, field
+// buildJoinIndex prepares the b-side of a fold whose b-locals are
+// namespaced with bns: per-path join metadata (see bPathMeta), field
 // pins, and the per-field equality partitions.
-func buildJoinIndex(bCt *Contract, disabled bool) *joinIndex {
-	ix := &joinIndex{metas: make([]bPathMeta, len(bCt.Paths)), disabled: disabled}
+func buildJoinIndex(bCt *Contract, bns string) *joinIndex {
+	ix := &joinIndex{metas: make([]bPathMeta, len(bCt.Paths))}
 	for j, pb := range bCt.Paths {
-		symSet := make(map[string]bool)
-		for _, s := range symb.Symbols(pb.Constraints...) {
-			symSet[s] = true
-		}
-		for s := range pb.Domains {
-			symSet[s] = true
-		}
-		syms := make([]string, 0, len(symSet))
-		for s := range symSet {
-			syms = append(syms, s)
-		}
-		sort.Strings(syms)
-		m := bPathMeta{syms: syms, pins: computePins(pb.Constraints, pb.Domains)}
-		for _, c := range pb.Constraints {
-			if name, op, k, ok := symConstCmp(c); ok && op == symb.Eq {
-				if off, size, isField := nfir.ParseFieldSym(name); isField {
-					if m.eqConst == nil {
-						m.eqConst = make(map[fieldKey]uint64)
-					}
-					m.eqConst[fieldKey{off: off, size: size}] = k
-				}
-			}
-		}
-		ix.metas[j] = m
-	}
-	if disabled {
-		return ix
+		ix.metas[j] = buildBPathMeta(pb, bns)
 	}
 	// Partition by every field that at least one b-path equality-pins.
 	ix.parts = make(map[fieldKey]*fieldPartition)
@@ -370,6 +387,72 @@ func buildJoinIndex(bCt *Contract, disabled bool) *joinIndex {
 		}
 	}
 	return ix
+}
+
+func buildBPathMeta(pb *PathContract, bns string) bPathMeta {
+	m := bPathMeta{
+		renames:  make(map[string]symb.Expr),
+		cons:     make([]symb.Expr, len(pb.Constraints)),
+		consOffs: make([][]uint64, len(pb.Constraints)),
+		cost:     make(map[perf.Metric]expr.Poly, perf.NumMetrics),
+		ranges:   make(map[string]expr.Range, len(pb.PCVRanges)),
+		pins:     computePins(pb.Constraints, pb.Domains),
+	}
+	rename := func(v string) string { return bns + v }
+	fieldOf := func(s string) (fieldKey, bool) {
+		off, size, ok := nfir.ParseFieldSym(s)
+		return fieldKey{off: off, size: size}, ok
+	}
+	syms := symb.Symbols(pb.Constraints...)
+	for s := range pb.Domains {
+		syms = append(syms, s)
+	}
+	sort.Strings(syms)
+	for i, s := range syms {
+		if i > 0 && syms[i-1] == s {
+			continue
+		}
+		if f, isField := fieldOf(s); isField {
+			m.fields = append(m.fields, bField{name: s, key: f})
+		} else if s != nfir.SymNow && s != nfir.SymPktLen {
+			m.renames[s] = symb.S(rename(s))
+		}
+	}
+	for i, c := range pb.Constraints {
+		m.cons[i] = symb.Substitute(c, m.renames)
+		for _, s := range symb.Symbols(c) {
+			if f, isField := fieldOf(s); isField {
+				m.consOffs[i] = append(m.consOffs[i], f.off)
+			}
+		}
+		if name, op, k, ok := symConstCmp(c); ok && op == symb.Eq {
+			if f, isField := fieldOf(name); isField {
+				if m.eqConst == nil {
+					m.eqConst = make(map[fieldKey]uint64)
+				}
+				m.eqConst[f] = k
+			}
+		}
+	}
+	names := make([]string, 0, len(pb.Domains))
+	for s := range pb.Domains {
+		names = append(names, s)
+	}
+	sort.Strings(names)
+	for _, s := range names {
+		bd := bDom{name: s, d: pb.Domains[s], renamed: rename(s)}
+		bd.key, bd.field = fieldOf(s)
+		_, bd.local = m.renames[s]
+		m.doms = append(m.doms, bd)
+	}
+	for _, mt := range perf.Metrics {
+		m.cost[mt] = pb.Cost[mt].RenameVars(rename)
+	}
+	m.sharedMA = pb.EffectiveSharedMA().RenameVars(rename)
+	for v, r := range pb.PCVRanges {
+		m.ranges[rename(v)] = r
+	}
+	return m
 }
 
 // aJoinInfo classifies one a-path for the skip test: constant-valued
@@ -438,9 +521,6 @@ func intersectDom(a, b symb.Domain) symb.Domain {
 // can be pruned without a solver fork: some field pin of j is provably
 // refuted against the a-path's output state for that field.
 func (ix *joinIndex) skip(aw aJoinInfo, pa *PathContract, j int) bool {
-	if ix.disabled {
-		return false
-	}
 	for f, bpin := range ix.metas[j].pins {
 		if aw.writtenOff[f.off] {
 			if c, ok := aw.consts[f]; ok {
@@ -513,7 +593,7 @@ func (ix *joinIndex) skip(aw aJoinInfo, pa *PathContract, j int) bool {
 // partition alone. A nil list means "no applicable partition: consider
 // every b-path" (the per-pair skip test still applies).
 func (ix *joinIndex) candidates(aw aJoinInfo) ([]int, int) {
-	if ix.disabled || len(ix.parts) == 0 {
+	if len(ix.parts) == 0 {
 		return nil, 0
 	}
 	var best []int

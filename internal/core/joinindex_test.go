@@ -125,7 +125,7 @@ func FuzzJoinIndex(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 2, 1, 1, 1, 0, 0, 0, 0, 3, 1, 2, 2, 0, 1, 0, 4, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pa, rawA, bCt, bRaws := fuzzJoinChain(data)
-		ix := buildJoinIndex(bCt, false)
+		ix := buildJoinIndex(bCt, "b.")
 		aw := buildAJoinInfo(pa, rawA)
 		cands, _ := ix.candidates(aw)
 		inCands := make(map[int]bool)
@@ -144,7 +144,7 @@ func FuzzJoinIndex(f *testing.F) {
 				continue
 			}
 			for e, jf := range engines {
-				jp := jf.prefix(pa.Constraints)
+				jp := jf.prefix(pa, rawA, "b.")
 				if _, ok := joinPair(ctx, pa, rawA, pb, bRaws[j], jp, "b.", &ix.metas[j]); ok {
 					t.Fatalf("index pruned pair (a, b%d) but engine %d keeps it\na: %v dom %v writes %v\nb: %v dom %v",
 						j, e, pa.Constraints, pa.Domains, rawA.PktWrites, pb.Constraints, pb.Domains)
@@ -202,7 +202,7 @@ func TestJoinIndexSkipCases(t *testing.T) {
 	const f = "pkt_10_1"
 	mkB := func(cons []symb.Expr, doms map[string]symb.Domain) (*Contract, *joinIndex) {
 		ct := &Contract{Paths: []*PathContract{{Action: nfir.ActionForward, Constraints: cons, Domains: doms}}}
-		return ct, buildJoinIndex(ct, false)
+		return ct, buildJoinIndex(ct, "b.")
 	}
 	mkA := func(writes map[uint64]nfir.PktWrite, cons []symb.Expr, doms map[string]symb.Domain) (*PathContract, aJoinInfo) {
 		pa := &PathContract{Action: nfir.ActionForward, Constraints: cons, Domains: doms}
@@ -275,7 +275,7 @@ func TestJoinIndexCandidates(t *testing.T) {
 		{Action: nfir.ActionForward, Constraints: []symb.Expr{symb.B(symb.Eq, symb.S(f), symb.C(2054))}},
 		{Action: nfir.ActionForward},
 	}}
-	ix := buildJoinIndex(ct, false)
+	ix := buildJoinIndex(ct, "b.")
 
 	// a writes 2048 to the field: candidates are the ==2048 bucket plus
 	// the rest, in ascending order.
@@ -303,15 +303,101 @@ func TestJoinIndexCandidates(t *testing.T) {
 	if cands, _ = ix.candidates(aw); cands != nil {
 		t.Fatalf("unpinned candidates = %v, want nil (consider all)", cands)
 	}
+}
 
-	// Disabled index prunes nothing.
-	ixOff := buildJoinIndex(ct, true)
-	aw = buildAJoinInfo(&PathContract{Action: nfir.ActionForward},
-		&nfir.Path{PktWrites: map[uint64]nfir.PktWrite{12: {Size: 2, Val: symb.C(2048)}}, Action: nfir.ActionForward})
-	if cands, _ = ixOff.candidates(aw); cands != nil {
-		t.Fatal("disabled index must consider all candidates")
-	}
-	if ixOff.skip(aw, &PathContract{Action: nfir.ActionForward}, 1) {
-		t.Fatal("disabled index must not skip")
-	}
+// FuzzJoinHoistedPrefix pins the hoisted a-side prefix against the
+// reference engine on the shapes where hoisting a's domains into it
+// could go wrong: a writes a symbol it also bounds (the prefix withholds
+// that domain, and b's bound for the written field overwrites it), and
+// a shared unwritten field both sides bound (the merge intersects).
+// One prefix per a-path serves every b-path, as in composePrepared;
+// joinPair through it must keep exactly the pairs a fresh reference
+// solve over the full merged map keeps.
+func FuzzJoinHoistedPrefix(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 4, 1, 2, 0, 5, 1, 1, 0, 2, 3, 2, 0, 7, 1, 0, 4, 2, 6, 1})
+	f.Add([]byte{0, 7, 0, 3, 2, 1, 2, 4, 0, 0, 1, 3, 1, 5, 0, 2, 2, 3, 0, 6, 1, 4, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pos := 0
+		next := func() uint64 {
+			if pos >= len(data) {
+				return 0
+			}
+			pos++
+			return uint64(data[pos-1])
+		}
+		const (
+			shared  = "pkt_10_1" // unwritten, bounded by both sides
+			written = "pkt_12_2" // a writes s here
+		)
+		ops := []symb.Op{symb.Eq, symb.Ne, symb.Ult, symb.Ule, symb.Ugt, symb.Uge}
+		guard := func(sym string) symb.Expr {
+			op, k := ops[next()%6], symb.C(next()%24)
+			switch next() % 4 {
+			case 0:
+				return symb.B(op, symb.S(sym), k)
+			case 1:
+				return symb.B(op, k, symb.S(sym))
+			case 2:
+				return symb.B(op, symb.B(symb.And, symb.S(sym), symb.C(next()%16)), k)
+			default:
+				return symb.Not{X: symb.B(op, symb.S(sym), k)}
+			}
+		}
+		dom := func() symb.Domain {
+			lo := next() % 16
+			return symb.Domain{Lo: lo, Hi: lo + next()%24}
+		}
+
+		aDoms := map[string]symb.Domain{"s": dom(), shared: dom()}
+		var aCons []symb.Expr
+		for k, n := 0, int(next()%3); k < n; k++ {
+			aCons = append(aCons, guard([]string{"s", shared}[next()%2]))
+		}
+		if next()%3 == 0 {
+			aCons = append(aCons, symb.B(ops[next()%6], symb.S("s"), symb.S(shared)))
+		}
+		size := 2
+		if next()%5 == 0 {
+			size = 1 // mixed-size rewrite: b's field becomes a fresh b. symbol
+		}
+		pa := &PathContract{Action: nfir.ActionForward, Constraints: aCons, Domains: aDoms}
+		rawA := &nfir.Path{Action: nfir.ActionForward, Constraints: aCons, Domains: aDoms,
+			PktWrites: map[uint64]nfir.PktWrite{12: {Size: size, Val: symb.S("s")}}}
+
+		bCt := &Contract{NF: "b"}
+		var bRaws []*nfir.Path
+		for j, nb := 0, int(next()%3)+1; j < nb; j++ {
+			var cons []symb.Expr
+			for k, n := 0, int(next()%4); k < n; k++ {
+				cons = append(cons, guard([]string{shared, written, "t"}[next()%3]))
+			}
+			if next()%3 == 0 {
+				// At most one symbol-symbol order guard: two in opposite
+				// directions over unbounded symbols would make interval
+				// propagation step one value at a time in any engine.
+				cons = append(cons, symb.B(ops[next()%6], symb.S("t"), symb.S([]string{shared, written}[next()%2])))
+			}
+			doms := map[string]symb.Domain{shared: dom(), written: dom()}
+			if next()%2 == 0 {
+				doms["t"] = dom()
+			}
+			pb := &PathContract{ID: j, Action: nfir.ActionForward, Constraints: cons, Domains: doms}
+			bCt.Paths = append(bCt.Paths, pb)
+			bRaws = append(bRaws, &nfir.Path{ID: j, Constraints: cons, Domains: doms, Action: nfir.ActionForward})
+		}
+
+		ctx := context.Background()
+		ix := buildJoinIndex(bCt, "b.")
+		engines := joinEngines()
+		prefixes := []*joinPrefix{engines[0].prefix(pa, rawA, "b."), engines[1].prefix(pa, rawA, "b.")}
+		for j, pb := range bCt.Paths {
+			_, ref := joinPair(ctx, pa, rawA, pb, bRaws[j], prefixes[0], "b.", &ix.metas[j])
+			_, inc := joinPair(ctx, pa, rawA, pb, bRaws[j], prefixes[1], "b.", &ix.metas[j])
+			if ref != inc {
+				t.Fatalf("pair (a, b%d): reference keeps %v, hoisted prefix keeps %v\na: %v dom %v writes %v\nb: %v dom %v",
+					j, ref, inc, pa.Constraints, pa.Domains, rawA.PktWrites, pb.Constraints, pb.Domains)
+			}
+		}
+	})
 }

@@ -16,19 +16,19 @@ import (
 
 // ChainBenchRow is one chain length of the composition-engine ablation:
 // the same chain composed serially vs on the worker pool, with the
-// incremental join solver vs the reference engine, with the join index
-// vs exhaustive pairing, with composite coalescing on vs off, and cold
-// vs warm against a private contract cache. Composites are verified
-// identical across modes before any timing is recorded: exhaustive and
-// indexed pairing must keep byte-identical composites (and the same
-// per-fold kept-pair counts), and the coalesced composite must be
-// byte-identical between serial and pooled runs.
+// incremental join solver vs the reference engine, with composite
+// coalescing on vs off, and cold vs warm against a private contract
+// cache. Composites are verified identical across modes before any
+// timing is recorded: serial, pooled and reference-engine composites
+// must be byte-identical, and so must serial and pooled coalesced ones.
+// (That the join index keeps exactly the pairs exhaustive pairing keeps
+// is pinned in internal/core, by TestJoinIndexKeepsExhaustivePairs and
+// FuzzJoinIndex.)
 //
 // Chains longer than maxExhaustiveNFs are benchmarked only in the
-// pruned configuration (join index + coalescing): their exhaustive
-// uncoalesced composites are out of reach, which is exactly the point
-// of the pruning levers. Those rows set PrunedOnly and leave the
-// exhaustive columns zero.
+// pruned configuration (coalescing on): their uncoalesced composites
+// are out of reach, which is exactly the point of the pruning levers.
+// Those rows set PrunedOnly and leave the uncoalesced columns zero.
 //
 // Every timing covers the full ComposeMany call — stage generation plus
 // the pairwise joins — because that is the operation a caller pays for;
@@ -44,11 +44,8 @@ type ChainBenchRow struct {
 	Paths int `json:"paths"`
 	// PrunedOnly marks chains composed only with index + coalescing.
 	PrunedOnly bool `json:"pruned_only,omitempty"`
-	// NoIndexNS disables the join index (exhaustive pairing), serially;
-	// SerialNS is the same run with the index on. Both uncoalesced.
-	NoIndexNS    uint64  `json:"noindex_ns,omitempty"`
-	SerialNS     uint64  `json:"serial_ns,omitempty"`
-	IndexSpeedup float64 `json:"index_speedup,omitempty"`
+	// SerialNS composes the uncoalesced chain serially.
+	SerialNS uint64 `json:"serial_ns,omitempty"`
 	// ParallelNS runs the indexed composition on the worker pool.
 	ParallelNS      uint64  `json:"parallel_ns,omitempty"`
 	ParallelWorkers int     `json:"parallel_workers"`
@@ -93,8 +90,8 @@ type ChainBenchResult struct {
 	Rows     []ChainBenchRow `json:"rows"`
 }
 
-// maxExhaustiveNFs is the longest chain still benchmarked with
-// exhaustive pairing and no coalescing; longer chains run pruned-only.
+// maxExhaustiveNFs is the longest chain still benchmarked without
+// coalescing; longer chains run pruned-only.
 const maxExhaustiveNFs = 6
 
 // ChainBenchStages builds the benchmark roster — firewall → NAT →
@@ -143,14 +140,12 @@ func ChainBench(sc Scale) (ChainBenchResult, error) {
 	type mode struct {
 		parallelism int
 		noInc       bool
-		noIndex     bool
 		coalesce    bool
 	}
 	compose := func(n int, m mode, cache *core.ContractCache) (*core.Contract, []core.JoinStats, time.Duration, error) {
 		g := core.NewGenerator()
 		g.Parallelism = m.parallelism
 		g.NoIncremental = m.noInc
-		g.NoJoinIndex = m.noIndex
 		g.Coalesce = m.coalesce
 		g.Cache = cache
 		start := time.Now()
@@ -185,34 +180,15 @@ func ChainBench(sc Scale) (ChainBenchResult, error) {
 		coalMode := mode{parallelism: 1, coalesce: true}
 
 		if !pruned {
-			// Correctness gates for the uncoalesced composite: indexed
-			// pairing must keep exactly the pairs exhaustive pairing
-			// keeps (byte-identical composite, same per-fold kept
-			// counts), and pooled and reference-mode runs must agree.
-			serialCt, serialStats, _, err := compose(n, serialMode, nil)
+			// Correctness gate for the uncoalesced composite: pooled and
+			// reference-mode runs must agree with the serial one.
+			serialCt, _, _, err := compose(n, serialMode, nil)
 			if err != nil {
 				return res, fmt.Errorf("chainbench %s: %w", row.Stages, err)
 			}
 			want, err := marshal(serialCt)
 			if err != nil {
 				return res, err
-			}
-			noixCt, noixStats, _, err := compose(n, mode{parallelism: 1, noIndex: true}, nil)
-			if err != nil {
-				return res, fmt.Errorf("chainbench %s (noindex): %w", row.Stages, err)
-			}
-			got, err := marshal(noixCt)
-			if err != nil {
-				return res, err
-			}
-			if got != want {
-				return res, fmt.Errorf("chainbench %s: exhaustive composite differs from indexed", row.Stages)
-			}
-			for i := range serialStats {
-				if serialStats[i].Kept != noixStats[i].Kept {
-					return res, fmt.Errorf("chainbench %s fold %d: indexed pairing kept %d pairs, exhaustive kept %d",
-						row.Stages, serialStats[i].Fold, serialStats[i].Kept, noixStats[i].Kept)
-				}
 			}
 			for _, alt := range []struct {
 				label string
@@ -258,10 +234,6 @@ func ChainBench(sc Scale) (ChainBenchResult, error) {
 
 		// Ablation timings (no cache: every run pays generation + joins).
 		if !pruned {
-			noindex, _, err := minTime(n, mode{parallelism: 1, noIndex: true})
-			if err != nil {
-				return res, err
-			}
 			serial, _, err := minTime(n, serialMode)
 			if err != nil {
 				return res, err
@@ -274,12 +246,10 @@ func ChainBench(sc Scale) (ChainBenchResult, error) {
 			if err != nil {
 				return res, err
 			}
-			row.NoIndexNS = uint64(noindex.Nanoseconds())
 			row.SerialNS = uint64(serial.Nanoseconds())
 			row.ParallelNS = uint64(parallel.Nanoseconds())
 			row.ReferenceNS = uint64(reference.Nanoseconds())
 			if serial > 0 {
-				row.IndexSpeedup = float64(noindex) / float64(serial)
 				row.IncrementalSpeedup = float64(reference) / float64(serial)
 			}
 			if parallel > 0 {
@@ -389,10 +359,10 @@ func ChainBench(sc Scale) (ChainBenchResult, error) {
 func RenderChainBench(r ChainBenchResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chain composition ablations (roster %s; min of %d runs)\n", r.Workload, r.Runs)
-	fmt.Fprintf(&b, "%-4s %6s %12s %12s %7s %12s %7s %12s %7s %12s %7s %7s %12s %12s %8s %12s %8s\n",
-		"NFs", "paths", "noindex", "serial", "idx x", "parallel", "par x",
+	fmt.Fprintf(&b, "%-4s %6s %12s %12s %7s %12s %7s %12s %7s %7s %12s %12s %8s %12s %8s\n",
+		"NFs", "paths", "serial", "parallel", "par x",
 		"reference", "inc x", "coalesce", "paths", "co x", "cold", "warm", "warm x", "diskwarm", "disk x")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 170))
+	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 149))
 	rd := func(ns uint64) string {
 		if ns == 0 {
 			return "-"
@@ -410,8 +380,8 @@ func RenderChainBench(r ChainBenchResult) string {
 		if row.Paths > 0 {
 			paths = fmt.Sprintf("%d", row.Paths)
 		}
-		fmt.Fprintf(&b, "%-4d %6s %12s %12s %7s %12s %7s %12s %7s %12s %7d %7s %12s %12s %7.0fx %12s %7.0fx\n",
-			row.NFs, paths, rd(row.NoIndexNS), rd(row.SerialNS), rx(row.IndexSpeedup),
+		fmt.Fprintf(&b, "%-4d %6s %12s %12s %7s %12s %7s %12s %7d %7s %12s %12s %7.0fx %12s %7.0fx\n",
+			row.NFs, paths, rd(row.SerialNS),
 			rd(row.ParallelNS), rx(row.ParallelSpeedup),
 			rd(row.ReferenceNS), rx(row.IncrementalSpeedup),
 			rd(row.CoalesceNS), row.CoalescedPaths, rx(row.CoalesceSpeedup),

@@ -273,16 +273,31 @@ func (p Poly) IsMultilinear() bool {
 	return true
 }
 
-// Add returns p + q.
+// Add returns p + q. It builds the one result map and drops sums that
+// wrap to zero in place; a zero operand returns the other unchanged
+// (polynomials are immutable, so sharing its terms is safe).
 func (p Poly) Add(q Poly) Poly {
+	if len(q.terms) == 0 {
+		return p
+	}
+	if len(p.terms) == 0 {
+		return q
+	}
 	out := make(map[Mono]uint64, len(p.terms)+len(q.terms))
 	for m, c := range p.terms {
 		out[m] = c
 	}
 	for m, c := range q.terms {
-		out[m] += c
+		if s := out[m] + c; s != 0 {
+			out[m] = s
+		} else {
+			delete(out, m)
+		}
 	}
-	return FromTerms(out)
+	if len(out) == 0 {
+		return Poly{}
+	}
+	return Poly{terms: out}
 }
 
 // Scale returns k·p.

@@ -90,6 +90,27 @@ func TestPolyZero(t *testing.T) {
 	}
 }
 
+// Add drops a coefficient whose sum wraps to zero, and a zero operand
+// returns the other unchanged.
+func TestPolyAdd(t *testing.T) {
+	p := Term(^uint64(0), "x").Add(Const(3))
+	if got := p.Add(Term(1, "x")); got.String() != "3" {
+		t.Errorf("wrapping sum: got %s, want 3", got)
+	}
+	if got := Term(^uint64(0), "x").Add(Var("x")); !got.IsZero() {
+		t.Errorf("sum wrapping to zero everywhere: got %s, want 0", got)
+	}
+	if got := p.Add(Zero()); got.String() != p.String() {
+		t.Errorf("p + 0 = %s, want %s", got, p)
+	}
+	if got := Zero().Add(p); got.String() != p.String() {
+		t.Errorf("0 + p = %s, want %s", got, p)
+	}
+	if got := Var("x").Add(Term(2, "x", "y")).Add(Const(1)); got.String() != "x + 2·x·y + 1" {
+		t.Errorf("got %s", got)
+	}
+}
+
 func TestPolyMul(t *testing.T) {
 	// (e + 2)·(c + 3) = e·c + 3e + 2c + 6
 	p := Var("e").Add(Const(2))

@@ -2,6 +2,7 @@ package symb
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"testing"
 )
@@ -12,7 +13,9 @@ import (
 //  1. the compiled (postfix) evaluator agrees with the tree-walking
 //     Eval on every constraint under a random binding,
 //  2. an incremental Session built constraint-by-constraint reaches the
-//     same verdict and witness as a fresh Solver.SolveContext,
+//     same verdict and witness as a fresh Solver.SolveContext — also
+//     when its domains arrive after the constraints, or split between
+//     a parent session and a fork the way the chain join installs them,
 //  3. re-solving through a Fork (memo hit path) never flips a Sat/Unsat
 //     verdict, and
 //  4. the compiled engine agrees with the independent reference
@@ -26,6 +29,7 @@ func FuzzSolverEquivalence(f *testing.F) {
 	f.Add(int64(42), uint8(4))
 	f.Add(int64(-7877226890531368631), uint8(3)) // store-truncation regression seed
 	f.Add(int64(987654321), uint8(1))
+	f.Add(int64(330), uint8(',')) // b > a ∧ b <= a: the order cycle the universe bound keeps finite
 
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
 		r := rand.New(rand.NewSource(seed))
@@ -74,6 +78,54 @@ func FuzzSolverEquivalence(f *testing.F) {
 			for k, v := range freshM {
 				if sessM[k] != v {
 					t.Fatalf("witness diverged: session %v, fresh %v", sessM, freshM)
+				}
+			}
+		}
+
+		// (2b) The chain join's call orders reach the same verdict and
+		// witness: "late" asserts every constraint before any real domain
+		// and installs them all in one SetDomains after; "split" is the
+		// join's own order — a parent session with some domains and the
+		// first constraints, a fork that asserts the rest and then
+		// receives the remaining domains. Every session is first bounded
+		// by a coarse universe that contains every domain above: interval
+		// propagation of an order cycle (b > a ∧ b <= a) narrows one value
+		// per round, so over full 64-bit domains it would not finish in
+		// either engine, and a fresh solve never runs it there.
+		universe := Domain{Lo: 0, Hi: 255}
+		bounded := map[string]Domain{"a": universe, "b": universe}
+		late := NewIncremental().NewSession()
+		late.SetDomains(bounded)
+		late.AssertAll(cs)
+		late.SetDomains(dom)
+		parentDom, forkDom := maps.Clone(bounded), map[string]Domain{}
+		for name, d := range dom {
+			if r.Intn(2) == 0 {
+				parentDom[name] = d
+			} else {
+				forkDom[name] = d
+			}
+		}
+		k := r.Intn(len(cs) + 1)
+		parent := NewIncremental().NewSession()
+		parent.SetDomains(parentDom)
+		parent.AssertAll(cs[:k])
+		split := parent.Fork()
+		split.AssertAll(cs[k:])
+		split.SetDomains(forkDom)
+		for _, v := range []struct {
+			label string
+			s     *Session
+		}{{"domains-after", late}, {"split", split}} {
+			m, res := v.s.SolveContext(ctx, &sv)
+			if res != freshR {
+				t.Fatalf("%s session verdict %v, fresh %v for %s", v.label, res, freshR, ConjString(cs))
+			}
+			if freshR == Sat {
+				for k, want := range freshM {
+					if m[k] != want {
+						t.Fatalf("%s witness diverged: session %v, fresh %v", v.label, m, freshM)
+					}
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package symb
 import (
 	"context"
 	"maps"
-	"sort"
 	"sync"
 )
 
@@ -172,23 +171,15 @@ func (s *Session) SetDomain(name string, d Domain) {
 	s.prep.setDomain(name, d)
 }
 
-// SetDomains applies every binding of the map through SetDomain, in
-// sorted-name order so session construction is deterministic regardless
-// of map iteration. The verdict does not depend on the order (domain
-// propagation is confluent), but determinism is cheap insurance, as in
-// prepare. No-op on a nil session.
+// SetDomains intersects every binding of the map like SetDomain, then
+// propagates once, seeded by every slot that narrowed — the same
+// fixpoint as one SetDomain per name (domain propagation is confluent)
+// at the cost of one worklist pass. No-op on a nil session.
 func (s *Session) SetDomains(domains map[string]Domain) {
 	if s == nil || len(domains) == 0 {
 		return
 	}
-	names := make([]string, 0, len(domains))
-	for n := range domains {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s.prep.setDomain(n, domains[n])
-	}
+	s.prep.setDomains(domains)
 }
 
 // Known reports a verdict derivable without searching: Unsat when

@@ -107,18 +107,9 @@ func prepare(constraints []Expr, domains map[string]Domain) *prepared {
 			}
 		}
 	}
-	// Sorted order keeps slot numbering deterministic; the verdict does
-	// not depend on it, but determinism is cheap insurance.
-	domNames := make([]string, 0, len(domains))
-	for n := range domains {
-		domNames = append(domNames, n)
-	}
-	sort.Strings(domNames)
-	for _, n := range domNames {
-		p.setDomain(n, domains[n])
-		if p.unsat {
-			return p
-		}
+	p.setDomains(domains)
+	if p.unsat {
+		return p
 	}
 	for _, c := range flat {
 		p.addConstraint(c)
@@ -204,20 +195,52 @@ func (p *prepared) slot(name string) int32 {
 // Exploration sets each symbol's domain exactly once, which makes this
 // coincide with the legacy map semantics.
 func (p *prepared) setDomain(name string, d Domain) {
+	if s, changed := p.narrow(name, d); changed {
+		p.propagate(nil, []int32{s})
+	}
+}
+
+// setDomains intersects every binding of the map, then runs one
+// propagation seeded by all the slots that narrowed. Propagation is
+// confluent, so this reaches the fixpoint one propagate per name would.
+// Names are applied in sorted order so slot numbering is deterministic
+// regardless of map iteration; the verdict does not depend on it, but
+// determinism is cheap insurance.
+func (p *prepared) setDomains(domains map[string]Domain) {
+	names := make([]string, 0, len(domains))
+	for n := range domains {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var seeds []int32
+	for _, n := range names {
+		if s, changed := p.narrow(n, domains[n]); changed {
+			seeds = append(seeds, s)
+		}
+	}
+	if len(seeds) > 0 {
+		p.propagate(nil, seeds)
+	}
+}
+
+// narrow intersects the domain of name's representative with d without
+// propagating, reporting the slot and whether its domain changed.
+func (p *prepared) narrow(name string, d Domain) (int32, bool) {
 	if p.unsat {
-		return
+		return 0, false
 	}
 	p.addName(name)
 	s := p.slot(p.uf.find(name))
 	nd, ok := p.dom[s].intersect(d)
 	if !ok {
 		p.unsat = true
-		return
+		return s, false
 	}
-	if nd != p.dom[s] {
-		p.dom[s] = nd
-		p.propagate(nil, []int32{s})
+	if nd == p.dom[s] {
+		return s, false
 	}
+	p.dom[s] = nd
+	return s, true
 }
 
 // assert adds one constraint (flattening conjunctions) and propagates.
@@ -392,13 +415,12 @@ func (p *prepared) propagate(seedCons, seedSlots []int32) {
 	if n == 0 {
 		return
 	}
+	// queued is all false between calls (every exit path below restores
+	// that), so only growth allocates and nothing is cleared up front.
 	if cap(p.pqueued) < n {
 		p.pqueued = make([]bool, n)
 	}
 	queued := p.pqueued[:n]
-	for i := range queued {
-		queued[i] = false
-	}
 	queue := p.pqueue[:0]
 	push := func(ci int32) {
 		if !queued[ci] {
@@ -419,6 +441,9 @@ func (p *prepared) propagate(seedCons, seedSlots []int32) {
 		queued[ci] = false
 		changed := p.propagateOne(int(ci))
 		if p.unsat {
+			for _, cj := range queue[head+1:] {
+				queued[cj] = false
+			}
 			p.pqueue = queue[:0]
 			return
 		}

@@ -1,10 +1,12 @@
 package symb
 
 import (
+	"cmp"
 	"context"
 	"hash/fnv"
 	"maps"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -199,12 +201,12 @@ func solvePrepared(ctx context.Context, p *prepared, maxNodes, samples int) (map
 type scratch struct {
 	p     *prepared
 	ctx   context.Context
-	order []int32     // search position -> slot
-	pos   []int32     // slot -> search position
-	cands [][]uint64  // search position -> sorted candidate values
-	watch [][]int32   // search position -> constraints fully bound there
-	vals  []uint64    // slot -> assigned value
-	stack []uint64    // shared evaluation stack
+	order []int32    // search position -> slot
+	pos   []int32    // slot -> search position
+	cands [][]uint64 // search position -> sorted candidate values
+	watch [][]int32  // search position -> constraints fully bound there
+	vals  []uint64   // slot -> assigned value
+	stack []uint64   // shared evaluation stack
 	seen  map[uint64]bool
 
 	maxNodes  int
@@ -237,14 +239,13 @@ func (sc *scratch) init(p *prepared, samples int) {
 	for i := range sc.order {
 		sc.order[i] = int32(i)
 	}
-	sort.Slice(sc.order, func(i, j int) bool {
-		a, b := sc.order[i], sc.order[j]
+	slices.SortFunc(sc.order, func(a, b int32) int {
 		wa := p.dom[a].Hi - p.dom[a].Lo
 		wb := p.dom[b].Hi - p.dom[b].Lo
 		if wa != wb {
-			return wa < wb
+			return cmp.Compare(wa, wb)
 		}
-		return p.slotName[a] < p.slotName[b]
+		return strings.Compare(p.slotName[a], p.slotName[b])
 	})
 	for i, s := range sc.order {
 		sc.pos[s] = int32(i)
@@ -328,7 +329,7 @@ func (sc *scratch) buildCandidates(s int32, out []uint64, samples int) []uint64 
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
