@@ -56,7 +56,7 @@ import (
 // -json=summary keeps the legacy lossy export.
 type jsonMode struct{ mode string }
 
-func (j *jsonMode) String() string { return j.mode }
+func (j *jsonMode) String() string   { return j.mode }
 func (j *jsonMode) IsBoolFlag() bool { return true }
 func (j *jsonMode) Set(s string) error {
 	switch s {
@@ -75,14 +75,14 @@ func (j *jsonMode) Set(s string) error {
 func main() {
 	var asJSON jsonMode
 	var (
-		nfName   = flag.String("nf", "nat", "NF to analyse ('list' prints the roster): "+nf.NamesList())
-		bvmFile  = flag.String("bvm", "", "analyse a .bvm bytecode program from this file instead of a roster NF")
-		metric   = flag.String("metric", "instructions", "metric: instructions, memaccesses, cycles")
-		level    = flag.String("level", "nf", "analysis level: nf (NF-only) or full (full stack)")
-		paths    = flag.Bool("paths", false, "print every path instead of coalesced classes")
-		capacity = flag.Int("capacity", 4096, "table capacity for stateful NFs")
-		parallel = flag.Int("parallel", 0, "worker pool size for per-path analysis (0 = one per CPU, 1 = serial)")
-		storeDir = flag.String("store", "", "back the contract cache with the on-disk store at this directory")
+		nfName    = flag.String("nf", "nat", "NF to analyse ('list' prints the roster): "+nf.NamesList())
+		bvmFile   = flag.String("bvm", "", "analyse a .bvm bytecode program from this file instead of a roster NF")
+		metric    = flag.String("metric", "instructions", "metric: instructions, memaccesses, cycles")
+		level     = flag.String("level", "nf", "analysis level: nf (NF-only) or full (full stack)")
+		paths     = flag.Bool("paths", false, "print every path instead of coalesced classes")
+		capacity  = flag.Int("capacity", 4096, "table capacity for stateful NFs")
+		parallel  = flag.Int("parallel", 0, "worker pool size for per-path analysis (0 = one per CPU, 1 = serial)")
+		storeDir  = flag.String("store", "", "back the contract cache with the on-disk store at this directory")
 		feasNodes = flag.Int("feas-nodes", 0,
 			"search-node budget for the branch-pruning feasibility solver (0 = default; larger can only prune more provably dead paths)")
 		feasSamples = flag.Int("feas-samples", 0,

@@ -2,54 +2,28 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gobolt/internal/core"
-	"gobolt/internal/nfir"
 )
-
-// TestAppendGroupKeyMatchesGroupKey pins the allocation-free key builder
-// against its string-building definition: AppendGroupKey must produce
-// exactly action.String() + "|" + CallSig(calls) for any call sequence —
-// the classifier's group map is keyed by the latter, and the monitor's
-// hot path looks up with the former.
-func TestAppendGroupKeyMatchesGroupKey(t *testing.T) {
-	cases := [][]core.CallRecord{
-		nil,
-		{},
-		{{DS: "mac", Method: "expire"}},
-		{{DS: "mac", Method: "expire"}, {DS: "mac", Method: "put"}, {DS: "mac", Method: "peek"}},
-		{{DS: "flows", Method: "lookup_int", Results: []uint64{1, 2}, Outcome: "hit"}},
-		{{DS: "a", Method: ""}, {DS: "", Method: "b"}},
-	}
-	for _, action := range []nfir.ActionKind{nfir.ActionForward, nfir.ActionDrop} {
-		for i, calls := range cases {
-			want := action.String() + "|" + core.CallSig(calls)
-			got := string(core.AppendGroupKey(nil, action, calls))
-			if got != want {
-				t.Errorf("case %d action %v: AppendGroupKey = %q, want %q", i, action, got, want)
-			}
-			// Appending to a non-empty buffer must preserve the prefix.
-			withPrefix := core.AppendGroupKey([]byte("pfx:"), action, calls)
-			if string(withPrefix) != "pfx:"+want {
-				t.Errorf("case %d action %v: prefix append = %q", i, action, string(withPrefix))
-			}
-		}
-	}
-}
 
 // TestCallLogArenaStability pins the arena recorder's aliasing contract:
 // records appended early must keep their result values as the arenas
 // grow (growth may reallocate the backing array, but previously returned
 // slices keep the old array and its values), and Append must deep-copy
-// its input so callers can reuse their scratch.
+// every field of its input — the interned IDs included — so callers can
+// reuse their scratch.
 func TestCallLogArenaStability(t *testing.T) {
 	var log core.CallLog
 	scratch := []core.CallRecord{
-		{DS: "ds", Method: "m", Results: []uint64{7, 8, 9}, Outcome: "hit"},
+		{DS: "ds", Method: "m", Results: []uint64{7, 8, 9}, Outcome: "hit", OpID: 3, OutcomeID: 5},
 		{DS: "ds", Method: "n", Results: []uint64{10}},
 	}
 	first := log.Append(scratch)
+	if !reflect.DeepEqual(first, scratch) {
+		t.Fatalf("Append copied %+v, want %+v", first, scratch)
+	}
 	// Mutate the caller's scratch: the copied records must not see it.
 	scratch[0].Results[0] = 999
 	scratch[0].Outcome = "changed"

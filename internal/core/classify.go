@@ -1,7 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+	"sort"
 	"strings"
 
 	"gobolt/internal/nfir"
@@ -10,16 +14,15 @@ import (
 
 // This file is the compilation entry point for the online monitor
 // (internal/monitor): it lowers a generated contract's per-path
-// input-class constraints into compiled postfix matchers (the symb
-// compilation layer the solver uses), so a live packet can be assigned
-// to its contract path without walking expression trees or calling the
-// solver.
+// input-class constraints into a dispatch structure over integer call
+// evidence plus compiled postfix matchers (the symb compilation layer
+// the solver uses), so a live packet can be assigned to its contract
+// path without building a string, walking expression trees or calling
+// the solver.
 //
 // A path is selected by two kinds of evidence, mirroring the two
 // constraint categories of §3.3:
 //
-//   - packet-field constraints, decided from the wire bytes and packet
-//     metadata alone;
 //   - abstract-state constraints, decided by the stateful calls the
 //     packet actually made — the monitor records each call's concrete
 //     results, and the classifier checks them against the outcome the
@@ -28,23 +31,25 @@ import (
 //     their domains). Where sibling outcomes are result-indistinguishable
 //     (an LPM get returns one port either way), the concrete structure
 //     self-reports the branch via nfir.Env.ObserveOutcome and the label
-//     must equal the path's Outcome.Label.
+//     must equal the path's Outcome.Label;
+//   - packet-field constraints, decided from the wire bytes and packet
+//     metadata alone.
+//
+// The first kind is compiled into bit masks. An action's paths, sorted
+// by ID, get one bit each (in chunks of 64), and a trie over their call
+// sequences, keyed by the calls' interned (structure, method) IDs. Per
+// observed call the packet's bitmask of still-feasible paths is ANDed
+// with the masks its trie node precomputed from the outcome-label ID,
+// the result count, constant results and result domains; the node the
+// calls end at keeps the paths with exactly that sequence. Only the
+// paths still feasible after that run their packet-field programs,
+// lowest ID first; the first match wins.
 //
 // Constraints over symbols that are observable neither from the packet
 // nor from call results (fresh heap reads) are existentially quantified
 // by the concrete execution itself and are skipped; the call-sequence
 // and result checks keep classification unambiguous for the NFs in this
 // repo (FuzzClassifier pins that down).
-
-// CallRecord is one observed stateful call of a concrete run. Outcome
-// carries the concrete structure's self-reported outcome label
-// (nfir.Env.ObserveOutcome) when it has one — the tie-breaking evidence
-// for sibling outcomes whose results are indistinguishable.
-type CallRecord struct {
-	DS, Method string
-	Results    []uint64
-	Outcome    string
-}
 
 // PacketObservation is everything the online classifier sees about one
 // packet: the original wire bytes (before any NF rewrite), arrival
@@ -57,8 +62,8 @@ type PacketObservation struct {
 	Calls        []CallRecord
 }
 
-// CallSig renders a call sequence as its signature key ("mac.expire
-// mac.put mac.peek"); the classifier buckets paths by it.
+// CallSig renders a call sequence as its signature ("mac.expire mac.put
+// mac.peek") for diagnostics.
 func CallSig(calls []CallRecord) string {
 	parts := make([]string, len(calls))
 	for i, c := range calls {
@@ -86,35 +91,43 @@ type slotSource struct {
 	dom       symb.Domain
 }
 
-type resConstCheck struct {
-	call, res int
-	v         uint64
-}
-
-type resDomCheck struct {
-	call, res int
-	dom       symb.Domain
-}
-
 type resExprCheck struct {
 	call, res int
 	prog      int
-	bound     bool // all of the program's slots are observable
 }
 
+// matcherPath is one path's packet-side matcher: its compiled
+// constraint programs and where each program slot's value comes from.
+// The call-side evidence lives in its chunk's trie.
 type matcherPath struct {
-	pc   *PathContract
-	cs   *symb.CompiledSet
-	ev   *symb.Evaluator
-	nCon int // programs [0, nCon) are path constraints
+	pc    *PathContract
+	index int               // position in Contract.Paths
+	cs    *symb.CompiledSet // path constraints, then expression results
+	ev    *symb.Evaluator
 
-	slots      []slotSource
-	progBound  []bool
-	labels     []string // this path's outcome label per call
-	minResults []int    // required result count per observed call
-	resConsts  []resConstCheck
-	resDoms    []resDomCheck // domain checks for result syms without a slot
-	resExprs   []resExprCheck
+	slots    []slotSource
+	cons     []int          // the decidable constraint programs
+	resExprs []resExprCheck // the decidable expression results
+}
+
+// callEvidence is what a path requires of one observed call: its
+// outcome-label ID (0: none), its result count, and its constant results
+// and result domains.
+type callEvidence struct {
+	label      uint32
+	minResults int
+	consts     []resConst
+	doms       []resDom
+}
+
+type resConst struct {
+	res int
+	v   uint64
+}
+
+type resDom struct {
+	res int
+	dom symb.Domain
 }
 
 // Classifier assigns concrete packet observations to the paths of one
@@ -123,7 +136,94 @@ type matcherPath struct {
 // the shared contract — compilation is cheap relative to generation.
 type Classifier struct {
 	contract *Contract
-	groups   map[string][]*matcherPath
+	chunks   [numActions][]*pathChunk
+}
+
+const numActions = 3 // ActionNone, ActionForward, ActionDrop
+
+// actionSlot is the chunk list of an action. Unknown kinds share
+// ActionNone's, as they share its name.
+func actionSlot(a nfir.ActionKind) int {
+	if a > nfir.ActionNone && a < numActions {
+		return int(a)
+	}
+	return 0
+}
+
+// pathChunk is up to 64 paths of one action in ascending ID order, bit i
+// standing for paths[i], and the trie deciding their call evidence.
+type pathChunk struct {
+	paths []*matcherPath
+	all   uint64
+	root  callNode
+}
+
+// callNode is one call-sequence prefix of a chunk's paths: its children
+// by the next call's op ID (nil where no path continues with that op),
+// the paths whose whole sequence it is, and the masks that decide the
+// prefix's last call. A non-zero observed label keeps the paths of its
+// entry in labels (none if absent); short[n] drops the paths requiring
+// more than n results (none for n past its end); each results entry
+// keeps the paths that do not check that result plus those whose
+// constant or domain the observed value satisfies.
+type callNode struct {
+	next    []*callNode
+	here    uint64
+	labels  []idMask
+	short   []uint64
+	results []resultMasks
+}
+
+func (n *callNode) child(op uint32) *callNode {
+	if uint64(op) < uint64(len(n.next)) {
+		return n.next[op]
+	}
+	return nil
+}
+
+type idMask struct {
+	id   uint32
+	mask uint64
+}
+
+// resultMasks decides one result of a call. keep[v] is the verdict for
+// a small value v, precomputed; larger values test free, consts and
+// doms.
+type resultMasks struct {
+	res    int
+	keep   []uint64
+	free   uint64
+	consts []valueMask
+	doms   []domMask
+}
+
+// keepTable bounds resultMasks.keep: results below it (statuses, counts,
+// small ports) decide with one load.
+const keepTable = 64
+
+func (rm *resultMasks) eval(v uint64) uint64 {
+	keep := rm.free
+	for _, c := range rm.consts {
+		if c.v == v {
+			keep |= c.mask
+		}
+	}
+	for _, d := range rm.doms {
+		if v >= d.dom.Lo && v <= d.dom.Hi {
+			keep |= d.mask
+		}
+	}
+	return keep
+}
+
+type valueMask struct {
+	v    uint64
+	mask uint64
+}
+
+type domMask struct {
+	dom  symb.Domain
+	mask uint64
 }
 
 // NewClassifier compiles every path of a generated contract into a
@@ -132,77 +232,177 @@ type Classifier struct {
 // correspond to one concrete call sequence, so online classification
 // would be ambiguous by construction.
 func NewClassifier(ct *Contract) (*Classifier, error) {
-	c := &Classifier{contract: ct, groups: make(map[string][]*matcherPath)}
-	for _, p := range ct.Paths {
+	type member struct {
+		mp    *matcherPath
+		calls []callEvidence
+	}
+	var byAction [numActions][]member
+	for i, p := range ct.Paths {
 		if p.Events != "" && len(p.Trace) == 0 {
 			return nil, fmt.Errorf("core: path %d (%s) has stateful events but no call trace; classifiers need a contract straight out of Generate, not a composition", p.ID, p.Class())
 		}
-		mp, err := compileMatcher(p)
+		mp, calls, err := compileMatcher(p)
 		if err != nil {
 			return nil, fmt.Errorf("core: path %d (%s): %w", p.ID, p.Class(), err)
 		}
-		key := groupKey(p.Action, pathSig(p.Trace))
-		c.groups[key] = append(c.groups[key], mp)
+		mp.index = i
+		a := actionSlot(p.Action)
+		byAction[a] = append(byAction[a], member{mp, calls})
+	}
+	c := &Classifier{contract: ct}
+	for a, ms := range byAction {
+		// Lowest matching ID wins, so chunks and bits go by ID; equal IDs
+		// keep contract order.
+		sort.SliceStable(ms, func(i, j int) bool { return ms[i].mp.pc.ID < ms[j].mp.pc.ID })
+		for len(ms) > 0 {
+			k := min(len(ms), 64)
+			ch := &pathChunk{all: ^uint64(0) >> (64 - k)}
+			for bi, m := range ms[:k] {
+				bit := uint64(1) << bi
+				ch.paths = append(ch.paths, m.mp)
+				n := &ch.root
+				for ci, ce := range m.mp.pc.Trace {
+					n = n.extend(internOp(ce.DS, ce.Method))
+					n.require(bit, m.calls[ci])
+				}
+				n.here |= bit
+			}
+			ch.root.finish(ch.all)
+			c.chunks[a] = append(c.chunks[a], ch)
+			ms = ms[k:]
+		}
 	}
 	return c, nil
 }
 
-func groupKey(action nfir.ActionKind, sig string) string {
-	return action.String() + "|" + sig
+// extend returns n's child for op, creating it.
+func (n *callNode) extend(op uint32) *callNode {
+	if int(op) >= len(n.next) {
+		n.next = append(n.next, make([]*callNode, int(op)+1-len(n.next))...)
+	}
+	if n.next[op] == nil {
+		n.next[op] = &callNode{}
+	}
+	return n.next[op]
 }
 
-// AppendGroupKey appends the classifier group key for (action, calls) to
-// dst and returns the extended slice — byte-for-byte what groupKey over
-// CallSig builds, without allocating. The monitor's per-packet hot path
-// keys its group lookup with this into a reused buffer.
-func AppendGroupKey(dst []byte, action nfir.ActionKind, calls []CallRecord) []byte {
-	dst = append(dst, action.String()...)
-	dst = append(dst, '|')
-	for i := range calls {
-		if i > 0 {
-			dst = append(dst, ' ')
+// require adds what the path of bit requires of n's call to n's masks.
+func (n *callNode) require(bit uint64, ev callEvidence) {
+	if ev.label != 0 {
+		n.labels = addIDMask(n.labels, ev.label, bit)
+	}
+	for len(n.short) < ev.minResults {
+		n.short = append(n.short, 0)
+	}
+	for k := 0; k < ev.minResults; k++ {
+		n.short[k] |= bit
+	}
+	for _, c := range ev.consts {
+		rm := n.result(c.res)
+		rm.consts = addValueMask(rm.consts, c.v, bit)
+	}
+	for _, d := range ev.doms {
+		rm := n.result(d.res)
+		rm.doms = addDomMask(rm.doms, d.dom, bit)
+	}
+}
+
+func (n *callNode) result(res int) *resultMasks {
+	for i := range n.results {
+		if n.results[i].res == res {
+			return &n.results[i]
 		}
-		dst = append(dst, calls[i].DS...)
-		dst = append(dst, '.')
-		dst = append(dst, calls[i].Method...)
 	}
-	return dst
+	n.results = append(n.results, resultMasks{res: res})
+	return &n.results[len(n.results)-1]
 }
 
-func pathSig(trace []nfir.CallEvent) string {
-	parts := make([]string, len(trace))
-	for i, ev := range trace {
-		parts[i] = ev.DS + "." + ev.Method
+// finish precomputes, at n and below, each result's free mask and its
+// small-value table; all is the chunk's full mask.
+func (n *callNode) finish(all uint64) {
+	for i := range n.results {
+		rm := &n.results[i]
+		checked := uint64(0)
+		for _, c := range rm.consts {
+			checked |= c.mask
+		}
+		for _, d := range rm.doms {
+			checked |= d.mask
+		}
+		rm.free = all &^ checked
+		rm.keep = make([]uint64, keepTable)
+		for v := range rm.keep {
+			rm.keep[v] = rm.eval(uint64(v))
+		}
 	}
-	return strings.Join(parts, " ")
+	for _, c := range n.next {
+		if c != nil {
+			c.finish(all)
+		}
+	}
 }
 
-func compileMatcher(p *PathContract) (*matcherPath, error) {
-	mp := &matcherPath{pc: p, nCon: len(p.Constraints)}
+func addIDMask(ms []idMask, id uint32, bit uint64) []idMask {
+	for i := range ms {
+		if ms[i].id == id {
+			ms[i].mask |= bit
+			return ms
+		}
+	}
+	return append(ms, idMask{id, bit})
+}
+
+func addValueMask(ms []valueMask, v uint64, bit uint64) []valueMask {
+	for i := range ms {
+		if ms[i].v == v {
+			ms[i].mask |= bit
+			return ms
+		}
+	}
+	return append(ms, valueMask{v, bit})
+}
+
+func addDomMask(ms []domMask, d symb.Domain, bit uint64) []domMask {
+	for i := range ms {
+		if ms[i].dom == d {
+			ms[i].mask |= bit
+			return ms
+		}
+	}
+	return append(ms, domMask{d, bit})
+}
+
+func compileMatcher(p *PathContract) (*matcherPath, []callEvidence, error) {
+	mp := &matcherPath{pc: p}
+	calls := make([]callEvidence, len(p.Trace))
 
 	// Outcome results: constants must match the observed value exactly,
 	// symbols bind (and carry their domain), other expressions compile to
 	// extra programs compared against the observed value.
 	resultSlot := make(map[string]struct{ call, res int })
 	var extra []symb.Expr
-	mp.minResults = make([]int, len(p.Trace))
-	mp.labels = make([]string, len(p.Trace))
-	for ci, ev := range p.Trace {
-		mp.minResults[ci] = len(ev.Outcome.Results)
-		mp.labels[ci] = ev.Outcome.Label
-		for ri, r := range ev.Outcome.Results {
+	for ci, ce := range p.Trace {
+		ev := &calls[ci]
+		ev.minResults = len(ce.Outcome.Results)
+		ev.label = internLabel(ce.Outcome.Label)
+		for ri, r := range ce.Outcome.Results {
 			switch x := r.(type) {
 			case symb.Const:
-				mp.resConsts = append(mp.resConsts, resConstCheck{call: ci, res: ri, v: x.V})
+				ev.consts = append(ev.consts, resConst{res: ri, v: x.V})
 			case symb.Sym:
 				if _, dup := resultSlot[x.Name]; dup {
-					return nil, fmt.Errorf("result symbol %s bound twice", x.Name)
+					return nil, nil, fmt.Errorf("result symbol %s bound twice", x.Name)
 				}
 				resultSlot[x.Name] = struct{ call, res int }{ci, ri}
+				// The domain is part of the path's input class, and can be
+				// the only thing separating sibling outcomes.
+				if d, ok := p.Domains[x.Name]; ok {
+					ev.doms = append(ev.doms, resDom{res: ri, dom: d})
+				}
 			default:
 				extra = append(extra, r)
 				mp.resExprs = append(mp.resExprs, resExprCheck{
-					call: ci, res: ri, prog: mp.nCon + len(extra) - 1,
+					call: ci, res: ri, prog: len(p.Constraints) + len(extra) - 1,
 				})
 			}
 		}
@@ -212,15 +412,17 @@ func compileMatcher(p *PathContract) (*matcherPath, error) {
 	mp.ev = mp.cs.NewEvaluator()
 
 	// Slot sources: every symbol the compiled programs mention, resolved
-	// to the packet observation. Bound slots whose symbol has a recorded
-	// domain also check it (the domain is part of the path's input class).
+	// to the packet observation. Bound packet-side slots whose symbol has
+	// a recorded domain also check it (the domain is part of the path's
+	// input class); result domains are already in the call evidence.
 	slotNames := mp.cs.Slots()
 	mp.slots = make([]slotSource, len(slotNames))
 	for si, name := range slotNames {
 		src := slotSource{kind: srcUnbound}
+		off, size, isField := nfir.ParseFieldSym(name)
 		if at, ok := resultSlot[name]; ok {
 			src = slotSource{kind: srcResult, call: at.call, res: at.res}
-		} else if off, size, ok := nfir.ParseFieldSym(name); ok {
+		} else if isField {
 			src = slotSource{kind: srcField, off: off, size: size}
 		} else {
 			switch name {
@@ -232,56 +434,64 @@ func compileMatcher(p *PathContract) (*matcherPath, error) {
 				src = slotSource{kind: srcPktLen}
 			}
 		}
-		if src.kind != srcUnbound {
-			if d, ok := p.Domains[name]; ok {
+		if src.kind != srcUnbound && src.kind != srcResult {
+			if d, ok := p.Domains[name]; ok && !(src.kind == srcField && d.Lo == 0 && d.Hi >= fieldMax(size)) {
 				src.hasDom, src.dom = true, d
 			}
 		}
 		mp.slots[si] = src
 	}
 
-	// Result symbols that appear in no program still get their domain
-	// checked — it can be the only thing separating sibling outcomes.
-	for name, at := range resultSlot {
-		if _, used := slotIndex(slotNames, name); used {
-			continue
-		}
-		if d, ok := p.Domains[name]; ok {
-			mp.resDoms = append(mp.resDoms, resDomCheck{call: at.call, res: at.res, dom: d})
-		}
-	}
-
-	// A program is decidable only if every slot it reads is observable.
-	mp.progBound = make([]bool, mp.cs.NumPrograms())
-	for i := range mp.progBound {
-		ok := true
-		for _, s := range mp.cs.ProgramSlots(i) {
+	// A program is decidable only if every slot it reads is observable;
+	// the others are skipped.
+	decidable := func(prog int) bool {
+		for _, s := range mp.cs.ProgramSlots(prog) {
 			if mp.slots[s].kind == srcUnbound {
-				ok = false
-				break
+				return false
 			}
 		}
-		mp.progBound[i] = ok
+		return true
 	}
-	for i := range mp.resExprs {
-		mp.resExprs[i].bound = mp.progBound[mp.resExprs[i].prog]
-	}
-	return mp, nil
-}
-
-func slotIndex(names []string, name string) (int, bool) {
-	for i, n := range names {
-		if n == name {
-			return i, true
+	for i := 0; i < len(p.Constraints); i++ {
+		if decidable(i) {
+			mp.cons = append(mp.cons, i)
 		}
 	}
-	return 0, false
+	exprs := mp.resExprs[:0]
+	for _, rc := range mp.resExprs {
+		if decidable(rc.prog) {
+			exprs = append(exprs, rc)
+		}
+	}
+	mp.resExprs = exprs
+	return mp, calls, nil
+}
+
+// fieldMax is the largest value FieldValue returns for a field of size
+// bytes: a domain reaching it constrains nothing.
+func fieldMax(size int) uint64 {
+	if size >= 8 {
+		return math.MaxUint64
+	}
+	return 1<<(8*size) - 1
 }
 
 // FieldValue reads the big-endian field at (off, size) from the wire
 // bytes, zero-extending past the packet's end exactly like the concrete
 // interpreter's zero-padded buffer.
 func FieldValue(pkt []byte, off uint64, size int) uint64 {
+	if off < uint64(len(pkt)) && uint64(size) <= uint64(len(pkt))-off {
+		switch b := pkt[off:]; size {
+		case 1:
+			return uint64(b[0])
+		case 2:
+			return uint64(binary.BigEndian.Uint16(b))
+		case 4:
+			return uint64(binary.BigEndian.Uint32(b))
+		case 8:
+			return binary.BigEndian.Uint64(b)
+		}
+	}
 	var v uint64
 	for i := 0; i < size; i++ {
 		v <<= 8
@@ -293,27 +503,54 @@ func FieldValue(pkt []byte, off uint64, size int) uint64 {
 	return v
 }
 
+// feasible walks the chunk's trie along the observed calls and returns
+// the paths whose call sequence they are and whose call evidence they
+// satisfy.
+func (ch *pathChunk) feasible(calls []CallRecord) uint64 {
+	n, live := &ch.root, ch.all
+	for i := range calls {
+		rec := &calls[i]
+		op, label := callIDs(rec)
+		if n = n.child(op); n == nil {
+			return 0
+		}
+		if label != 0 {
+			keep := uint64(0)
+			for _, l := range n.labels {
+				if l.id == label {
+					keep = l.mask
+					break
+				}
+			}
+			live &= keep
+		}
+		k := len(rec.Results)
+		if k < len(n.short) {
+			live &^= n.short[k]
+		}
+		for ri := range n.results {
+			rm := &n.results[ri]
+			if rm.res >= k {
+				continue // every path checking it needs more results
+			}
+			if v := rec.Results[rm.res]; v < keepTable {
+				live &= rm.keep[v]
+			} else {
+				live &= rm.eval(v)
+			}
+		}
+		if live == 0 {
+			return 0
+		}
+	}
+	return live & n.here
+}
+
+// match decides a call-feasible path's packet-side evidence: bound slot
+// domains, expression results and constraint programs.
 func (mp *matcherPath) match(obs *PacketObservation) bool {
-	for ci, want := range mp.minResults {
-		if len(obs.Calls[ci].Results) < want {
-			return false
-		}
-		if o := obs.Calls[ci].Outcome; o != "" && o != mp.labels[ci] {
-			return false
-		}
-	}
-	for _, cc := range mp.resConsts {
-		if obs.Calls[cc.call].Results[cc.res] != cc.v {
-			return false
-		}
-	}
-	for _, dc := range mp.resDoms {
-		v := obs.Calls[dc.call].Results[dc.res]
-		if v < dc.dom.Lo || v > dc.dom.Hi {
-			return false
-		}
-	}
-	for si, src := range mp.slots {
+	for si := range mp.slots {
+		src := &mp.slots[si]
 		var v uint64
 		switch src.kind {
 		case srcField:
@@ -335,17 +572,11 @@ func (mp *matcherPath) match(obs *PacketObservation) bool {
 		mp.ev.Bind(si, v)
 	}
 	for _, rc := range mp.resExprs {
-		if !rc.bound {
-			continue
-		}
 		if mp.ev.Eval(rc.prog) != obs.Calls[rc.call].Results[rc.res] {
 			return false
 		}
 	}
-	for i := 0; i < mp.nCon; i++ {
-		if !mp.progBound[i] {
-			continue
-		}
+	for _, i := range mp.cons {
 		if mp.ev.Eval(i) == 0 {
 			return false
 		}
@@ -353,30 +584,35 @@ func (mp *matcherPath) match(obs *PacketObservation) bool {
 	return true
 }
 
-// Classify assigns the observation to its contract path: the first
-// matching path in ID order (exploration order, so the assignment is
-// deterministic). ok is false when no path matches — a packet the
-// contract does not cover, which the monitor surfaces as its own signal.
-func (c *Classifier) Classify(obs *PacketObservation) (*PathContract, bool) {
-	var key []byte
-	return c.ClassifyKeyed(obs, &key)
-}
-
-// ClassifyKeyed is Classify with a caller-owned key buffer: the group
-// key is built into *keyBuf (reusing its capacity) and the map lookup
-// converts it without allocating, so a steady-state classification does
-// no string building at all.
-func (c *Classifier) ClassifyKeyed(obs *PacketObservation, keyBuf *[]byte) (*PathContract, bool) {
-	*keyBuf = AppendGroupKey((*keyBuf)[:0], obs.Action, obs.Calls)
-	best := (*PathContract)(nil)
-	for _, mp := range c.groups[string(*keyBuf)] {
-		if mp.match(obs) {
-			if best == nil || mp.pc.ID < best.ID {
-				best = mp.pc
+// ClassifyIndex assigns the observation to its contract path and returns
+// the path's position in Contract.Paths, or -1 when no path matches — a
+// packet the contract does not cover, which the monitor surfaces as its
+// own signal. The path is the lowest-ID match (exploration order, so the
+// assignment is deterministic).
+func (c *Classifier) ClassifyIndex(obs *PacketObservation) int {
+	for _, ch := range c.chunks[actionSlot(obs.Action)] {
+		for live := ch.feasible(obs.Calls); live != 0; live &= live - 1 {
+			if mp := ch.paths[bits.TrailingZeros64(live)]; mp.match(obs) {
+				return mp.index
 			}
 		}
 	}
-	return best, best != nil
+	return -1
+}
+
+// Classify is ClassifyIndex returning the path itself; ok is false when
+// no path matches.
+func (c *Classifier) Classify(obs *PacketObservation) (*PathContract, bool) {
+	if i := c.ClassifyIndex(obs); i >= 0 {
+		return c.contract.Paths[i], true
+	}
+	return nil, false
+}
+
+// ClassifyKeyed is Classify under the signature the benchmark harness
+// calls. Dispatch builds no key, so keyBuf is not used.
+func (c *Classifier) ClassifyKeyed(obs *PacketObservation, keyBuf *[]byte) (*PathContract, bool) {
+	return c.Classify(obs)
 }
 
 // Matches returns every matching path in ID order — the diagnostic and
@@ -384,121 +620,12 @@ func (c *Classifier) ClassifyKeyed(obs *PacketObservation, keyBuf *[]byte) (*Pat
 // matches share one class label).
 func (c *Classifier) Matches(obs *PacketObservation) []*PathContract {
 	var out []*PathContract
-	for _, mp := range c.groups[groupKey(obs.Action, CallSig(obs.Calls))] {
-		if mp.match(obs) {
-			out = append(out, mp.pc)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].ID > out[j].ID; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
+	for _, ch := range c.chunks[actionSlot(obs.Action)] {
+		for live := ch.feasible(obs.Calls); live != 0; live &= live - 1 {
+			if mp := ch.paths[bits.TrailingZeros64(live)]; mp.match(obs) {
+				out = append(out, mp.pc)
+			}
 		}
 	}
 	return out
-}
-
-// recordingDS wraps a ConcreteDS so every invocation lands in a shared
-// call log. Cost accounting is untouched: the wrapped structure charges
-// the environment's meter exactly as before.
-type recordingDS struct {
-	name  string
-	inner nfir.ConcreteDS
-	log   *[]CallRecord
-}
-
-// Invoke implements nfir.ConcreteDS.
-func (r *recordingDS) Invoke(method string, args []uint64, env *nfir.Env) ([]uint64, error) {
-	env.TakeOutcome() // drop any stale label from an unrecorded call
-	results, err := r.inner.Invoke(method, args, env)
-	if err != nil {
-		return results, err
-	}
-	*r.log = append(*r.log, CallRecord{
-		DS: r.name, Method: method, Results: append([]uint64(nil), results...),
-		Outcome: env.TakeOutcome(),
-	})
-	return results, nil
-}
-
-// AttachRecorder wraps every data structure registered in env so
-// concrete calls append to *log; the returned function restores the
-// originals. The monitor brackets each monitored run with it.
-func AttachRecorder(env *nfir.Env, log *[]CallRecord) (restore func()) {
-	return env.WrapLinked(func(name string, ds nfir.ConcreteDS) nfir.ConcreteDS {
-		return &recordingDS{name: name, inner: ds, log: log}
-	})
-}
-
-// CallLog is a reusable call-record sink: Reset it per packet and the
-// steady state allocates nothing — records and their result copies land
-// in arenas whose capacity survives the reset. The monitor's pooled fast
-// path brackets runs with AttachCallLog instead of AttachRecorder.
-//
-// Records sliced out of a log are valid only until the next Reset; copy
-// them (CopyInto) to retain a packet's calls past its observation.
-type CallLog struct {
-	recs []CallRecord
-	res  []uint64
-}
-
-// Reset discards the current packet's records, keeping capacity. Earlier
-// Records() slices must not be read afterwards.
-func (l *CallLog) Reset() {
-	l.recs = l.recs[:0]
-	l.res = l.res[:0]
-}
-
-// Records returns the calls recorded since the last Reset.
-func (l *CallLog) Records() []CallRecord { return l.recs }
-
-// add appends one call, copying results into the log's arena. A grown
-// arena leaves earlier records pointing at the old backing array, which
-// still holds their values — no fixup needed.
-func (l *CallLog) add(ds, method string, results []uint64, outcome string) {
-	start := len(l.res)
-	l.res = append(l.res, results...)
-	l.recs = append(l.recs, CallRecord{
-		DS: ds, Method: method,
-		Results: l.res[start:len(l.res):len(l.res)],
-		Outcome: outcome,
-	})
-}
-
-// Append deep-copies records into the log's arenas (without resetting)
-// and returns the copied slice — how the sharded monitor hands a
-// packet's calls to another goroutine. The returned slice stays valid
-// until the log's next Reset.
-func (l *CallLog) Append(recs []CallRecord) []CallRecord {
-	from := len(l.recs)
-	for i := range recs {
-		r := &recs[i]
-		l.add(r.DS, r.Method, r.Results, r.Outcome)
-	}
-	return l.recs[from:len(l.recs):len(l.recs)]
-}
-
-// callLogDS is recordingDS over a pooled CallLog.
-type callLogDS struct {
-	name  string
-	inner nfir.ConcreteDS
-	log   *CallLog
-}
-
-// Invoke implements nfir.ConcreteDS.
-func (r *callLogDS) Invoke(method string, args []uint64, env *nfir.Env) ([]uint64, error) {
-	env.TakeOutcome() // drop any stale label from an unrecorded call
-	results, err := r.inner.Invoke(method, args, env)
-	if err != nil {
-		return results, err
-	}
-	r.log.add(r.name, method, results, env.TakeOutcome())
-	return results, nil
-}
-
-// AttachCallLog is AttachRecorder over a pooled CallLog: calls append to
-// log without per-call allocations once the arenas are warm.
-func AttachCallLog(env *nfir.Env, log *CallLog) (restore func()) {
-	return env.WrapLinked(func(name string, ds nfir.ConcreteDS) nfir.ConcreteDS {
-		return &callLogDS{name: name, inner: ds, log: log}
-	})
 }

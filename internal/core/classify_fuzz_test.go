@@ -17,11 +17,13 @@ import (
 // interesting paths (expiry, collisions, table-full, rehash) only after
 // history accumulates.
 type fuzzRig struct {
-	br  *nf.Bridge
-	ct  *core.Contract
-	cls *core.Classifier
-	run *distill.Runner
-	now uint64
+	br     *nf.Bridge
+	ct     *core.Contract
+	cls    *core.Classifier
+	oracle *core.OracleClassifier
+	run    *distill.Runner
+	log    core.CallLog
+	now    uint64
 }
 
 var (
@@ -47,16 +49,25 @@ func getFuzzRig() (*fuzzRig, error) {
 			fuzzErr = err
 			return
 		}
-		fuzzR = &fuzzRig{br: br, ct: ct, cls: cls, run: &distill.Runner{}, now: 1_000}
+		oracle, err := core.NewOracleClassifier(ct)
+		if err != nil {
+			fuzzErr = err
+			return
+		}
+		fuzzR = &fuzzRig{br: br, ct: ct, cls: cls, oracle: oracle, run: &distill.Runner{}, now: 1_000}
+		core.AttachCallLog(br.Env, &fuzzR.log)
 	})
 	return fuzzR, fuzzErr
 }
 
-// FuzzClassifier is the differential oracle for the compiled matcher:
-// for every observation, the compiled classifier must agree exactly
-// with a naive tree-walking evaluation of each path's outcome results,
-// domains, and constraints — and all matching paths must share one
-// class label, so "first match in ID order" is a sound tie-break.
+// FuzzClassifier checks the compiled classifier against two oracles.
+// The string-keyed classifier it replaced (classify_oracle_test.go) must
+// return the same path and the same Matches list for the recorded
+// calls, for hand-built copies of them that carry no IDs, and for
+// copies with a result or an outcome label changed. A naive tree-walking
+// evaluation of each path's outcome results, domains and constraints
+// must find the same matches. All matching paths must share one class
+// label, so "first match in ID order" is a sound tie-break.
 func FuzzClassifier(f *testing.F) {
 	for i, p := range traffic.BridgeFrames(traffic.BridgeConfig{
 		Packets: 8, MACs: 6, Ports: 4, BroadcastFraction: 0.25,
@@ -78,16 +89,18 @@ func FuzzClassifier(f *testing.F) {
 		r.now += uint64(gap%2_000_000) + 1
 		pkt := traffic.Packet{Data: data, Time: r.now, InPort: uint64(inPort % 4)}
 
-		var calls []core.CallRecord
-		restore := core.AttachRecorder(r.br.Env, &calls)
+		r.log.Reset()
 		recs, err := r.run.Run(r.br.Instance, []traffic.Packet{pkt})
-		restore()
 		if err != nil {
 			t.Fatal(err)
 		}
+		calls := r.log.Records()
 		obs := &core.PacketObservation{
 			Pkt: data, InPort: pkt.InPort, Time: pkt.Time,
 			PktLen: uint64(len(data)), Action: recs[0].Action.Kind, Calls: calls,
+		}
+		for _, variant := range observationVariants(obs) {
+			agreeWithOracle(t, r, variant)
 		}
 
 		got := r.cls.Matches(obs)
@@ -119,6 +132,61 @@ func FuzzClassifier(f *testing.F) {
 			t.Fatalf("Classify chose path %d, not the lowest-ID match %d", best.ID, got[0].ID)
 		}
 	})
+}
+
+// observationVariants returns obs and copies of it that the classifier
+// must resolve without recorder help: the calls hand-built with no IDs,
+// and (still without IDs) an unknown outcome label on the first call,
+// the first call's label dropped, and the last call's first result
+// flipped (with its IDs kept — results are not interned).
+func observationVariants(obs *core.PacketObservation) []*core.PacketObservation {
+	variant := func(edit func(calls []core.CallRecord), keepIDs bool) *core.PacketObservation {
+		v := *obs
+		v.Calls = make([]core.CallRecord, len(obs.Calls))
+		for i, c := range obs.Calls {
+			c.Results = append([]uint64(nil), c.Results...)
+			if !keepIDs {
+				c.OpID, c.OutcomeID = 0, 0
+			}
+			v.Calls[i] = c
+		}
+		if len(v.Calls) > 0 {
+			edit(v.Calls)
+		}
+		return &v
+	}
+	return []*core.PacketObservation{
+		obs,
+		variant(func([]core.CallRecord) {}, false),
+		variant(func(c []core.CallRecord) { c[0].Outcome = "no-such-label" }, false),
+		variant(func(c []core.CallRecord) { c[0].Outcome = "" }, false),
+		variant(func(c []core.CallRecord) {
+			if last := c[len(c)-1]; len(last.Results) > 0 {
+				last.Results[0] ^= 1
+			}
+		}, true),
+	}
+}
+
+// agreeWithOracle requires the compiled classifier to assign obs
+// exactly as the string-keyed oracle does.
+func agreeWithOracle(t *testing.T, r *fuzzRig, obs *core.PacketObservation) {
+	t.Helper()
+	got, want := r.cls.Matches(obs), r.oracle.Matches(obs)
+	if len(got) != len(want) {
+		t.Fatalf("compiled classifier matches %d paths, string oracle %d (calls %+v, action %s)",
+			len(got), len(want), obs.Calls, obs.Action)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("match %d: compiled path %d, oracle path %d", i, got[i].ID, want[i].ID)
+		}
+	}
+	p, ok := r.cls.Classify(obs)
+	q, okq := r.oracle.Classify(obs)
+	if p != q || ok != okq {
+		t.Fatalf("compiled classifier chose %v (%v), oracle %v (%v)", p, ok, q, okq)
+	}
 }
 
 // naiveMatch re-implements the classifier's semantics by walking

@@ -68,18 +68,18 @@ func TestClassifierLPMLongPath(t *testing.T) {
 		t.Fatal("route table has no extended slots; nothing adversarial to send")
 	}
 	runner := &distill.Runner{}
-	var calls []core.CallRecord
-	restore := core.AttachRecorder(r.Env, &calls)
+	var log core.CallLog
+	restore := core.AttachCallLog(r.Env, &log)
 	defer restore()
 	for i, p := range pkts {
-		calls = calls[:0]
+		log.Reset()
 		recs, err := runner.Run(r.Instance, []traffic.Packet{p})
 		if err != nil {
 			t.Fatal(err)
 		}
 		obs := &core.PacketObservation{
 			Pkt: p.Data, InPort: p.InPort, Time: p.Time,
-			PktLen: uint64(len(p.Data)), Action: recs[0].Action.Kind, Calls: calls,
+			PktLen: uint64(len(p.Data)), Action: recs[0].Action.Kind, Calls: log.Records(),
 		}
 		path, ok := cls.Classify(obs)
 		if !ok {
@@ -87,6 +87,52 @@ func TestClassifierLPMLongPath(t *testing.T) {
 		}
 		if !strings.Contains(path.Class(), "lpm.get:long") {
 			t.Fatalf("adversarial two-read packet %d classified as %q; outcome-label evidence lost", i, path.Class())
+		}
+	}
+}
+
+// TestClassifyKeyedAllocatesNothing pins the classifier's steady state:
+// neither recorded calls (interned IDs) nor hand-built ones (resolved
+// through the call table on entry) cost an allocation.
+func TestClassifyKeyedAllocatesNothing(t *testing.T) {
+	br := nf.NewBridge(nf.BridgeConfig{Ports: 4, Capacity: 64, TimeoutNS: 1 << 40, GranularityNS: 1})
+	ct, err := core.NewGenerator().Generate(br.Prog, br.Models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := core.NewClassifier(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log core.CallLog
+	restore := core.AttachCallLog(br.Env, &log)
+	defer restore()
+	pkts := traffic.BridgeFrames(traffic.BridgeConfig{Packets: 2, MACs: 1, Ports: 4, StartNS: 1000, GapNS: 1000, Seed: 3})
+	runner := &distill.Runner{}
+	for _, p := range pkts {
+		log.Reset()
+		recs, err := runner.Run(br.Instance, []traffic.Packet{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := &core.PacketObservation{
+			Pkt: p.Data, InPort: p.InPort, Time: p.Time,
+			PktLen: uint64(len(p.Data)), Action: recs[0].Action.Kind, Calls: log.Records(),
+		}
+		bare := *obs
+		bare.Calls = nil
+		for _, c := range obs.Calls {
+			c.OpID, c.OutcomeID = 0, 0
+			bare.Calls = append(bare.Calls, c)
+		}
+		var key []byte
+		for _, o := range []*core.PacketObservation{obs, &bare} {
+			if _, ok := cls.ClassifyKeyed(o, &key); !ok {
+				t.Fatalf("packet at t=%d unclassified", p.Time)
+			}
+			if n := testing.AllocsPerRun(100, func() { cls.ClassifyKeyed(o, &key) }); n != 0 {
+				t.Errorf("ClassifyKeyed allocates %v times per packet, want 0", n)
+			}
 		}
 	}
 }

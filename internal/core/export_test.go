@@ -6,3 +6,8 @@ var (
 	OracleEncode = oracleEncode
 	OracleDecode = oracleDecode
 )
+
+// The string-keyed classifier kept as the compiled classifier's oracle.
+type OracleClassifier = oracleClassifier
+
+var NewOracleClassifier = newOracleClassifier

@@ -244,10 +244,8 @@ func benchWorkload(sc Scale) (warm, meas []traffic.Packet) {
 
 // MonitorBenchRow is one monitored mode's cost in the ablation.
 type MonitorBenchRow struct {
-	// Mode is "unpooled" (the pre-pooling per-packet path: fresh
-	// observation and call-record allocations per packet), "pooled" (the
-	// serial arena-pooled fast path), or "sharded" (flow-hashed batched
-	// ingest into Shards engines).
+	// Mode is "pooled" (the serial monitor) or "sharded" (flow-hashed
+	// batched ingest into Shards engines).
 	Mode   string `json:"mode"`
 	Shards int    `json:"shards,omitempty"`
 	Batch  int    `json:"batch,omitempty"`
@@ -306,9 +304,7 @@ func (r MonitorBenchResult) Overhead(mode string, shards, batch int, ingest stri
 // MonitorBench times the multi-stream bridge replay bare (distill.Runner
 // only) and under each monitor configuration of the ablation:
 //
-//   - unpooled: the per-packet path as it shipped pre-pooling (NoPool —
-//     fresh observation + call-record copies per packet),
-//   - pooled: the serial arena-pooled fast path (the default),
+//   - pooled: the serial monitor (the default),
 //   - sharded {1,2,4} × batch 64, plus shards 2 × batch 1 as the
 //     batched-vs-unbatched ablation.
 //
@@ -405,7 +401,6 @@ func MonitorBench(sc Scale, runs int) (MonitorBenchResult, error) {
 		row MonitorBenchRow
 		cfg monitor.Config
 	}{
-		{MonitorBenchRow{Mode: "unpooled"}, monitor.Config{NoPool: true}},
 		{MonitorBenchRow{Mode: "pooled"}, monitor.Config{}},
 		// The ring-vs-channel ablation at each shard count...
 		sharded(1, 64, 4, false),

@@ -5,25 +5,18 @@ import (
 	"sort"
 )
 
-// varPow is one variable factor of a compiled term: which slot of the
-// value vector, raised to which power.
-type varPow struct {
-	idx int
-	pow int
-}
-
-type compiledTerm struct {
-	coef    uint64
-	factors []varPow
-}
-
 // CompiledPoly is a Poly lowered onto a fixed variable order: evaluation
 // reads a flat value vector and touches neither maps nor monomial
 // strings. The online monitor compiles each contract path's bound once
 // and evaluates it on every packet.
+//
+// Term i is coef[i] times the product of vals[idx[j]] over j in
+// [end[i-1], end[i]) — a variable raised to power k appears k times.
 type CompiledPoly struct {
-	c     uint64
-	terms []compiledTerm
+	c    uint64
+	coef []uint64
+	end  []int32
+	idx  []int32
 }
 
 // Compile lowers the polynomial onto the variable order vars. Every
@@ -47,15 +40,17 @@ func (p Poly) Compile(vars []string) (*CompiledPoly, error) {
 			names = append(names, v)
 		}
 		sort.Strings(names)
-		t := compiledTerm{coef: coef, factors: make([]varPow, 0, len(names))}
 		for _, v := range names {
 			i, ok := idx[v]
 			if !ok {
 				return nil, fmt.Errorf("expr: compile: variable %q not in the value-vector order", v)
 			}
-			t.factors = append(t.factors, varPow{idx: i, pow: pows[v]})
+			for k := 0; k < pows[v]; k++ {
+				cp.idx = append(cp.idx, int32(i))
+			}
 		}
-		cp.terms = append(cp.terms, t)
+		cp.coef = append(cp.coef, coef)
+		cp.end = append(cp.end, int32(len(cp.idx)))
 	}
 	return cp, nil
 }
@@ -63,14 +58,11 @@ func (p Poly) Compile(vars []string) (*CompiledPoly, error) {
 // Eval computes the polynomial at the value vector whose order Compile
 // fixed. Arithmetic wraps exactly like Poly.Eval.
 func (cp *CompiledPoly) Eval(vals []uint64) uint64 {
-	total := cp.c
-	for _, t := range cp.terms {
-		v := t.coef
-		for _, f := range t.factors {
-			x := vals[f.idx]
-			for k := 0; k < f.pow; k++ {
-				v *= x
-			}
+	total, f := cp.c, 0
+	for i, v := range cp.coef {
+		end := int(cp.end[i])
+		for ; f < end; f++ {
+			v *= vals[cp.idx[f]]
 		}
 		total += v
 	}

@@ -13,11 +13,9 @@ import (
 // BenchmarkMonitoredReplay vs BenchmarkBareReplay is the per-packet
 // price of online monitoring (classification + bound evaluation +
 // streaming state); BENCH_monitor.json reports the same comparison via
-// cmd/boltmon -benchjson. The Unpooled and Sharded variants are the
-// ablation: the pre-pooling per-packet path, and the flow-hashed batched
-// fan-out.
-func BenchmarkMonitoredReplay(b *testing.B)         { benchMonitored(b, monitor.Config{}) }
-func BenchmarkMonitoredReplayUnpooled(b *testing.B) { benchMonitored(b, monitor.Config{NoPool: true}) }
+// cmd/boltmon -benchjson. The Sharded variants are the flow-hashed
+// batched fan-out.
+func BenchmarkMonitoredReplay(b *testing.B) { benchMonitored(b, monitor.Config{}) }
 func BenchmarkMonitoredReplaySharded2(b *testing.B) {
 	benchMonitored(b, monitor.Config{Shards: 2, Batch: 64})
 }
@@ -30,8 +28,12 @@ func BenchmarkMonitoredReplaySharded2Chan(b *testing.B) {
 
 // warmedReplay builds a monitor over the attack bridge, warms it on the
 // 2048-frame benchmark trace, and returns the replay of that trace: the
-// steady-state Run the benchmarks time and the allocation pin counts.
+// steady-state Run the benchmarks time and the allocation pins count.
 func warmedReplay(tb testing.TB, cfg monitor.Config) (run func(), packets int) {
+	return warmedReplayN(tb, cfg, 2048)
+}
+
+func warmedReplayN(tb testing.TB, cfg monitor.Config, frames int) (run func(), packets int) {
 	sc := experiments.QuickScale()
 	br, ct, err := experiments.AttackBridge(sc)
 	if err != nil {
@@ -41,7 +43,7 @@ func warmedReplay(tb testing.TB, cfg monitor.Config) (run func(), packets int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pkts := benchFrames(sc, 2048)
+	pkts := benchFrames(sc, frames)
 	if err := mon.Warm(context.Background(), br.Instance, pkts); err != nil {
 		tb.Fatal(err)
 	}

@@ -236,6 +236,33 @@ func TestPartialFlushCountsAccumulate(t *testing.T) {
 	}
 }
 
+// TestSerialRunAllocations pins the serial monitor's steady state the
+// way bench's dp-mon allocs_per_op gate sees it: a Run allocates no more
+// than the 6 it did before classification moved to integer slots (plus
+// one of runtime slack), and no more for a trace twice as long —
+// nothing is allocated per packet. Each count is the least of three
+// windows, so the runtime's occasional extra allocation cannot tell the
+// two traces apart.
+func TestSerialRunAllocations(t *testing.T) {
+	perRun := func(frames int) float64 {
+		run, _ := warmedReplayN(t, monitor.Config{}, frames)
+		run()
+		n := testing.AllocsPerRun(5, run)
+		for i := 0; i < 2; i++ {
+			n = min(n, testing.AllocsPerRun(5, run))
+		}
+		return n
+	}
+	short, long := perRun(2048), perRun(4096)
+	t.Logf("serial Run: %v allocations over 2048 packets, %v over 4096", short, long)
+	if short > 6+1 {
+		t.Errorf("serial Run allocates %v times, want <= 7", short)
+	}
+	if long != short {
+		t.Errorf("serial Run allocates %v times over 2048 packets but %v over 4096: something allocates per packet", short, long)
+	}
+}
+
 // TestShardedRunAllocationsRepeat pins that a steady-state sharded Run
 // allocates a fixed, small count: the batch buffers live on the Monitor
 // across Runs, so the only per-Run allocations on top of the serial

@@ -164,11 +164,6 @@ type Config struct {
 	// the merge-layer identity guarantee is conditional on the hash
 	// keeping each input class on one shard.
 	FlowHash func(pkt []byte, inPort uint64) uint64
-	// NoPool disables the pooled allocation-free fast path (reused
-	// observations, arena-backed call records, keyed classification) and
-	// replays the original per-packet allocating path — the ablation
-	// lever monitorbench uses. Serial only.
-	NoPool bool
 	// ShardAware prices the deployment's parallelism into the checks:
 	// with S = Shards > 1, the cycle bound each packet is held to
 	// becomes the contract's shard-aware bound (base plus the
@@ -201,12 +196,21 @@ type Monitor struct {
 	runner   *distill.Runner
 	detailed *hwmodel.Detailed
 	pcvNames []string
-	// bounds holds each path's cost polynomials compiled onto the
-	// pcvNames order (shared read-only across shards; CompiledPoly.Eval
-	// is pure). BoundAt re-walks monomial strings and maps on every call
-	// — far too slow for the per-packet hot path.
-	bounds  map[*core.PathContract]*[perf.NumMetrics]*expr.CompiledPoly
-	classOf map[*core.PathContract]string // Class() concatenates per call
+	// Per contract path, by its position in ct.Paths (what the
+	// classifier returns): its class index into classes, and its cost
+	// polynomials compiled onto the pcvNames order (shared read-only
+	// across shards; CompiledPoly.Eval is pure). BoundAt re-walks
+	// monomial strings and maps on every call — far too slow for the
+	// per-packet hot path.
+	pathClass []int
+	bounds    [][perf.NumMetrics]*expr.CompiledPoly
+	// classes are the contract's class labels, each once, in path order.
+	classes []string
+	// measured counts the metrics every packet is checked on, in metric
+	// order: IC and MA, and cycles on the detailed model. needBound
+	// marks those and the budgeted metric.
+	measured  int
+	needBound [perf.NumMetrics]bool
 	// shardIdx is expr.ShardPCV's slot in pcvNames when the monitor is
 	// shard-aware (every engine pins it to Shards−1), -1 otherwise.
 	shardIdx int
@@ -221,6 +225,10 @@ type Monitor struct {
 
 	log core.CallLog // pooled per-packet call recorder scratch
 	obs core.PacketObservation
+	// envSlot maps the PCV slots of envPCVs (the Env Run last read
+	// PCVs from) to pcvNames indices, -1 for PCVs the contract lacks.
+	envPCVs *nfir.Env
+	envSlot []int
 
 	ing *ingester // non-nil while a sharded Run is draining
 	// frees are the per-shard freelists of batch buffers (ring backend),
@@ -263,9 +271,6 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 	if cfg.FlowHash == nil {
 		cfg.FlowHash = FlowKey
 	}
-	if cfg.NoPool && cfg.Shards > 1 {
-		return nil, fmt.Errorf("monitor: NoPool is a serial-only ablation (got %d shards)", cfg.Shards)
-	}
 	shardAware := cfg.ShardAware && cfg.Shards > 1
 	if cfg.Budget == 0 && cfg.ClockHz > 0 && cfg.TargetPPS > 0 {
 		cfg.Metric = perf.Cycles
@@ -278,7 +283,17 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 		cfg.Budget = uint64(budget)
 		cfg.Detailed = true
 	}
-	m := &Monitor{ct: ct, cfg: cfg, shardIdx: -1}
+	if cfg.Metric < 0 || int(cfg.Metric) >= perf.NumMetrics {
+		return nil, fmt.Errorf("monitor: unknown metric %d", cfg.Metric)
+	}
+	m := &Monitor{ct: ct, cfg: cfg, shardIdx: -1, measured: 2}
+	if cfg.Detailed {
+		m.measured = 3
+	}
+	for metric := 0; metric < m.measured; metric++ {
+		m.needBound[metric] = true
+	}
+	m.needBound[cfg.Metric] = true
 	pcvSet := make(map[string]bool)
 	for _, p := range ct.Paths {
 		for v := range p.PCVRanges {
@@ -299,11 +314,19 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 			}
 		}
 	}
-	m.bounds = make(map[*core.PathContract]*[perf.NumMetrics]*expr.CompiledPoly, len(ct.Paths))
-	m.classOf = make(map[*core.PathContract]string, len(ct.Paths))
-	for _, p := range ct.Paths {
-		m.classOf[p] = p.Class()
-		var cb [perf.NumMetrics]*expr.CompiledPoly
+	m.pathClass = make([]int, len(ct.Paths))
+	m.bounds = make([][perf.NumMetrics]*expr.CompiledPoly, len(ct.Paths))
+	classIdx := make(map[string]int)
+	for pi, p := range ct.Paths {
+		label := p.Class()
+		ci, ok := classIdx[label]
+		if !ok {
+			ci = len(m.classes)
+			classIdx[label] = ci
+			m.classes = append(m.classes, label)
+		}
+		m.pathClass[pi] = ci
+		cb := &m.bounds[pi]
 		for _, metric := range perf.Metrics {
 			poly := p.Cost[metric]
 			if shardAware && metric == perf.Cycles {
@@ -315,7 +338,6 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 			// else: the cost mentions a variable outside the contract's
 			// PCV ranges; boundAt falls back to map-based BoundAt there.
 		}
-		m.bounds[p] = &cb
 	}
 	m.engines = make([]*engine, cfg.Shards)
 	for i := range m.engines {
@@ -339,20 +361,21 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 // With Shards > 1 the classification work drains through the shard
 // goroutines and is fully merged before Run returns.
 func (m *Monitor) Run(ctx context.Context, inst *nf.Instance, pkts []traffic.Packet) ([]distill.Record, error) {
-	if m.cfg.NoPool {
-		return m.runUnpooled(ctx, inst, pkts)
-	}
 	restore := core.AttachCallLog(inst.Env, &m.log)
 	defer restore()
 	m.log.Reset()
 	if m.cfg.Shards > 1 {
 		m.startIngest()
 	}
+	env := inst.Env
 	m.runner.Observer = func(_ int, pkt traffic.Packet, rec *distill.Record) {
 		if m.ing != nil {
 			m.ing.enqueue(pkt, rec, m.log.Records())
 		} else {
-			m.observePooled(pkt, rec, m.log.Records())
+			// The Env's PCV slots still hold this packet's observations.
+			e := m.engines[0]
+			m.pcvsFromEnv(env, e.vals)
+			m.observeWith(e, pkt, rec, m.log.Records())
 		}
 		m.log.Reset()
 	}
@@ -361,21 +384,6 @@ func (m *Monitor) Run(ctx context.Context, inst *nf.Instance, pkts []traffic.Pac
 	recs, err := m.runner.RunContext(ctx, inst, pkts)
 	m.finishIngest()
 	return recs, err
-}
-
-// runUnpooled is the pre-pooling per-packet path, kept verbatim as the
-// monitorbench ablation baseline: a fresh observation and copied call
-// records per packet, string-keyed classification.
-func (m *Monitor) runUnpooled(ctx context.Context, inst *nf.Instance, pkts []traffic.Packet) ([]distill.Record, error) {
-	var calls []core.CallRecord
-	restore := core.AttachRecorder(inst.Env, &calls)
-	defer restore()
-	m.runner.Observer = func(_ int, pkt traffic.Packet, rec *distill.Record) {
-		m.Observe(pkt, rec, calls)
-		calls = calls[:0]
-	}
-	defer func() { m.runner.Observer = nil }()
-	return m.runner.RunContext(ctx, inst, pkts)
 }
 
 // Warm replays a workload with monitoring off: the instance's state and
@@ -389,29 +397,48 @@ func (m *Monitor) Warm(ctx context.Context, inst *nf.Instance, pkts []traffic.Pa
 // Observe feeds one measured packet directly and synchronously (exposed
 // for harnesses that drive their own runner). In sharded configurations
 // the packet still lands on its flow-hashed shard's state, processed
-// inline on the caller's goroutine.
+// inline on the caller's goroutine. The PCVs come from rec.PCVs.
 func (m *Monitor) Observe(pkt traffic.Packet, rec *distill.Record, calls []core.CallRecord) {
-	idx := m.packets
-	m.packets++
 	e := m.engines[m.shardOf(pkt.Data, pkt.InPort)]
-	obs := &core.PacketObservation{
-		Pkt: pkt.Data, InPort: pkt.InPort, Time: pkt.Time, PktLen: obsPktLen(pkt.Data),
-		Action: rec.Action.Kind, Calls: calls,
-	}
-	e.observe(idx, obs, rec.IC, rec.MA, rec.Cycles, rec.PCVs)
+	e.pcvsFromMap(rec.PCVs)
+	m.observeWith(e, pkt, rec, calls)
 }
 
-// observePooled is Observe on the reused observation — the serial fast
-// path Run drives.
-func (m *Monitor) observePooled(pkt traffic.Packet, rec *distill.Record, calls []core.CallRecord) {
+// observeWith classifies and checks one packet on the monitor's reused
+// observation, the engine's PCV vector already filled.
+func (m *Monitor) observeWith(e *engine, pkt traffic.Packet, rec *distill.Record, calls []core.CallRecord) {
 	idx := m.packets
 	m.packets++
-	e := m.engines[m.shardOf(pkt.Data, pkt.InPort)]
-	m.obs = core.PacketObservation{
-		Pkt: pkt.Data, InPort: pkt.InPort, Time: pkt.Time, PktLen: obsPktLen(pkt.Data),
-		Action: rec.Action.Kind, Calls: calls,
+	o := &m.obs
+	o.Pkt, o.InPort, o.Time, o.PktLen = pkt.Data, pkt.InPort, pkt.Time, obsPktLen(pkt.Data)
+	o.Action, o.Calls = rec.Action.Kind, calls
+	e.observe(idx, o, rec.IC, rec.MA, rec.Cycles)
+}
+
+// pcvsFromEnv fills vals — the contract's PCVs in pcvNames order, 0 when
+// unobserved — from env's PCV slots through the cached slot map, which
+// grows only when the Env meets a PCV it had not seen.
+func (m *Monitor) pcvsFromEnv(env *nfir.Env, vals []uint64) {
+	names, v, seen := env.PCVSlots()
+	if env != m.envPCVs {
+		m.envPCVs, m.envSlot = env, m.envSlot[:0]
 	}
-	e.observe(idx, &m.obs, rec.IC, rec.MA, rec.Cycles, rec.PCVs)
+	for i := len(m.envSlot); i < len(names); i++ {
+		slot := -1
+		for j, name := range m.pcvNames {
+			if name == names[i] {
+				slot = j
+				break
+			}
+		}
+		m.envSlot = append(m.envSlot, slot)
+	}
+	clear(vals)
+	for i, slot := range m.envSlot {
+		if slot >= 0 && seen[i] {
+			vals[slot] = v[i]
+		}
+	}
 }
 
 func (m *Monitor) shardOf(pkt []byte, inPort uint64) int {
@@ -502,7 +529,7 @@ func (m *Monitor) MaxPredicted() uint64 {
 func (m *Monitor) Overloaded() bool {
 	for _, e := range m.engines {
 		for _, st := range e.classes {
-			if st.hys.Paged() {
+			if st != nil && st.hys.Paged() {
 				return true
 			}
 		}
@@ -559,15 +586,17 @@ func (m *Monitor) Report() string {
 	fmt.Fprintf(&b, "  packets %d, unclassified %d, violations %d, alerts %d\n",
 		m.packets, m.Unclassified(), m.Violations(), len(alerts))
 	rows := m.mergedClasses()
-	labels := make([]string, 0, len(rows))
-	for l := range rows {
-		labels = append(labels, l)
+	var seen []int
+	for ci, r := range rows {
+		if r != nil {
+			seen = append(seen, ci)
+		}
 	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		st := rows[l]
+	sort.Slice(seen, func(i, j int) bool { return m.classes[seen[i]] < m.classes[seen[j]] })
+	for _, ci := range seen {
+		st := rows[ci]
 		fmt.Fprintf(&b, "  class %-52s pkts %6d  max obs %8d  max pred %8d  p%02.0f %8.0f",
-			l, st.packets, st.maxObserved, st.maxPred, m.cfg.Quantile*100, st.quantile)
+			m.classes[ci], st.packets, st.maxObserved, st.maxPred, m.cfg.Quantile*100, st.quantile)
 		if m.cfg.Budget > 0 {
 			fmt.Fprintf(&b, "  headroom %8d", st.minHeadroom)
 		}

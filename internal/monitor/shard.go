@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"sync"
 
 	"gobolt/internal/core"
@@ -70,14 +71,13 @@ func FlowKey(pkt []byte, inPort uint64) uint64 {
 
 // classState is the streaming state for one input class on one shard.
 type classState struct {
-	class       string
 	packets     int
 	violations  int
 	maxObserved uint64
 	maxPred     uint64
 	minHeadroom int64
-	win         *window
-	sketch      *quantileSketch
+	win         window
+	sketch      quantileSketch
 	hys         hysteresis
 }
 
@@ -88,18 +88,22 @@ type classState struct {
 // a time: the caller's for the serial monitor, its shard worker during a
 // sharded Run.
 type engine struct {
-	m      *Monitor
-	cls    *core.Classifier
-	keyBuf []byte
-	vals   []uint64
-	obs    core.PacketObservation
+	m    *Monitor
+	cls  *core.Classifier
+	vals []uint64 // the packet's PCVs in Monitor.pcvNames order
+	obs  core.PacketObservation
+	// pred holds the bounds of path lastPath at PCVs lastVals, for the
+	// metrics Monitor.needBound marks.
+	pred     [perf.NumMetrics]uint64
+	lastPath int
+	lastVals []uint64
 
 	packets      int
 	unclassified int
 	firstUnclass int
 	violations   int
 	maxPred      uint64
-	classes      map[string]*classState
+	classes      []*classState // by class index; nil until the class's first packet
 	alerts       []Alert
 }
 
@@ -111,29 +115,38 @@ func newEngine(m *Monitor) (*engine, error) {
 	return &engine{
 		m: m, cls: cls,
 		vals:         make([]uint64, len(m.pcvNames)),
+		lastPath:     -1,
+		lastVals:     make([]uint64, len(m.pcvNames)),
 		firstUnclass: -1,
-		classes:      make(map[string]*classState),
+		classes:      make([]*classState, len(m.classes)),
 	}, nil
 }
 
+// pcvsFromMap fills the PCV vector from a Distiller PCV map, exactly as
+// the offline soundness check binds it: every PCV the contract
+// mentions, 0 when unobserved.
+func (e *engine) pcvsFromMap(pcvs map[string]uint64) {
+	for i, v := range e.m.pcvNames {
+		e.vals[i] = pcvs[v]
+	}
+}
+
 // observe classifies and checks one measured packet. idx is the global
-// packet index assigned at ingest; pcvs is the Distiller's per-packet
-// PCV observation map.
-func (e *engine) observe(idx int, obs *core.PacketObservation, ic, ma, cycles uint64, pcvs map[string]uint64) {
+// packet index assigned at ingest; the caller has filled e.vals with the
+// packet's PCVs.
+func (e *engine) observe(idx int, obs *core.PacketObservation, ic, ma, cycles uint64) {
 	m := e.m
 	e.packets++
 
-	var path *core.PathContract
-	var ok bool
-	if m.cfg.NoPool {
-		path, ok = e.cls.Classify(obs)
-	} else {
-		path, ok = e.cls.ClassifyKeyed(obs, &e.keyBuf)
-	}
+	pi := e.cls.ClassifyIndex(obs)
 	if m.cfg.OnClassify != nil {
+		var path *core.PathContract
+		if pi >= 0 {
+			path = m.ct.Paths[pi]
+		}
 		m.cfg.OnClassify(obs, path)
 	}
-	if !ok {
+	if pi < 0 {
 		e.unclassified++
 		if e.firstUnclass < 0 {
 			e.firstUnclass = idx
@@ -141,44 +154,39 @@ func (e *engine) observe(idx int, obs *core.PacketObservation, ic, ma, cycles ui
 		}
 		return
 	}
-
-	// The observed-PCV vector, exactly as the offline soundness check
-	// binds it: every PCV the contract mentions, 0 when unobserved.
-	for i, v := range m.pcvNames {
-		e.vals[i] = pcvs[v]
-	}
 	if m.shardIdx >= 0 {
 		// Shard-aware checks price in the deployment's contenders.
 		e.vals[m.shardIdx] = uint64(m.cfg.Shards - 1)
 	}
-
-	// Violation detection on every measured metric.
-	checks := [perf.NumMetrics]struct {
-		metric   perf.Metric
-		observed uint64
-	}{
-		{perf.Instructions, ic},
-		{perf.MemAccesses, ma},
+	ci := m.pathClass[pi]
+	st := e.classes[ci]
+	if st == nil {
+		st = e.newClassState(ci)
 	}
-	nChecks := 2
-	if m.detailed != nil {
-		checks[nChecks] = struct {
-			metric   perf.Metric
-			observed uint64
-		}{perf.Cycles, cycles}
-		nChecks++
-	}
-	st := e.classState(m.classOf[path])
 	st.packets++
-	for _, c := range checks[:nChecks] {
-		pred := e.boundAt(path, c.metric)
-		if c.observed > pred {
+
+	// Violation detection on every measured metric, then the budget
+	// below: each bound is evaluated once per packet — and not at all
+	// when the packet repeats the previous one's path and PCVs, the
+	// steady state of an established flow.
+	if pi != e.lastPath || !slices.Equal(e.vals, e.lastVals) {
+		for metric := range e.pred {
+			if m.needBound[metric] {
+				e.pred[metric] = e.boundAt(pi, perf.Metric(metric))
+			}
+		}
+		e.lastPath = pi
+		copy(e.lastVals, e.vals)
+	}
+	for metric := perf.Metric(0); int(metric) < m.measured; metric++ {
+		observed, p := metricValue(ic, ma, cycles, metric), e.pred[metric]
+		if observed > p {
 			st.violations++
 			e.violations++
 			e.fire(Alert{
 				Kind: AlertViolation, PacketIndex: idx, Time: obs.Time,
-				Class: m.classOf[path], PathID: path.ID, Metric: c.metric,
-				Observed: c.observed, Predicted: pred,
+				Class: m.classes[ci], PathID: m.ct.Paths[pi].ID, Metric: metric,
+				Observed: observed, Predicted: p,
 				PCVs: e.pcvMap(), Window: st.win.Snapshot(),
 			})
 		}
@@ -188,8 +196,7 @@ func (e *engine) observe(idx int, obs *core.PacketObservation, ic, ma, cycles ui
 	// metric: the *predicted* bound at the observed PCVs is the signal —
 	// it rises with the PCVs adversarial traffic inflates, ahead of any
 	// measurable collapse.
-	observed := metricValue(ic, ma, cycles, m.cfg.Metric)
-	predicted := e.boundAt(path, m.cfg.Metric)
+	observed, predicted := metricValue(ic, ma, cycles, m.cfg.Metric), e.pred[m.cfg.Metric]
 	st.win.Add(observed)
 	st.sketch.Add(float64(observed))
 	if observed > st.maxObserved {
@@ -210,7 +217,7 @@ func (e *engine) observe(idx int, obs *core.PacketObservation, ic, ma, cycles ui
 		if fired {
 			e.fire(Alert{
 				Kind: AlertOverload, PacketIndex: idx, Time: obs.Time,
-				Class: m.classOf[path], PathID: path.ID, Metric: m.cfg.Metric,
+				Class: m.classes[ci], PathID: m.ct.Paths[pi].ID, Metric: m.cfg.Metric,
 				Observed: observed, Predicted: predicted, Budget: m.cfg.Budget,
 				PCVs: e.pcvMap(), Window: st.win.Snapshot(),
 			})
@@ -218,24 +225,20 @@ func (e *engine) observe(idx int, obs *core.PacketObservation, ic, ma, cycles ui
 		if cleared {
 			e.fire(Alert{
 				Kind: AlertCleared, PacketIndex: idx, Time: obs.Time,
-				Class: m.classOf[path], PathID: path.ID, Metric: m.cfg.Metric,
+				Class: m.classes[ci], PathID: m.ct.Paths[pi].ID, Metric: m.cfg.Metric,
 				Predicted: predicted, Budget: m.cfg.Budget,
 			})
 		}
 	}
 }
 
-func (e *engine) classState(class string) *classState {
-	st, ok := e.classes[class]
-	if !ok {
-		st = &classState{
-			class:  class,
-			win:    newWindow(e.m.cfg.RingSize),
-			sketch: newQuantileSketch(e.m.cfg.Quantile),
-			hys:    hysteresis{Trigger: e.m.cfg.Trigger, Clear: e.m.cfg.Clear},
-		}
-		e.classes[class] = st
+func (e *engine) newClassState(ci int) *classState {
+	st := &classState{
+		win:    *newWindow(e.m.cfg.RingSize),
+		sketch: *newQuantileSketch(e.m.cfg.Quantile),
+		hys:    hysteresis{Trigger: e.m.cfg.Trigger, Clear: e.m.cfg.Clear},
 	}
+	e.classes[ci] = st
 	return st
 }
 
@@ -246,13 +249,14 @@ func (e *engine) fire(a Alert) {
 	}
 }
 
-// boundAt evaluates a path's bound at the engine's current PCV vector
+// boundAt evaluates path pi's bound at the engine's current PCV vector
 // via the pre-compiled polynomial, falling back to BoundAt for the rare
 // path whose cost mentions a variable outside the PCV-range set.
-func (e *engine) boundAt(p *core.PathContract, metric perf.Metric) uint64 {
-	if cp := e.m.bounds[p][metric]; cp != nil {
+func (e *engine) boundAt(pi int, metric perf.Metric) uint64 {
+	if cp := e.m.bounds[pi][metric]; cp != nil {
 		return cp.Eval(e.vals)
 	}
+	p := e.m.ct.Paths[pi]
 	if e.m.shardIdx >= 0 {
 		return p.ShardBoundAt(metric, e.m.cfg.Shards, e.pcvMap())
 	}
@@ -413,11 +417,11 @@ func (m *Monitor) startIngest() {
 // observeP replays one pooled observation through the engine's reused
 // core.PacketObservation.
 func (e *engine) observeP(po *pObs) {
-	e.obs = core.PacketObservation{
-		Pkt: po.pkt, InPort: po.inPort, Time: po.time, PktLen: po.pktLen,
-		Action: po.action, Calls: po.calls,
-	}
-	e.observe(po.idx, &e.obs, po.ic, po.ma, po.cyc, po.pcvs)
+	o := &e.obs
+	o.Pkt, o.InPort, o.Time, o.PktLen = po.pkt, po.inPort, po.time, po.pktLen
+	o.Action, o.Calls = po.action, po.calls
+	e.pcvsFromMap(po.pcvs)
+	e.observe(po.idx, o, po.ic, po.ma, po.cyc)
 }
 
 // acquire returns an empty batch for a shard off the shard's freelist
@@ -573,19 +577,24 @@ type classRow struct {
 	paged       bool
 }
 
-// mergedClasses combines per-shard class states by label: counts sum,
-// maxima max, headroom min, paged ORs. The tail quantile is the shard's
-// own estimate when the label lives on one shard (the stream-consistent
-// case — byte-identical to serial); when a label straddles shards the
-// merge takes the largest shard estimate, a conservative tail.
-func (m *Monitor) mergedClasses() map[string]*classRow {
-	rows := make(map[string]*classRow)
+// mergedClasses combines per-shard class states by class: counts sum,
+// maxima max, headroom min, paged ORs. The result is indexed like
+// Monitor.classes, nil for classes no packet reached. The tail quantile
+// is the shard's own estimate when the class lives on one shard (the
+// stream-consistent case — byte-identical to serial); when a class
+// straddles shards the merge takes the largest shard estimate, a
+// conservative tail.
+func (m *Monitor) mergedClasses() []*classRow {
+	rows := make([]*classRow, len(m.classes))
 	for _, e := range m.engines {
-		for l, st := range e.classes {
-			r, ok := rows[l]
-			if !ok {
+		for ci, st := range e.classes {
+			if st == nil {
+				continue
+			}
+			r := rows[ci]
+			if r == nil {
 				r = &classRow{minHeadroom: st.minHeadroom, quantile: st.sketch.Quantile()}
-				rows[l] = r
+				rows[ci] = r
 			} else {
 				if st.minHeadroom < r.minHeadroom {
 					r.minHeadroom = st.minHeadroom

@@ -239,39 +239,18 @@ func TestShardBatchInvariance(t *testing.T) {
 	if err := mon.Warm(ctx, inst, warm); err != nil {
 		t.Fatal(err)
 	}
-	var calls []core.CallRecord
-	restore := core.AttachRecorder(inst.Env, &calls)
+	var log core.CallLog
+	restore := core.AttachCallLog(inst.Env, &log)
 	defer restore()
 	runner := &distill.Runner{Observer: func(_ int, pkt traffic.Packet, rec *distill.Record) {
-		mon.Observe(pkt, rec, calls)
-		calls = calls[:0]
+		mon.Observe(pkt, rec, log.Records())
+		log.Reset()
 	}}
 	if _, err := runner.RunContext(ctx, inst, meas); err != nil {
 		t.Fatal(err)
 	}
 	if got := mon.Report(); got != want {
 		t.Errorf("Observe-driven ingest differs from batched Run\nbatched:\n%s\nobserve:\n%s", want, got)
-	}
-}
-
-// TestPooledMatchesUnpooled pins the pooled fast path against the
-// original allocating path: the default Run, the NoPool ablation, and
-// they must agree byte-for-byte on the same workload.
-func TestPooledMatchesUnpooled(t *testing.T) {
-	_, ct := buildRoster(t, "nat")
-	streams := traffic.UDPStreams(traffic.StreamConfig{Streams: 4, PacketsPerStream: 50, Seed: 8})
-	var warmStreams, measStreams [][]traffic.Packet
-	for _, s := range streams {
-		warmStreams = append(warmStreams, s[:15])
-		measStreams = append(measStreams, s[15:])
-	}
-	warm := traffic.Interleave(4, 1_000, 1_000, warmStreams...)
-	meas := traffic.Interleave(5, 1_000+uint64(len(warm))*1_000, 1_000, measStreams...)
-
-	_, pooled := runMonitored(t, rebuildRoster(t, "nat"), ct, monitor.Config{Budget: 600}, warm, meas)
-	_, unpooled := runMonitored(t, rebuildRoster(t, "nat"), ct, monitor.Config{Budget: 600, NoPool: true}, warm, meas)
-	if pooled != unpooled {
-		t.Errorf("pooled and unpooled reports differ\npooled:\n%s\nunpooled:\n%s", pooled, unpooled)
 	}
 }
 

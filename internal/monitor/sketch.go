@@ -75,6 +75,14 @@ func (s *quantileSketch) Add(v float64) {
 			if d < 0 {
 				step = -1.0
 			}
+			if s.h[i-1] == s.h[i] && s.h[i] == s.h[i+1] {
+				// Flat neighbourhood: both interpolations add an exact
+				// zero to h[i] (the position gaps are never zero), so only
+				// the position moves — the steady state of a class whose
+				// packets all cost the same.
+				s.pos[i] += step
+				continue
+			}
 			h := s.parabolic(i, step)
 			if s.h[i-1] < h && h < s.h[i+1] {
 				s.h[i] = h

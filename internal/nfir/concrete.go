@@ -194,6 +194,16 @@ func (e *Env) AppendPCVs(dst []PCVObs) []PCVObs {
 	return dst
 }
 
+// PCVSlots exposes the current packet's PCV observations as this Env's
+// slot vectors: names[i] is the PCV in slot i, vals[i] its value and
+// seen[i] whether the packet observed it. Slots only ever append, so a
+// consumer may cache a mapping from slot to its own index and extend it
+// when names grows. The slices are the Env's own: read them before the
+// next ResetPacket and do not modify them.
+func (e *Env) PCVSlots() (names []string, vals []uint64, seen []bool) {
+	return e.pcvNames, e.pcvVals, e.pcvSeen
+}
+
 // PCVs returns a snapshot of the PCV observations accumulated for the
 // current packet; the caller owns the map.
 func (e *Env) PCVs() map[string]uint64 {

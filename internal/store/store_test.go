@@ -57,8 +57,8 @@ func TestInvalidKeysRejected(t *testing.T) {
 	for _, key := range []string{
 		"",
 		"short",
-		strings.Repeat("g", 64),                    // non-hex
-		strings.Repeat("A", 64),                    // uppercase
+		strings.Repeat("g", 64), // non-hex
+		strings.Repeat("A", 64), // uppercase
 		"../../../../etc/passwd" + testKey("x")[23:], // traversal attempt
 	} {
 		if err := s.Put(key, []byte("x"), Meta{}); err == nil {

@@ -1,6 +1,7 @@
 package symb
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 )
@@ -16,14 +17,20 @@ import (
 
 // Instruction kinds of the postfix machine.
 const (
-	insConst uint8 = iota // push consts[arg]
-	insSym                // push vals[arg] (slot index)
-	insBin                // pop r, pop l, push ApplyOp(Op(arg), l, r)
-	insNot                // replace top with boolVal(top == 0)
+	insConst    uint8 = iota // push consts[arg]
+	insSym                   // push vals[arg] (slot index)
+	insBin                   // pop r, pop l, push ApplyOp(Op(arg), l, r)
+	insNot                   // replace top with boolVal(top == 0)
+	insSymConst              // push ApplyOp(op, vals[slot], consts[arg])
 )
 
+// instr is one instruction. insSymConst fuses the insSym, insConst,
+// insBin triple of a symbol compared with (or combined with) a constant
+// — the commonest constraint shape — into one dispatch.
 type instr struct {
 	kind uint8
+	op   uint8  // insSymConst's Op
+	slot uint16 // insSymConst's slot
 	arg  uint32
 }
 
@@ -48,6 +55,9 @@ func evalProgram(p *program, consts, vals, stack []uint64) uint64 {
 			sp++
 		case insSym:
 			stack[sp] = vals[in.arg]
+			sp++
+		case insSymConst:
+			stack[sp] = ApplyOp(Op(in.op), vals[in.slot], consts[in.arg])
 			sp++
 		case insBin:
 			sp--
@@ -131,6 +141,15 @@ func compileExpr(e Expr, slot func(string) int32, consts *[]uint64) program {
 		case Sym:
 			push(instr{kind: insSym, arg: uint32(slot(x.Name))}, 1)
 		case Bin:
+			if l, ok := x.L.(Sym); ok {
+				if r, ok := x.R.(Const); ok {
+					if s := slot(l.Name); s <= math.MaxUint16 && x.Op <= math.MaxUint8 {
+						*consts = append(*consts, r.V)
+						push(instr{kind: insSymConst, op: uint8(x.Op), slot: uint16(s), arg: uint32(len(*consts) - 1)}, 1)
+						return
+					}
+				}
+			}
 			walk(x.L)
 			walk(x.R)
 			push(instr{kind: insBin, arg: uint32(x.Op)}, -1)

@@ -18,10 +18,15 @@ func (cs *CompiledSet) ProgramSlots(i int) []int {
 	var out []int
 	seen := make(map[int]bool)
 	for _, in := range cs.progs[i].code {
-		if in.kind != insSym {
+		var s int
+		switch in.kind {
+		case insSym:
+			s = int(in.arg)
+		case insSymConst:
+			s = int(in.slot)
+		default:
 			continue
 		}
-		s := int(in.arg)
 		if !seen[s] {
 			seen[s] = true
 			out = append(out, s)
