@@ -37,8 +37,11 @@ import (
 //   - Cached contracts and paths are returned shared, so callers must
 //     treat them as immutable. Everything in this repository already
 //     does: composition copies path contracts before rewriting them, and
-//     the experiment harnesses only read. Disk-loaded entries are fresh
-//     decodes, so immutability holds for them trivially.
+//     the experiment harnesses only read. Disk-loaded entries need it as
+//     much: within one decoded artifact, paths whose stored bytes are
+//     equal share one Domains, PCVRanges or PktWrites map and one
+//     Constraints slice (see DecodeArtifact), so writing into one path's
+//     map would change its siblings.
 //
 // A ContractCache is safe for concurrent use.
 type ContractCache struct {

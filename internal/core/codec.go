@@ -29,16 +29,24 @@ package core
 //     check that identity from outside.
 //   - Decoded values share structure. Strings are interned per artifact,
 //     expression nodes are hash-consed (identical subtrees are one node)
-//     and equal polynomials are one Poly. symb.Expr and expr.Poly are
-//     immutable and cached contracts are shared read-only anyway (see
-//     ContractCache), so sharing shows only in the allocation count: a
-//     582-path composite holds ~63,000 expression nodes, under a hundred
-//     of them distinct.
+//     and each distinct monomial key is parsed once. Five kinds of field
+//     are memoised by their bytes: expression lists (constraints, results,
+//     arguments), domains, PCV ranges, shared-MA polynomials and packet
+//     writes. A span equal to one already accepted at the same kind of
+//     field and nesting level is skipped, not parsed, and the paths that
+//     spell it share one slice, map or Poly. Acceptance and the decoded
+//     value stay a function of the bytes alone (see memo). Shared slices
+//     are clipped, so an append reallocates, and cached contracts are
+//     read-only anyway (see ContractCache), so sharing shows only in the
+//     cost: a 582-path composite holds ~63,000 expression nodes, under a
+//     hundred of them distinct, and 2.6 of its 3.3 MB repeat an earlier
+//     span.
 //
 // Integrity is not this file's job: the on-disk store (internal/store)
 // frames these bytes with a SHA-256 checksum that Store.Get verifies.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -426,9 +434,36 @@ type decoder struct {
 	ids   map[exprKey]uint32 // hash-consed expression nodes, by index in nodes
 	nodes []symb.Expr        // nodes[0] is the nil a failed parse returns
 
+	// The accepted spans of the memoised sites (see memo).
+	exprLists spanMemo[[]symb.Expr]
+	domains   spanMemo[map[string]symb.Domain]
+	ranges    spanMemo[map[string]expr.Range]
+	polys     spanMemo[expr.Poly]
+	pktWrites spanMemo[map[uint64]nfir.PktWrite]
+
+	monos map[string]bool // monomial keys ParseMono accepted
+
 	sbuf  []byte      // scratch: an escaped string, unescaped
 	kvs   []member    // scratch: the members of the object being read
 	exprs []symb.Expr // scratch: the expression list being read
+}
+
+// spanMemo maps the spans one decoding site has accepted, by nesting
+// level and exact bytes, to what they decoded to. Every span the site
+// accepts ends with end, which occurs nowhere earlier in it outside a
+// string.
+type spanMemo[V any] struct {
+	end  []byte
+	seen map[spanKey]V
+}
+
+type spanKey struct {
+	lvl  int
+	span string
+}
+
+func newSpanMemo[V any](end string) spanMemo[V] {
+	return spanMemo[V]{[]byte(end), make(map[spanKey]V)}
 }
 
 // member is one key of a flat object with its value: a coefficient,
@@ -453,10 +488,16 @@ type exprKey struct {
 // so EncodeArtifact(DecodeArtifact(b)) == b for every accepted b.
 func DecodeArtifact(data []byte) (*Artifact, error) {
 	d := &decoder{
-		b:     data,
-		strs:  make(map[string]string, 64),
-		ids:   make(map[exprKey]uint32, 64),
-		nodes: []symb.Expr{nil},
+		b:         data,
+		strs:      make(map[string]string, 64),
+		ids:       make(map[exprKey]uint32, 64),
+		nodes:     []symb.Expr{nil},
+		monos:     make(map[string]bool),
+		exprLists: newSpanMemo[[]symb.Expr](`]`),
+		domains:   newSpanMemo[map[string]symb.Domain](`}}`),
+		ranges:    newSpanMemo[map[string]expr.Range](`}}`),
+		polys:     newSpanMemo[expr.Poly](`}`),
+		pktWrites: newSpanMemo[map[uint64]nfir.PktWrite](`]`),
 	}
 	if f := d.str(`{"format":`); f != artifactFormat {
 		d.fail("not a contract artifact (format %q, want %q)", f, artifactFormat)
@@ -525,13 +566,13 @@ func (d *decoder) list(field string, elem func()) {
 func (d *decoder) path() *PathContract {
 	p := &PathContract{ID: d.int(`{"id":`), Action: d.action(`,"action":`)}
 	p.Constraints = d.exprList(`,"constraints":[`, 6)
-	p.Domains = parseRanges[symb.Domain](d, `,"domains":{`)
+	p.Domains = parseRanges(d, `,"domains":{`, 5, d.domains)
 	p.Events = d.optStr(`,"events":`)
 	p.Trace = d.events(`,"trace":[`, 6)
 	p.Cost = d.cost()
-	p.PCVRanges = parseRanges[expr.Range](d, `,"pcv_ranges":{`)
+	p.PCVRanges = parseRanges(d, `,"pcv_ranges":{`, 5, d.ranges)
 	if d.lit(`,"shared_ma":`) {
-		if p.SharedMA = d.poly(); p.SharedMA.IsZero() {
+		if p.SharedMA = memo(d, d.polys, 5, d.poly); p.SharedMA.IsZero() {
 			d.fail("zero shared_ma must be omitted")
 		}
 	}
@@ -551,7 +592,7 @@ func (d *decoder) path() *PathContract {
 func (d *decoder) rawPath() *nfir.Path {
 	p := &nfir.Path{ID: d.int(`{"id":`), Action: d.action(`,"action":`)}
 	p.Constraints = d.exprList(`,"constraints":[`, 5)
-	p.Domains = parseRanges[symb.Domain](d, `,"domains":{`)
+	p.Domains = parseRanges(d, `,"domains":{`, 4, d.domains)
 	p.Events = d.events(`,"events":[`, 5)
 	if d.lit(`,"port":`) {
 		p.Port = d.expr(4)
@@ -593,23 +634,31 @@ func (d *decoder) rawPath() *nfir.Path {
 		d.expect(`}`)
 		p.Accesses = append(p.Accesses, a)
 	})
-	p.PCVRanges = parseRanges[expr.Range](d, `,"pcv_ranges":{`)
+	p.PCVRanges = parseRanges(d, `,"pcv_ranges":{`, 4, d.ranges)
+	if d.lit(`,"pkt_writes":[`) {
+		p.PktWrites = memo(d, d.pktWrites, 4, d.pktWriteList)
+	}
+	d.expect(`}`)
+	return p
+}
+
+// pktWriteList reads the elements of a raw path's packet-write list,
+// objects at nesting level 5, and its closing bracket.
+func (d *decoder) pktWriteList() map[uint64]nfir.PktWrite {
+	w := make(map[uint64]nfir.PktWrite)
 	prev := uint64(0)
-	d.list(`,"pkt_writes":[`, func() {
+	d.list(``, func() {
 		off := d.u64(`{"off":`)
-		if p.PktWrites == nil {
-			p.PktWrites = make(map[uint64]nfir.PktWrite)
-		} else if off <= prev {
+		if len(w) > 0 && off <= prev {
 			d.fail("packet writes not in strictly ascending offset order")
 		}
 		prev = off
 		size := d.int(`,"size":`)
 		d.expect(`,"val":`)
-		p.PktWrites[off] = nfir.PktWrite{Size: size, Val: d.expr(6)}
+		w[off] = nfir.PktWrite{Size: size, Val: d.expr(6)}
 		d.expect(`}`)
 	})
-	d.expect(`}`)
-	return p
+	return w
 }
 
 // events reads a list of call events, objects at nesting level lvl.
@@ -623,7 +672,7 @@ func (d *decoder) events(field string, lvl int) (out []nfir.CallEvent) {
 		o.Label = d.str(`,"outcome":{"label":`)
 		o.Results = d.exprList(`,"results":[`, lvl+3)
 		o.Constraints = d.exprList(`,"constraints":[`, lvl+3)
-		o.Domains = parseRanges[symb.Domain](d, `,"domains":{`)
+		o.Domains = parseRanges(d, `,"domains":{`, lvl+2, d.domains)
 		o.Cost = d.cost()
 		d.list(`,"pcvs":[`, func() {
 			pcv := nfir.PCV{Name: d.str(`{"name":`)}
@@ -694,18 +743,20 @@ func (d *decoder) lohi() (lo, hi uint64) {
 	return lo, hi
 }
 
-// parseRanges reads an optional symbol→interval object, never empty
-// when present.
-func parseRanges[V symb.Domain | expr.Range](d *decoder, field string) map[string]V {
+// parseRanges reads an optional symbol→interval object at nesting level
+// lvl, never empty when present, memoised in seen.
+func parseRanges[V symb.Domain | expr.Range](d *decoder, field string, lvl int, seen spanMemo[map[string]V]) map[string]V {
 	if !d.lit(field) {
 		return nil
 	}
-	kvs := d.members(``, d.lohi, false)
-	m := make(map[string]V, len(kvs))
-	for _, kv := range kvs {
-		m[kv.k] = V(expr.Range{Lo: kv.a, Hi: kv.b})
-	}
-	return m
+	return memo(d, seen, lvl, func() map[string]V {
+		kvs := d.members(``, d.lohi, false)
+		m := make(map[string]V, len(kvs))
+		for _, kv := range kvs {
+			m[kv.k] = V(expr.Range{Lo: kv.a, Hi: kv.b})
+		}
+		return m
+	})
 }
 
 func (d *decoder) cost() map[perf.Metric]expr.Poly {
@@ -736,15 +787,19 @@ func (d *decoder) poly() expr.Poly {
 	kvs := d.members(`{`, d.u64Pair, true)
 	terms := make(map[expr.Mono]uint64, len(kvs))
 	for _, kv := range kvs {
-		m, err := expr.ParseMono(kv.k)
-		if err != nil {
-			d.fail("%v", err)
-		} else if kv.a == 0 {
+		if !d.monos[kv.k] {
+			if _, err := expr.ParseMono(kv.k); err != nil {
+				d.fail("%v", err)
+			} else {
+				d.monos[kv.k] = true
+			}
+		}
+		if kv.a == 0 {
 			d.fail("zero coefficient for monomial %q", kv.k)
 		}
-		terms[m] = kv.a
+		terms[expr.Mono(kv.k)] = kv.a
 	}
-	return expr.FromTerms(terms)
+	return expr.OwnTerms(terms)
 }
 
 // exprList reads an optional, never-empty list of expressions, objects
@@ -753,9 +808,48 @@ func (d *decoder) exprList(field string, lvl int) []symb.Expr {
 	if !d.lit(field) {
 		return nil
 	}
-	d.exprs = d.exprs[:0]
-	d.list(``, func() { d.exprs = append(d.exprs, d.expr(lvl)) })
-	return slices.Clone(d.exprs)
+	return memo(d, d.exprLists, lvl, func() []symb.Expr {
+		d.exprs = d.exprs[:0]
+		d.list(``, func() { d.exprs = append(d.exprs, d.expr(lvl)) })
+		// Clipped, so that appending to one path's list never writes into
+		// another's.
+		return slices.Clip(slices.Clone(d.exprs))
+	})
+}
+
+// memo reads the value that starts at the cursor with read, lvl being
+// the nesting level read starts at. Its span is everything read
+// consumes. If the input continues with a span m has accepted before at
+// the same level, read is skipped: the cursor moves past the span and
+// the value stored with it is returned. Otherwise a span read accepts
+// is stored.
+//
+// Skipping changes neither what is accepted nor what it decodes to. read
+// is deterministic and looks at nothing past the span's last byte (only
+// a number reads one byte ahead, and no span ends in one), so on a span
+// it once accepted it would accept again, building an equal value; the
+// level is in the key, so the depth limit applies as it would have; and
+// a failed span is never stored. The candidate span ends at the first
+// m.end, which an accepted span ends with and does not contain earlier,
+// so on input read accepts, finding and hashing the candidate costs no
+// more bytes than read consumes; the memo keeps decoding linear.
+func memo[V any](d *decoder, m spanMemo[V], lvl int, read func() V) V {
+	if d.err == nil {
+		rest := d.b[d.i:]
+		if n := bytes.Index(rest, m.end); n >= 0 {
+			n += len(m.end)
+			if v, ok := m.seen[spanKey{lvl, string(rest[:n])}]; ok {
+				d.i += n
+				return v
+			}
+		}
+	}
+	start := d.i
+	v := read()
+	if d.err == nil {
+		m.seen[spanKey{lvl, string(d.b[start:d.i])}] = v
+	}
+	return v
 }
 
 func (d *decoder) expr(lvl int) symb.Expr { return d.nodes[d.node(lvl)] }

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"gobolt/internal/expr"
 	"gobolt/internal/nfir"
@@ -111,6 +116,196 @@ func richArtifact() *Artifact {
 		},
 	}
 	return &Artifact{Key: strings.Repeat("ab", 32), Contract: ct, Paths: paths, Version: ArtifactVersion}
+}
+
+// repeatedArtifact is a three-path artifact whose paths repeat one
+// another's constraints, domains, PCV ranges, shared-MA polynomials and
+// packet writes byte for byte, the way a composite's do, so the decoder
+// reads every memoised span once and then finds it again.
+func repeatedArtifact() *Artifact {
+	a := richArtifact()
+	p0, rp0 := a.Contract.Paths[0], a.Paths[0]
+	p1 := &PathContract{
+		ID:            1,
+		Action:        nfir.ActionForward,
+		Constraints:   slices.Clone(p0.Constraints),
+		Domains:       maps.Clone(p0.Domains),
+		Cost:          map[perf.Metric]expr.Poly{perf.Instructions: expr.FromTerms(map[expr.Mono]uint64{"": 101})},
+		PCVRanges:     maps.Clone(p0.PCVRanges),
+		SharedMA:      p0.SharedMA,
+		ShardAnalysed: true,
+		Witness:       map[string]uint64{"pkt.dst": 1},
+	}
+	rp1 := &nfir.Path{
+		ID:          1,
+		Constraints: slices.Clone(rp0.Constraints),
+		Domains:     maps.Clone(rp0.Domains),
+		Action:      nfir.ActionForward,
+		StatelessIC: 10,
+		PCVRanges:   maps.Clone(rp0.PCVRanges),
+		PktWrites:   maps.Clone(rp0.PktWrites),
+	}
+	drop, rdrop := a.Contract.Paths[1], a.Paths[1] // repeats nothing
+	drop.ID, rdrop.ID = 2, 2
+	a.Contract.Paths = []*PathContract{p0, p1, drop}
+	a.Paths = []*nfir.Path{rp0, rp1, rdrop}
+	return a
+}
+
+// TestCodecRepeatedSpans decodes an artifact whose paths repeat each
+// memoised field: the result must equal the input and the oracle's, and
+// paths with equal bytes share the decoded value — one map, one slice —
+// without one path's append reaching another's.
+func TestCodecRepeatedSpans(t *testing.T) {
+	in := repeatedArtifact()
+	data, err := EncodeArtifact(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := DecodeArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, a) {
+		t.Fatalf("repeated-span artifact does not round-trip")
+	}
+	if oa, err := oracleDecode(data); err != nil || !reflect.DeepEqual(a, oa) {
+		t.Fatalf("decoder and oracle disagree on the repeated-span artifact (oracle err %v)", err)
+	}
+	same := func(x, y any) bool { return reflect.ValueOf(x).UnsafePointer() == reflect.ValueOf(y).UnsafePointer() }
+	p0, p1, p2 := a.Contract.Paths[0], a.Contract.Paths[1], a.Contract.Paths[2]
+	rp0, rp1 := a.Paths[0], a.Paths[1]
+	shared := map[string]bool{
+		"domains":            same(p0.Domains, p1.Domains),
+		"pcv_ranges":         same(p0.PCVRanges, p1.PCVRanges),
+		"constraints":        same(p0.Constraints, p1.Constraints),
+		"raw domains":        same(rp0.Domains, rp1.Domains),
+		"raw pcv_ranges":     same(rp0.PCVRanges, rp1.PCVRanges),
+		"raw constraints":    same(rp0.Constraints, rp1.Constraints),
+		"pkt_writes":         same(rp0.PktWrites, rp1.PktWrites),
+		"contract vs raw":    !same(p0.Domains, rp0.Domains), // another nesting level: decoded apart
+		"unrepeated witness": !same(p0.Witness, p1.Witness),
+	}
+	for what, ok := range shared {
+		if !ok {
+			t.Errorf("%s: sharing is not what the bytes say", what)
+		}
+	}
+	if p2.Domains != nil || p2.Constraints != nil {
+		t.Fatalf("the drop path decoded fields it does not have")
+	}
+
+	// Each path that shares a list appends its own constraint; with spare
+	// capacity in the shared array the later appends would overwrite the
+	// earlier ones.
+	lists := []*[]symb.Expr{&p0.Constraints, &p1.Constraints, &rp0.Constraints, &rp1.Constraints}
+	want := slices.Clone(p0.Constraints)
+	for i, l := range lists {
+		*l = append(*l, symb.Const{V: uint64(i)})
+	}
+	for i, l := range lists {
+		if !slices.Equal(*l, append(slices.Clone(want), symb.Const{V: uint64(i)})) {
+			t.Fatalf("appending to one path's constraints changed another's: list %d is %v", i, *l)
+		}
+	}
+}
+
+// TestCodecSpanAtTwoLevels puts one expression list at two nesting
+// levels: a chain of Not nodes exactly as deep as a path's constraints
+// allow, then the same bytes again as a trace event's constraints,
+// three levels deeper. The first is accepted and memoised; the second
+// must still hit the depth limit, in both decoders, as it would if it
+// were read from scratch.
+func TestCodecSpanAtTwoLevels(t *testing.T) {
+	var deep symb.Expr = symb.Const{}
+	for range maxExprDepth - 6 { // the root at level 6, the leaf at 10000
+		deep = symb.Not{X: deep}
+	}
+	list := []symb.Expr{deep}
+	path := func(trace []nfir.CallEvent) *Artifact {
+		return &Artifact{Contract: &Contract{NF: "deep", Level: "full", Paths: []*PathContract{
+			{ID: 0, Action: nfir.ActionDrop, Constraints: list, Trace: trace},
+			{ID: 1, Action: nfir.ActionDrop, Constraints: list}, // the same level: a memo hit
+		}}}
+	}
+	ev := nfir.CallEvent{DS: "t", Method: "get", Outcome: nfir.Outcome{Label: "ok", Constraints: list}}
+	for _, tc := range []struct {
+		name   string
+		a      *Artifact
+		accept bool
+	}{
+		{"one level", path(nil), true},
+		{"two levels", path([]nfir.CallEvent{ev}), false},
+	} {
+		data, err := EncodeArtifact(tc.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeArtifact(data)
+		_, oerr := oracleDecode(data)
+		if (err == nil) != tc.accept || (oerr == nil) != tc.accept {
+			t.Errorf("%s: decoder says %v, oracle says %v, want accepted = %v", tc.name, err, oerr, tc.accept)
+		} else if err != nil && !strings.Contains(err.Error(), "nesting exceeds") {
+			t.Errorf("%s: rejected for another reason: %v", tc.name, err)
+		}
+	}
+}
+
+// distinctSpansArtifact has n paths whose domains all differ, but only in
+// their last bound: n distinct spans that agree on all but a few of
+// their ~400 bytes, the worst case for a memo that compares candidates.
+func distinctSpansArtifact(n int) *Artifact {
+	ct := &Contract{NF: "spans", Level: "full"}
+	for i := range n {
+		dom := make(map[string]symb.Domain, 16)
+		for k := range 15 {
+			dom[fmt.Sprintf("pkt_field_%02d", k)] = symb.Domain{Lo: 0, Hi: 65535}
+		}
+		dom["zz"] = symb.Domain{Lo: 0, Hi: uint64(i)}
+		ct.Paths = append(ct.Paths, &PathContract{ID: i, Action: nfir.ActionDrop, Domains: dom})
+	}
+	return &Artifact{Contract: ct}
+}
+
+// TestCodecDistinctSpansLinear is the memo's cost bound: an artifact with
+// 20,000 distinct domain spans must decode in time per span within a
+// small factor of one with 2,000. A memo that scanned its stored spans
+// would grow the per-span time tenfold from one to the other.
+func TestCodecDistinctSpansLinear(t *testing.T) {
+	perSpan := func(n int) time.Duration {
+		data, err := EncodeArtifact(distinctSpansArtifact(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := time.Duration(math.MaxInt64)
+		for range 5 {
+			start := time.Now()
+			if _, err := DecodeArtifact(data); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best / time.Duration(n)
+	}
+	small, large := perSpan(2_000), perSpan(20_000)
+	t.Logf("per distinct span: %v at 2,000, %v at 20,000", small, large)
+	if large > 3*small {
+		t.Errorf("decoding 20,000 distinct spans takes %v per span, 2,000 take %v: not linear", large, small)
+	}
+}
+
+func BenchmarkDecodeDistinctSpans(b *testing.B) {
+	data, err := EncodeArtifact(distinctSpansArtifact(20_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := DecodeArtifact(data); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func TestCodecRoundTripRich(t *testing.T) {
@@ -347,6 +542,16 @@ func FuzzContractCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(minimal)
+	// Paths that repeat every memoised field, so mutations land in spans
+	// the decoder has already accepted once (the mutator alone rarely
+	// writes the same span twice).
+	repeated, err := EncodeArtifact(repeatedArtifact())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(repeated)
+	f.Add(bytes.Replace(repeated, []byte(`"hi":64`), []byte(`"hi":65`), 1))
+	f.Add(bytes.Replace(repeated, []byte(`"op":"=="`), []byte(`"op":"!="`), 1))
 	// Version 1 is retired: the pre-shard golden must be refused.
 	v1, err := os.ReadFile(filepath.Join("testdata", "artifact_v1.golden.json"))
 	if err != nil {

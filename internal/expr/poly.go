@@ -206,6 +206,16 @@ func FromTerms(terms map[Mono]uint64) Poly {
 	return p
 }
 
+// OwnTerms is FromTerms for a caller that hands terms over: the map,
+// which must hold no zero coefficient, becomes the polynomial's own, and
+// the caller must not touch it again.
+func OwnTerms(terms map[Mono]uint64) Poly {
+	if len(terms) == 0 {
+		return Poly{}
+	}
+	return Poly{terms: terms}
+}
+
 // IsZero reports whether p is the zero polynomial.
 func (p Poly) IsZero() bool { return len(p.terms) == 0 }
 

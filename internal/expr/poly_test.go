@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -340,6 +341,12 @@ func TestFromTermsDropsZeros(t *testing.T) {
 	}
 	if q := FromTerms(map[Mono]uint64{NewMono("x"): 0}); !q.IsZero() {
 		t.Error("all-zero FromTerms must be zero")
+	}
+	if q := OwnTerms(map[Mono]uint64{}); !reflect.DeepEqual(q, Zero()) {
+		t.Errorf("empty OwnTerms = %#v, want the zero value", q)
+	}
+	if q := OwnTerms(map[Mono]uint64{ConstMono: 3}); !reflect.DeepEqual(q, p) {
+		t.Errorf("OwnTerms = %v, want what FromTerms builds, %v", q, p)
 	}
 }
 
