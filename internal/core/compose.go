@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -123,21 +125,17 @@ func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string) *joinP
 		}
 		return false
 	}
-	install := pa.Domains
-	for n, d := range pa.Domains {
-		if overwritten(n) {
-			if jp.held == nil {
-				jp.held = make(map[string]symb.Domain)
-			}
-			jp.held[n] = d
-		}
+	names := make([]string, 0, len(pa.Domains))
+	for n := range pa.Domains {
+		names = append(names, n)
 	}
-	if jp.held != nil {
-		install = make(map[string]symb.Domain, len(pa.Domains)-len(jp.held))
-		for n, d := range pa.Domains {
-			if _, held := jp.held[n]; !held {
-				install[n] = d
-			}
+	sort.Strings(names)
+	install := make([]symb.NamedDomain, 0, len(names))
+	for _, n := range names {
+		if overwritten(n) {
+			jp.held = append(jp.held, n)
+		} else {
+			install = append(install, symb.NamedDomain{Name: n, Domain: pa.Domains[n]})
 		}
 	}
 	// Domains go in before the constraints, as in a fresh solve
@@ -154,12 +152,12 @@ func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string) *joinP
 // joinPrefix is a prepared a-side constraint prefix. feasible() calls
 // must pass constraint slices whose first aLen entries are exactly the
 // prefix this joinPrefix was built from, and a merged domain map that
-// holds every a-domain the prefix withheld (held).
+// holds every a-domain the prefix withheld (held, sorted).
 type joinPrefix struct {
 	jf   *joinFeas
 	aLen int
 	sess *symb.Session
-	held map[string]symb.Domain
+	held []string
 }
 
 // extend returns a joinPrefix whose prefix is this one's plus extra,
@@ -175,44 +173,71 @@ func (jp *joinPrefix) extend(extra ...symb.Expr) *joinPrefix {
 	return child
 }
 
+// pairQuery is one feasibility question put to a joinPrefix: the
+// joined constraint list (the prefix's aLen constraints, then the
+// suffix), the full merged domain map, the merged entries the b-side
+// wrote (touched; nil when there is no b-side), and the pre-analysed
+// form of each suffix conjunct (pre; shorter than the suffix, or nil at
+// a position, where a conjunct must be asserted as it stands).
+type pairQuery struct {
+	constraints []symb.Expr
+	domains     map[string]symb.Domain
+	touched     []string
+	pre         []*symb.Conjunct
+}
+
 // feasible reports whether a joined constraint set might be satisfiable.
-// domains is the full merged map; touched names the entries the b-side
-// wrote into it (nil when there is no b-side). The static pre-filter
-// runs first in every mode — it only rejects sets both solver engines
-// would also refute, so the kept-pair set (and hence the composite
-// contract) is identical across incremental and reference feasibility.
-// The reference engine solves over the full map; the session fork
-// asserts the b-side suffix and then applies only the overlay the
-// prefix lacks: the held a-domains plus the touched entries, each with
-// its merged value. Every other merged entry is either a's domain,
-// already in the prefix, or the intersection of a's and b's, which
-// intersecting into the prefix reproduces — so the fork's propagation
-// fixpoint, and with it the verdict, is the fresh solve's.
-func (jp *joinPrefix) feasible(ctx context.Context, constraints []symb.Expr, domains map[string]symb.Domain, touched []string) bool {
-	if joinObviouslyInfeasible(constraints, domains) {
+// The static pre-filter runs first in every mode — it only rejects sets
+// both solver engines would also refute, so the kept-pair set (and
+// hence the composite contract) is identical across incremental and
+// reference feasibility. The reference engine solves over the full map;
+// the incremental one over a fork of the prefix (see fork).
+func (jp *joinPrefix) feasible(ctx context.Context, q *pairQuery) bool {
+	if joinObviouslyInfeasible(q.constraints, q.domains) {
 		jp.jf.prefiltered.Add(1)
 		return false
 	}
 	var ok bool
 	if jp.sess == nil {
-		ok = jp.jf.sv.FeasibleContext(ctx, constraints, domains)
+		ok = jp.jf.sv.FeasibleContext(ctx, q.constraints, q.domains)
 	} else {
-		overlay := make(map[string]symb.Domain, len(jp.held)+len(touched))
-		for n := range jp.held {
-			overlay[n] = domains[n]
-		}
-		for _, n := range touched {
-			overlay[n] = domains[n]
-		}
-		child := jp.sess.Fork()
-		child.AssertAll(constraints[jp.aLen:])
-		child.SetDomains(overlay)
-		ok = child.FeasibleContext(ctx, jp.jf.sv)
+		ok = jp.fork(q).FeasibleContext(ctx, jp.jf.sv)
 	}
 	if !ok {
 		jp.jf.solverRefuted.Add(1)
 	}
 	return ok
+}
+
+// fork returns the prefix session extended to q: it asserts the suffix
+// — pre-analysed conjuncts through AssertConjunct, the rest as they
+// stand — and then applies only the overlay the prefix lacks: the held
+// a-domains plus the touched entries, each with its merged value, in
+// name order. Every other merged entry is either a's domain, already
+// in the prefix, or the intersection of a's and b's, which intersecting
+// into the prefix reproduces — so the fork's propagation fixpoint, and
+// with it the verdict and witness, is the fresh solve's.
+func (jp *joinPrefix) fork(q *pairQuery) *symb.Session {
+	child := jp.sess.Fork()
+	for i, c := range q.constraints[jp.aLen:] {
+		if i < len(q.pre) && q.pre[i] != nil {
+			child.AssertConjunct(q.pre[i])
+		} else {
+			child.Assert(c)
+		}
+	}
+	var buf [16]symb.NamedDomain
+	overlay := buf[:0]
+	for _, n := range jp.held {
+		overlay = append(overlay, symb.NamedDomain{Name: n, Domain: q.domains[n]})
+	}
+	for _, n := range q.touched {
+		overlay = append(overlay, symb.NamedDomain{Name: n, Domain: q.domains[n]})
+	}
+	slices.SortFunc(overlay, func(x, y symb.NamedDomain) int { return strings.Compare(x.Name, y.Name) })
+	overlay = slices.CompactFunc(overlay, func(x, y symb.NamedDomain) bool { return x.Name == y.Name })
+	child.SetDomains(overlay)
+	return child
 }
 
 // joinObviouslyInfeasible is the static pre-filter in front of the
@@ -299,6 +324,41 @@ func singleSymOf(e symb.Expr) (string, bool) {
 // and this function does only what depends on a as well. The returned
 // path carries ID 0; the caller assigns IDs during assembly.
 func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathContract, rawB *nfir.Path, jp *joinPrefix, bns string, bm *bPathMeta) (*PathContract, bool) {
+	var touchedBuf [8]string
+	q := mergePair(pa, rawA, pb, bns, bm, touchedBuf[:0])
+	if !jp.feasible(ctx, &q) {
+		return nil, false
+	}
+
+	cost := make(map[perf.Metric]expr.Poly, perf.NumMetrics)
+	for _, m := range perf.Metrics {
+		cost[m] = pa.Cost[m].Add(bm.cost[m])
+	}
+	ranges := make(map[string]expr.Range, len(pa.PCVRanges)+len(bm.ranges))
+	maps.Copy(ranges, pa.PCVRanges)
+	maps.Copy(ranges, bm.ranges)
+
+	return &PathContract{
+		Action:      pb.Action,
+		Constraints: q.constraints,
+		Domains:     q.domains,
+		Events:      joinEvents(pa.Events, pb.Events),
+		Cost:        cost,
+		PCVRanges:   ranges,
+		// Shared-MA composes exactly like cost: both stages run on the
+		// same shard (the chain is dispatched once), so their shared
+		// accesses add. EffectiveSharedMA keeps the composition
+		// conservative when either side predates the sharability
+		// analysis.
+		SharedMA:      pa.EffectiveSharedMA().Add(bm.sharedMA),
+		ShardAnalysed: true,
+	}, true
+}
+
+// mergePair builds the pair's feasibility question: a's constraints
+// followed by b's under the substitution, and a's domains merged with
+// b's. touched is the buffer the b-written names are appended to.
+func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, bm *bPathMeta, touched []string) pairQuery {
 	// b's symbol substitution: packet fields written by a map to a's
 	// output expressions; unwritten fields stay shared with a's input;
 	// b-locals are namespaced (bm.renames). Only the first part depends
@@ -322,19 +382,24 @@ func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathCo
 		}
 	}
 
+	// Conjuncts that mention no field a wrote are the same for every
+	// a-path: they keep bm's form and its pre-analysis.
 	constraints := make([]symb.Expr, len(pa.Constraints), len(pa.Constraints)+len(bm.cons))
 	copy(constraints, pa.Constraints)
+	pre, ownPre := bm.pre, false
 	for i, c := range bm.cons {
 		if subst != nil && mentionsWritten(bm.consOffs[i], rawA) {
 			c = symb.Substitute(pb.Constraints[i], subst)
+			if !ownPre {
+				pre, ownPre = slices.Clone(bm.pre), true
+			}
+			pre[i] = nil
 		}
 		constraints = append(constraints, c)
 	}
 
 	domains := make(map[string]symb.Domain, len(pa.Domains)+len(bm.doms))
 	maps.Copy(domains, pa.Domains)
-	var touchedBuf [8]string
-	touched := touchedBuf[:0]
 	for _, bd := range bm.doms {
 		name, overwrite := bd.name, false
 		w, written := rawA.PktWrites[bd.key.off]
@@ -368,34 +433,7 @@ func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathCo
 		domains[name] = d
 		touched = append(touched, name)
 	}
-
-	if !jp.feasible(ctx, constraints, domains, touched) {
-		return nil, false
-	}
-
-	cost := make(map[perf.Metric]expr.Poly, perf.NumMetrics)
-	for _, m := range perf.Metrics {
-		cost[m] = pa.Cost[m].Add(bm.cost[m])
-	}
-	ranges := make(map[string]expr.Range, len(pa.PCVRanges)+len(bm.ranges))
-	maps.Copy(ranges, pa.PCVRanges)
-	maps.Copy(ranges, bm.ranges)
-
-	return &PathContract{
-		Action:      pb.Action,
-		Constraints: constraints,
-		Domains:     domains,
-		Events:      joinEvents(pa.Events, pb.Events),
-		Cost:        cost,
-		PCVRanges:   ranges,
-		// Shared-MA composes exactly like cost: both stages run on the
-		// same shard (the chain is dispatched once), so their shared
-		// accesses add. EffectiveSharedMA keeps the composition
-		// conservative when either side predates the sharability
-		// analysis.
-		SharedMA:      pa.EffectiveSharedMA().Add(bm.sharedMA),
-		ShardAnalysed: true,
-	}, true
+	return pairQuery{constraints: constraints, domains: domains, touched: touched, pre: pre}
 }
 
 // mentionsWritten reports whether any of a conjunct's field offsets is
@@ -503,7 +541,7 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 	}
 
 	jf := g.composeFeasibility()
-	ix := buildJoinIndex(bCt, bns)
+	ix := buildJoinIndex(bCt, bPaths, bns)
 	var indexSkipped atomic.Uint64
 	type slot struct {
 		pcs  []*PathContract
@@ -539,7 +577,7 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 				return nil
 			}
 			sl.pcs = append(sl.pcs, joined)
-			sl.raws = append(sl.raws, joinRawPaths(rawA, bPaths[j], joined, bns))
+			sl.raws = append(sl.raws, joinRawPaths(rawA, joined, &ix.metas[j]))
 			return nil
 		}
 		if cands != nil {
@@ -609,22 +647,12 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 }
 
 // joinRawPaths synthesises the composite symbolic path: the chain's
-// output packet is b's writes (already in a-namespace terms after
-// substitution) over a's writes over the original input.
-func joinRawPaths(rawA, rawB *nfir.Path, joined *PathContract, bns string) *nfir.Path {
-	writes := make(map[uint64]nfir.PktWrite, len(rawA.PktWrites)+len(rawB.PktWrites))
-	for off, w := range rawA.PktWrites {
-		writes[off] = w
-	}
-	// b's write values may reference b's namespaced symbols; renaming
-	// was applied to constraints during joinPair. For the write
-	// expressions we conservatively rename b-local symbols the same way.
-	for off, w := range rawB.PktWrites {
-		writes[off] = nfir.PktWrite{
-			Size: w.Size,
-			Val:  symb.RenameSymbols(w.Val, func(s string) string { return renameChained(bns, s) }),
-		}
-	}
+// output packet is b's writes (namespaced once per fold in bm.writes)
+// over a's writes over the original input.
+func joinRawPaths(rawA *nfir.Path, joined *PathContract, bm *bPathMeta) *nfir.Path {
+	writes := make(map[uint64]nfir.PktWrite, len(rawA.PktWrites)+len(bm.writes))
+	maps.Copy(writes, rawA.PktWrites)
+	maps.Copy(writes, bm.writes)
 	return &nfir.Path{
 		ID:          joined.ID,
 		Constraints: joined.Constraints,

@@ -76,7 +76,7 @@ func ComposeDAGContext(ctx context.Context, g *Generator, root ChainStage, succe
 		if err != nil {
 			return fmt.Errorf("core: successor on port %d: %w", ports[i], err)
 		}
-		succs[i] = succ{port: ports[i], ct: ct, paths: paths, ix: buildJoinIndex(ct, "b.")}
+		succs[i] = succ{port: ports[i], ct: ct, paths: paths, ix: buildJoinIndex(ct, paths, "b.")}
 		return nil
 	})
 	if err != nil {
@@ -104,7 +104,7 @@ func ComposeDAGContext(ctx context.Context, g *Generator, root ChainStage, succe
 		for _, s := range succs {
 			egress = append(egress, symb.B(symb.Ne, rawA.Port, symb.C(s.port)))
 		}
-		if jp.feasible(ctx, egress, pa.Domains, nil) {
+		if jp.feasible(ctx, &pairQuery{constraints: egress, domains: pa.Domains}) {
 			cp := *pa
 			cp.Constraints = egress
 			cp.Events = prefixEvents("a.", pa.Events) + " | egress"
@@ -120,7 +120,7 @@ func ComposeDAGContext(ctx context.Context, g *Generator, root ChainStage, succe
 			portEq := symb.B(symb.Eq, rawA.Port, symb.C(s.port))
 			narrowed := *pa
 			narrowed.Constraints = append(append([]symb.Expr(nil), pa.Constraints...), portEq)
-			if !jp.feasible(ctx, narrowed.Constraints, narrowed.Domains, nil) {
+			if !jp.feasible(ctx, &pairQuery{constraints: narrowed.Constraints, domains: narrowed.Domains}) {
 				continue
 			}
 			np := jp.extend(portEq)

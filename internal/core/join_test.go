@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 
@@ -28,8 +29,9 @@ func buildBenchChain4(t testing.TB) []ChainStage {
 // The cold 4-chain's join accounting and allocation budget. The counts
 // are a property of the chain, not of the join's implementation: moving
 // work out of the per-pair loop must leave every fold's verdicts alone.
-// The allocation ceiling is what the hoisting bought (the per-pair
-// version took ~230 k allocations per compose).
+// The allocation ceiling is the layered-fork compose's count (71.8 k)
+// plus 10 %; the per-pair join took ~230 k allocations per compose and
+// the eagerly cloned fork ~111 k.
 func TestComposeColdChainCounts(t *testing.T) {
 	stages := buildBenchChain4(t)
 	compose := func() (*Contract, []JoinStats) {
@@ -61,8 +63,27 @@ func TestComposeColdChainCounts(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(2, func() { compose() })
 	t.Logf("cold 4-chain compose: %.0f allocations", allocs)
-	if allocs > 160_000 {
-		t.Errorf("cold 4-chain compose takes %.0f allocations, want <= 160000", allocs)
+	if allocs > 79_000 {
+		t.Errorf("cold 4-chain compose takes %.0f allocations, want <= 79000", allocs)
+	}
+}
+
+// BenchmarkComposeCold is the go-test twin of the an-cold benchmark
+// workload's operation: ComposeManyStats of the 4-chain on a fresh
+// Generator with Parallelism 1 and an empty cache. Profile the cold
+// join with
+//
+//	go test ./internal/core -run '^$' -bench ComposeCold -cpuprofile cpu.out
+func BenchmarkComposeCold(b *testing.B) {
+	stages := buildBenchChain4(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := NewGenerator()
+		g.Parallelism = 1
+		g.Cache = NewContractCache()
+		if _, _, err := ComposeManyStats(context.Background(), g, stages); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -96,7 +117,7 @@ func TestJoinIndexKeepsExhaustivePairs(t *testing.T) {
 	for i, name := range chainbenchRoster[1:] {
 		fold, bns := i+1, strings.Repeat("b.", i+1)
 		bCt, bPaths := gen(name)
-		ix := buildJoinIndex(bCt, bns)
+		ix := buildJoinIndex(bCt, bPaths, bns)
 		jf := g.composeFeasibility()
 		var kept uint64
 		for ai, pa := range ct.Paths {
@@ -129,6 +150,84 @@ func TestJoinIndexKeepsExhaustivePairs(t *testing.T) {
 		}
 		if st.Kept != kept {
 			t.Errorf("fold %d (%s): indexed pairing kept %d pairs, exhaustive kept %d", fold, name, st.Kept, kept)
+		}
+	}
+}
+
+// The join's fork of the hoisted a-side prefix must answer exactly what
+// a fresh solve of the joined pair answers. For every pair of the quick
+// 6-chain that reaches the solver — past the join index and the static
+// pre-filter — coalesced and uncoalesced, the fork (pre-analysed
+// b-conjuncts, re-substituted ones asserted as they stand, the sorted
+// overlay) must reach the verdict and witness of Solver.SolveContext
+// over the pair's full constraint list and merged domains.
+// FuzzJoinHoistedPrefix checks random shapes; this pins the real roster.
+func TestJoinForkMatchesFreshSolve(t *testing.T) {
+	ctx := context.Background()
+	for _, coalesce := range []bool{false, true} {
+		g := NewGenerator()
+		g.Parallelism = 1
+		g.Coalesce = coalesce
+		gen := func(name string) (*Contract, []*nfir.Path) {
+			inst, err := nf.Build(name, nf.BuildParams{Capacity: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, paths, err := g.GenerateWithPathsContext(ctx, inst.Prog, inst.Models)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ct, paths
+		}
+		ct, paths := gen(chainbenchRoster[0])
+		solved, sat := 0, 0
+		for i, name := range chainbenchRoster[1:] {
+			bns := strings.Repeat("b.", i+1)
+			bCt, bPaths := gen(name)
+			ix := buildJoinIndex(bCt, bPaths, bns)
+			jf := g.composeFeasibility()
+			for ai, pa := range ct.Paths {
+				if pa.Action != nfir.ActionForward {
+					continue
+				}
+				rawA := paths[ai]
+				jp := jf.prefix(pa, rawA, bns)
+				aw := buildAJoinInfo(pa, rawA)
+				cands, _ := ix.candidates(aw)
+				if cands == nil {
+					for j := range bCt.Paths {
+						cands = append(cands, j)
+					}
+				}
+				for _, j := range cands {
+					if ix.skip(aw, pa, j) {
+						continue
+					}
+					q := mergePair(pa, rawA, bCt.Paths[j], bns, &ix.metas[j], nil)
+					if joinObviouslyInfeasible(q.constraints, q.domains) {
+						continue
+					}
+					solved++
+					gotM, gotR := jp.fork(&q).SolveContext(ctx, jf.sv)
+					wantM, wantR := jf.sv.SolveContext(ctx, q.constraints, q.domains)
+					if gotR != wantR || !maps.Equal(gotM, wantM) {
+						t.Fatalf("coalesce=%v fold %d (%s), pair (a%d, b%d): fork %v %v, fresh solve %v %v",
+							coalesce, i+1, name, ai, j, gotR, gotM, wantR, wantM)
+					}
+					if gotR == symb.Sat {
+						sat++
+					}
+				}
+			}
+			var err error
+			ct, paths, err = composePrepared(ctx, g, ct, paths, name, bCt, bPaths, "", bns, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("coalesce=%v: %d pairs reached the solver, %d sat", coalesce, solved, sat)
+		if solved == 0 || sat == 0 {
+			t.Fatalf("coalesce=%v: %d pairs solved, %d sat: the roster no longer exercises the fork", coalesce, solved, sat)
 		}
 	}
 }
@@ -189,12 +288,12 @@ func TestJoinDomainMerge(t *testing.T) {
 		pb := &PathContract{Action: nfir.ActionForward, Constraints: []symb.Expr{tc.bGuard}, Domains: tc.bDom}
 		rawB := &nfir.Path{Action: nfir.ActionForward, Constraints: pb.Constraints, Domains: pb.Domains}
 		bCt := &Contract{Paths: []*PathContract{pb}}
-		ix := buildJoinIndex(bCt, "b.")
+		ix := buildJoinIndex(bCt, nil, "b.")
 
 		// The merged map itself, read off a pair the b guard cannot
 		// refute.
 		free := &PathContract{Action: nfir.ActionForward, Domains: tc.bDom}
-		freeIx := buildJoinIndex(&Contract{Paths: []*PathContract{free}}, "b.")
+		freeIx := buildJoinIndex(&Contract{Paths: []*PathContract{free}}, nil, "b.")
 		jf := joinEngines()[1]
 		joined, ok := joinPair(ctx, pa, rawA, free, rawB, jf.prefix(pa, rawA, "b."), "b.", &freeIx.metas[0])
 		if !ok {

@@ -99,6 +99,9 @@ type bPathMeta struct {
 	// mentions (nil when it mentions none).
 	cons     []symb.Expr
 	consOffs [][]uint64
+	// pre is each cons entry pre-analysed for the solver, asserted into
+	// every pair's fork that keeps the entry as it stands.
+	pre []*symb.Conjunct
 	// doms is b's declared domains, classified for the merge, in sorted
 	// name order.
 	doms []bDom
@@ -108,6 +111,10 @@ type bPathMeta struct {
 	cost     map[perf.Metric]expr.Poly
 	sharedMA expr.Poly
 	ranges   map[string]expr.Range
+	// writes is b's packet writes as the composite path carries them:
+	// b-local symbols in the write values renamed the way the
+	// constraints are (see renameChained).
+	writes map[uint64]nfir.PktWrite
 
 	pins map[fieldKey]*fieldPin
 	// eqConst records fields pinned by a direct (field == k) conjunct;
@@ -273,10 +280,11 @@ func narrowOne(c symb.Expr, name string, d symb.Domain) symb.Domain {
 	}
 	lo, hi := d.Hi, d.Lo
 	any := false
-	binding := map[string]uint64{name: 0}
+	prog := symb.CompileSet(c) // c mentions name alone: slot 0
+	vals := []uint64{0}
 	for v := d.Lo; ; v++ {
-		binding[name] = v
-		if c.Eval(binding) != 0 {
+		vals[0] = v
+		if prog.Eval(0, vals) != 0 {
 			any = true
 			if v < lo {
 				lo = v
@@ -362,11 +370,16 @@ func computePins(cons []symb.Expr, doms map[string]symb.Domain) map[fieldKey]*fi
 
 // buildJoinIndex prepares the b-side of a fold whose b-locals are
 // namespaced with bns: per-path join metadata (see bPathMeta), field
-// pins, and the per-field equality partitions.
-func buildJoinIndex(bCt *Contract, bns string) *joinIndex {
+// pins, and the per-field equality partitions. bPaths, aligned with
+// bCt.Paths, supplies the packet writes; nil leaves them out.
+func buildJoinIndex(bCt *Contract, bPaths []*nfir.Path, bns string) *joinIndex {
 	ix := &joinIndex{metas: make([]bPathMeta, len(bCt.Paths))}
 	for j, pb := range bCt.Paths {
-		ix.metas[j] = buildBPathMeta(pb, bns)
+		var rawB *nfir.Path
+		if bPaths != nil {
+			rawB = bPaths[j]
+		}
+		ix.metas[j] = buildBPathMeta(pb, rawB, bns)
 	}
 	// Partition by every field that at least one b-path equality-pins.
 	ix.parts = make(map[fieldKey]*fieldPartition)
@@ -389,11 +402,12 @@ func buildJoinIndex(bCt *Contract, bns string) *joinIndex {
 	return ix
 }
 
-func buildBPathMeta(pb *PathContract, bns string) bPathMeta {
+func buildBPathMeta(pb *PathContract, rawB *nfir.Path, bns string) bPathMeta {
 	m := bPathMeta{
 		renames:  make(map[string]symb.Expr),
 		cons:     make([]symb.Expr, len(pb.Constraints)),
 		consOffs: make([][]uint64, len(pb.Constraints)),
+		pre:      make([]*symb.Conjunct, len(pb.Constraints)),
 		cost:     make(map[perf.Metric]expr.Poly, perf.NumMetrics),
 		ranges:   make(map[string]expr.Range, len(pb.PCVRanges)),
 		pins:     computePins(pb.Constraints, pb.Domains),
@@ -420,6 +434,7 @@ func buildBPathMeta(pb *PathContract, bns string) bPathMeta {
 	}
 	for i, c := range pb.Constraints {
 		m.cons[i] = symb.Substitute(c, m.renames)
+		m.pre[i] = symb.Analyse(m.cons[i])
 		for _, s := range symb.Symbols(c) {
 			if f, isField := fieldOf(s); isField {
 				m.consOffs[i] = append(m.consOffs[i], f.off)
@@ -449,6 +464,15 @@ func buildBPathMeta(pb *PathContract, bns string) bPathMeta {
 		m.cost[mt] = pb.Cost[mt].RenameVars(rename)
 	}
 	m.sharedMA = pb.EffectiveSharedMA().RenameVars(rename)
+	if rawB != nil && len(rawB.PktWrites) > 0 {
+		m.writes = make(map[uint64]nfir.PktWrite, len(rawB.PktWrites))
+		for off, w := range rawB.PktWrites {
+			m.writes[off] = nfir.PktWrite{
+				Size: w.Size,
+				Val:  symb.RenameSymbols(w.Val, func(s string) string { return renameChained(bns, s) }),
+			}
+		}
+	}
 	for v, r := range pb.PCVRanges {
 		m.ranges[rename(v)] = r
 	}

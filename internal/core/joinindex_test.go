@@ -125,7 +125,7 @@ func FuzzJoinIndex(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 2, 1, 1, 1, 0, 0, 0, 0, 3, 1, 2, 2, 0, 1, 0, 4, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pa, rawA, bCt, bRaws := fuzzJoinChain(data)
-		ix := buildJoinIndex(bCt, "b.")
+		ix := buildJoinIndex(bCt, nil, "b.")
 		aw := buildAJoinInfo(pa, rawA)
 		cands, _ := ix.candidates(aw)
 		inCands := make(map[int]bool)
@@ -202,7 +202,7 @@ func TestJoinIndexSkipCases(t *testing.T) {
 	const f = "pkt_10_1"
 	mkB := func(cons []symb.Expr, doms map[string]symb.Domain) (*Contract, *joinIndex) {
 		ct := &Contract{Paths: []*PathContract{{Action: nfir.ActionForward, Constraints: cons, Domains: doms}}}
-		return ct, buildJoinIndex(ct, "b.")
+		return ct, buildJoinIndex(ct, nil, "b.")
 	}
 	mkA := func(writes map[uint64]nfir.PktWrite, cons []symb.Expr, doms map[string]symb.Domain) (*PathContract, aJoinInfo) {
 		pa := &PathContract{Action: nfir.ActionForward, Constraints: cons, Domains: doms}
@@ -275,7 +275,7 @@ func TestJoinIndexCandidates(t *testing.T) {
 		{Action: nfir.ActionForward, Constraints: []symb.Expr{symb.B(symb.Eq, symb.S(f), symb.C(2054))}},
 		{Action: nfir.ActionForward},
 	}}
-	ix := buildJoinIndex(ct, "b.")
+	ix := buildJoinIndex(ct, nil, "b.")
 
 	// a writes 2048 to the field: candidates are the ==2048 bucket plus
 	// the rest, in ascending order.
@@ -388,7 +388,7 @@ func FuzzJoinHoistedPrefix(f *testing.F) {
 		}
 
 		ctx := context.Background()
-		ix := buildJoinIndex(bCt, "b.")
+		ix := buildJoinIndex(bCt, nil, "b.")
 		engines := joinEngines()
 		prefixes := []*joinPrefix{engines[0].prefix(pa, rawA, "b."), engines[1].prefix(pa, rawA, "b.")}
 		for j, pb := range bCt.Paths {

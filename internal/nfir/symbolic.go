@@ -30,12 +30,12 @@ func ParseFieldSym(name string) (off uint64, size int, ok bool) {
 	if !strings.HasPrefix(name, "pkt_") {
 		return 0, 0, false
 	}
-	parts := strings.Split(name[4:], "_")
-	if len(parts) != 2 {
+	offStr, sizeStr, found := strings.Cut(name[4:], "_")
+	if !found || strings.Contains(sizeStr, "_") {
 		return 0, 0, false
 	}
-	o, err1 := strconv.ParseUint(parts[0], 10, 64)
-	s, err2 := strconv.Atoi(parts[1])
+	o, err1 := strconv.ParseUint(offStr, 10, 64)
+	s, err2 := strconv.Atoi(sizeStr)
 	if err1 != nil || err2 != nil {
 		return 0, 0, false
 	}

@@ -8,8 +8,9 @@ import (
 
 // This file is the compilation layer of the solver: Expr trees are
 // lowered once into flat postfix programs whose symbol operands are
-// integer slot indices, so the inner backtracking loop evaluates
-// constraints by slice indexing instead of string-keyed map lookups.
+// small integers mapped to value slots, so the inner backtracking loop
+// evaluates constraints by slice indexing instead of string-keyed map
+// lookups.
 // It also hosts the deterministic per-symbol sample cache: the search's
 // pseudo-random candidate values depend only on (symbol name, sample
 // count), so the raw streams are computed once per process instead of
@@ -18,10 +19,10 @@ import (
 // Instruction kinds of the postfix machine.
 const (
 	insConst    uint8 = iota // push consts[arg]
-	insSym                   // push vals[arg] (slot index)
+	insSym                   // push vals[slots[arg]]
 	insBin                   // pop r, pop l, push ApplyOp(Op(arg), l, r)
 	insNot                   // replace top with boolVal(top == 0)
-	insSymConst              // push ApplyOp(op, vals[slot], consts[arg])
+	insSymConst              // push ApplyOp(op, vals[slots[slot]], consts[arg])
 )
 
 // instr is one instruction. insSymConst fuses the insSym, insConst,
@@ -30,34 +31,42 @@ const (
 type instr struct {
 	kind uint8
 	op   uint8  // insSymConst's Op
-	slot uint16 // insSymConst's slot
+	slot uint16 // insSymConst's symbol number
 	arg  uint32
 }
 
-// program is one constraint lowered to postfix code. Constants live in a
-// shared per-prepared pool so instructions stay two words.
+// program is one expression lowered to postfix code over its own symbol
+// numbering: insSym and insSymConst name the expression's k-th distinct
+// symbol (first-encounter order), and the caller supplies the k -> value
+// slot map at evaluation time. A compiled expression therefore depends
+// on no symbol table, so one compilation serves every session — and
+// every fork — it is asserted into. consts holds the expression's
+// constants in pre-order; insConst and insSymConst index it.
 type program struct {
 	code     []instr
+	consts   []uint64
 	maxStack int
 }
 
-// evalProgram runs a compiled constraint against the slot-indexed
-// binding vals. stack must have at least p.maxStack capacity. Logical
-// operators are evaluated eagerly; that is observationally identical to
+// evalProgram runs a compiled expression against the slot-indexed
+// binding vals; slots maps the program's symbol numbers to slots of
+// vals. stack must have at least p.maxStack capacity. Logical operators
+// are evaluated eagerly; that is observationally identical to
 // Expr.Eval's short-circuiting because every operand is defined (all
 // slots are bound) and ApplyOp is total.
-func evalProgram(p *program, consts, vals, stack []uint64) uint64 {
+func evalProgram(p *program, slots []int32, vals, stack []uint64) uint64 {
 	sp := 0
+	consts := p.consts
 	for _, in := range p.code {
 		switch in.kind {
 		case insConst:
 			stack[sp] = consts[in.arg]
 			sp++
 		case insSym:
-			stack[sp] = vals[in.arg]
+			stack[sp] = vals[slots[in.arg]]
 			sp++
 		case insSymConst:
-			stack[sp] = ApplyOp(Op(in.op), vals[in.slot], consts[in.arg])
+			stack[sp] = ApplyOp(Op(in.op), vals[slots[in.slot]], consts[in.arg])
 			sp++
 		case insBin:
 			sp--
@@ -73,15 +82,15 @@ func evalProgram(p *program, consts, vals, stack []uint64) uint64 {
 	return stack[0]
 }
 
-// CompiledSet is a batch of expressions lowered to slot-indexed postfix
-// programs sharing one symbol table. It is the exported face of the
-// compilation layer, used by benchmarks and differential tests; the
-// solver maintains the same representation internally.
+// CompiledSet is a batch of expressions lowered to postfix programs
+// sharing one symbol table. It is the exported face of the compilation
+// layer, used by the online classifier, benchmarks and differential
+// tests; the solver keeps the same representation per constraint.
 type CompiledSet struct {
 	progs  []program
-	consts []uint64
+	slots  [][]int32 // per program: its symbol numbers -> set slots
 	symtab map[string]int32
-	slots  []string
+	names  []string
 	stack  []uint64
 }
 
@@ -91,19 +100,22 @@ func CompileSet(exprs ...Expr) *CompiledSet {
 	cs := &CompiledSet{symtab: make(map[string]int32)}
 	maxStack := 1
 	for _, e := range exprs {
-		p := compileExpr(e, func(name string) int32 {
-			if s, ok := cs.symtab[name]; ok {
-				return s
+		p, names := compileExpr(e)
+		slots := make([]int32, len(names))
+		for i, name := range names {
+			s, ok := cs.symtab[name]
+			if !ok {
+				s = int32(len(cs.names))
+				cs.symtab[name] = s
+				cs.names = append(cs.names, name)
 			}
-			s := int32(len(cs.slots))
-			cs.symtab[name] = s
-			cs.slots = append(cs.slots, name)
-			return s
-		}, &cs.consts)
+			slots[i] = s
+		}
 		if p.maxStack > maxStack {
 			maxStack = p.maxStack
 		}
 		cs.progs = append(cs.progs, p)
+		cs.slots = append(cs.slots, slots)
 	}
 	cs.stack = make([]uint64, maxStack)
 	return cs
@@ -111,85 +123,152 @@ func CompileSet(exprs ...Expr) *CompiledSet {
 
 // Slots returns the symbol names in slot order; Eval's vals argument is
 // indexed the same way.
-func (cs *CompiledSet) Slots() []string { return cs.slots }
+func (cs *CompiledSet) Slots() []string { return cs.names }
 
 // Eval evaluates the i-th compiled expression under the slot-indexed
 // binding vals. It is not safe for concurrent use (the evaluation stack
 // is shared).
 func (cs *CompiledSet) Eval(i int, vals []uint64) uint64 {
-	return evalProgram(&cs.progs[i], cs.consts, vals, cs.stack)
+	return evalProgram(&cs.progs[i], cs.slots[i], vals, cs.stack)
 }
 
-// compileExpr lowers one expression. slot assigns (or reuses) the slot
-// index of a symbol; constants are interned into the shared pool.
-func compileExpr(e Expr, slot func(string) int32, consts *[]uint64) program {
-	var code []instr
-	depth, maxDepth := 0, 0
-	push := func(in instr, d int) {
-		code = append(code, in)
-		depth += d
-		if depth > maxDepth {
-			maxDepth = depth
-		}
-	}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case Const:
-			*consts = append(*consts, x.V)
-			push(instr{kind: insConst, arg: uint32(len(*consts) - 1)}, 1)
-		case Sym:
-			push(instr{kind: insSym, arg: uint32(slot(x.Name))}, 1)
-		case Bin:
-			if l, ok := x.L.(Sym); ok {
-				if r, ok := x.R.(Const); ok {
-					if s := slot(l.Name); s <= math.MaxUint16 && x.Op <= math.MaxUint8 {
-						*consts = append(*consts, r.V)
-						push(instr{kind: insSymConst, op: uint8(x.Op), slot: uint16(s), arg: uint32(len(*consts) - 1)}, 1)
-						return
-					}
-				}
-			}
-			walk(x.L)
-			walk(x.R)
-			push(instr{kind: insBin, arg: uint32(x.Op)}, -1)
-		case Not:
-			walk(x.X)
-			push(instr{kind: insNot}, 0)
-		default:
-			panic("symb: unknown expression type")
-		}
-	}
-	walk(e)
-	return program{code: code, maxStack: maxDepth}
+// compileExpr lowers one expression, numbering its distinct symbols in
+// first-encounter (pre-order) order; names lists them by number. The
+// constants land in the program's pool in pre-order too.
+func compileExpr(e Expr) (program, []string) {
+	var c compiler
+	c.walk(e)
+	return program{code: c.code, consts: c.consts, maxStack: c.maxDepth}, c.names
 }
 
-// exprInfo walks a compiled-ready expression once, collecting its
-// distinct symbol names (in first-encounter order) and every constant it
-// mentions. The solver caches the result per flat constraint so symbol
-// sets are never recomputed inside a solve.
-func exprInfo(e Expr) (syms []string, consts []uint64) {
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case Const:
-			consts = append(consts, x.V)
-		case Sym:
-			for _, s := range syms {
-				if s == x.Name {
+// compiler is compileExpr's state.
+type compiler struct {
+	code            []instr
+	consts          []uint64
+	names           []string
+	depth, maxDepth int
+}
+
+func (c *compiler) local(name string) uint32 {
+	for i, n := range c.names {
+		if n == name {
+			return uint32(i)
+		}
+	}
+	c.names = append(c.names, name)
+	return uint32(len(c.names) - 1)
+}
+
+func (c *compiler) push(in instr, d int) {
+	c.code = append(c.code, in)
+	c.depth += d
+	if c.depth > c.maxDepth {
+		c.maxDepth = c.depth
+	}
+}
+
+func (c *compiler) walk(e Expr) {
+	switch x := e.(type) {
+	case Const:
+		c.consts = append(c.consts, x.V)
+		c.push(instr{kind: insConst, arg: uint32(len(c.consts) - 1)}, 1)
+	case Sym:
+		c.push(instr{kind: insSym, arg: c.local(x.Name)}, 1)
+	case Bin:
+		if l, ok := x.L.(Sym); ok {
+			if r, ok := x.R.(Const); ok {
+				if s := c.local(l.Name); s <= math.MaxUint16 && x.Op <= math.MaxUint8 {
+					c.consts = append(c.consts, r.V)
+					c.push(instr{kind: insSymConst, op: uint8(x.Op), slot: uint16(s), arg: uint32(len(c.consts) - 1)}, 1)
 					return
 				}
 			}
-			syms = append(syms, x.Name)
-		case Bin:
-			walk(x.L)
-			walk(x.R)
-		case Not:
-			walk(x.X)
+		}
+		c.walk(x.L)
+		c.walk(x.R)
+		c.push(instr{kind: insBin, arg: uint32(x.Op)}, -1)
+	case Not:
+		c.walk(x.X)
+		c.push(instr{kind: insNot}, 0)
+	default:
+		panic("symb: unknown expression type")
+	}
+}
+
+// analysis is everything the solver derives from one flattened,
+// representative-substituted constraint alone: its program (whose
+// constants double as the candidate values the constraint suggests), its
+// distinct symbols in the program's numbering, its structural digest and
+// the comparison shape propagation recognises. It depends on no session
+// state, so it is computed once and shared by every session and fork
+// the constraint enters.
+type analysis struct {
+	e      Expr
+	prog   program
+	names  []string
+	digest lanes
+	shape  binShape
+}
+
+// Comparison shapes propagateBin handles structurally.
+const (
+	shapeNone     uint8 = iota
+	shapeSymConst       // sym op k
+	shapeSymSym         // sym op sym
+)
+
+// binShape is a constraint's comparison shape, normalised so a symbol is
+// on the left; l and r are symbol numbers of the analysis.
+type binShape struct {
+	kind uint8
+	op   Op
+	k    uint64
+	l, r uint32
+}
+
+func analyse(e Expr) *analysis {
+	prog, names := compileExpr(e)
+	return &analysis{e: e, prog: prog, names: names, digest: exprDigest(e), shape: shapeOf(e, names)}
+}
+
+// shapeOf recognises the comparison shapes interval propagation narrows
+// directly: symbol against constant (either side) under a comparison,
+// and symbol against symbol under an order or equality.
+func shapeOf(e Expr, names []string) binShape {
+	b, ok := e.(Bin)
+	if !ok {
+		return binShape{}
+	}
+	l, r, op := b.L, b.R, b.Op
+	if _, lc := l.(Const); lc {
+		l, r = r, l
+		op = flipOp(op)
+	}
+	ls, ok := l.(Sym)
+	if !ok {
+		return binShape{}
+	}
+	num := func(name string) uint32 {
+		for i, n := range names {
+			if n == name {
+				return uint32(i)
+			}
+		}
+		panic("symb: symbol missing from its own analysis")
+	}
+	switch x := r.(type) {
+	case Const:
+		switch op {
+		case Eq, Ne, Ult, Ule, Ugt, Uge:
+			return binShape{kind: shapeSymConst, op: op, k: x.V, l: num(ls.Name)}
+		}
+	case Sym:
+		switch op {
+		case Ult, Ule, Ugt, Uge, Eq:
+			return binShape{kind: shapeSymSym, op: op, l: num(ls.Name), r: num(x.Name)}
 		}
 	}
-	walk(e)
-	return syms, consts
+	return binShape{}
 }
 
 // --- structural digests (memo keys) ---
@@ -269,10 +348,18 @@ func exprDigest(e Expr) lanes {
 	return h.sum()
 }
 
-// domainDigest hashes one (symbol, domain) entry for the memo key.
-func domainDigest(name string, d Domain) lanes {
+// nameHasher is the hasher state after a symbol's name: a slot keeps it,
+// and the memo key's (symbol, domain) digest of the slot continues it
+// with the domain's bounds (domainDigest) instead of rehashing the name.
+func nameHasher(name string) hasher {
 	h := newHasher()
 	h.bytes(name)
+	return h
+}
+
+// domainDigest hashes one (symbol, domain) entry for the memo key, from
+// the symbol's nameHasher state.
+func domainDigest(h hasher, d Domain) lanes {
 	h.word(d.Lo)
 	h.word(d.Hi)
 	return h.sum()

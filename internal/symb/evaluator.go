@@ -15,22 +15,9 @@ func (cs *CompiledSet) NumPrograms() int { return len(cs.progs) }
 // subset of the symbol table use it to decide which programs are fully
 // bound and therefore evaluable.
 func (cs *CompiledSet) ProgramSlots(i int) []int {
-	var out []int
-	seen := make(map[int]bool)
-	for _, in := range cs.progs[i].code {
-		var s int
-		switch in.kind {
-		case insSym:
-			s = int(in.arg)
-		case insSymConst:
-			s = int(in.slot)
-		default:
-			continue
-		}
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
+	out := make([]int, len(cs.slots[i]))
+	for k, s := range cs.slots[i] {
+		out[k] = int(s)
 	}
 	return out
 }
@@ -48,7 +35,7 @@ type Evaluator struct {
 func (cs *CompiledSet) NewEvaluator() *Evaluator {
 	return &Evaluator{
 		cs:    cs,
-		vals:  make([]uint64, len(cs.slots)),
+		vals:  make([]uint64, len(cs.names)),
 		stack: make([]uint64, len(cs.stack)),
 	}
 }
@@ -69,5 +56,5 @@ func (ev *Evaluator) Reset() {
 // semantics because every slot holds a defined value and ApplyOp is
 // total.
 func (ev *Evaluator) Eval(i int) uint64 {
-	return evalProgram(&ev.cs.progs[i], ev.cs.consts, ev.vals, ev.stack)
+	return evalProgram(&ev.cs.progs[i], ev.cs.slots[i], ev.vals, ev.stack)
 }

@@ -95,9 +95,9 @@ func FuzzSolverEquivalence(f *testing.F) {
 		universe := Domain{Lo: 0, Hi: 255}
 		bounded := map[string]Domain{"a": universe, "b": universe}
 		late := NewIncremental().NewSession()
-		late.SetDomains(bounded)
+		late.SetDomains(sortedDomains(bounded))
 		late.AssertAll(cs)
-		late.SetDomains(dom)
+		late.SetDomains(sortedDomains(dom))
 		parentDom, forkDom := maps.Clone(bounded), map[string]Domain{}
 		for name, d := range dom {
 			if r.Intn(2) == 0 {
@@ -108,11 +108,11 @@ func FuzzSolverEquivalence(f *testing.F) {
 		}
 		k := r.Intn(len(cs) + 1)
 		parent := NewIncremental().NewSession()
-		parent.SetDomains(parentDom)
+		parent.SetDomains(sortedDomains(parentDom))
 		parent.AssertAll(cs[:k])
 		split := parent.Fork()
 		split.AssertAll(cs[k:])
-		split.SetDomains(forkDom)
+		split.SetDomains(sortedDomains(forkDom))
 		for _, v := range []struct {
 			label string
 			s     *Session

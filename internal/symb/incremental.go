@@ -30,17 +30,18 @@ func NewIncremental() *Incremental {
 }
 
 // memoKey canonically identifies a feasibility query. The two digest
-// lanes summarize the constraint set and the propagated domains
-// (order-independently); nc/ns guard against coincidental sums, and
-// samples is part of the key because candidate sets — and hence verdicts
-// — depend on it.
+// lanes summarize the constraint set, the propagated domains and the
+// names a model binds (order-independently); nc/ns guard against
+// coincidental sums, and samples is part of the key because candidate
+// sets — and hence verdicts — depend on it.
 type memoKey struct {
 	a, b    uint64
 	nc, ns  int32
 	samples int32
 }
 
-// memoEntry records one completed solve. Soundness discipline:
+// memoEntry records one completed solve; model is nil unless the solve
+// was asked for a witness (SolveContext). Soundness discipline:
 //   - truncated entries (budget ran out) prove nothing; they may only be
 //     reused as Unknown, and only for queries whose budget is <= the
 //     recorded one (the search is deterministic, so a smaller budget
@@ -69,7 +70,11 @@ func (in *Incremental) Stats() MemoStats {
 	return MemoStats{Hits: in.hits, Misses: in.misses, Entries: len(in.memo)}
 }
 
-func (in *Incremental) lookup(key memoKey, budget int) (map[string]uint64, Result, bool) {
+// lookup replays a recorded solve. withModel callers need a Sat entry's
+// witness: one recorded by a feasibility check has none, so for them it
+// is a miss and they solve again (the search is deterministic, so the
+// witness is the one a first solve would have found).
+func (in *Incremental) lookup(key memoKey, budget int, withModel bool) (map[string]uint64, Result, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	e, ok := in.memo[key]
@@ -79,8 +84,11 @@ func (in *Incremental) lookup(key memoKey, budget int) (map[string]uint64, Resul
 				in.hits++
 				return nil, Unknown, true
 			}
-		} else if e.nodes <= budget {
+		} else if e.nodes <= budget && !(withModel && e.res == Sat && e.model == nil) {
 			in.hits++
+			if !withModel {
+				return nil, e.res, true
+			}
 			return maps.Clone(e.model), e.res, true
 		}
 	}
@@ -93,12 +101,12 @@ func (in *Incremental) store(key memoKey, model map[string]uint64, res Result, s
 	defer in.mu.Unlock()
 	if old, ok := in.memo[key]; ok {
 		// Keep the more informative entry: a completed search beats a
-		// truncated one; among truncated entries, the larger budget
-		// serves more future queries.
-		if !old.truncated {
+		// truncated one, a witness beats none; among truncated entries,
+		// the larger budget serves more future queries.
+		if !old.truncated && (old.model != nil || model == nil) {
 			return
 		}
-		if st.truncated && budget <= old.budget {
+		if old.truncated && st.truncated && budget <= old.budget {
 			return
 		}
 	}
@@ -127,10 +135,14 @@ func (in *Incremental) NewSession() *Session {
 	return &Session{eng: in, prep: newPrepared()}
 }
 
-// Fork returns an independent copy of the session sharing the parent's
-// immutable prefix. Cost is linear in the number of symbols, not in the
-// number of constraints. Fork of a nil session is nil, so state clones
-// outside an engine-backed exploration stay session-free.
+// Fork returns an independent child of the session. The two share
+// everything the session holds at the fork, frozen; each then adds to
+// layers of its own, so neither sees the other's later asserts and the
+// cost is linear in the number of symbols, not of constraints. Fork
+// writes to the parent (it freezes its current layer), so a session
+// must not be forked concurrently with any other use. Fork of a nil
+// session is nil, so state clones outside an engine-backed exploration
+// stay session-free.
 func (s *Session) Fork() *Session {
 	if s == nil {
 		return nil
@@ -162,6 +174,67 @@ func (s *Session) AssertAll(cs []Expr) {
 	}
 }
 
+// Conjunct is a constraint analysed once for assertion into any number
+// of sessions: flattened, and each part's symbols, constants, structural
+// digest and compiled program worked out over the part's own symbol
+// numbering. Session.AssertConjunct then only binds symbols to slots and
+// propagates. Chain composition analyses each downstream path's
+// conjuncts once per fold and asserts them into every pair's fork.
+type Conjunct struct {
+	falsified bool // flattening found a constant-false part
+	parts     []conjPart
+}
+
+// conjPart is one flattened part of a Conjunct.
+type conjPart struct {
+	e Expr
+	// syms is Symbols(e): every one becomes a search variable.
+	syms []string
+	// symEq marks a symbol-symbol equality, which may merge union-find
+	// classes and is always asserted through the plain path.
+	symEq bool
+	// plain analyses e as it stands (sessions without a union); folded
+	// analyses its Substitute-folded image, which is what a session with
+	// a union inserts when none of syms was renamed.
+	plain, folded *analysis
+}
+
+// Analyse pre-analyses c for AssertConjunct.
+func Analyse(c Expr) *Conjunct {
+	out := &Conjunct{}
+	var flat []Expr
+	if !flattenInto(c, &flat) {
+		out.falsified = true
+		return out
+	}
+	out.parts = make([]conjPart, len(flat))
+	for i, e := range flat {
+		pt := conjPart{e: e}
+		if b, ok := e.(Bin); ok && b.Op == Eq && sameKind(b.L, b.R) {
+			pt.symEq = true
+		} else {
+			pt.syms = Symbols(e)
+			pt.plain = analyse(e)
+			pt.folded = pt.plain
+			if f := Substitute(e, nil); f != e {
+				pt.folded = analyse(f)
+			}
+		}
+		out.parts[i] = pt
+	}
+	return out
+}
+
+// AssertConjunct asserts the constraint c was analysed from without
+// analysing it again: the session reaches the state, verdicts and
+// witnesses Assert would. No-op on a nil session, like Assert.
+func (s *Session) AssertConjunct(c *Conjunct) {
+	if s == nil {
+		return
+	}
+	s.prep.assertConjunct(c)
+}
+
 // SetDomain bounds a symbol, intersecting with any bound already
 // present. No-op on a nil session, like Assert.
 func (s *Session) SetDomain(name string, d Domain) {
@@ -171,15 +244,22 @@ func (s *Session) SetDomain(name string, d Domain) {
 	s.prep.setDomain(name, d)
 }
 
-// SetDomains intersects every binding of the map like SetDomain, then
+// NamedDomain is one symbol's bound, for SetDomains.
+type NamedDomain struct {
+	Name   string
+	Domain Domain
+}
+
+// SetDomains intersects every binding like SetDomain, in the order
+// given (callers sort by name, so slot numbering is deterministic), then
 // propagates once, seeded by every slot that narrowed — the same
 // fixpoint as one SetDomain per name (domain propagation is confluent)
 // at the cost of one worklist pass. No-op on a nil session.
-func (s *Session) SetDomains(domains map[string]Domain) {
-	if s == nil || len(domains) == 0 {
+func (s *Session) SetDomains(ds []NamedDomain) {
+	if s == nil || len(ds) == 0 {
 		return
 	}
-	s.prep.setDomains(domains)
+	s.prep.setDomainList(ds)
 }
 
 // Known reports a verdict derivable without searching: Unsat when
@@ -197,6 +277,18 @@ func (s *Session) Known() (Result, bool) {
 // are identical to a fresh Solver.SolveContext over the same
 // constraints and domains.
 func (s *Session) SolveContext(ctx context.Context, sv *Solver) (map[string]uint64, Result) {
+	return s.solve(ctx, sv, true)
+}
+
+// FeasibleContext reports whether the session's constraints might be
+// satisfiable (Sat or Unknown), mirroring Solver.FeasibleContext. It
+// builds no witness.
+func (s *Session) FeasibleContext(ctx context.Context, sv *Solver) bool {
+	_, r := s.solve(ctx, sv, false)
+	return r != Unsat
+}
+
+func (s *Session) solve(ctx context.Context, sv *Solver, withModel bool) (map[string]uint64, Result) {
 	if ctx.Err() != nil {
 		return nil, Unknown
 	}
@@ -205,19 +297,12 @@ func (s *Session) SolveContext(ctx context.Context, sv *Solver) (map[string]uint
 	}
 	budget, samples := sv.maxNodes(), sv.sampleCount()
 	key := s.prep.memoKey(samples)
-	if model, res, ok := s.eng.lookup(key, budget); ok {
+	if model, res, ok := s.eng.lookup(key, budget, withModel); ok {
 		return model, res
 	}
-	model, res, st := solvePrepared(ctx, s.prep, budget, samples)
+	model, res, st := solvePrepared(ctx, s.prep, budget, samples, withModel)
 	if ctx.Err() == nil {
 		s.eng.store(key, model, res, st, budget)
 	}
 	return model, res
-}
-
-// FeasibleContext reports whether the session's constraints might be
-// satisfiable (Sat or Unknown), mirroring Solver.FeasibleContext.
-func (s *Session) FeasibleContext(ctx context.Context, sv *Solver) bool {
-	_, r := s.SolveContext(ctx, sv)
-	return r != Unsat
 }

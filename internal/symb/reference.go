@@ -538,3 +538,29 @@ func refDedupe(ss []string) []string {
 	}
 	return out
 }
+
+type unionFind struct{ parent map[string]string }
+
+func newUnionFind() *unionFind { return &unionFind{parent: make(map[string]string)} }
+
+func (u *unionFind) find(x string) string {
+	p, ok := u.parent[x]
+	if !ok || p == x {
+		return x
+	}
+	root := u.find(p)
+	u.parent[x] = root
+	return root
+}
+
+func (u *unionFind) union(a, b string) {
+	ra, rb := u.find(a), u.find(b)
+	if ra == rb {
+		return
+	}
+	// Deterministic: smaller name becomes the representative.
+	if rb < ra {
+		ra, rb = rb, ra
+	}
+	u.parent[rb] = ra
+}

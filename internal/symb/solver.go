@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"hash/fnv"
-	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -114,6 +113,10 @@ func (s *Solver) Solve(constraints []Expr, domains map[string]Domain) (map[strin
 // neither satisfied nor refuted). Callers that need to distinguish
 // cancellation from an ordinary budget exhaustion check ctx.Err().
 func (s *Solver) SolveContext(ctx context.Context, constraints []Expr, domains map[string]Domain) (map[string]uint64, Result) {
+	return s.solve(ctx, constraints, domains, true)
+}
+
+func (s *Solver) solve(ctx context.Context, constraints []Expr, domains map[string]Domain, withModel bool) (map[string]uint64, Result) {
 	if ctx.Err() != nil {
 		return nil, Unknown
 	}
@@ -121,7 +124,7 @@ func (s *Solver) SolveContext(ctx context.Context, constraints []Expr, domains m
 		return referenceSolve(constraints, domains, s.maxNodes(), s.sampleCount())
 	}
 	p := prepare(constraints, domains)
-	model, res, _ := solvePrepared(ctx, p, s.maxNodes(), s.sampleCount())
+	model, res, _ := solvePrepared(ctx, p, s.maxNodes(), s.sampleCount(), withModel)
 	return model, res
 }
 
@@ -129,15 +132,14 @@ func (s *Solver) SolveContext(ctx context.Context, constraints []Expr, domains m
 // Unknown). Symbolic execution uses it to prune provably dead paths while
 // keeping uncertain ones, which is the conservative direction.
 func (s *Solver) Feasible(constraints []Expr, domains map[string]Domain) bool {
-	_, r := s.Solve(constraints, domains)
-	return r != Unsat
+	return s.FeasibleContext(context.Background(), constraints, domains)
 }
 
 // FeasibleContext is Feasible with cancellation; a cancelled check
 // reports feasible (the conservative direction), so exploration keeps the
 // path and the caller notices the cancellation via ctx.Err().
 func (s *Solver) FeasibleContext(ctx context.Context, constraints []Expr, domains map[string]Domain) bool {
-	_, r := s.SolveContext(ctx, constraints, domains)
+	_, r := s.solve(ctx, constraints, domains, false)
 	return r != Unsat
 }
 
@@ -164,24 +166,30 @@ type solveStats struct {
 // The result is a pure function of (prepared state, maxNodes, samples):
 // variable order, candidate sets and node accounting are deterministic,
 // which is what makes both memoization and incremental reuse sound.
-func solvePrepared(ctx context.Context, p *prepared, maxNodes, samples int) (map[string]uint64, Result, solveStats) {
+// withModel asks for the Sat witness; feasibility checks leave it off
+// and get a nil model with the same verdict.
+func solvePrepared(ctx context.Context, p *prepared, maxNodes, samples int, withModel bool) (map[string]uint64, Result, solveStats) {
 	if p.unsat {
 		return nil, Unsat, solveStats{}
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer func() {
-		sc.p, sc.ctx = nil, nil // don't pin solver state from the pool
+		sc.release()
 		scratchPool.Put(sc)
 	}()
 	sc.init(p, samples)
 	sc.ctx = ctx
 	sc.maxNodes = maxNodes
 	if sc.search(0) {
-		// Extend the model to the original (pre-substitution) symbols.
-		model := make(map[string]uint64, len(p.names))
-		for _, n := range p.names {
-			model[n] = sc.vals[p.symtab[p.uf.find(n)]]
+		if !withModel {
+			return nil, Sat, solveStats{nodes: sc.nodes}
 		}
+		// Extend the model to the original (pre-substitution) symbols.
+		model := make(map[string]uint64, p.nNames)
+		p.nameSet.each(func(n string) {
+			s, _ := p.symtab.get(p.find(n))
+			model[n] = sc.vals[s]
+		})
 		return model, Sat, solveStats{nodes: sc.nodes}
 	}
 	if sc.exhausted && sc.complete && !sc.truncated {
@@ -198,16 +206,25 @@ func solvePrepared(ctx context.Context, p *prepared, maxNodes, samples int) (map
 // candidate lists, per-depth constraint watch lists, and the slot-indexed
 // assignment vector. Pooled so steady-state solving allocates nothing
 // beyond the Sat model itself.
+//
+// Candidate lists are built lazily: a position's list is built the first
+// time the search has to go past its first candidate, which is the
+// domain's low end whenever that is not excluded (every candidate lies
+// in the domain, so the sorted list starts there). Most positions of a
+// satisfiable set never go past it. The candidates are tried in the same
+// order either way, so node counts, verdicts and witnesses are those of
+// building every list up front; an Unsat proof builds the rest first.
 type scratch struct {
-	p     *prepared
-	ctx   context.Context
-	order []int32    // search position -> slot
-	pos   []int32    // slot -> search position
-	cands [][]uint64 // search position -> sorted candidate values
-	watch [][]int32  // search position -> constraints fully bound there
-	vals  []uint64   // slot -> assigned value
-	stack []uint64   // shared evaluation stack
-	seen  map[uint64]bool
+	p       *prepared
+	ctx     context.Context
+	samples int
+	order   []int32     // search position -> slot
+	pos     []int32     // slot -> search position
+	cands   [][]uint64  // search position -> sorted candidate values, once built
+	built   []bool      // search position -> cands is built
+	watch   [][]*conRec // search position -> constraints fully bound there
+	vals    []uint64    // slot -> assigned value
+	stack   []uint64    // shared evaluation stack
 
 	maxNodes  int
 	nodes     int
@@ -216,14 +233,15 @@ type scratch struct {
 	truncated bool
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{seen: make(map[uint64]bool)} }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // init rebuilds the workspace for one solve of p, reusing prior
 // capacity. The variable order is the legacy one — narrow domains first
 // to fail fast, names breaking ties for determinism.
 func (sc *scratch) init(p *prepared, samples int) {
-	n := len(p.slotName)
+	n := len(p.slots)
 	sc.p = p
+	sc.samples = samples
 	sc.nodes = 0
 	sc.exhausted = false
 	sc.complete = false
@@ -245,64 +263,80 @@ func (sc *scratch) init(p *prepared, samples int) {
 		if wa != wb {
 			return cmp.Compare(wa, wb)
 		}
-		return strings.Compare(p.slotName[a], p.slotName[b])
+		return strings.Compare(p.slots[a].name, p.slots[b].name)
 	})
 	for i, s := range sc.order {
 		sc.pos[s] = int32(i)
 	}
 
-	// Candidate lists, reusing each position's backing array.
+	// Candidate lists keep each position's backing array; none is built.
 	if cap(sc.cands) < n {
 		sc.cands = append(sc.cands[:cap(sc.cands)], make([][]uint64, n-cap(sc.cands))...)
 	}
 	sc.cands = sc.cands[:n]
-	for i, s := range sc.order {
-		sc.cands[i] = sc.buildCandidates(s, sc.cands[i][:0], samples)
+	if cap(sc.built) < n {
+		sc.built = make([]bool, n)
 	}
+	sc.built = sc.built[:n]
+	clear(sc.built)
 
 	// Watch lists: each constraint is checked exactly when the last of
 	// its symbols (deepest search position) gets a value — the same
 	// schedule the legacy per-node "all assigned and uses current var"
 	// scan produced, computed once instead of per node.
 	if cap(sc.watch) < n {
-		sc.watch = append(sc.watch[:cap(sc.watch)], make([][]int32, n-cap(sc.watch))...)
+		sc.watch = append(sc.watch[:cap(sc.watch)], make([][]*conRec, n-cap(sc.watch))...)
 	}
 	sc.watch = sc.watch[:n]
 	for i := range sc.watch {
 		sc.watch[i] = sc.watch[i][:0]
 	}
-	for ci, slots := range p.csyms {
+	p.cons.each(func(_ int32, r *conRec) {
 		w := int32(0)
-		for _, s := range slots {
+		for _, s := range r.slots {
 			if sc.pos[s] > w {
 				w = sc.pos[s]
 			}
 		}
-		sc.watch[w] = append(sc.watch[w], int32(ci))
+		sc.watch[w] = append(sc.watch[w], r)
+	})
+}
+
+// release drops every reference into the solved state, so the pooled
+// workspace pins none of it.
+func (sc *scratch) release() {
+	for i := range sc.watch {
+		clear(sc.watch[i])
 	}
+	sc.p, sc.ctx = nil, nil
+}
+
+// build builds position i's candidate list.
+func (sc *scratch) build(i int) []uint64 {
+	sc.cands[i] = sc.buildCandidates(sc.order[i], sc.cands[i][:0])
+	sc.built[i] = true
+	return sc.cands[i]
 }
 
 // buildCandidates assembles the concrete values the search tries for one
 // slot: domain endpoints and midpoint, constants mentioned alongside the
 // symbol (and their neighbours), full enumeration for small domains, and
 // deterministic pseudo-random samples (process-cached raw streams) for
-// large ones. Sorted ascending; identical to the legacy candidate sets.
-func (sc *scratch) buildCandidates(s int32, out []uint64, samples int) []uint64 {
+// large ones, minus excluded values. Sorted ascending and deduplicated;
+// identical to the legacy candidate sets.
+func (sc *scratch) buildCandidates(s int32, out []uint64) []uint64 {
 	p := sc.p
 	d := p.dom[s]
-	excl := p.excluded[s]
-	clear(sc.seen)
 	add := func(v uint64) {
-		if d.contains(v) && !excl[v] && !sc.seen[v] {
-			sc.seen[v] = true
+		if d.contains(v) {
 			out = append(out, v)
 		}
 	}
 	add(d.Lo)
 	add(d.Hi)
 	add(d.Lo + (d.Hi-d.Lo)/2)
-	for _, ci := range p.symCons[s] {
-		for _, v := range p.cconsts[ci] {
+	for _, ci := range p.slots[s].cons {
+		for _, v := range p.cons.at(ci).an.prog.consts {
 			add(v)
 			if v > 0 {
 				add(v - 1)
@@ -315,13 +349,13 @@ func (sc *scratch) buildCandidates(s int32, out []uint64, samples int) []uint64 
 	// Small domains: enumerate fully so exhaustion implies UNSAT.
 	if width := d.Hi - d.Lo; width < 512 {
 		for v := d.Lo; ; v++ {
-			add(v)
+			out = append(out, v)
 			if v == d.Hi {
 				break
 			}
 		}
 	} else {
-		for _, raw := range rawSamples(p.slotName[s], samples) {
+		for _, raw := range rawSamples(p.slots[s].name, sc.samples) {
 			if width == ^uint64(0) { // full domain: width+1 overflows
 				add(raw)
 			} else {
@@ -330,6 +364,19 @@ func (sc *scratch) buildCandidates(s int32, out []uint64, samples int) []uint64 
 		}
 	}
 	slices.Sort(out)
+	out = slices.Compact(out)
+	if excl := p.slots[s].excl; len(excl) > 0 {
+		kept := out[:0]
+		for _, v := range out {
+			for len(excl) > 0 && excl[0] < v {
+				excl = excl[1:]
+			}
+			if len(excl) == 0 || excl[0] != v {
+				kept = append(kept, v)
+			}
+		}
+		out = kept
+	}
 	return out
 }
 
@@ -353,10 +400,35 @@ func (sc *scratch) search(i int) bool {
 		return true
 	}
 	s := sc.order[i]
-	for _, cand := range sc.cands[i] {
+	cands := sc.cands[i]
+	if !sc.built[i] {
+		// The list's first element is the domain's low end unless that
+		// is excluded: try it before paying for the list.
+		lo := sc.p.dom[s].Lo
+		tried := !sc.p.isExcluded(s, lo)
+		if tried {
+			sc.vals[s] = lo
+			if sc.watchOK(i) && sc.search(i+1) {
+				return true
+			}
+			if sc.truncated {
+				return false
+			}
+		}
+		cands = sc.build(i)
+		if tried {
+			cands = cands[1:]
+		}
+	}
+	for _, cand := range cands {
 		sc.vals[s] = cand
 		if sc.watchOK(i) && sc.search(i+1) {
 			return true
+		}
+		// Past the budget (or a cancellation) every further call
+		// returns false at once without counting a node: stop here.
+		if sc.truncated {
+			return false
 		}
 	}
 	if i == 0 {
@@ -370,9 +442,8 @@ func (sc *scratch) search(i int) bool {
 // i-th search variable; shallower slots are already bound and deeper
 // slots are never referenced by these constraints.
 func (sc *scratch) watchOK(i int) bool {
-	p := sc.p
-	for _, ci := range sc.watch[i] {
-		if evalProgram(&p.progs[ci], p.consts, sc.vals, sc.stack) == 0 {
+	for _, r := range sc.watch[i] {
+		if evalProgram(&r.an.prog, r.slots, sc.vals, sc.stack) == 0 {
 			return false
 		}
 	}
@@ -380,13 +451,17 @@ func (sc *scratch) watchOK(i int) bool {
 }
 
 // allCandidatesComplete reports whether every variable's candidate list
-// covers its entire domain, in which case exhaustion proves UNSAT.
+// covers its entire domain, in which case exhaustion proves UNSAT. It
+// builds the lists the search never needed.
 func (sc *scratch) allCandidatesComplete() bool {
 	for i, s := range sc.order {
 		d := sc.p.dom[s]
 		width := d.Hi - d.Lo
 		if width+1 == 0 { // full 64-bit domain
 			return false
+		}
+		if !sc.built[i] {
+			sc.build(i)
 		}
 		if uint64(len(sc.cands[i])) < width+1 {
 			return false
@@ -419,32 +494,4 @@ func sameKind(l, r Expr) bool {
 	_, ok1 := l.(Sym)
 	_, ok2 := r.(Sym)
 	return ok1 && ok2
-}
-
-type unionFind struct{ parent map[string]string }
-
-func newUnionFind() *unionFind { return &unionFind{parent: make(map[string]string)} }
-
-func (u *unionFind) clone() *unionFind { return &unionFind{parent: maps.Clone(u.parent)} }
-
-func (u *unionFind) find(x string) string {
-	p, ok := u.parent[x]
-	if !ok || p == x {
-		return x
-	}
-	root := u.find(p)
-	u.parent[x] = root
-	return root
-}
-
-func (u *unionFind) union(a, b string) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	// Deterministic: smaller name becomes the representative.
-	if rb < ra {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
 }
