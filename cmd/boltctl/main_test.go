@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,6 +13,39 @@ import (
 	"gobolt/internal/experiments"
 	"gobolt/internal/store"
 )
+
+// asCommand, as the test binary's first argument, makes the binary run
+// boltctl's main on the arguments after it instead of the tests, so a
+// test can check a real exit status and stderr.
+const asCommand = "boltctl-main"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == asCommand {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// boltctl runs the command with args and returns its stdout, its stderr
+// and its exit status.
+func boltctl(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{asCommand}, args...)...)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
 
 // populate generates one Figure-1-sized scenario set into a store and
 // returns the store dir with the stored keys.
@@ -238,7 +274,7 @@ func TestVerify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spaced := strings.Replace(string(payload), `"version":2`, `"version": 2`, 1)
+			spaced := strings.Replace(string(payload), `"version":3`, `"version": 3`, 1)
 			if err := s.Delete(keys[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -287,5 +323,58 @@ func TestVerify(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCommandOverStore runs the boltctl binary over a store this build
+// wrote — verify, inspect, and export → import → diff, which must find
+// the round trip byte-identical — and then over the same store holding
+// an object of the retired version 2: the committed golden's bytes,
+// framed with a valid checksum, as a store an older build wrote holds
+// them. verify must exit non-zero and name the version, not a checksum.
+func TestCommandOverStore(t *testing.T) {
+	dir, keys := populate(t)
+	key := keys[0]
+	mustRun := func(want string, args ...string) string {
+		t.Helper()
+		stdout, stderr, code := boltctl(t, args...)
+		if code != 0 || !strings.Contains(stdout, want) {
+			t.Fatalf("boltctl %v: exit %d, want 0 and %q\nstdout:\n%s\nstderr:\n%s", args, code, want, stdout, stderr)
+		}
+		return stdout
+	}
+	mustRun("all ok", "-store", dir, "verify")
+	mustRun("version:   3", "-store", dir, "inspect", key[:12])
+	file := filepath.Join(t.TempDir(), "artifact.json")
+	mustRun("", "-store", dir, "export", key[:12], "-o", file)
+	dir2 := t.TempDir()
+	mustRun("imported "+key[:12], "-store", dir2, "import", file)
+	mustRun("byte-identical", "-store", dir, "-store2", dir2, "diff", key, key)
+
+	v2, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", "artifact_v2.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, v2, store.Meta{Kind: "contract"}); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := boltctl(t, "-store", dir, "verify")
+	if code == 0 || !strings.Contains(stderr, "boltctl: verify: 1 of ") {
+		t.Fatalf("verify over a version-2 object: exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, key[:12]+"  FAIL  core: decoding artifact: offset ") || !strings.Contains(stdout, "unsupported artifact version 2") {
+		t.Fatalf("verify does not name the version of the stale object:\n%s", stdout)
+	}
+	for _, bad := range []string{"checksum", "panic", "goroutine"} {
+		if strings.Contains(stdout+stderr, bad) {
+			t.Fatalf("verify over a version-2 object mentions %q:\n%s%s", bad, stdout, stderr)
+		}
+	}
+	if _, stderr, code := boltctl(t, "-store", dir, "inspect", key[:12]); code == 0 || !strings.Contains(stderr, "unsupported artifact version 2") {
+		t.Fatalf("inspect of a version-2 object: exit %d\n%s", code, stderr)
 	}
 }

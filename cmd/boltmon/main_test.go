@@ -140,7 +140,7 @@ func TestStoredKey(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				spaced := strings.Replace(string(payload), `"version":2`, `"version": 2`, 1)
+				spaced := strings.Replace(string(payload), `"version":3`, `"version": 3`, 1)
 				if err := s.Delete(key); err != nil {
 					t.Fatal(err)
 				}

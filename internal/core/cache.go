@@ -38,10 +38,11 @@ import (
 //     treat them as immutable. Everything in this repository already
 //     does: composition copies path contracts before rewriting them, and
 //     the experiment harnesses only read. Disk-loaded entries need it as
-//     much: within one decoded artifact, paths whose stored bytes are
-//     equal share one Domains, PCVRanges or PktWrites map and one
-//     Constraints slice (see DecodeArtifact), so writing into one path's
-//     map would change its siblings.
+//     much: within one decoded artifact, paths that name the same table
+//     entry share one Constraints slice or Domains, PCVRanges or
+//     PktWrites map, and a contract path shares its constraints and
+//     domains with its raw path (see DecodeArtifact), so writing into one
+//     path's map would change its siblings.
 //
 // A ContractCache is safe for concurrent use.
 type ContractCache struct {
@@ -56,6 +57,11 @@ type ContractCache struct {
 	diskHits  uint64 // lookups served by decoding a stored artifact
 	diskErrs  uint64 // disk reads/writes/decodes that failed (non-fatal)
 	diskSkips uint64 // write-throughs skipped because the object existed
+	// stale holds the keys whose stored object passed the store's
+	// checksum but did not decode to an artifact under that key — an
+	// older codec version, or a copy under the wrong key. Their next
+	// write-through overwrites the object instead of skipping it.
+	stale map[string]bool
 }
 
 type cacheEntry struct {
@@ -165,6 +171,9 @@ func (c *ContractCache) lookup(key string) (*Contract, []*nfir.Path, bool) {
 		return e.ct, e.paths, true
 	}
 	disk := c.disk
+	if c.stale[key] {
+		disk = nil // already failed to decode: read it again only once rewritten
+	}
 	c.mu.Unlock()
 
 	if disk != nil {
@@ -194,9 +203,14 @@ func (c *ContractCache) diskLookup(disk *store.Store, key string) (*Contract, []
 	a, err := DecodeArtifact(payload)
 	if err != nil || a.Key != key {
 		// Undecodable or mislabeled artifact: a stale schema or a copy
-		// under the wrong key. Either way the pipeline reruns.
+		// under the wrong key. Either way the pipeline reruns, and its
+		// write-through replaces the object.
 		c.mu.Lock()
 		c.diskErrs++
+		if c.stale == nil {
+			c.stale = make(map[string]bool)
+		}
+		c.stale[key] = true
 		c.mu.Unlock()
 		return nil, nil, false
 	}
@@ -210,15 +224,17 @@ func (c *ContractCache) diskLookup(disk *store.Store, key string) (*Contract, []
 func (c *ContractCache) store(key string, ct *Contract, paths []*nfir.Path) {
 	c.mu.Lock()
 	c.byKey[key] = cacheEntry{ct: ct, paths: paths}
-	disk := c.disk
+	disk, stale := c.disk, c.stale[key]
 	c.mu.Unlock()
 
 	if disk == nil {
 		return
 	}
-	if disk.Has(key) {
+	if !stale && disk.Has(key) {
 		// Content-addressed: an existing object is byte-equivalent, so
-		// rewriting it would only churn the disk.
+		// rewriting it would only churn the disk. An object this cache
+		// failed to decode is not, and Has cannot tell: it checks the
+		// framing only.
 		c.mu.Lock()
 		c.diskSkips++
 		c.mu.Unlock()
@@ -233,11 +249,13 @@ func (c *ContractCache) store(key string, ct *Contract, paths []*nfir.Path) {
 			Paths: len(ct.Paths),
 		})
 	}
+	c.mu.Lock()
 	if err != nil {
-		c.mu.Lock()
 		c.diskErrs++
-		c.mu.Unlock()
+	} else {
+		delete(c.stale, key)
 	}
+	c.mu.Unlock()
 }
 
 // CacheKey reports the content address this generator caches (and a

@@ -13,40 +13,57 @@ package core
 // by construction: every in-memory value has exactly one spelling, the
 // encoder writes it, and the decoder accepts nothing else.
 //
+//   - Each value a contract repeats is spelled once. Version 3 carries
+//     six per-kind tables ahead of the paths: monomials, expression lists
+//     (constraints, results, arguments), domain maps, PCV-range maps,
+//     shared-MA polynomials and packet-write maps. A path names an entry
+//     by its index ("constraints":3), so a raw path names its contract
+//     path's constraint list and domain map instead of copying them. A
+//     cost polynomial is a list of [monomial-index, coefficient] pairs.
+//     Table entries are spelled as version 2 spelled the value inline.
+//     On the 4-chain composite this takes 3.26 MB down to 0.56 MB:
+//     its 582 paths hold 14 distinct constraint lists and 104 distinct
+//     domain maps, and its 1,746 cost polynomials use 19 monomials.
 //   - Encoding appends straight from the structures: object fields in
-//     one fixed order, zero-valued optional fields omitted, map keys
-//     sorted bytewise, integers in shortest decimal, strings escaped the
-//     way encoding/json escapes them (appendString).
+//     one fixed order, zero-valued optional fields and empty tables
+//     omitted, map keys sorted bytewise, integers in shortest decimal,
+//     strings escaped the way encoding/json escapes them (appendString).
+//     Each table lists its entries in the order the paths first name
+//     them, so indices follow from the paths alone.
 //   - Decoding is one recursive-descent pass over the byte slice along
-//     the same schema. A field unknown, repeated or out of order, an
-//     optional field present with its zero value, map keys not strictly
-//     ascending, "01", "1e3", "A" for "A", whitespace, trailing
-//     bytes, nesting beyond maxExprDepth, an unknown operator, action,
-//     metric or op-class name, a non-canonical monomial, raw paths
-//     misaligned with contract paths: each is a syntax error where it
-//     occurs. decode∘encode is the identity on every accepted input
-//     without re-encoding it; `boltctl verify` and FuzzContractCodec
-//     check that identity from outside.
-//   - Decoded values share structure. Strings are interned per artifact,
-//     expression nodes are hash-consed (identical subtrees are one node)
-//     and each distinct monomial key is parsed once. Five kinds of field
-//     are memoised by their bytes: expression lists (constraints, results,
-//     arguments), domains, PCV ranges, shared-MA polynomials and packet
-//     writes. A span equal to one already accepted at the same kind of
-//     field and nesting level is skipped, not parsed, and the paths that
-//     spell it share one slice, map or Poly. Acceptance and the decoded
-//     value stay a function of the bytes alone (see memo). Shared slices
-//     are clipped, so an append reallocates, and cached contracts are
-//     read-only anyway (see ContractCache), so sharing shows only in the
-//     cost: a 582-path composite holds ~63,000 expression nodes, under a
-//     hundred of them distinct, and 2.6 of its 3.3 MB repeat an earlier
-//     span.
+//     the same schema: the tables first, then the paths, which resolve
+//     each index as they read it. A field unknown, repeated or out of
+//     order, an optional field present with its zero value, map keys or
+//     polynomial terms not strictly ascending, "01", "1e3", "\u0041"
+//     for "A", whitespace, trailing bytes, nesting beyond maxExprDepth, an
+//     unknown operator, action, metric or op-class name, a non-canonical
+//     monomial, raw paths misaligned with contract paths: each is a
+//     syntax error where it occurs. So are the tables' own rules: an
+//     index out of range, an index that skips ahead of first-use order
+//     (a reference may introduce at most the next unused entry), a
+//     duplicate entry, an entry no path names, and references that
+//     stand for more than maxExpansion times the artifact's own bytes.
+//     decode∘encode is the identity on every accepted input without
+//     re-encoding it; `boltctl verify` and FuzzContractCodec check that
+//     identity from outside.
+//   - Decoded values share structure. Strings are interned per artifact
+//     and expression nodes are hash-consed (identical subtrees are one
+//     node). Every reference to a table entry returns the one slice, map
+//     or Poly the entry decoded to, so a contract path and its raw path
+//     share their constraints and domains. Shared slices are clipped, so
+//     an append reallocates, and cached contracts are read-only anyway
+//     (see ContractCache), so sharing shows only in the cost.
+//
+// Version 2 spelled every value inline, and its decoder found repeats by
+// memoising byte spans. The tables make that sharing part of the format,
+// so the decoder hashes no spans and the store reads and checksums a
+// sixth of the bytes.
 //
 // Integrity is not this file's job: the on-disk store (internal/store)
 // frames these bytes with a SHA-256 checksum that Store.Get verifies.
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -59,11 +76,11 @@ import (
 )
 
 // ArtifactVersion is the one codec version this build reads and writes.
-// Version 2 carries the shard dimension (per-path shared-MA polynomials,
-// per-call sharability verdicts and key arguments); version-1 objects
-// predate it and are rejected — the cache key's schema tag already keeps
-// them from being looked up.
-const ArtifactVersion = 2
+// Version 3 spells each repeated value once, in per-kind tables. Objects
+// of versions 1 (no shard dimension) and 2 (every value inline) are
+// rejected as unsupported; a content-addressed store overwrites them the
+// next time their key is generated (see ContractCache).
+const ArtifactVersion = 3
 
 // artifactFormat tags encoded artifacts; it never changes (the version
 // number does).
@@ -74,6 +91,17 @@ const artifactFormat = "gobolt-contract"
 // without a schema bound; deeper inputs are corrupt or hostile, not
 // contracts.
 const maxExprDepth = 10000
+
+// maxExpansion bounds how much the table references of one artifact may
+// stand for: the bytes of the entries they name, summed over every
+// reference, may be at most maxExpansion times the artifact's length.
+// The version-2 spelling of what an artifact decodes to, which is what a
+// consumer walking every path pays for, is therefore at most
+// maxExpansion+1 times the bytes read, where tables alone would let it
+// grow with the square of them. The stored objects of the quick-scale
+// chains stand at up to 6.7 (the uncoalesced 6-chain's composite), the
+// 4-chain's composite at 5.1.
+const maxExpansion = 12
 
 // Artifact is a contract as a durable object: the contract itself, the
 // store key it is content-addressed by (empty when the generation was
@@ -92,9 +120,13 @@ type Artifact struct {
 // metricKeys names the metrics in the wire format, in the (sorted) order
 // a cost object lists them.
 var metricKeys = [...]struct {
-	m   perf.Metric
-	key string
-}{{perf.Cycles, "cycles"}, {perf.Instructions, "ic"}, {perf.MemAccesses, "ma"}}
+	m     perf.Metric
+	field string
+}{{perf.Cycles, `"cycles":`}, {perf.Instructions, `"ic":`}, {perf.MemAccesses, `"ma":`}}
+
+// tableFields are the tables' field names in the order an artifact lists
+// them. The first table present drops the leading comma.
+var tableFields = [...]string{`,"monos":[`, `,"exprs":[`, `,"domains":[`, `,"ranges":[`, `,"polys":[`, `,"writes":[`}
 
 // --- encoding -------------------------------------------------------
 
@@ -103,12 +135,35 @@ var metricKeys = [...]struct {
 // The first value it cannot spell is recorded in err and encoding
 // carries on; EncodeArtifact checks err once per path.
 type encoder struct {
-	buf   []byte
-	err   error
+	buf    []byte
+	err    error
+	tables [len(tableFields)]etable
+	// expanded sums the entry bytes every reference stands for, which
+	// the decoder holds to its budget.
+	expanded int
+
+	spelt []byte      // scratch: the table entry being spelled
 	keys  []string    // scratch: a map's keys, sorted
 	monos []expr.Mono // scratch: a polynomial's monomials, sorted
 	offs  []uint64    // scratch: packet-write offsets, sorted
 }
+
+// etable is one table as the encoder builds it: its entries' spellings,
+// comma-separated in first-use order, and each spelling's index.
+type etable struct {
+	idx map[string]int
+	buf []byte
+}
+
+// The tables, by their index in tableFields.
+const (
+	tabMonos = iota
+	tabExprs
+	tabDomains
+	tabRanges
+	tabPolys
+	tabWrites
+)
 
 // EncodeArtifact serializes an artifact to its canonical bytes. The
 // output is deterministic — encoding the same artifact twice yields
@@ -125,9 +180,10 @@ func EncodeArtifact(a *Artifact) ([]byte, error) {
 	if ct.NF == "" {
 		return nil, fmt.Errorf("core: contract has no NF name")
 	}
+	// The paths are written first, into what becomes the tail of the
+	// artifact, and fill the tables as they name entries; the envelope
+	// and the tables then go in front.
 	e := &encoder{}
-	e.int(`{"format":"`+artifactFormat+`","version":`, ArtifactVersion)
-	e.optStr(`,"key":`, a.Key)
 	e.str(`,"contract":{"nf":`, ct.NF)
 	e.str(`,"level":`, ct.Level)
 	e.optStr(`,"provenance":`, ct.Provenance)
@@ -162,7 +218,72 @@ func EncodeArtifact(a *Artifact) ([]byte, error) {
 		e.lit(`]`)
 	}
 	e.lit(`}`)
-	return e.buf, nil
+
+	paths, size := e.buf, len(e.buf)+len(a.Key)+64
+	for i := range e.tables {
+		size += len(tableFields[i]) + len(e.tables[i].buf) + 2
+	}
+	e.buf = make([]byte, 0, size)
+	e.int(`{"format":"`+artifactFormat+`","version":`, ArtifactVersion)
+	e.optStr(`,"key":`, a.Key)
+	e.writeTables()
+	out := append(e.buf, paths...)
+	if e.expanded > maxExpansion*len(out) {
+		return nil, fmt.Errorf("core: table references stand for more than %d times the artifact's %d bytes", maxExpansion, len(out))
+	}
+	return out, nil
+}
+
+// writeTables writes the tables object, omitted when every table is
+// empty, and each table in it omitted when empty.
+func (e *encoder) writeTables() {
+	start := len(e.buf)
+	for i, t := range e.tables {
+		if len(t.buf) == 0 {
+			continue
+		}
+		if f := tableFields[i]; len(e.buf) == start {
+			e.lit(`,"tables":{`)
+			e.lit(f[1:])
+		} else {
+			e.lit(f)
+		}
+		e.buf = append(e.buf, t.buf...)
+		e.lit(`]`)
+	}
+	if len(e.buf) > start {
+		e.lit(`}`)
+	}
+}
+
+// ref writes field and the index of the entry spelt in table tab, adding
+// the entry if this is its first use.
+func (e *encoder) ref(field string, tab int, spelt []byte) {
+	t := &e.tables[tab]
+	i, ok := t.idx[string(spelt)]
+	if !ok {
+		if t.idx == nil {
+			t.idx = make(map[string]int)
+		}
+		i = len(t.idx)
+		t.idx[string(spelt)] = i
+		if i > 0 {
+			t.buf = append(t.buf, ',')
+		}
+		t.buf = append(t.buf, spelt...)
+	}
+	e.expanded += len(spelt)
+	e.int(field, i)
+}
+
+// spell runs write against the scratch buffer instead of buf and returns
+// what it wrote, which the next call overwrites.
+func (e *encoder) spell(write func()) []byte {
+	out := e.buf
+	e.buf = e.spelt[:0]
+	write()
+	e.spelt, e.buf = e.buf, out
+	return e.spelt
 }
 
 func (e *encoder) fail(format string, args ...any) {
@@ -239,10 +360,15 @@ func object[V any](e *encoder, field string, m map[string]V, val func(V)) {
 	})
 }
 
-// ranges writes a symbol→interval object (symb.Domain and expr.Range are
-// both inclusive uint64 intervals).
-func ranges[V symb.Domain | expr.Range](e *encoder, field string, m map[string]V) {
-	object(e, field, m, func(v V) { e.lohi(``, expr.Range(v)) })
+// ranges writes a reference to a symbol→interval map in table tab
+// (symb.Domain and expr.Range are both inclusive uint64 intervals),
+// omitted when the map is empty.
+func ranges[V symb.Domain | expr.Range](e *encoder, field string, tab int, m map[string]V) {
+	if len(m) > 0 {
+		e.ref(field, tab, e.spell(func() {
+			object(e, `{`, m, func(v V) { e.lohi(``, expr.Range(v)) })
+		}))
+	}
 }
 
 func (e *encoder) lohi(field string, r expr.Range) {
@@ -255,14 +381,14 @@ func (e *encoder) lohi(field string, r expr.Range) {
 func (e *encoder) path(p *PathContract) {
 	e.int(`{"id":`, p.ID)
 	e.str(`,"action":`, p.Action.String())
-	e.exprs(`,"constraints":[`, p.Constraints)
-	ranges(e, `,"domains":{`, p.Domains)
+	e.exprs(`,"constraints":`, p.Constraints)
+	ranges(e, `,"domains":`, tabDomains, p.Domains)
 	e.optStr(`,"events":`, p.Events)
 	e.events(`,"trace":[`, p.Trace)
 	e.cost(p.Cost)
-	ranges(e, `,"pcv_ranges":{`, p.PCVRanges)
+	ranges(e, `,"pcv_ranges":`, tabRanges, p.PCVRanges)
 	if !p.SharedMA.IsZero() {
-		e.poly(`,"shared_ma":`, p.SharedMA)
+		e.ref(`,"shared_ma":`, tabPolys, e.spell(func() { e.polyObject(p.SharedMA) }))
 	}
 	e.optTrue(`,"shard_analysed":true`, p.ShardAnalysed)
 	// Witness distinguishes nil (the solver returned Unknown; the path is
@@ -281,8 +407,8 @@ func (e *encoder) path(p *PathContract) {
 func (e *encoder) rawPath(rp *nfir.Path) {
 	e.int(`{"id":`, rp.ID)
 	e.str(`,"action":`, rp.Action.String())
-	e.exprs(`,"constraints":[`, rp.Constraints)
-	ranges(e, `,"domains":{`, rp.Domains)
+	e.exprs(`,"constraints":`, rp.Constraints)
+	ranges(e, `,"domains":`, tabDomains, rp.Domains)
 	e.events(`,"events":[`, rp.Events)
 	if rp.Port != nil {
 		e.expr(`,"port":`, rp.Port)
@@ -310,19 +436,23 @@ func (e *encoder) rawPath(rp *nfir.Path) {
 		}
 		e.lit(`}`)
 	})
-	ranges(e, `,"pcv_ranges":{`, rp.PCVRanges)
-	e.offs = e.offs[:0]
-	for off := range rp.PktWrites {
-		e.offs = append(e.offs, off)
+	ranges(e, `,"pcv_ranges":`, tabRanges, rp.PCVRanges)
+	if len(rp.PktWrites) > 0 {
+		e.offs = e.offs[:0]
+		for off := range rp.PktWrites {
+			e.offs = append(e.offs, off)
+		}
+		slices.Sort(e.offs)
+		e.ref(`,"pkt_writes":`, tabWrites, e.spell(func() {
+			e.list(`[`, len(e.offs), func(i int) {
+				w := rp.PktWrites[e.offs[i]]
+				e.u64(`{"off":`, e.offs[i])
+				e.int(`,"size":`, w.Size)
+				e.expr(`,"val":`, w.Val)
+				e.lit(`}`)
+			})
+		}))
 	}
-	slices.Sort(e.offs)
-	e.list(`,"pkt_writes":[`, len(e.offs), func(i int) {
-		w := rp.PktWrites[e.offs[i]]
-		e.u64(`{"off":`, e.offs[i])
-		e.int(`,"size":`, w.Size)
-		e.expr(`,"val":`, w.Val)
-		e.lit(`}`)
-	})
 	e.lit(`}`)
 }
 
@@ -332,9 +462,9 @@ func (e *encoder) events(field string, evs []nfir.CallEvent) {
 		e.str(`{"ds":`, ev.DS)
 		e.str(`,"method":`, ev.Method)
 		e.str(`,"outcome":{"label":`, o.Label)
-		e.exprs(`,"results":[`, o.Results)
-		e.exprs(`,"constraints":[`, o.Constraints)
-		ranges(e, `,"domains":{`, o.Domains)
+		e.exprs(`,"results":`, o.Results)
+		e.exprs(`,"constraints":`, o.Constraints)
+		ranges(e, `,"domains":`, tabDomains, o.Domains)
 		e.cost(o.Cost)
 		e.list(`,"pcvs":[`, len(o.PCVs), func(j int) {
 			e.str(`{"name":`, o.PCVs[j].Name)
@@ -343,13 +473,16 @@ func (e *encoder) events(field string, evs []nfir.CallEvent) {
 		})
 		e.lit(`}`)
 		e.list(`,"result_syms":[`, len(ev.ResultSyms), func(j int) { e.str(``, ev.ResultSyms[j]) })
-		e.exprs(`,"args":[`, ev.Args)
+		e.exprs(`,"args":`, ev.Args)
 		e.optStr(`,"sharing":`, ev.Sharing.Class.String())
 		e.optStr(`,"sharing_reason":`, ev.Sharing.Reason)
 		e.lit(`}`)
 	})
 }
 
+// cost writes a metric → polynomial object, each polynomial a list of
+// [monomial-index, coefficient] pairs in bytewise monomial order. The
+// empty monomial "" is the constant term; zero coefficients never occur.
 func (e *encoder) cost(cost map[perf.Metric]expr.Poly) {
 	if len(cost) == 0 {
 		return
@@ -357,12 +490,23 @@ func (e *encoder) cost(cost map[perf.Metric]expr.Poly) {
 	e.lit(`,"cost":{`)
 	n := 0
 	for _, mk := range metricKeys {
-		if p, ok := cost[mk.m]; ok {
-			e.sep(n)
-			e.str(``, mk.key)
-			e.poly(`:`, p)
-			n++
+		p, ok := cost[mk.m]
+		if !ok {
+			continue
 		}
+		e.sep(n)
+		n++
+		e.lit(mk.field)
+		e.monos = p.AppendMonos(e.monos[:0])
+		slices.Sort(e.monos)
+		e.lit(`[`)
+		for i, m := range e.monos {
+			e.sep(i)
+			e.ref(`[`, tabMonos, appendString(e.spelt[:0], string(m)))
+			e.u64(`,`, p.Coef(m))
+			e.lit(`]`)
+		}
+		e.lit(`]`)
 	}
 	if n != len(cost) {
 		e.fail("unencodable metric in %v", cost)
@@ -370,12 +514,11 @@ func (e *encoder) cost(cost map[perf.Metric]expr.Poly) {
 	e.lit(`}`)
 }
 
-// poly writes a polynomial as canonical-monomial → coefficient. The
-// empty monomial "" is the constant term; zero coefficients never occur.
-func (e *encoder) poly(field string, p expr.Poly) {
+// polyObject writes a polynomial the way the polynomial table spells
+// one: canonical monomial → coefficient, in bytewise monomial order.
+func (e *encoder) polyObject(p expr.Poly) {
 	e.monos = p.AppendMonos(e.monos[:0])
 	slices.Sort(e.monos)
-	e.lit(field)
 	e.lit(`{`)
 	for i, m := range e.monos {
 		e.sep(i)
@@ -385,8 +528,14 @@ func (e *encoder) poly(field string, p expr.Poly) {
 	e.lit(`}`)
 }
 
+// exprs writes a reference to a non-empty expression list, omitted when
+// the list is empty.
 func (e *encoder) exprs(field string, es []symb.Expr) {
-	e.list(field, len(es), func(i int) { e.expr(``, es[i]) })
+	if len(es) > 0 {
+		e.ref(field, tabExprs, e.spell(func() {
+			e.list(`[`, len(es), func(i int) { e.expr(``, es[i]) })
+		}))
+	}
 }
 
 // expr writes the tagged union of expression nodes: k = "c" (Const, v
@@ -434,36 +583,36 @@ type decoder struct {
 	ids   map[exprKey]uint32 // hash-consed expression nodes, by index in nodes
 	nodes []symb.Expr        // nodes[0] is the nil a failed parse returns
 
-	// The accepted spans of the memoised sites (see memo).
-	exprLists spanMemo[[]symb.Expr]
-	domains   spanMemo[map[string]symb.Domain]
-	ranges    spanMemo[map[string]expr.Range]
-	polys     spanMemo[expr.Poly]
-	pktWrites spanMemo[map[uint64]nfir.PktWrite]
+	monos   table[expr.Mono]
+	rank    []int // rank[i]: monos[i]'s position in bytewise order
+	exprs   table[[]symb.Expr]
+	domains table[map[string]symb.Domain]
+	ranges  table[map[string]expr.Range]
+	polys   table[expr.Poly]
+	writes  table[map[uint64]nfir.PktWrite]
 
-	monos map[string]bool // monomial keys ParseMono accepted
+	// expanded sums the entry bytes every reference so far stands for;
+	// it may not pass budget.
+	expanded, budget int
 
 	sbuf  []byte      // scratch: an escaped string, unescaped
 	kvs   []member    // scratch: the members of the object being read
-	exprs []symb.Expr // scratch: the expression list being read
+	elems []symb.Expr // scratch: the expression list being read
+	terms []term      // scratch: the terms of the polynomial being read
 }
 
-// spanMemo maps the spans one decoding site has accepted, by nesting
-// level and exact bytes, to what they decoded to. Every span the site
-// accepts ends with end, which occurs nowhere earlier in it outside a
-// string.
-type spanMemo[V any] struct {
-	end  []byte
-	seen map[spanKey]V
+// uses is what the decoder tracks of a table's references: each entry's
+// spelled length and how many entries paths have named so far.
+type uses struct {
+	name  string
+	sizes []int
+	used  int
 }
 
-type spanKey struct {
-	lvl  int
-	span string
-}
-
-func newSpanMemo[V any](end string) spanMemo[V] {
-	return spanMemo[V]{[]byte(end), make(map[spanKey]V)}
+// table is one decoded table: its entries' values beside their uses.
+type table[V any] struct {
+	uses
+	vals []V
 }
 
 // member is one key of a flat object with its value: a coefficient,
@@ -471,6 +620,12 @@ func newSpanMemo[V any](end string) spanMemo[V] {
 type member struct {
 	k    string
 	a, b uint64
+}
+
+// term is one term of a polynomial being read.
+type term struct {
+	m expr.Mono
+	c uint64
 }
 
 // exprKey identifies an expression node by its own fields and its
@@ -488,17 +643,14 @@ type exprKey struct {
 // so EncodeArtifact(DecodeArtifact(b)) == b for every accepted b.
 func DecodeArtifact(data []byte) (*Artifact, error) {
 	d := &decoder{
-		b:         data,
-		strs:      make(map[string]string, 64),
-		ids:       make(map[exprKey]uint32, 64),
-		nodes:     []symb.Expr{nil},
-		monos:     make(map[string]bool),
-		exprLists: newSpanMemo[[]symb.Expr](`]`),
-		domains:   newSpanMemo[map[string]symb.Domain](`}}`),
-		ranges:    newSpanMemo[map[string]expr.Range](`}}`),
-		polys:     newSpanMemo[expr.Poly](`}`),
-		pktWrites: newSpanMemo[map[uint64]nfir.PktWrite](`]`),
+		b:      data,
+		strs:   make(map[string]string, 64),
+		ids:    make(map[exprKey]uint32, 64),
+		nodes:  []symb.Expr{nil},
+		budget: maxExpansion * len(data),
 	}
+	d.monos.name, d.exprs.name, d.domains.name = "monomial", "expression list", "domain map"
+	d.ranges.name, d.polys.name, d.writes.name = "PCV-range map", "polynomial", "packet-write map"
 	if f := d.str(`{"format":`); f != artifactFormat {
 		d.fail("not a contract artifact (format %q, want %q)", f, artifactFormat)
 	}
@@ -507,6 +659,7 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	}
 	ct := &Contract{Paths: []*PathContract{}}
 	a := &Artifact{Key: d.optStr(`,"key":`), Contract: ct, Version: ArtifactVersion}
+	d.tables()
 	if ct.NF = d.str(`,"contract":{"nf":`); ct.NF == "" {
 		d.fail("contract has no NF name")
 	}
@@ -523,6 +676,11 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	}
 	if d.expect(`}`); d.i != len(d.b) {
 		d.fail("trailing data after artifact")
+	}
+	for _, t := range []*uses{&d.monos.uses, &d.exprs.uses, &d.domains.uses, &d.ranges.uses, &d.polys.uses, &d.writes.uses} {
+		if t.used < len(t.sizes) {
+			d.fail("%s entry %d is never referenced", t.name, t.used)
+		}
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("core: decoding artifact: %w", d.err)
@@ -562,20 +720,135 @@ func (d *decoder) list(field string, elem func()) {
 	d.expect(`]`)
 }
 
-// path reads one contract path, an object at nesting level 4.
-func (d *decoder) path() *PathContract {
-	p := &PathContract{ID: d.int(`{"id":`), Action: d.action(`,"action":`)}
-	p.Constraints = d.exprList(`,"constraints":[`, 6)
-	p.Domains = parseRanges(d, `,"domains":{`, 5, d.domains)
-	p.Events = d.optStr(`,"events":`)
-	p.Trace = d.events(`,"trace":[`, 6)
-	p.Cost = d.cost()
-	p.PCVRanges = parseRanges(d, `,"pcv_ranges":{`, 5, d.ranges)
-	if d.lit(`,"shared_ma":`) {
-		if p.SharedMA = memo(d, d.polys, 5, d.poly); p.SharedMA.IsZero() {
-			d.fail("zero shared_ma must be omitted")
+// tables reads the optional tables object, never empty when present.
+// Its fields are optional too, so the first one present has no comma.
+func (d *decoder) tables() {
+	if !d.lit(`,"tables":{`) {
+		return
+	}
+	start := d.i
+	field := func(i int) bool {
+		f := tableFields[i]
+		if d.i == start {
+			f = f[1:]
+		}
+		return d.lit(f)
+	}
+	if field(tabMonos) {
+		readTable(d, &d.monos, func() expr.Mono {
+			at := d.i
+			m, err := expr.ParseMono(d.str(``))
+			if err != nil {
+				d.i = at
+				d.fail("%v", err)
+			}
+			return m
+		})
+		order := make([]int, len(d.monos.vals))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(i, j int) int { return cmp.Compare(d.monos.vals[i], d.monos.vals[j]) })
+		d.rank = make([]int, len(order))
+		for r, i := range order {
+			d.rank[i] = r
 		}
 	}
+	if field(tabExprs) {
+		readTable(d, &d.exprs, d.exprList)
+	}
+	if field(tabDomains) {
+		readTable(d, &d.domains, func() map[string]symb.Domain { return intervals[symb.Domain](d) })
+	}
+	if field(tabRanges) {
+		readTable(d, &d.ranges, func() map[string]expr.Range { return intervals[expr.Range](d) })
+	}
+	if field(tabPolys) {
+		readTable(d, &d.polys, d.polyObject)
+	}
+	if field(tabWrites) {
+		readTable(d, &d.writes, d.pktWrites)
+	}
+	if d.i == start {
+		d.fail("empty tables object must be omitted")
+	}
+	d.expect(`}`)
+}
+
+// readTable reads a table's entries, each with entry, and its closing
+// bracket. Canonical entries are equal exactly when their bytes are, so
+// a repeated span is a duplicate entry.
+func readTable[V any](d *decoder, t *table[V], entry func() V) {
+	seen := make(map[string]struct{})
+	for more := true; more && d.err == nil; more = d.lit(`,`) {
+		start := d.i
+		v := entry()
+		if d.err != nil {
+			return
+		}
+		span := d.b[start:d.i]
+		if _, dup := seen[string(span)]; dup {
+			d.i = start
+			d.fail("duplicate %s entry", t.name)
+			return
+		}
+		seen[string(span)] = struct{}{}
+		t.vals = append(t.vals, v)
+		t.sizes = append(t.sizes, len(span))
+	}
+	d.expect(`]`)
+}
+
+// index resolves index i into t, read at offset at. It must name an
+// entry some earlier reference named, or the next one no reference has
+// named yet; what the entry stands for counts against the expansion
+// budget. It returns -1 on failure.
+func (d *decoder) index(t *uses, i uint64, at int) int {
+	switch {
+	case i >= uint64(len(t.sizes)):
+		d.i = at
+		d.fail("%s index %d out of range (%d entries)", t.name, i, len(t.sizes))
+		return -1
+	case i > uint64(t.used):
+		d.i = at
+		d.fail("%s index %d skips ahead of first use (the next new entry is %d)", t.name, i, t.used)
+		return -1
+	case i == uint64(t.used):
+		t.used++
+	}
+	if d.expanded += t.sizes[i]; d.expanded > d.budget {
+		d.i = at
+		d.fail("table references stand for more than %d times the artifact's %d bytes", maxExpansion, len(d.b))
+		return -1
+	}
+	return int(i)
+}
+
+// optRef reads an optional index into t under field and returns the
+// entry it names.
+func optRef[V any](d *decoder, field string, t *table[V]) (v V) {
+	if !d.lit(field) {
+		return v
+	}
+	at := d.i
+	if i := d.u64(``); d.err == nil {
+		if j := d.index(&t.uses, i, at); j >= 0 {
+			v = t.vals[j]
+		}
+	}
+	return v
+}
+
+// path reads one contract path.
+func (d *decoder) path() *PathContract {
+	p := &PathContract{ID: d.int(`{"id":`), Action: d.action(`,"action":`)}
+	p.Constraints = optRef(d, `,"constraints":`, &d.exprs)
+	p.Domains = optRef(d, `,"domains":`, &d.domains)
+	p.Events = d.optStr(`,"events":`)
+	p.Trace = d.events(`,"trace":[`)
+	p.Cost = d.cost()
+	p.PCVRanges = optRef(d, `,"pcv_ranges":`, &d.ranges)
+	p.SharedMA = optRef(d, `,"shared_ma":`, &d.polys)
 	p.ShardAnalysed = d.lit(`,"shard_analysed":true`)
 	if !d.lit(`,"witness":null`) {
 		kvs := d.members(`,"witness":{`, d.u64Pair, true)
@@ -591,9 +864,9 @@ func (d *decoder) path() *PathContract {
 // rawPath reads one raw symbolic path, an object at nesting level 3.
 func (d *decoder) rawPath() *nfir.Path {
 	p := &nfir.Path{ID: d.int(`{"id":`), Action: d.action(`,"action":`)}
-	p.Constraints = d.exprList(`,"constraints":[`, 5)
-	p.Domains = parseRanges(d, `,"domains":{`, 4, d.domains)
-	p.Events = d.events(`,"events":[`, 5)
+	p.Constraints = optRef(d, `,"constraints":`, &d.exprs)
+	p.Domains = optRef(d, `,"domains":`, &d.domains)
+	p.Events = d.events(`,"events":[`)
 	if d.lit(`,"port":`) {
 		p.Port = d.expr(4)
 	}
@@ -634,35 +907,14 @@ func (d *decoder) rawPath() *nfir.Path {
 		d.expect(`}`)
 		p.Accesses = append(p.Accesses, a)
 	})
-	p.PCVRanges = parseRanges(d, `,"pcv_ranges":{`, 4, d.ranges)
-	if d.lit(`,"pkt_writes":[`) {
-		p.PktWrites = memo(d, d.pktWrites, 4, d.pktWriteList)
-	}
+	p.PCVRanges = optRef(d, `,"pcv_ranges":`, &d.ranges)
+	p.PktWrites = optRef(d, `,"pkt_writes":`, &d.writes)
 	d.expect(`}`)
 	return p
 }
 
-// pktWriteList reads the elements of a raw path's packet-write list,
-// objects at nesting level 5, and its closing bracket.
-func (d *decoder) pktWriteList() map[uint64]nfir.PktWrite {
-	w := make(map[uint64]nfir.PktWrite)
-	prev := uint64(0)
-	d.list(``, func() {
-		off := d.u64(`{"off":`)
-		if len(w) > 0 && off <= prev {
-			d.fail("packet writes not in strictly ascending offset order")
-		}
-		prev = off
-		size := d.int(`,"size":`)
-		d.expect(`,"val":`)
-		w[off] = nfir.PktWrite{Size: size, Val: d.expr(6)}
-		d.expect(`}`)
-	})
-	return w
-}
-
-// events reads a list of call events, objects at nesting level lvl.
-func (d *decoder) events(field string, lvl int) (out []nfir.CallEvent) {
+// events reads a list of call events.
+func (d *decoder) events(field string) (out []nfir.CallEvent) {
 	d.list(field, func() {
 		ev := nfir.CallEvent{DS: d.str(`{"ds":`), Method: d.str(`,"method":`)}
 		if ev.DS == "" || ev.Method == "" {
@@ -670,9 +922,9 @@ func (d *decoder) events(field string, lvl int) (out []nfir.CallEvent) {
 		}
 		o := &ev.Outcome
 		o.Label = d.str(`,"outcome":{"label":`)
-		o.Results = d.exprList(`,"results":[`, lvl+3)
-		o.Constraints = d.exprList(`,"constraints":[`, lvl+3)
-		o.Domains = parseRanges(d, `,"domains":{`, lvl+2, d.domains)
+		o.Results = optRef(d, `,"results":`, &d.exprs)
+		o.Constraints = optRef(d, `,"constraints":`, &d.exprs)
+		o.Domains = optRef(d, `,"domains":`, &d.domains)
 		o.Cost = d.cost()
 		d.list(`,"pcvs":[`, func() {
 			pcv := nfir.PCV{Name: d.str(`{"name":`)}
@@ -686,7 +938,7 @@ func (d *decoder) events(field string, lvl int) (out []nfir.CallEvent) {
 		})
 		d.expect(`}`)
 		d.list(`,"result_syms":[`, func() { ev.ResultSyms = append(ev.ResultSyms, d.str(``)) })
-		ev.Args = d.exprList(`,"args":[`, lvl+2)
+		ev.Args = optRef(d, `,"args":`, &d.exprs)
 		if s := d.optStr(`,"sharing":`); s != "" {
 			var ok bool
 			if ev.Sharing.Class, ok = nfir.ParseSharingClass(s); !ok {
@@ -743,113 +995,152 @@ func (d *decoder) lohi() (lo, hi uint64) {
 	return lo, hi
 }
 
-// parseRanges reads an optional symbol→interval object at nesting level
-// lvl, never empty when present, memoised in seen.
-func parseRanges[V symb.Domain | expr.Range](d *decoder, field string, lvl int, seen spanMemo[map[string]V]) map[string]V {
-	if !d.lit(field) {
-		return nil
+// intervals reads a domain or PCV-range table entry: a non-empty
+// symbol→interval object.
+func intervals[V symb.Domain | expr.Range](d *decoder) map[string]V {
+	kvs := d.members(`{`, d.lohi, false)
+	m := make(map[string]V, len(kvs))
+	for _, kv := range kvs {
+		m[kv.k] = V(expr.Range{Lo: kv.a, Hi: kv.b})
 	}
-	return memo(d, seen, lvl, func() map[string]V {
-		kvs := d.members(``, d.lohi, false)
-		m := make(map[string]V, len(kvs))
-		for _, kv := range kvs {
-			m[kv.k] = V(expr.Range{Lo: kv.a, Hi: kv.b})
-		}
-		return m
-	})
+	return m
 }
 
+// cost reads an optional metric → polynomial object, never empty when
+// present.
 func (d *decoder) cost() map[perf.Metric]expr.Poly {
 	if !d.lit(`,"cost":{`) {
 		return nil
 	}
 	m := make(map[perf.Metric]expr.Poly, len(metricKeys))
-	next := 0 // metricKeys is sorted, so ascending keys only move forward
-	for more := true; more; more = d.lit(`,`) {
-		k := d.str(``)
-		for next < len(metricKeys) && metricKeys[next].key != k {
-			next++
+	for _, mk := range metricKeys { // sorted, so ascending keys only move forward
+		at := d.i
+		if len(m) > 0 && !d.lit(`,`) {
+			break
 		}
-		if next == len(metricKeys) {
-			d.fail("unknown, repeated or out-of-order metric %q", k)
-			return nil
+		if !d.lit(mk.field) {
+			d.i = at
+			continue
 		}
-		d.expect(`:`)
-		m[metricKeys[next].m] = d.poly()
-		next++
+		m[mk.m] = d.costPoly()
+	}
+	if len(m) == 0 {
+		d.fail("unknown metric or empty cost")
 	}
 	d.expect(`}`)
 	return m
 }
 
-// poly reads a polynomial object, monomial → non-zero coefficient.
-func (d *decoder) poly() expr.Poly {
-	kvs := d.members(`{`, d.u64Pair, true)
-	terms := make(map[expr.Mono]uint64, len(kvs))
-	for _, kv := range kvs {
-		if !d.monos[kv.k] {
-			if _, err := expr.ParseMono(kv.k); err != nil {
-				d.fail("%v", err)
-			} else {
-				d.monos[kv.k] = true
-			}
+// costPoly reads a cost polynomial: a list of [monomial-index,
+// coefficient] pairs in strictly ascending monomial order, empty for the
+// zero polynomial. It scans each pair's bytes itself: a composite holds
+// some 28,000 of them, more than any other kind of value.
+func (d *decoder) costPoly() expr.Poly {
+	d.expect(`[`)
+	if d.lit(`]`) {
+		return expr.Poly{}
+	}
+	d.terms = d.terms[:0]
+	b, prev := d.b, -1 // prev: the last term's monomial rank
+	for d.err == nil {
+		at := d.i
+		idx, j := digits(b, at+1)
+		if at >= len(b) || b[at] != '[' || j <= at+1 || j >= len(b) || b[j] != ',' {
+			d.fail("expected a [monomial-index, coefficient] pair")
+			break
 		}
-		if kv.a == 0 {
-			d.fail("zero coefficient for monomial %q", kv.k)
+		c, k := digits(b, j+1)
+		if k <= j+1 || k >= len(b) || b[k] != ']' {
+			d.i = j + 1
+			d.fail("expected a [monomial-index, coefficient] pair")
+			break
 		}
-		terms[expr.Mono(kv.k)] = kv.a
+		i := d.index(&d.monos.uses, idx, at+1)
+		switch {
+		case i < 0:
+		case d.rank[i] <= prev:
+			d.i = at + 1
+			d.fail("polynomial terms not in strictly ascending monomial order")
+		case c == 0:
+			d.i = j + 1
+			d.fail("zero coefficient for monomial %q", d.monos.vals[i])
+		default:
+			prev = d.rank[i]
+			d.terms = append(d.terms, term{d.monos.vals[i], c})
+			d.i = k + 1
+		}
+		if !d.lit(`,`) {
+			break
+		}
+	}
+	d.expect(`]`)
+	if d.err != nil {
+		return expr.Poly{}
+	}
+	terms := make(map[expr.Mono]uint64, len(d.terms))
+	for _, t := range d.terms {
+		terms[t.m] = t.c
 	}
 	return expr.OwnTerms(terms)
 }
 
-// exprList reads an optional, never-empty list of expressions, objects
-// at nesting level lvl.
-func (d *decoder) exprList(field string, lvl int) []symb.Expr {
-	if !d.lit(field) {
-		return nil
+// polyObject reads a polynomial table entry: a non-empty object,
+// canonical monomial → non-zero coefficient.
+func (d *decoder) polyObject() expr.Poly {
+	kvs := d.members(`{`, d.u64Pair, false)
+	terms := make(map[expr.Mono]uint64, len(kvs))
+	for _, kv := range kvs {
+		m, err := expr.ParseMono(kv.k)
+		if err != nil {
+			d.fail("%v", err)
+		}
+		if kv.a == 0 {
+			d.fail("zero coefficient for monomial %q", kv.k)
+		}
+		terms[m] = kv.a
 	}
-	return memo(d, d.exprLists, lvl, func() []symb.Expr {
-		d.exprs = d.exprs[:0]
-		d.list(``, func() { d.exprs = append(d.exprs, d.expr(lvl)) })
-		// Clipped, so that appending to one path's list never writes into
-		// another's.
-		return slices.Clip(slices.Clone(d.exprs))
-	})
+	return expr.OwnTerms(terms)
 }
 
-// memo reads the value that starts at the cursor with read, lvl being
-// the nesting level read starts at. Its span is everything read
-// consumes. If the input continues with a span m has accepted before at
-// the same level, read is skipped: the cursor moves past the span and
-// the value stored with it is returned. Otherwise a span read accepts
-// is stored.
-//
-// Skipping changes neither what is accepted nor what it decodes to. read
-// is deterministic and looks at nothing past the span's last byte (only
-// a number reads one byte ahead, and no span ends in one), so on a span
-// it once accepted it would accept again, building an equal value; the
-// level is in the key, so the depth limit applies as it would have; and
-// a failed span is never stored. The candidate span ends at the first
-// m.end, which an accepted span ends with and does not contain earlier,
-// so on input read accepts, finding and hashing the candidate costs no
-// more bytes than read consumes; the memo keeps decoding linear.
-func memo[V any](d *decoder, m spanMemo[V], lvl int, read func() V) V {
-	if d.err == nil {
-		rest := d.b[d.i:]
-		if n := bytes.Index(rest, m.end); n >= 0 {
-			n += len(m.end)
-			if v, ok := m.seen[spanKey{lvl, string(rest[:n])}]; ok {
-				d.i += n
-				return v
-			}
+// exprList reads an expression-list table entry: a non-empty list of
+// expressions, objects at nesting level 5.
+func (d *decoder) exprList() []symb.Expr {
+	d.elems = d.elems[:0]
+	if !d.lit(`[`) {
+		d.fail("expected an expression list")
+		return nil
+	}
+	for more := true; more; more = d.lit(`,`) {
+		d.elems = append(d.elems, d.expr(5))
+	}
+	d.expect(`]`)
+	// Clipped, so that appending to one path's list never writes into
+	// another's.
+	return slices.Clip(slices.Clone(d.elems))
+}
+
+// pktWrites reads a packet-write table entry: a non-empty list of
+// writes in strictly ascending offset order, objects at nesting level 5.
+func (d *decoder) pktWrites() map[uint64]nfir.PktWrite {
+	w := make(map[uint64]nfir.PktWrite)
+	if !d.lit(`[`) {
+		d.fail("expected a packet-write list")
+		return nil
+	}
+	prev := uint64(0)
+	for more := true; more; more = d.lit(`,`) {
+		off := d.u64(`{"off":`)
+		if len(w) > 0 && off <= prev {
+			d.fail("packet writes not in strictly ascending offset order")
 		}
+		prev = off
+		size := d.int(`,"size":`)
+		d.expect(`,"val":`)
+		w[off] = nfir.PktWrite{Size: size, Val: d.expr(6)}
+		d.expect(`}`)
 	}
-	start := d.i
-	v := read()
-	if d.err == nil {
-		m.seen[spanKey{lvl, string(d.b[start:d.i])}] = v
-	}
-	return v
+	d.expect(`]`)
+	return w
 }
 
 func (d *decoder) expr(lvl int) symb.Expr { return d.nodes[d.node(lvl)] }

@@ -10,11 +10,11 @@ import (
 	"testing"
 )
 
-// This file pins the hand-written decoder's accept set against the
-// reflection codec it replaced (codec_oracle_test.go): over the golden
+// This file pins the hand-written decoder's accept set: over the golden
 // artifacts and some tens of thousands of structured mutations of them,
-// the two accept exactly the same inputs and build reflect.DeepEqual
-// structures from every accepted one.
+// it accepts an input exactly when the input is the encoding of what the
+// lenient reflection reader (codec_oracle_test.go) makes of it, and then
+// builds a reflect.DeepEqual structure.
 
 // jsonSpans indexes a valid JSON document: every value's byte span, and
 // for every object the spans of its members (key through value).
@@ -152,6 +152,7 @@ func mutants(doc []byte, emit func(string, []byte)) {
 func TestCodecDecodeMatchesOracle(t *testing.T) {
 	var docs [][]byte
 	for _, name := range []string{
+		"testdata/artifact_v3.golden.json",
 		"testdata/artifact_v2.golden.json",
 		"testdata/artifact_v1.golden.json",
 		"../../cmd/bolt/testdata/example_lpm_artifact.golden.json",
@@ -173,17 +174,17 @@ func TestCodecDecodeMatchesOracle(t *testing.T) {
 	check := func(kind string, data []byte) {
 		total++
 		a, err := DecodeArtifact(data)
-		oa, oerr := oracleDecode(data)
-		if (err == nil) != (oerr == nil) {
-			t.Fatalf("%s: accept sets differ on %q:\n decoder: %v\n oracle:  %v", kind, data, err, oerr)
+		want, canonical := canonicalV3(data)
+		if (err == nil) != canonical {
+			t.Fatalf("%s: decoder says %v, but canonical = %v, on %q", kind, err, canonical, data)
 		}
 		if err != nil {
 			return
 		}
 		accepted++
 		kinds[kind]++
-		if !reflect.DeepEqual(a, oa) {
-			t.Fatalf("%s: decoder and oracle built different artifacts from %q", kind, data)
+		if !reflect.DeepEqual(a, want) {
+			t.Fatalf("%s: decoder and lenient oracle built different artifacts from %q", kind, data)
 		}
 		re, err := EncodeArtifact(a)
 		if err != nil || !bytes.Equal(re, data) {
@@ -193,71 +194,70 @@ func TestCodecDecodeMatchesOracle(t *testing.T) {
 	for i, doc := range docs {
 		check("golden", doc)
 		mutants(doc, check)
-		if i == 0 || len(doc) < 200 { // the oracle is slow: one full artifact, one tiny
+		if i == 0 || len(doc) < 200 { // one full artifact, one tiny
 			byteMutants(doc, check)
 		}
 	}
 	if total < 10000 || accepted < 500 {
 		t.Fatalf("%d mutants, %d accepted: the differential is too thin to mean anything", total, accepted)
 	}
-	t.Logf("%d inputs, %d accepted by both (%v), none disagreed", total, accepted, kinds)
+	t.Logf("%d inputs, %d accepted (%v), each exactly when canonical", total, accepted, kinds)
 }
 
 // TestCodecNestingLimitMatchesOracle walks a chain of Not nodes across
-// the nesting limit at every position an expression can occupy:
-// encoding/json counted objects and arrays from the outermost brace, so
-// the deepest legal tree differs by position, and the decoder's level
-// bookkeeping has to agree with it everywhere.
+// the nesting limit at every kind of position an expression can occupy
+// — an expression-list entry, a packet write's value, a raw path's port
+// — at its own nesting level: the decoder counts objects and arrays from
+// the outermost brace as encoding/json, under the lenient reader, does.
 func TestCodecNestingLimitMatchesOracle(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("testdata", "artifact_v2.golden.json"))
+	doc, err := os.ReadFile(filepath.Join("testdata", "artifact_v3.golden.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := []string{`"constraints":[`, `"results":[`, `"args":[`, `"port":`, `"val":`}
-	for _, site := range sites {
-		for at, n := 0, 0; ; n++ {
-			j := bytes.Index(doc[at:], []byte(site))
-			if j < 0 {
-				break
+	for _, site := range []string{`"exprs":[[`, `"port":`, `"val":`} {
+		at := bytes.Index(doc, []byte(site))
+		if at < 0 {
+			t.Fatalf("%s: not in the golden", site)
+		}
+		at += len(site)
+		limit := 0
+		for depth := maxExprDepth - 12; depth <= maxExprDepth; depth++ {
+			deep := strings.Repeat(`{"k":"n","x":`, depth) + `{"k":"c"}` + strings.Repeat(`}`, depth)
+			var data []byte
+			if strings.HasSuffix(site, "[") {
+				data = splice(doc, at, at, deep+",")
+			} else {
+				var v jsonSpans
+				data = splice(doc, at, v.scan(doc, at), deep)
 			}
-			at += j + len(site)
-			limit := 0
-			for depth := maxExprDepth - 12; depth <= maxExprDepth; depth++ {
-				deep := strings.Repeat(`{"k":"n","x":`, depth) + `{"k":"c"}` + strings.Repeat(`}`, depth)
-				var data []byte
-				if strings.HasSuffix(site, "[") {
-					data = splice(doc, at, at, deep+",")
-				} else {
-					var v jsonSpans
-					data = splice(doc, at, v.scan(doc, at), deep)
-				}
-				_, err := DecodeArtifact(data)
-				_, oerr := oracleDecode(data)
-				if (err == nil) != (oerr == nil) {
-					t.Fatalf("%s #%d, %d nested nodes: decoder says %v, oracle says %v", site, n, depth, err, oerr)
-				}
-				if err == nil {
-					limit = depth
-				}
+			_, err := DecodeArtifact(data)
+			if _, canonical := canonicalV3(data); (err == nil) != canonical {
+				t.Fatalf("%s, %d nested nodes: decoder says %v, but canonical = %v", site, depth, err, canonical)
 			}
-			if limit == 0 || limit == maxExprDepth {
-				t.Fatalf("%s #%d: the sweep did not cross the limit (deepest accepted %d)", site, n, limit)
+			if err == nil {
+				limit = depth
 			}
+		}
+		if limit == 0 || limit == maxExprDepth {
+			t.Fatalf("%s: the sweep did not cross the limit (deepest accepted %d)", site, limit)
 		}
 	}
 }
 
 // TestCodecRejectsNullPaths is the regression test for the one bug the
-// differential found in the OLD codec: a null element in "paths" or
-// "raw_paths" was a nil-pointer panic, on bytes any store file or
-// `boltctl import` argument could carry.
+// differential found in the old reflection codec: a null element in
+// "paths" or "raw_paths" was a nil-pointer panic, on bytes any store file
+// or `boltctl import` argument could carry.
 func TestCodecRejectsNullPaths(t *testing.T) {
 	for _, data := range []string{
-		`{"format":"gobolt-contract","version":2,"contract":{"nf":"m","level":"","paths":[null]}}`,
-		`{"format":"gobolt-contract","version":2,"contract":{"nf":"m","level":"","paths":[{"id":0,"action":"drop","witness":null}]},"raw_paths":[null]}`,
+		`{"format":"gobolt-contract","version":3,"contract":{"nf":"m","level":"","paths":[null]}}`,
+		`{"format":"gobolt-contract","version":3,"contract":{"nf":"m","level":"","paths":[{"id":0,"action":"drop","witness":null}]},"raw_paths":[null]}`,
 	} {
 		if _, err := DecodeArtifact([]byte(data)); err == nil {
 			t.Errorf("accepted %s", data)
+		}
+		if _, err := lenientDecode([]byte(data)); err == nil {
+			t.Errorf("the lenient reader accepted %s", data)
 		}
 	}
 }

@@ -1,13 +1,21 @@
 package core
 
-// codec_oracle_test.go is the reflection codec codec.go replaced, kept
-// verbatim as the differential oracle for the hand-written one: art*
-// mirror structs encoded with json.Marshal, decoded with json.Decoder
-// and gated by re-encode + byte-compare, so its accept set is by
-// construction "exactly the encoder's image". It reads and writes
-// version 2 only (version 1 was retired with it), and carries one fix:
-// a null element in "paths"/"raw_paths" dereferenced a nil pointer and
-// panicked; both sides now reject it.
+// codec_oracle_test.go holds the value oracles of the hand-written codec.
+//
+// The first is the reflection codec codec.go replaced, kept as it was:
+// art* mirror structs encoded with json.Marshal, decoded with
+// json.Decoder and gated by re-encode + byte-compare. It reads and
+// writes version 2, which spells every value inline, and carries one
+// fix: a null element in "paths"/"raw_paths" dereferenced a nil pointer
+// and panicked; it now rejects it. What it decodes from an artifact's
+// version-2 spelling is what the version-3 decoder must build from the
+// artifact's version-3 spelling.
+//
+// The second, lenientDecode, reads version 3 the reflection way: it
+// unmarshals the tables and paths with encoding/json, resolves every
+// index, and hands the resolved art* structs to the first oracle's
+// decoding. It enforces none of the tables' canonical rules; an input
+// is canonical when encoding what it decodes gives the input back.
 
 import (
 	"bytes"
@@ -24,9 +32,8 @@ import (
 //
 // The art* structs are the exact JSON shape of an encoded artifact.
 // Field order is the canonical encoding order; do not reorder without
-// bumping ArtifactVersion. Fields marked "v2" are omitted when encoding
-// at version 1 (omitempty plus explicit stripping), which keeps the
-// version-1 projection byte-identical to what pre-shard builds wrote.
+// changing the version-2 spelling. Fields marked "v2" were added by
+// version 2; version-1 artifacts, which lack them, are no longer read.
 
 type artFile struct {
 	Format   string        `json:"format"`
@@ -144,17 +151,18 @@ type artExpr struct {
 
 // --- encoding -------------------------------------------------------
 
-// oracleMinVersion is the oldest version the oracle reads or writes.
-const oracleMinVersion = ArtifactVersion
+// oracleVersion is the one version the reflection oracle reads and
+// writes: every value spelled inline.
+const oracleVersion = 2
 
-// oracleEncode is the old EncodeArtifact at the current version.
-func oracleEncode(a *Artifact) ([]byte, error) { return oracleEncodeAt(a, ArtifactVersion) }
+// oracleEncode is the old EncodeArtifact: an artifact's version-2
+// spelling.
+func oracleEncode(a *Artifact) ([]byte, error) { return oracleEncodeAt(a, oracleVersion) }
 
 // oracleEncodeAt serializes at a specific codec version.
 func oracleEncodeAt(a *Artifact, version int) ([]byte, error) {
-	if version < oracleMinVersion || version > ArtifactVersion {
-		return nil, fmt.Errorf("core: cannot encode artifact version %d (this build writes %d..%d)",
-			version, oracleMinVersion, ArtifactVersion)
+	if version != oracleVersion {
+		return nil, fmt.Errorf("core: cannot encode artifact version %d (the oracle writes %d)", version, oracleVersion)
 	}
 	if a == nil || a.Contract == nil {
 		return nil, fmt.Errorf("core: cannot encode a nil contract")
@@ -461,13 +469,11 @@ func encExpr(e symb.Expr) (*artExpr, error) {
 
 // --- decoding -------------------------------------------------------
 
-// oracleDecode parses and validates canonical artifact bytes. It rejects unknown formats and versions,
-// unknown fields, malformed operator/action/metric/monomial names,
-// misaligned raw paths, and any input that is not byte-for-byte the
-// canonical encoding of its own content *at its declared version* — so
-// oracleEncodeAt(DecodeArtifact(b), version(b)) == b for every
-// accepted b. In particular a version-1 artifact that smuggles shard
-// fields fails the gate (re-encoding at version 1 strips them).
+// oracleDecode parses and validates canonical version-2 artifact bytes.
+// It rejects unknown formats and versions, unknown fields, malformed
+// operator/action/metric/monomial names, misaligned raw paths, and any
+// input that is not byte-for-byte the version-2 encoding of its own
+// content, so oracleEncode(oracleDecode(b)) == b for every accepted b.
 func oracleDecode(data []byte) (*Artifact, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -481,9 +487,8 @@ func oracleDecode(data []byte) (*Artifact, error) {
 	if f.Format != artifactFormat {
 		return nil, fmt.Errorf("core: not a contract artifact (format %q, want %q)", f.Format, artifactFormat)
 	}
-	if f.Version < oracleMinVersion || f.Version > ArtifactVersion {
-		return nil, fmt.Errorf("core: unsupported artifact version %d (this build reads versions %d..%d)",
-			f.Version, oracleMinVersion, ArtifactVersion)
+	if f.Version != oracleVersion {
+		return nil, fmt.Errorf("core: unsupported artifact version %d (the oracle reads %d)", f.Version, oracleVersion)
 	}
 	if f.Contract == nil {
 		return nil, fmt.Errorf("core: artifact has no contract")
@@ -836,4 +841,222 @@ func decExpr(ae *artExpr, depth int) (symb.Expr, error) {
 		return symb.Not{X: x}, nil
 	}
 	return nil, fmt.Errorf("unknown expression kind %q", ae.K)
+}
+
+// --- version 3, leniently --------------------------------------------
+
+// The v3* structs are version 3's shape: the same fields as the art*
+// structs, with table indices where version 3 references an entry and
+// [monomial-index, coefficient] pairs for cost polynomials. Table
+// entries stay raw until an index resolves them, so their spelled
+// length is known.
+type v3File struct {
+	Format   string       `json:"format"`
+	Version  int          `json:"version"`
+	Key      string       `json:"key"`
+	Tables   v3Tables     `json:"tables"`
+	Contract *v3Contract  `json:"contract"`
+	Paths    []*v3RawPath `json:"raw_paths"`
+}
+
+type v3Tables struct {
+	Monos   []json.RawMessage `json:"monos"`
+	Exprs   []json.RawMessage `json:"exprs"`
+	Domains []json.RawMessage `json:"domains"`
+	Ranges  []json.RawMessage `json:"ranges"`
+	Polys   []json.RawMessage `json:"polys"`
+	Writes  []json.RawMessage `json:"writes"`
+}
+
+type v3Contract struct {
+	NF         string    `json:"nf"`
+	Level      string    `json:"level"`
+	Provenance string    `json:"provenance"`
+	Paths      []*v3Path `json:"paths"`
+}
+
+type v3Cost map[string][][2]uint64
+
+type v3Path struct {
+	ID            int               `json:"id"`
+	Action        string            `json:"action"`
+	Constraints   *int              `json:"constraints"`
+	Domains       *int              `json:"domains"`
+	Events        string            `json:"events"`
+	Trace         []v3CallEvent     `json:"trace"`
+	Cost          v3Cost            `json:"cost"`
+	PCVRanges     *int              `json:"pcv_ranges"`
+	SharedMA      *int              `json:"shared_ma"`
+	ShardAnalysed bool              `json:"shard_analysed"`
+	Witness       map[string]uint64 `json:"witness"`
+}
+
+type v3RawPath struct {
+	ID          int               `json:"id"`
+	Action      string            `json:"action"`
+	Constraints *int              `json:"constraints"`
+	Domains     *int              `json:"domains"`
+	Events      []v3CallEvent     `json:"events"`
+	Port        *artExpr          `json:"port"`
+	StatelessIC uint64            `json:"stateless_ic"`
+	StatelessMA uint64            `json:"stateless_ma"`
+	Ops         map[string]uint64 `json:"ops"`
+	Accesses    []artAccess       `json:"accesses"`
+	PCVRanges   *int              `json:"pcv_ranges"`
+	PktWrites   *int              `json:"pkt_writes"`
+}
+
+type v3CallEvent struct {
+	DS      string `json:"ds"`
+	Method  string `json:"method"`
+	Outcome struct {
+		Label       string   `json:"label"`
+		Results     *int     `json:"results"`
+		Constraints *int     `json:"constraints"`
+		Domains     *int     `json:"domains"`
+		Cost        v3Cost   `json:"cost"`
+		PCVs        []artPCV `json:"pcvs"`
+	} `json:"outcome"`
+	ResultSyms    []string `json:"result_syms"`
+	Args          *int     `json:"args"`
+	Sharing       string   `json:"sharing"`
+	SharingReason string   `json:"sharing_reason"`
+}
+
+// v3Resolver turns indices into art* values. It counts the bytes the
+// resolved entries spell against the same budget DecodeArtifact has.
+type v3Resolver struct {
+	t        *v3Tables
+	expanded int
+	err      error
+}
+
+// entry unmarshals entry *i of table into out, if i is present.
+func (r *v3Resolver) entry(table []json.RawMessage, i *int, out any) {
+	if i == nil || r.err != nil {
+		return
+	}
+	if *i < 0 || *i >= len(table) {
+		r.err = fmt.Errorf("index %d out of range", *i)
+		return
+	}
+	r.expanded += len(table[*i])
+	r.err = json.Unmarshal(table[*i], out)
+}
+
+func (r *v3Resolver) cost(c v3Cost) map[string]artPoly {
+	if c == nil {
+		return nil
+	}
+	out := make(map[string]artPoly, len(c))
+	for metric, terms := range c {
+		p := artPoly{}
+		for _, t := range terms {
+			var mono string
+			i := int(t[0])
+			if r.entry(r.t.Monos, &i, &mono); r.err != nil {
+				return nil
+			}
+			p[mono] = t[1]
+		}
+		out[metric] = p
+	}
+	return out
+}
+
+func (r *v3Resolver) events(evs []v3CallEvent) []artCallEvent {
+	var out []artCallEvent
+	for _, ev := range evs {
+		ae := artCallEvent{DS: ev.DS, Method: ev.Method, ResultSyms: ev.ResultSyms, Sharing: ev.Sharing, SharingReason: ev.SharingReason}
+		o := &ae.Outcome
+		o.Label, o.PCVs, o.Cost = ev.Outcome.Label, ev.Outcome.PCVs, r.cost(ev.Outcome.Cost)
+		r.entry(r.t.Exprs, ev.Outcome.Results, &o.Results)
+		r.entry(r.t.Exprs, ev.Outcome.Constraints, &o.Constraints)
+		r.entry(r.t.Domains, ev.Outcome.Domains, &o.Domains)
+		r.entry(r.t.Exprs, ev.Args, &ae.Args)
+		out = append(out, ae)
+	}
+	return out
+}
+
+// lenientDecode reads version-3 bytes through the reflection oracle. It
+// checks the envelope, every index's range and the expansion budget,
+// and leaves the rest of canonical form to the caller's re-encode.
+func lenientDecode(data []byte) (*Artifact, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var f v3File
+	if err := dec.Decode(&f); err != nil {
+		return nil, err
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("trailing data")
+	}
+	if f.Format != artifactFormat || f.Version != ArtifactVersion || f.Contract == nil {
+		return nil, fmt.Errorf("not a version-%d artifact", ArtifactVersion)
+	}
+	r := &v3Resolver{t: &f.Tables}
+	ac := &artContract{NF: f.Contract.NF, Level: f.Contract.Level, Provenance: f.Contract.Provenance, Paths: []*artPath{}}
+	for _, p := range f.Contract.Paths {
+		if p == nil {
+			return nil, fmt.Errorf("null path")
+		}
+		ap := &artPath{ID: p.ID, Action: p.Action, Events: p.Events, Trace: r.events(p.Trace), Cost: r.cost(p.Cost),
+			ShardAnalysed: p.ShardAnalysed, Witness: p.Witness}
+		r.entry(r.t.Exprs, p.Constraints, &ap.Constraints)
+		r.entry(r.t.Domains, p.Domains, &ap.Domains)
+		r.entry(r.t.Ranges, p.PCVRanges, &ap.PCVRanges)
+		r.entry(r.t.Polys, p.SharedMA, &ap.SharedMA)
+		ac.Paths = append(ac.Paths, ap)
+	}
+	var raws []*artRawPath
+	for _, p := range f.Paths {
+		if p == nil {
+			return nil, fmt.Errorf("null raw path")
+		}
+		arp := &artRawPath{ID: p.ID, Action: p.Action, Events: r.events(p.Events), Port: p.Port, StatelessIC: p.StatelessIC,
+			StatelessMA: p.StatelessMA, Ops: p.Ops, Accesses: p.Accesses}
+		r.entry(r.t.Exprs, p.Constraints, &arp.Constraints)
+		r.entry(r.t.Domains, p.Domains, &arp.Domains)
+		r.entry(r.t.Ranges, p.PCVRanges, &arp.PCVRanges)
+		r.entry(r.t.Writes, p.PktWrites, &arp.PktWrites)
+		raws = append(raws, arp)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.expanded > maxExpansion*len(data) {
+		return nil, fmt.Errorf("references stand for %d bytes", r.expanded)
+	}
+	ct, err := decContract(ac, oracleVersion)
+	if err != nil {
+		return nil, err
+	}
+	a := &Artifact{Key: f.Key, Contract: ct, Version: ArtifactVersion}
+	if f.Paths != nil {
+		if len(f.Paths) != len(ct.Paths) {
+			return nil, fmt.Errorf("raw paths misaligned")
+		}
+		a.Paths = []*nfir.Path{}
+		for _, arp := range raws {
+			rp, err := decRawPath(arp, oracleVersion)
+			if err != nil {
+				return nil, err
+			}
+			a.Paths = append(a.Paths, rp)
+		}
+	}
+	return a, nil
+}
+
+// canonicalV3 reports whether data is the version-3 encoding of some
+// artifact — lenientDecode reads it and encoding the result gives data
+// back — and returns that artifact.
+func canonicalV3(data []byte) (*Artifact, bool) {
+	a, err := lenientDecode(data)
+	if err != nil {
+		return nil, false
+	}
+	re, err := EncodeArtifact(a)
+	return a, err == nil && bytes.Equal(re, data)
 }

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"gobolt/internal/core"
@@ -14,16 +15,17 @@ import (
 	"gobolt/internal/store"
 )
 
-// sameAsOracle checks the hand-written encoder against the reflection
-// codec it replaced: identical bytes for the same artifact.
+// sameAsOracle checks what DecodeArtifact builds from data, a's
+// version-3 encoding, against the reflection codec kept as value oracle:
+// what it decodes from a's version-2 spelling.
 func sameAsOracle(t *testing.T, what string, a *core.Artifact, data []byte) {
 	t.Helper()
-	want, err := core.OracleEncode(a)
+	got, err := core.DecodeArtifact(data)
 	if err != nil {
-		t.Fatalf("%s: oracle encode: %v", what, err)
+		t.Fatalf("%s: decode: %v", what, err)
 	}
-	if !bytes.Equal(data, want) {
-		t.Fatalf("%s: encoder and oracle disagree (%d vs %d bytes)", what, len(data), len(want))
+	if !core.SameValue(got, core.OracleValue(t, a)) {
+		t.Fatalf("%s: decoder and oracle disagree on the value", what)
 	}
 }
 
@@ -202,6 +204,13 @@ func composeChain(t testing.TB, stages []core.ChainStage, cache *core.ContractCa
 // three fold prefixes, the last of them the 582-path composite with its
 // raw paths — the object a warm restart reads.
 func chainStore(t testing.TB) ([]core.ChainStage, *store.Store) {
+	stages, s, _ := chainStoreCache(t)
+	return stages, s
+}
+
+// chainStoreCache is chainStore that also returns the cache that wrote
+// the store, whose memory tier holds every object's in-memory value.
+func chainStoreCache(t testing.TB) ([]core.ChainStage, *store.Store, *core.ContractCache) {
 	t.Helper()
 	stages, _, err := experiments.ChainBenchStages(experiments.QuickScale())
 	if err != nil {
@@ -217,14 +226,15 @@ func chainStore(t testing.TB) ([]core.ChainStage, *store.Store) {
 	if ts := cache.TierStats(); ts.DiskErrs != 0 {
 		t.Fatalf("populating the store: %d disk errors", ts.DiskErrs)
 	}
-	return stages[:4], s
+	return stages[:4], s, cache
 }
 
 // TestCodecStoredChainObjects checks every object a composed chain
-// leaves in the store, as stored: both decoders build the same artifact
-// from it, and both encoders give the stored bytes back.
+// leaves in the store, as stored: it decodes to what the oracle decodes
+// from the version-2 spelling of the value the cache wrote, and the
+// encoder gives the stored bytes back.
 func TestCodecStoredChainObjects(t *testing.T) {
-	_, s := chainStore(t)
+	_, s, cache := chainStoreCache(t)
 	entries, err := s.List()
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +242,7 @@ func TestCodecStoredChainObjects(t *testing.T) {
 	if len(entries) != 7 {
 		t.Fatalf("store holds %d objects, want 4 stages + 3 fold prefixes", len(entries))
 	}
+	written := core.MemoryArtifacts(cache)
 	composite := false
 	for _, e := range entries {
 		payload, err := s.Get(e.Key)
@@ -242,15 +253,15 @@ func TestCodecStoredChainObjects(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%.12s: %v", e.Key, err)
 		}
-		want, err := core.OracleDecode(payload)
-		if err != nil || !reflect.DeepEqual(a, want) {
-			t.Fatalf("%.12s: decoder and oracle disagree (oracle err %v)", e.Key, err)
-		}
 		re, err := core.EncodeArtifact(a)
 		if err != nil || !bytes.Equal(re, payload) {
 			t.Fatalf("%.12s: stored bytes are not their own encoding (%v)", e.Key, err)
 		}
-		sameAsOracle(t, e.Key[:12], a, payload)
+		w, ok := written[e.Key]
+		if !ok {
+			t.Fatalf("%.12s: not in the memory tier that wrote it", e.Key)
+		}
+		sameAsOracle(t, e.Key[:12], w, payload)
 		if len(a.Contract.Paths) != 582 {
 			continue
 		}
@@ -297,6 +308,53 @@ func TestWarmRestartCheaperThanCold(t *testing.T) {
 	}
 }
 
+// TestStaleObjectRewritten replaces the composite a warm restart reads
+// with an object of a retired codec version — the committed version-2
+// golden, stored under the composite's key with a valid checksum, as a
+// store written by an older build holds it. The store's framing accepts
+// it and the decoder does not. The first compose over it must count one
+// disk error, recompute the composite and write it over the stale
+// object; the second must be served from disk without an error.
+func TestStaleObjectRewritten(t *testing.T) {
+	stages, s := chainStore(t)
+	entries, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key string
+	for _, e := range entries {
+		if e.Meta.Paths == 582 {
+			key = e.Key
+		}
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "artifact_v2.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, v2, store.Meta{Kind: "contract"}); err != nil {
+		t.Fatal(err)
+	}
+	compose := func() core.TierStats {
+		cache := core.NewContractCache()
+		cache.AttachDisk(s)
+		composeChain(t, stages, cache)
+		return cache.TierStats()
+	}
+	if ts := compose(); ts.DiskErrs != 1 || ts.DiskSkips != 0 {
+		t.Fatalf("first compose over the stale object: %+v, want 1 disk error and no skipped write", ts)
+	}
+	payload, err := s.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err := core.DecodeArtifact(payload); err != nil || a.Key != key || len(a.Contract.Paths) != 582 {
+		t.Fatalf("the stale object was not rewritten: %v", err)
+	}
+	if ts := compose(); ts.DiskErrs != 0 || ts.Misses != 0 || ts.DiskHits != 1 {
+		t.Fatalf("second compose: %+v, want one disk hit and no error or miss", ts)
+	}
+}
+
 // compositePayload returns the stored bytes of the 4-chain's 582-path
 // composite, the one object a warm restart decodes (and the largest in
 // the store).
@@ -337,9 +395,9 @@ func BenchmarkDecodeComposite(b *testing.B) {
 // TestWarmDecodeAllocations pins what decoding the composite a warm
 // restart reads costs, in a count that repeats where a time does not.
 // Interning and hash-consing took it from 1.39 M allocations to 29 k;
-// the span memo, which builds each repeated constraint list, domain
-// map, PCV-range map, shared-MA polynomial and packet-write map once,
-// takes it to about 11.5 k.
+// building each repeated constraint list, domain map, PCV-range map,
+// shared-MA polynomial and packet-write map once — a span memo in
+// version 2, a table entry in version 3 — takes it to about 11 k.
 func TestWarmDecodeAllocations(t *testing.T) {
 	payload := compositePayload(t)
 	allocs := testing.AllocsPerRun(3, func() {
@@ -351,216 +409,4 @@ func TestWarmDecodeAllocations(t *testing.T) {
 	if allocs > 18_000 {
 		t.Errorf("decoding the composite takes %.0f allocations, want <= 18000", allocs)
 	}
-}
-
-// fieldSpans maps each field of a canonical artifact, by its path with
-// list indices written as "*" (for example "contract.paths.*.domains"),
-// to the byte spans of its values, in input order.
-func fieldSpans(b []byte) map[string][][2]int {
-	out := map[string][][2]int{}
-	var walk func(i int, at string) int
-	walk = func(i int, at string) int {
-		start := i
-		switch b[i] {
-		case '{':
-			for i++; b[i] != '}'; {
-				if b[i] == ',' {
-					i++
-				}
-				k := i
-				i = walk(i, "") + 1 // the key, then its colon
-				i = walk(i, strings.TrimPrefix(at+"."+string(b[k+1:i-2]), "."))
-			}
-			i++
-		case '[':
-			for i++; b[i] != ']'; {
-				if b[i] == ',' {
-					i++
-				}
-				i = walk(i, at+".*")
-			}
-			i++
-		case '"':
-			for i++; b[i] != '"'; i++ {
-				if b[i] == '\\' {
-					i++
-				}
-			}
-			i++
-		default:
-			for strings.IndexByte(",]}", b[i]) < 0 {
-				i++
-			}
-		}
-		if at != "" {
-			out[at] = append(out[at], [2]int{start, i})
-		}
-		return i
-	}
-	walk(0, "")
-	return out
-}
-
-// spanMutation changes one byte of a memoised field's value v, returning
-// the offset and the new byte, or ok == false when v has nothing to
-// change of its kind.
-type spanMutation func(v []byte) (off int, c byte, ok bool)
-
-// lastAfter returns the offset just after the last marker in v.
-func lastAfter(v []byte, marker string) (int, bool) {
-	i := bytes.LastIndex(v, []byte(marker))
-	return i + len(marker), i >= 0
-}
-
-// objectKeys returns the offsets of the first bytes of v's top-level
-// object keys (v being a flat object of objects or numbers).
-func objectKeys(v []byte) []int {
-	var keys []int
-	depth := 0
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; {
-		case c == '{':
-			depth++
-		case c == '}':
-			depth--
-		case c == '"':
-			if depth == 1 && (v[i-1] == '{' || v[i-1] == ',') {
-				keys = append(keys, i+1)
-			}
-			for i++; v[i] != '"'; i++ {
-				if v[i] == '\\' {
-					i++
-				}
-			}
-		}
-	}
-	return keys
-}
-
-var hostileMutations = map[string]spanMutation{
-	// A field name in the schema, or a monomial that stops being one.
-	"changed key": func(v []byte) (int, byte, bool) {
-		for _, m := range []string{`"hi":`, `"val":`, `"k":`} {
-			if i, ok := lastAfter(v, m); ok {
-				return i - 3, 'x', true // the name's last letter
-			}
-		}
-		if keys := objectKeys(v); len(keys) > 0 && v[keys[len(keys)-1]] != '"' { // a monomial
-			return keys[len(keys)-1], '*', true
-		}
-		return 0, 0, false
-	},
-	// The last multi-digit number, with a leading zero.
-	"changed bound": func(v []byte) (int, byte, bool) {
-		for i := len(v) - 2; i > 0; i-- {
-			if isDigit(v[i]) && isDigit(v[i+1]) && !isDigit(v[i-1]) {
-				return i, '0', true
-			}
-		}
-		return 0, 0, false
-	},
-	// An object's last key moved before the one ahead of it.
-	"out-of-order key": func(v []byte) (int, byte, bool) {
-		keys := objectKeys(v)
-		if n := len(keys); v[0] == '{' && n >= 2 && v[keys[n-2]] > '!' && v[keys[n-2]] != '"' {
-			return keys[n-1], '!', true
-		}
-		return 0, 0, false
-	},
-	"changed operator": func(v []byte) (int, byte, bool) {
-		i, ok := lastAfter(v, `"op":"`)
-		return i, '?', ok
-	},
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-// TestCodecHostileRepeats corrupts one byte inside a later repeat of a
-// span the decoder has already accepted and memoised, at every memoised
-// field of the composite: a changed key, a bound spelled with a leading
-// zero, a key out of order, an unknown operator. Both decoders must
-// reject every one; a memo that matched candidates by prefix or by
-// length would not. Then it makes the one-byte change valid: both
-// decoders must accept it and build the same artifact, so the repeat
-// decodes to its own value, not the memoised one.
-func TestCodecHostileRepeats(t *testing.T) {
-	payload := compositePayload(t)
-	fields := fieldSpans(payload)
-	sites := []string{
-		"contract.paths.*.constraints",
-		"contract.paths.*.domains",
-		"contract.paths.*.pcv_ranges",
-		"contract.paths.*.shared_ma",
-		"raw_paths.*.constraints",
-		"raw_paths.*.domains",
-		"raw_paths.*.pkt_writes",
-	}
-	kinds := map[string]int{}
-	for _, site := range sites {
-		spans := fields[site]
-		// The span spelled most often: its first occurrence is stored, and
-		// its last is a repeat the decoder finds in the memo.
-		count := map[string]int{}
-		var most string
-		for _, sp := range spans {
-			v := string(payload[sp[0]:sp[1]])
-			if count[v]++; count[v] > count[most] {
-				most = v
-			}
-		}
-		if count[most] < 2 {
-			t.Fatalf("%s: no span repeats among %d", site, len(spans))
-		}
-		var last [2]int
-		for _, sp := range spans {
-			if string(payload[sp[0]:sp[1]]) == most {
-				last = sp
-			}
-		}
-		applied := 0
-		for kind, mutate := range hostileMutations {
-			off, c, ok := mutate([]byte(most))
-			if !ok {
-				continue
-			}
-			applied++
-			kinds[kind]++
-			bad := bytes.Clone(payload)
-			bad[last[0]+off] = c
-			if _, err := core.DecodeArtifact(bad); err == nil {
-				t.Errorf("%s, %s: the decoder accepted a corrupted repeat", site, kind)
-			}
-			if _, err := core.OracleDecode(bad); err == nil {
-				t.Errorf("%s, %s: the oracle accepted a corrupted repeat", site, kind)
-			}
-		}
-		if applied == 0 {
-			t.Errorf("%s: no mutation applies to %.80s", site, most)
-		}
-
-		// The same repeat with its last digit changed is canonical.
-		i := strings.LastIndexFunc(most, func(r rune) bool { return r >= '0' && r <= '9' })
-		if i < 0 {
-			continue
-		}
-		edited := bytes.Clone(payload)
-		edited[last[0]+i] = '0' + (most[i]-'0'+1)%10
-		if edited[last[0]+i] == '0' && !isDigit(edited[last[0]+i-1]) {
-			edited[last[0]+i] = '2' // 9 -> 0 would be fine too, unless it is a leading digit
-		}
-		a, err := core.DecodeArtifact(edited)
-		oa, oerr := core.OracleDecode(edited)
-		if err != nil || oerr != nil {
-			t.Fatalf("%s: a canonical edit of a repeat was rejected: decoder %v, oracle %v", site, err, oerr)
-		}
-		if !reflect.DeepEqual(a, oa) {
-			t.Fatalf("%s: an edited repeat decoded to something other than its own value", site)
-		}
-	}
-	for kind := range hostileMutations {
-		if kinds[kind] == 0 {
-			t.Errorf("%s: applied at no memoised field", kind)
-		}
-	}
-	t.Logf("mutations applied per kind: %v", kinds)
 }

@@ -57,24 +57,36 @@ func appendString(dst []byte, s string) []byte {
 
 // u64 reads an unsigned integer in shortest decimal. What follows it is
 // the next expect's business, which is what refuses "01", "1.0", "1e3".
-func (d *decoder) u64(field string) (v uint64) {
-	d.expect(field)
-	i := d.i
-	for ; d.err == nil && i < len(d.b) && d.b[i] >= '0' && d.b[i] <= '9'; i++ {
-		c := uint64(d.b[i] - '0')
-		if v > (math.MaxUint64-c)/10 {
-			d.fail("integer overflows 64 bits")
+func (d *decoder) u64(field string) uint64 {
+	if d.expect(field); d.err != nil {
+		return 0
+	}
+	v, j := digits(d.b, d.i)
+	switch {
+	case j < 0:
+		d.fail("integer overflows 64 bits")
+	case j == d.i:
+		d.fail("expected an unsigned integer")
+	default:
+		d.i = j
+	}
+	return v
+}
+
+// digits reads the decimal digits at b[i:] — a leading 0 being the whole
+// number — and returns their value and the offset after them: i when
+// there is none, -1 when the number overflows 64 bits.
+func digits(b []byte, i int) (v uint64, j int) {
+	for j = i; j < len(b) && b[j] >= '0' && b[j] <= '9'; j++ {
+		c := uint64(b[j] - '0')
+		if v > math.MaxUint64/10 || (v == math.MaxUint64/10 && c > math.MaxUint64%10) {
+			return 0, -1
 		}
 		if v = v*10 + c; v == 0 {
-			i++
-			break // a leading 0 is the whole number
+			return 0, j + 1
 		}
 	}
-	if i == d.i {
-		d.fail("expected an unsigned integer")
-	}
-	d.i = i
-	return v
+	return v, j
 }
 
 // int reads a signed integer; "-0" is not canonical.

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -120,8 +121,8 @@ func richArtifact() *Artifact {
 
 // repeatedArtifact is a three-path artifact whose paths repeat one
 // another's constraints, domains, PCV ranges, shared-MA polynomials and
-// packet writes byte for byte, the way a composite's do, so the decoder
-// reads every memoised span once and then finds it again.
+// packet writes, the way a composite's do, so the encoder names most
+// table entries more than once.
 func repeatedArtifact() *Artifact {
 	a := richArtifact()
 	p0, rp0 := a.Contract.Paths[0], a.Paths[0]
@@ -152,10 +153,37 @@ func repeatedArtifact() *Artifact {
 	return a
 }
 
+// sameValue reports whether the decoder built what the value oracle
+// did, whatever version each read.
+func sameValue(got, want *Artifact) bool {
+	if got == nil || want == nil {
+		return got == want
+	}
+	w := *want
+	w.Version = got.Version
+	return reflect.DeepEqual(got, &w)
+}
+
+// oracleValue is what the reflection codec decodes from a's version-2
+// spelling: the value DecodeArtifact must build from its version-3 one.
+func oracleValue(t testing.TB, a *Artifact) *Artifact {
+	t.Helper()
+	v2, err := oracleEncode(a)
+	if err != nil {
+		t.Fatalf("oracle encode: %v", err)
+	}
+	want, err := oracleDecode(v2)
+	if err != nil {
+		t.Fatalf("oracle decode: %v", err)
+	}
+	return want
+}
+
 // TestCodecRepeatedSpans decodes an artifact whose paths repeat each
-// memoised field: the result must equal the input and the oracle's, and
-// paths with equal bytes share the decoded value — one map, one slice —
-// without one path's append reaching another's.
+// tabled field: the result must equal the input and the oracle's value,
+// each table entry is spelled once, and the paths that name one entry
+// share the decoded value — one map, one slice — without one path's
+// append reaching another's.
 func TestCodecRepeatedSpans(t *testing.T) {
 	in := repeatedArtifact()
 	data, err := EncodeArtifact(in)
@@ -169,26 +197,32 @@ func TestCodecRepeatedSpans(t *testing.T) {
 	if !reflect.DeepEqual(in, a) {
 		t.Fatalf("repeated-span artifact does not round-trip")
 	}
-	if oa, err := oracleDecode(data); err != nil || !reflect.DeepEqual(a, oa) {
-		t.Fatalf("decoder and oracle disagree on the repeated-span artifact (oracle err %v)", err)
+	if !sameValue(a, oracleValue(t, in)) {
+		t.Fatalf("decoder and oracle disagree on the repeated-span artifact")
+	}
+	if n := bytes.Count(data, []byte(`"nat.occ"`)); n != 1 {
+		t.Errorf("the shared constraint list is spelled %d times, want once", n)
 	}
 	same := func(x, y any) bool { return reflect.ValueOf(x).UnsafePointer() == reflect.ValueOf(y).UnsafePointer() }
 	p0, p1, p2 := a.Contract.Paths[0], a.Contract.Paths[1], a.Contract.Paths[2]
 	rp0, rp1 := a.Paths[0], a.Paths[1]
 	shared := map[string]bool{
-		"domains":            same(p0.Domains, p1.Domains),
-		"pcv_ranges":         same(p0.PCVRanges, p1.PCVRanges),
-		"constraints":        same(p0.Constraints, p1.Constraints),
-		"raw domains":        same(rp0.Domains, rp1.Domains),
-		"raw pcv_ranges":     same(rp0.PCVRanges, rp1.PCVRanges),
-		"raw constraints":    same(rp0.Constraints, rp1.Constraints),
-		"pkt_writes":         same(rp0.PktWrites, rp1.PktWrites),
-		"contract vs raw":    !same(p0.Domains, rp0.Domains), // another nesting level: decoded apart
-		"unrepeated witness": !same(p0.Witness, p1.Witness),
+		"domains":               same(p0.Domains, p1.Domains),
+		"pcv_ranges":            same(p0.PCVRanges, p1.PCVRanges),
+		"constraints":           same(p0.Constraints, p1.Constraints),
+		"raw domains":           same(rp0.Domains, rp1.Domains),
+		"raw pcv_ranges":        same(rp0.PCVRanges, rp1.PCVRanges),
+		"raw constraints":       same(rp0.Constraints, rp1.Constraints),
+		"pkt_writes":            same(rp0.PktWrites, rp1.PktWrites),
+		"contract vs raw":       same(p0.Constraints, rp0.Constraints) && same(p0.Domains, rp0.Domains),
+		"unequal pcv_ranges":    !same(p0.PCVRanges, rp0.PCVRanges),
+		"unrepeated witness":    !same(p0.Witness, p1.Witness),
+		"trace vs raw events":   same(p0.Trace[0].Args, rp0.Events[0].Args),
+		"results vs constraint": !same(p0.Trace[0].Outcome.Results, p0.Trace[0].Outcome.Constraints),
 	}
 	for what, ok := range shared {
 		if !ok {
-			t.Errorf("%s: sharing is not what the bytes say", what)
+			t.Errorf("%s: sharing is not what the tables say", what)
 		}
 	}
 	if p2.Domains != nil || p2.Constraints != nil {
@@ -210,104 +244,6 @@ func TestCodecRepeatedSpans(t *testing.T) {
 	}
 }
 
-// TestCodecSpanAtTwoLevels puts one expression list at two nesting
-// levels: a chain of Not nodes exactly as deep as a path's constraints
-// allow, then the same bytes again as a trace event's constraints,
-// three levels deeper. The first is accepted and memoised; the second
-// must still hit the depth limit, in both decoders, as it would if it
-// were read from scratch.
-func TestCodecSpanAtTwoLevels(t *testing.T) {
-	var deep symb.Expr = symb.Const{}
-	for range maxExprDepth - 6 { // the root at level 6, the leaf at 10000
-		deep = symb.Not{X: deep}
-	}
-	list := []symb.Expr{deep}
-	path := func(trace []nfir.CallEvent) *Artifact {
-		return &Artifact{Contract: &Contract{NF: "deep", Level: "full", Paths: []*PathContract{
-			{ID: 0, Action: nfir.ActionDrop, Constraints: list, Trace: trace},
-			{ID: 1, Action: nfir.ActionDrop, Constraints: list}, // the same level: a memo hit
-		}}}
-	}
-	ev := nfir.CallEvent{DS: "t", Method: "get", Outcome: nfir.Outcome{Label: "ok", Constraints: list}}
-	for _, tc := range []struct {
-		name   string
-		a      *Artifact
-		accept bool
-	}{
-		{"one level", path(nil), true},
-		{"two levels", path([]nfir.CallEvent{ev}), false},
-	} {
-		data, err := EncodeArtifact(tc.a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = DecodeArtifact(data)
-		_, oerr := oracleDecode(data)
-		if (err == nil) != tc.accept || (oerr == nil) != tc.accept {
-			t.Errorf("%s: decoder says %v, oracle says %v, want accepted = %v", tc.name, err, oerr, tc.accept)
-		} else if err != nil && !strings.Contains(err.Error(), "nesting exceeds") {
-			t.Errorf("%s: rejected for another reason: %v", tc.name, err)
-		}
-	}
-}
-
-// distinctSpansArtifact has n paths whose domains all differ, but only in
-// their last bound: n distinct spans that agree on all but a few of
-// their ~400 bytes, the worst case for a memo that compares candidates.
-func distinctSpansArtifact(n int) *Artifact {
-	ct := &Contract{NF: "spans", Level: "full"}
-	for i := range n {
-		dom := make(map[string]symb.Domain, 16)
-		for k := range 15 {
-			dom[fmt.Sprintf("pkt_field_%02d", k)] = symb.Domain{Lo: 0, Hi: 65535}
-		}
-		dom["zz"] = symb.Domain{Lo: 0, Hi: uint64(i)}
-		ct.Paths = append(ct.Paths, &PathContract{ID: i, Action: nfir.ActionDrop, Domains: dom})
-	}
-	return &Artifact{Contract: ct}
-}
-
-// TestCodecDistinctSpansLinear is the memo's cost bound: an artifact with
-// 20,000 distinct domain spans must decode in time per span within a
-// small factor of one with 2,000. A memo that scanned its stored spans
-// would grow the per-span time tenfold from one to the other.
-func TestCodecDistinctSpansLinear(t *testing.T) {
-	perSpan := func(n int) time.Duration {
-		data, err := EncodeArtifact(distinctSpansArtifact(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		best := time.Duration(math.MaxInt64)
-		for range 5 {
-			start := time.Now()
-			if _, err := DecodeArtifact(data); err != nil {
-				t.Fatal(err)
-			}
-			best = min(best, time.Since(start))
-		}
-		return best / time.Duration(n)
-	}
-	small, large := perSpan(2_000), perSpan(20_000)
-	t.Logf("per distinct span: %v at 2,000, %v at 20,000", small, large)
-	if large > 3*small {
-		t.Errorf("decoding 20,000 distinct spans takes %v per span, 2,000 take %v: not linear", large, small)
-	}
-}
-
-func BenchmarkDecodeDistinctSpans(b *testing.B) {
-	data, err := EncodeArtifact(distinctSpansArtifact(20_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := DecodeArtifact(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestCodecRoundTripRich(t *testing.T) {
 	a := richArtifact()
 	data, err := EncodeArtifact(a)
@@ -321,8 +257,8 @@ func TestCodecRoundTripRich(t *testing.T) {
 	if !reflect.DeepEqual(a, got) {
 		t.Fatalf("decode is not the inverse of encode:\n  in:  %+v\n  out: %+v", a, got)
 	}
-	if want, err := oracleEncode(a); err != nil || !bytes.Equal(data, want) {
-		t.Fatalf("encoder and oracle disagree on the every-feature artifact (%v)", err)
+	if !sameValue(got, oracleValue(t, a)) {
+		t.Fatalf("decoder and oracle disagree on the every-feature artifact")
 	}
 	re, err := EncodeArtifact(got)
 	if err != nil {
@@ -338,8 +274,12 @@ func TestCodecRoundTripRich(t *testing.T) {
 	}
 }
 
+// TestCodecGolden pins the every-feature artifact's version-3 bytes, and
+// keeps its version-2 bytes as what they now are: an object this build
+// refuses by version, whose value (read by the oracle) is still the one
+// the version-3 bytes decode to.
 func TestCodecGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "artifact_v2.golden.json")
+	golden := filepath.Join("testdata", "artifact_v3.golden.json")
 	data, err := EncodeArtifact(richArtifact())
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -359,17 +299,32 @@ func TestCodecGolden(t *testing.T) {
 	if !bytes.Equal(data, want) {
 		t.Fatalf("artifact encoding drifted from the pinned version-%d schema; if intentional, bump ArtifactVersion and regenerate with -update", ArtifactVersion)
 	}
-	if _, err := DecodeArtifact(want); err != nil {
+	got, err := DecodeArtifact(want)
+	if err != nil {
 		t.Fatalf("golden artifact no longer decodes: %v", err)
+	}
+
+	v2, err := os.ReadFile(filepath.Join("testdata", "artifact_v2.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeArtifact(v2); err == nil || !strings.Contains(err.Error(), "unsupported artifact version 2") {
+		t.Fatalf("version-2 golden: err = %v, want unsupported artifact version 2", err)
+	}
+	if o, err := oracleEncode(richArtifact()); err != nil || !bytes.Equal(o, v2) {
+		t.Fatalf("the oracle no longer spells the every-feature artifact as the version-2 golden (%v)", err)
+	}
+	if want, err := oracleDecode(v2); err != nil || !sameValue(got, want) {
+		t.Fatalf("the version-3 golden decodes to something other than the version-2 golden's value (oracle err %v)", err)
 	}
 }
 
 // TestShardFieldsAdditive pins what is left of "version 2 is strictly
-// additive over version 1" now that version 1 is retired: the pre-shard
-// golden bytes are refused as an unsupported version, and today's
-// artifact with its shard annotations stripped still encodes to exactly
-// that golden's payload under a version-2 envelope — the shard fields
-// added bytes and moved none.
+// additive over version 1" now that both are retired: the pre-shard
+// golden is refused as an unsupported version, today's artifact with its
+// shard annotations stripped still has that golden's payload as its
+// version-2 spelling (the oracle's), so the shard fields added bytes and
+// moved none, and its version-3 round trip carries no shard analysis.
 func TestShardFieldsAdditive(t *testing.T) {
 	v1, err := os.ReadFile(filepath.Join("testdata", "artifact_v1.golden.json"))
 	if err != nil {
@@ -391,20 +346,23 @@ func TestShardFieldsAdditive(t *testing.T) {
 			rp.Events[i].Args, rp.Events[i].Sharing = nil, nfir.Sharing{}
 		}
 	}
+	v2, err := oracleEncode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Replace(v1, []byte(`"version":1`), []byte(`"version":2`), 1); !bytes.Equal(v2, want) {
+		t.Fatalf("shard-less content no longer has the pre-shard payload as its version-2 spelling")
+	}
 	data, err := EncodeArtifact(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bytes.Replace(v1, []byte(`"version":1`), []byte(`"version":2`), 1)
-	if !bytes.Equal(data, want) {
-		t.Fatalf("shard-less content no longer encodes to the pre-shard payload under a version-2 envelope")
-	}
 	got, err := DecodeArtifact(data)
 	if err != nil {
-		t.Fatalf("shard-less version-2 artifact does not decode: %v", err)
+		t.Fatalf("shard-less artifact does not decode: %v", err)
 	}
-	if got.Version != ArtifactVersion {
-		t.Fatalf("decoded version = %d, want %d", got.Version, ArtifactVersion)
+	if got.Version != ArtifactVersion || !sameValue(got, oracleValue(t, a)) {
+		t.Fatalf("shard-less artifact: version %d, or a value other than the oracle's", got.Version)
 	}
 	for i, p := range got.Contract.Paths {
 		if p.ShardAnalysed || !p.SharedMA.IsZero() {
@@ -447,6 +405,11 @@ func TestCodecEncodeRejects(t *testing.T) {
 	}}}); err == nil {
 		t.Errorf("encoded a nil expression")
 	}
+	// What the decoder would refuse as an expansion bomb, the encoder
+	// does not write.
+	if _, err := EncodeArtifact(bombArtifact(40)); err == nil || !strings.Contains(err.Error(), "stand for more than") {
+		t.Errorf("encoded references beyond the expansion budget (err %v)", err)
+	}
 }
 
 func TestCodecDecodeRejects(t *testing.T) {
@@ -462,26 +425,31 @@ func TestCodecDecodeRejects(t *testing.T) {
 		return []byte(strings.Replace(s, old, new, 1))
 	}
 	cases := map[string][]byte{
-		"empty input":       []byte(""),
-		"not json":          []byte("boltstore1 junk"),
-		"truncated":         valid[:len(valid)/2],
-		"trailing data":     append(append([]byte{}, valid...), []byte(" {}")...),
-		"wrong format":      mutate(`"format":"gobolt-contract"`, `"format":"gobolt-contrakt"`),
-		"future version":    mutate(`"version":2`, `"version":3`),
-		"unknown field":     mutate(`"nf":"test-nf"`, `"nf":"test-nf","zzz":1`),
-		"unknown action":    mutate(`"action":"drop"`, `"action":"teleport"`),
-		"unknown operator":  mutate(`"op":"=="`, `"op":"==="`),
-		"unknown metric":    mutate(`"ic":`, `"IC":`),
-		"bad monomial":      mutate(`"c^2":2`, `"c^0":2`),
-		"zero coefficient":  mutate(`"c^2":2`, `"c^2":0`),
-		"whitespace":        mutate(`"version":2`, `"version": 2`),
-		"reordered fields":  mutate(`"format":"gobolt-contract","version":2`, `"version":2,"format":"gobolt-contract"`),
-		"malformed const":   mutate(`{"k":"c","v":167772161}`, `{"k":"c","v":167772161,"n":"x"}`),
-		"empty symbol name": mutate(`{"k":"s","n":"nat.port"}`, `{"k":"s","n":""}`),
-		"unknown sharing":   mutate(`"sharing":"local"`, `"sharing":"lokal"`),
-		"orphaned reason":   mutate(`"sharing":"local","sharing_reason":"key pins the flow-hash fields"`, `"sharing_reason":"key pins the flow-hash fields"`),
-		"retired version":   mutate(`"version":2`, `"version":1`),
-		"witness omitted":   mutate(`,"witness":null`, ``),
+		"empty input":        []byte(""),
+		"not json":           []byte("boltstore1 junk"),
+		"truncated":          valid[:len(valid)/2],
+		"trailing data":      append(append([]byte{}, valid...), []byte(" {}")...),
+		"wrong format":       mutate(`"format":"gobolt-contract"`, `"format":"gobolt-contrakt"`),
+		"future version":     mutate(`"version":3`, `"version":4`),
+		"unknown field":      mutate(`"nf":"test-nf"`, `"nf":"test-nf","zzz":1`),
+		"unknown action":     mutate(`"action":"drop"`, `"action":"teleport"`),
+		"unknown operator":   mutate(`"op":"=="`, `"op":"==="`),
+		"unknown metric":     mutate(`"ic":`, `"IC":`),
+		"bad monomial":       mutate(`"c^2"`, `"c^0"`),
+		"zero coefficient":   mutate(`[3,2]`, `[3,0]`),
+		"whitespace":         mutate(`"version":3`, `"version": 3`),
+		"reordered fields":   mutate(`"format":"gobolt-contract","version":3`, `"version":3,"format":"gobolt-contract"`),
+		"malformed const":    mutate(`{"k":"c","v":167772161}`, `{"k":"c","v":167772161,"n":"x"}`),
+		"empty symbol name":  mutate(`{"k":"s","n":"nat.port"}`, `{"k":"s","n":""}`),
+		"unknown sharing":    mutate(`"sharing":"local"`, `"sharing":"lokal"`),
+		"orphaned reason":    mutate(`"sharing":"local","sharing_reason":"key pins the flow-hash fields"`, `"sharing_reason":"key pins the flow-hash fields"`),
+		"retired version":    mutate(`"version":3`, `"version":2`),
+		"witness omitted":    mutate(`,"witness":null`, ``),
+		"inline list":        mutate(`"args":3`, `"args":[{"k":"s","n":"now"}]`),
+		"tables reordered":   mutate(`"monos":["","c","c*m","c^2"],"exprs":`, `"exprs":`),
+		"empty tables":       []byte(`{"format":"gobolt-contract","version":3,"tables":{},"contract":{"nf":"m","level":"","paths":[]}}`),
+		"empty table":        []byte(`{"format":"gobolt-contract","version":3,"tables":{"monos":[]},"contract":{"nf":"m","level":"","paths":[]}}`),
+		"index leading zero": mutate(`"pkt_writes":0`, `"pkt_writes":00`),
 	}
 	for name, data := range cases {
 		if _, err := DecodeArtifact(data); err == nil {
@@ -502,6 +470,179 @@ func TestCodecDecodeRejects(t *testing.T) {
 	if _, err := DecodeArtifact(misaligned); err == nil {
 		t.Errorf("decode accepted raw paths misaligned with contract paths")
 	}
+}
+
+// bombLabel is the one symbol name of bombArtifact's expression list.
+var bombLabel = strings.Repeat("x", 680)
+
+// bombArtifact is the densest expansion an artifact can spell: one
+// contract path whose trace holds n call events, each naming the same
+// long expression list as its results, constraints and arguments. Each
+// event costs 81 bytes and stands for three copies of the list's 698.
+func bombArtifact(n int) *Artifact {
+	list := []symb.Expr{symb.Sym{Name: bombLabel}}
+	trace := make([]nfir.CallEvent, n)
+	for i := range trace {
+		trace[i] = nfir.CallEvent{DS: "a", Method: "b", Outcome: nfir.Outcome{Results: list, Constraints: list}, Args: list}
+	}
+	return &Artifact{Contract: &Contract{NF: "bomb", Level: "full", Paths: []*PathContract{
+		{Action: nfir.ActionDrop, Trace: trace},
+	}}}
+}
+
+// TestCodecHostileTables feeds the decoder version-3 artifacts that
+// break each of the tables' rules, and checks that it rejects each one
+// at the offset where the break occurs: an out-of-range index, an index
+// that skips ahead of first-use order, a duplicate entry, an entry no
+// path names, a duplicate or non-canonical monomial, polynomial terms
+// out of order or with a zero coefficient, and an expansion bomb. Then
+// it checks that rejecting stays linear in the input's size.
+func TestCodecHostileTables(t *testing.T) {
+	valid, err := EncodeArtifact(repeatedArtifact())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each mutation replaces the n-th occurrence (from 1) of old.
+	type mutation struct {
+		old     string
+		n       int
+		new     string
+		at      int // offset of the break within new, -1 for the input's end
+		message string
+	}
+	cases := map[string]mutation{
+		"out-of-range index":          {`"pcv_ranges":1`, 1, `"pcv_ranges":7`, 13, "out of range"},
+		"out-of-range monomial":       {`[[0,30],[1,3]]`, 1, `[[0,30],[4,3]]`, 9, "out of range"},
+		"index ahead of first use":    {`"domains":0`, 1, `"domains":1`, 10, "skips ahead of first use"},
+		"monomial ahead of first use": {`"ic":[[0,40],[1,7]]`, 1, `"ic":[[0,40],[2,7]]`, 14, "skips ahead of first use"},
+		"duplicate entry":             {`[{"k":"b","op":"==","l":{"k":"s","n":"ft.r0"},"r":{"k":"c"}}]`, 1, `[{"k":"s","n":"ft.r0"}]`, 0, "duplicate expression list"},
+		"duplicate domain map":        {`{"ft.r0":{"lo":0,"hi":1}}]`, 1, `{"pkt.dst":{"lo":0,"hi":4294967295}}]`, 0, "duplicate domain map"},
+		"unreferenced entry":          {`{"ft.r0":{"lo":0,"hi":1}}]`, 1, `{"ft.r0":{"lo":0,"hi":1}},{"zz":{"lo":0,"hi":1}}]`, -1, "domain map entry 2 is never referenced"},
+		"unreferenced monomial":       {`"c^2"]`, 1, `"c^2","z"]`, -1, "monomial entry 4 is never referenced"},
+		"duplicate monomial":          {`"c*m"`, 1, `"c"`, 0, "duplicate monomial"},
+		"unordered monomial":          {`"c*m"`, 1, `"m*c"`, 0, "non-canonical monomial"},
+		"terms out of order":          {`[[0,4100],[2,11]]`, 1, `[[2,11],[0,4100]]`, 9, "not in strictly ascending monomial order"},
+		"repeated term":               {`[[0,120],[1,7],[3,2]]`, 1, `[[0,120],[1,7],[1,2]]`, 16, "not in strictly ascending monomial order"},
+		"zero coefficient":            {`[[0,120],[1,7],[3,2]]`, 1, `[[0,120],[1,7],[3,0]]`, 18, "zero coefficient"},
+	}
+	for name, m := range cases {
+		s := string(valid)
+		i := -1
+		for k := 0; k < m.n; k++ {
+			j := strings.Index(s[i+1:], m.old)
+			if j < 0 {
+				t.Fatalf("%s: anchor %q occurs fewer than %d times", name, m.old, m.n)
+			}
+			i += 1 + j
+		}
+		data := []byte(s[:i] + m.new + s[i+len(m.old):])
+		want := i + m.at
+		if m.at < 0 {
+			want = len(data)
+		}
+		checkRejected(t, name, data, want, m.message)
+		if _, ok := canonicalV3(data); ok {
+			t.Errorf("%s: the lenient reader takes the mutant for canonical", name)
+		}
+	}
+
+	// The bomb: 1.7 KB whose references stand for 12.3 times that, the
+	// smallest that can pass the budget: no reference site costs fewer
+	// than 27 bytes. A shorter trace stays inside the budget and decodes.
+	if data := bombBytes(t, 7); len(data) > 1500 {
+		t.Fatalf("the small bomb is %d bytes", len(data))
+	} else if _, err := DecodeArtifact(data); err != nil {
+		t.Fatalf("seven events are inside the budget: %v", err)
+	}
+	bomb := bombBytes(t, 10)
+	if len(bomb) > 1750 {
+		t.Fatalf("the bomb is %d bytes, want at most 1.75 KB", len(bomb))
+	}
+	// The budget runs out at the first reference past budget/entry.
+	entry := len(`[{"k":"s","n":""}]`) + len(bombLabel)
+	refs := regexp.MustCompile(`"(results|constraints|args)":0`).FindAllIndex(bomb, -1)
+	over := maxExpansion * len(bomb) / entry
+	if over >= len(refs) {
+		t.Fatalf("the bomb's %d references stay inside the budget", len(refs))
+	}
+	t.Logf("the bomb: %d bytes, references standing for %.1f times that", len(bomb), float64(len(refs)*entry)/float64(len(bomb)))
+	checkRejected(t, "expansion bomb", bomb, refs[over][1]-1, "stand for more than 12 times")
+
+	// Rejection is linear: a duplicate entry at the end of a table of
+	// 20,000 distinct domain maps costs no more per entry than one at the
+	// end of 2,000. A check that compared entries pairwise would cost ten
+	// times as much.
+	perEntry := func(n int) time.Duration {
+		dup := dupTable(t, n)
+		best := time.Duration(math.MaxInt64)
+		for range 5 {
+			start := time.Now()
+			if _, err := DecodeArtifact(dup); err == nil || !strings.Contains(err.Error(), "duplicate domain map") {
+				t.Fatalf("%d entries: %v", n, err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best / time.Duration(n)
+	}
+	small, large := perEntry(2_000), perEntry(20_000)
+	t.Logf("per table entry: %v at 2,000, %v at 20,000", small, large)
+	if large > 3*small {
+		t.Errorf("rejecting a duplicate among 20,000 entries takes %v per entry, among 2,000 %v: not linear", large, small)
+	}
+}
+
+// checkRejected checks that the decoder rejects data with message at
+// offset at.
+func checkRejected(t *testing.T, name string, data []byte, at int, message string) {
+	t.Helper()
+	_, err := DecodeArtifact(data)
+	if err == nil {
+		t.Errorf("%s: accepted", name)
+		return
+	}
+	if !strings.Contains(err.Error(), message) || !strings.Contains(err.Error(), fmt.Sprintf("offset %d:", at)) {
+		t.Errorf("%s: rejected with %q, want %q at offset %d", name, err, message, at)
+	}
+}
+
+// bombBytes spells bombArtifact(n) with the encoder's own budget out of
+// the way: the same bytes with the trace cut to one event, then the
+// event repeated.
+func bombBytes(t *testing.T, n int) []byte {
+	t.Helper()
+	one, err := EncodeArtifact(bombArtifact(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := `{"ds":"a","method":"b","outcome":{"label":"","results":0,"constraints":0},"args":0}`
+	if !bytes.Contains(one, []byte(ev)) {
+		t.Fatalf("bomb event not spelled as expected: %s", one)
+	}
+	return bytes.Replace(one, []byte(ev), []byte(strings.Repeat(","+ev, n)[1:]), 1)
+}
+
+// dupTable is an artifact of n paths with distinct domain maps whose
+// last table entry repeats the first.
+func dupTable(t *testing.T, n int) []byte {
+	t.Helper()
+	ct := &Contract{NF: "spans", Level: "full"}
+	for i := range n {
+		dom := make(map[string]symb.Domain, 16)
+		for k := range 15 {
+			dom[fmt.Sprintf("pkt_field_%02d", k)] = symb.Domain{Lo: 0, Hi: 65535}
+		}
+		dom["zz"] = symb.Domain{Lo: 0, Hi: uint64(i)}
+		ct.Paths = append(ct.Paths, &PathContract{ID: i, Action: nfir.ActionDrop, Domains: dom})
+	}
+	data, err := EncodeArtifact(&Artifact{Contract: ct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := fmt.Sprintf(`"zz":{"lo":0,"hi":%d}}]`, n-1)
+	if !bytes.Contains(data, []byte(last)) {
+		t.Fatalf("last domain entry not found")
+	}
+	return bytes.Replace(data, []byte(last), []byte(`"zz":{"lo":0,"hi":0}}]`), 1)
 }
 
 // TestCodecDecodeNeverFolds pins that decoding reconstructs expression
@@ -542,9 +683,8 @@ func FuzzContractCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(minimal)
-	// Paths that repeat every memoised field, so mutations land in spans
-	// the decoder has already accepted once (the mutator alone rarely
-	// writes the same span twice).
+	// Paths that name table entries more than once, so mutations land in
+	// entries and indices several paths share.
 	repeated, err := EncodeArtifact(repeatedArtifact())
 	if err != nil {
 		f.Fatal(err)
@@ -552,30 +692,50 @@ func FuzzContractCodec(f *testing.F) {
 	f.Add(repeated)
 	f.Add(bytes.Replace(repeated, []byte(`"hi":64`), []byte(`"hi":65`), 1))
 	f.Add(bytes.Replace(repeated, []byte(`"op":"=="`), []byte(`"op":"!="`), 1))
-	// Version 1 is retired: the pre-shard golden must be refused.
-	v1, err := os.ReadFile(filepath.Join("testdata", "artifact_v1.golden.json"))
-	if err != nil {
-		f.Fatal(err)
+	// Versions 1 and 2 are retired: their goldens must be refused.
+	for _, name := range []string{"artifact_v1.golden.json", "artifact_v2.golden.json"} {
+		old, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
 	}
-	f.Add(v1)
-	f.Add(bytes.Replace(valid, []byte(`"version":2`), []byte(`"version":1`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"version":3`), []byte(`"version":2`), 1))
 	f.Add([]byte(`{"format":"gobolt-contract","version":1,"contract":{"nf":"m","level":"","paths":[]}}`))
 	f.Add([]byte(`{"format":"gobolt-contract","version":9,"contract":null}`))
 	f.Add(valid[:len(valid)/3])
 	f.Add(bytes.ToUpper(valid))
+	// Table references: out of range, ahead of first use, an entry
+	// repeated, an entry unreferenced, terms reversed, and a bomb.
+	for _, m := range [][2]string{
+		{`"pcv_ranges":1`, `"pcv_ranges":2`},
+		{`"domains":0`, `"domains":1`},
+		{`"monos":["","c"`, `"monos":["","",`},
+		{`"polys":[{"":3,"c":1}]`, `"polys":[{"":3,"c":1},{"":4}]`},
+		{`[[0,4100],[2,11]]`, `[[2,11],[0,4100]]`},
+		{`"shared_ma":0`, `"shared_ma":0,"shard_analysed":true,"shared_ma":0`},
+	} {
+		f.Add(bytes.Replace(repeated, []byte(m[0]), []byte(m[1]), 1))
+	}
+	bomb, err := EncodeArtifact(bombArtifact(5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bomb)
+	f.Add(bytes.Replace(bomb, []byte(`"args":0}]`), []byte(`"args":0},{"ds":"a","method":"b","outcome":{"label":"","results":0,"constraints":0},"args":0}]`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeArtifact(data)
-		// The reflection codec this one replaced accepted exactly the
-		// same inputs and built exactly the same structures.
-		oa, oerr := oracleDecode(data)
-		if (err == nil) != (oerr == nil) {
-			t.Fatalf("accept sets differ: decoder says %v, oracle says %v", err, oerr)
+		// A version-3 input is accepted exactly when it is the encoding of
+		// what the lenient reflection reader makes of it.
+		want, canonical := canonicalV3(data)
+		if (err == nil) != canonical {
+			t.Fatalf("decoder says %v, but canonical = %v", err, canonical)
 		}
 		if err != nil {
 			return // rejected is always a fine outcome for fuzz input
 		}
-		if !reflect.DeepEqual(a, oa) {
-			t.Fatalf("decoder and oracle built different artifacts from %q", data)
+		if !reflect.DeepEqual(a, want) {
+			t.Fatalf("decoder and lenient oracle built different artifacts from %q", data)
 		}
 		// Accepted input must be the canonical encoding of its content:
 		// decode ∘ encode is the identity on everything DecodeArtifact
