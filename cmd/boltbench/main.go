@@ -5,27 +5,25 @@
 //
 //	boltbench [-exp all|figure1|table3|microbench|bvm|table4|figure2|
 //	                table5|figure3|table6|table7|figure4|figure5|
-//	                fullstack|ablation|census|shardbench|solverbench|
-//	                chainbench]
+//	                fullstack|ablation|census|shardbench]
 //	          [-scale default|quick] [-parallel N] [-nocache]
-//	          [-store DIR] [-benchjson FILE] [-v]
+//	          [-store DIR]
 //
-// With -store DIR the contract cache is tiered onto the on-disk store
-// at DIR (shared with bolt/boltmon/boltctl): a second boltbench run —
-// or any other tool using the same store — starts warm, and the cache
-// summary breaks hits down by tier.
+// An unknown -exp or -scale is a usage error (exit 2). With -store DIR
+// the contract cache is tiered onto the on-disk store at DIR (shared
+// with bolt/boltmon/boltctl): a second boltbench run — or any other
+// tool using the same store — starts warm, and the cache summary breaks
+// hits down by tier.
 //
-// solverbench (the incremental-solver ablation) and chainbench (the
-// chain-composition ablations) are opt-in: they repeat cold generations
-// many times and are excluded from -exp all. Both honour -benchjson;
-// chainbench additionally prints its per-fold join-pruning record
-// under -v.
+// boltbench reproduces results; it does not time the system. The
+// repository's benchmark is `go run ./bench` (see BENCHMARK.json).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,21 +32,34 @@ import (
 	"gobolt/internal/store"
 )
 
+// experimentNames are the -exp values; "all" runs every experiment.
+var experimentNames = []string{
+	"all", "figure1", "table3", "microbench", "bvm", "table4", "figure2",
+	"table5", "figure3", "table6", "table7", "figure4", "figure5",
+	"fullstack", "ablation", "census", "shardbench",
+}
+
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to run (all, figure1, table3, microbench, bvm, table4, figure2, table5, figure3, table6, table7, figure4, figure5, fullstack, ablation, census, shardbench, solverbench, chainbench)")
-		scale     = flag.String("scale", "default", "experiment scale: default or quick")
-		parallel  = flag.Int("parallel", 0, "worker pool size for contract generation and scenario runs (0 = one per CPU, 1 = serial)")
-		nocache   = flag.Bool("nocache", false, "disable the contract cache (regenerate every contract from scratch)")
-		storeDir  = flag.String("store", "", "back the contract cache with the on-disk store at this directory (shared with bolt/boltmon/boltctl)")
-		benchjson = flag.String("benchjson", "", "with -exp solverbench or chainbench: also write the result as JSON to this path (e.g. BENCH_solver.json)")
-		verbose   = flag.Bool("v", false, "with -exp chainbench: also print the per-fold join-pruning record (pairs, index-skipped, prefiltered, solver-refuted, kept, coalesced)")
+		exp      = flag.String("exp", "all", "experiment to run ("+strings.Join(experimentNames, ", ")+")")
+		scale    = flag.String("scale", "default", "experiment scale: default or quick")
+		parallel = flag.Int("parallel", 0, "worker pool size for contract generation and scenario runs (0 = one per CPU, 1 = serial)")
+		nocache  = flag.Bool("nocache", false, "disable the contract cache (regenerate every contract from scratch)")
+		storeDir = flag.String("store", "", "back the contract cache with the on-disk store at this directory (shared with bolt/boltmon/boltctl)")
 	)
 	flag.Parse()
 
-	sc := experiments.DefaultScale()
-	if *scale == "quick" {
+	if !slices.Contains(experimentNames, *exp) {
+		usage(fmt.Sprintf("unknown experiment %q (valid: %s)", *exp, strings.Join(experimentNames, ", ")))
+	}
+	var sc experiments.Scale
+	switch *scale {
+	case "default":
+		sc = experiments.DefaultScale()
+	case "quick":
 		sc = experiments.QuickScale()
+	default:
+		usage(fmt.Sprintf("unknown scale %q (valid: default, quick)", *scale))
 	}
 	sc.Parallelism = *parallel
 	sc.NoCache = *nocache
@@ -214,45 +225,6 @@ func main() {
 		fmt.Print(experiments.RenderShardBench(rows))
 	}
 
-	// solverbench is opt-in only (not part of -exp all): it times ~10
-	// cold generations per mode and its wall time would dominate the
-	// evaluation run.
-	if *exp == "solverbench" {
-		res, err := experiments.SolverBench(sc)
-		if err != nil {
-			fatal(err)
-		}
-		section("Solver ablation — incremental engine vs from-scratch solving")
-		fmt.Print(experiments.RenderSolverBench(res))
-		if *benchjson != "" {
-			if err := experiments.WriteSolverBenchJSON(*benchjson, res); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("(wrote %s)\n", *benchjson)
-		}
-	}
-
-	// chainbench is opt-in for the same reason: it composes five chain
-	// lengths in four modes each, several runs apiece.
-	if *exp == "chainbench" {
-		res, err := experiments.ChainBench(sc)
-		if err != nil {
-			fatal(err)
-		}
-		section("Chain composition — coalescing, serial vs pooled, incremental vs reference, cold vs warm")
-		fmt.Print(experiments.RenderChainBench(res))
-		if *verbose {
-			fmt.Println()
-			fmt.Print(experiments.RenderChainBenchFolds(res))
-		}
-		if *benchjson != "" {
-			if err := experiments.WriteChainBenchJSON(*benchjson, res); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("(wrote %s)\n", *benchjson)
-		}
-	}
-
 	if !*nocache {
 		cache := core.SharedCache()
 		if sc.Cache != nil {
@@ -270,6 +242,12 @@ func main() {
 
 func section(title string) {
 	fmt.Printf("\n%s\n%s\n", title, strings.Repeat("=", len(title)))
+}
+
+// usage reports a bad flag value and exits 2, as flag.Parse does.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "boltbench:", msg)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -11,7 +11,6 @@
 //	boltmon -trace benign   -expect quiet   # equal-rate benign burst must not
 //	boltmon -trace uniform                  # watch a uniform workload
 //	boltmon -pcap trace.pcap [-inport P]    # watch a captured trace
-//	boltmon -benchjson BENCH_monitor.json   # monitored-vs-bare overhead
 //	boltmon -store DIR -nf N -key PREFIX    # monitor a stored contract
 //	boltmon -bvm FILE [-expect quiet]       # interpreter-driven bytecode watch
 //
@@ -27,8 +26,7 @@
 // with -key the contract MUST come from the store (wrong or missing keys
 // error — no silent regeneration). -shards N fans classification out to
 // N flow-hashed monitor shards over batched ingest (-batch) through
-// per-shard SPSC rings (-queue sets the depth in batches; -noring swaps
-// in the channel + sync.Pool ablation, which never changes the report);
+// per-shard SPSC rings (-queue sets the depth in batches);
 // -cpuprofile/-memprofile write pprof profiles of whichever mode ran.
 // -shard-aware additionally prices the N-shard deployment into the
 // checks: cycle bounds include the contract's contention term at N
@@ -60,32 +58,29 @@ import (
 
 func main() {
 	var (
-		scale     = flag.String("scale", "default", "experiment scale: default or quick")
-		trace     = flag.String("trace", "attack", "trace to replay: attack, benign, uniform")
-		pcapPath  = flag.String("pcap", "", "replay this pcap through the monitored bridge instead of a generated trace")
-		inPort    = flag.Uint64("inport", 0, "arrival port for pcap packets")
-		packets   = flag.Int("packets", 0, "override the scale's per-class packet count")
-		parallel  = flag.Int("parallel", 0, "contract-generation worker pool (0 = one per CPU, 1 = serial)")
-		budget    = flag.Uint64("budget", 0, "explicit overload budget (default: calibrated from benign traffic)")
-		trigger   = flag.Int("trigger", 3, "consecutive over-budget packets before paging")
-		clearN    = flag.Int("clear", 8, "consecutive calm packets before un-paging")
-		metric    = flag.String("metric", "instructions", "budgeted metric: instructions, memaccesses, cycles")
-		expect    = flag.String("expect", "", "exit nonzero unless the outcome matched: alert or quiet")
-		benchjson = flag.String("benchjson", "", "run the monitor overhead benchmark and write its JSON here")
-		benchruns = flag.Int("benchruns", 3, "benchmark passes per mode (best-of)")
-		nfName    = flag.String("nf", "", "watch this roster NF instead of the attack-tuned bridge: "+nf.NamesList())
-		bvmFile   = flag.String("bvm", "", "watch a .bvm bytecode program, driving the interpreter per packet")
-		storeDir  = flag.String("store", "", "back contract generation with the on-disk store at this directory (shared with bolt/boltbench/boltctl)")
-		shards    = flag.Int("shards", 0, "flow-hashed monitor shards (0 or 1 = serial pooled path)")
-		batch     = flag.Int("batch", 0, "packets per shard ingest batch in sharded mode (0 = default)")
-		queue     = flag.Int("queue", 0, "per-shard ingest queue depth in batches (0 = default 4; ring rounds to a power of two)")
-		noRing    = flag.Bool("noring", false, "sharded ingest over channels + sync.Pool instead of the SPSC ring (measured ablation; reports are identical)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		shAware   = flag.Bool("shard-aware", false, "price the -shards deployment into the checks: shard-aware cycle bounds, per-shard budget")
-		clockHz   = flag.Float64("clockhz", 0, "core clock for a derived cycle budget (with -pps; overrides -budget calibration)")
-		pps       = flag.Float64("pps", 0, "aggregate target packets/sec for a derived cycle budget (with -clockhz)")
-		keyArg    = flag.String("key", "", "monitor with this stored contract (key or unambiguous prefix, requires -store and -nf); never regenerates")
+		scale    = flag.String("scale", "default", "experiment scale: default or quick")
+		trace    = flag.String("trace", "attack", "trace to replay: attack, benign, uniform")
+		pcapPath = flag.String("pcap", "", "replay this pcap through the monitored bridge instead of a generated trace")
+		inPort   = flag.Uint64("inport", 0, "arrival port for pcap packets")
+		packets  = flag.Int("packets", 0, "override the scale's per-class packet count")
+		parallel = flag.Int("parallel", 0, "contract-generation worker pool (0 = one per CPU, 1 = serial)")
+		budget   = flag.Uint64("budget", 0, "explicit overload budget (default: calibrated from benign traffic)")
+		trigger  = flag.Int("trigger", 3, "consecutive over-budget packets before paging")
+		clearN   = flag.Int("clear", 8, "consecutive calm packets before un-paging")
+		metric   = flag.String("metric", "instructions", "budgeted metric: instructions, memaccesses, cycles")
+		expect   = flag.String("expect", "", "exit nonzero unless the outcome matched: alert or quiet")
+		nfName   = flag.String("nf", "", "watch this roster NF instead of the attack-tuned bridge: "+nf.NamesList())
+		bvmFile  = flag.String("bvm", "", "watch a .bvm bytecode program, driving the interpreter per packet")
+		storeDir = flag.String("store", "", "back contract generation with the on-disk store at this directory (shared with bolt/boltbench/boltctl)")
+		shards   = flag.Int("shards", 0, "flow-hashed monitor shards (0 or 1 = serial pooled path)")
+		batch    = flag.Int("batch", 0, "packets per shard ingest batch in sharded mode (0 = default)")
+		queue    = flag.Int("queue", 0, "per-shard ingest queue depth in batches (0 = default 4; ring rounds to a power of two)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		shAware  = flag.Bool("shard-aware", false, "price the -shards deployment into the checks: shard-aware cycle bounds, per-shard budget")
+		clockHz  = flag.Float64("clockhz", 0, "core clock for a derived cycle budget (with -pps; overrides -budget calibration)")
+		pps      = flag.Float64("pps", 0, "aggregate target packets/sec for a derived cycle budget (with -clockhz)")
+		keyArg   = flag.String("key", "", "monitor with this stored contract (key or unambiguous prefix, requires -store and -nf); never regenerates")
 	)
 	flag.Parse()
 
@@ -108,7 +103,6 @@ func main() {
 	sc.MonitorShards = *shards
 	sc.MonitorBatch = *batch
 	sc.MonitorQueue = *queue
-	sc.MonitorNoRing = *noRing
 	var st *store.Store
 	if *storeDir != "" {
 		s, err := store.Open(*storeDir)
@@ -148,26 +142,13 @@ func main() {
 		fmt.Printf("monitoring stored contract %s (%s, %d paths)\n", key[:12], a.Contract.NF, len(a.Contract.Paths))
 	}
 
-	if *benchjson != "" {
-		res, err := experiments.MonitorBench(sc, *benchruns)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.RenderMonitorBench(res))
-		if err := experiments.WriteMonitorBenchJSON(*benchjson, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("(wrote %s)\n", *benchjson)
-		return
-	}
-
 	m, err := perf.ParseMetric(*metric)
 	if err != nil {
 		fatal(err)
 	}
 	mcfg := monitor.Config{
 		Metric: m, Budget: *budget, Trigger: *trigger, Clear: *clearN,
-		Shards: *shards, Batch: *batch, Queue: *queue, NoRing: *noRing,
+		Shards: *shards, Batch: *batch, Queue: *queue,
 		ShardAware: *shAware, ClockHz: *clockHz, TargetPPS: *pps,
 	}
 	if *shAware && *shards <= 1 {

@@ -20,7 +20,7 @@
 // the Distiller in internal/distill; the online monitor in
 // internal/monitor; workload generation in internal/traffic; the
 // evaluated NFs in internal/nf; the paper's full evaluation plus the
-// post-paper benchmarks in internal/experiments. Infrastructure: the
+// post-paper experiments in internal/experiments. Infrastructure: the
 // artifact codec's store in internal/store, packet parsing in
 // internal/packet, pcap I/O in internal/pcap, DPDK-style framework
 // costs in internal/dpdk, metering in internal/perf, polynomial bounds

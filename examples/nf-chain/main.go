@@ -70,7 +70,7 @@ func main() {
 	// ------------------------------------------------------------------
 	// Part 2: a four-stage chain — firewall → NAT → bridge → LB.
 	// ------------------------------------------------------------------
-	stages, names, err := experiments.ChainBenchStages(experiments.QuickScale())
+	stages, names, err := experiments.ChainStages(experiments.QuickScale())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,7 +60,8 @@ func TestCodecRoundTripFigure1(t *testing.T) {
 		}
 		// The decoded contract must be indistinguishable from the
 		// original through the legacy summary export too (this is the
-		// byte-identity gate chainbench applies to composed contracts).
+		// byte-identity check the chain tests apply to composed
+		// contracts).
 		want, err := json.Marshal(s.Contract)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +81,7 @@ func TestCodecRoundTripFigure1(t *testing.T) {
 // disk store persists so chain composition can extend stored prefixes.
 func TestCodecRoundTripRawPaths(t *testing.T) {
 	sc := experiments.QuickScale()
-	stages, _, err := experiments.ChainBenchStages(sc)
+	stages, _, err := experiments.ChainStages(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestCodecRoundTripRawPaths(t *testing.T) {
 // traces, and coalesced guards.
 func TestCodecRoundTripComposedChain(t *testing.T) {
 	sc := experiments.QuickScale()
-	stages, _, err := experiments.ChainBenchStages(sc)
+	stages, _, err := experiments.ChainStages(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func chainStore(t testing.TB) ([]core.ChainStage, *store.Store) {
 // the store, whose memory tier holds every object's in-memory value.
 func chainStoreCache(t testing.TB) ([]core.ChainStage, *store.Store, *core.ContractCache) {
 	t.Helper()
-	stages, _, err := experiments.ChainBenchStages(experiments.QuickScale())
+	stages, _, err := experiments.ChainStages(experiments.QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

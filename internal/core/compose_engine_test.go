@@ -63,7 +63,9 @@ func TestComposeMany4StageParallelMatchesSerial(t *testing.T) {
 
 // Session-based join feasibility must keep exactly the pairs the
 // reference engine keeps: the composite is byte-identical with the
-// NoIncremental ablation on.
+// NoIncremental ablation on. So are the stage contracts of the three
+// NFs whose exploration issues the most feasibility checks, generated
+// with no cache so both engines run the whole pipeline.
 func TestComposeManyIncrementalMatchesReference(t *testing.T) {
 	inc := NewGenerator()
 	inc.Parallelism = 1
@@ -82,6 +84,42 @@ func TestComposeManyIncrementalMatchesReference(t *testing.T) {
 	gotJS, _ := json.Marshal(got)
 	if string(wantJS) != string(gotJS) {
 		t.Error("reference-mode ComposeMany differs from incremental")
+	}
+
+	const hour = uint64(3_600_000_000_000)
+	lb, err := nf.NewLB(nf.LBConfig{
+		Backends: 16, RingSize: 4099, BackendIPBase: 0xAC100000,
+		FlowCapacity: 512, TimeoutNS: hour, GranularityNS: 1_000_000,
+		HeartbeatTimeoutNS: hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range []*nf.Instance{
+		nf.NewNAT(nf.NATConfig{
+			ExternalIP: 0xC0A80001, Capacity: 512,
+			TimeoutNS: hour, GranularityNS: 1_000_000,
+		}).Instance,
+		nf.NewBridge(nf.BridgeConfig{
+			Ports: 4, Capacity: 512,
+			TimeoutNS: hour, GranularityNS: 1_000_000, RehashThreshold: 6,
+		}).Instance,
+		lb.Instance,
+	} {
+		incCt, err := inc.Generate(inst.Prog, inst.Models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refCt, err := ref.Generate(inst.Prog, inst.Models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		incJS, _ := json.Marshal(incCt)
+		refJS, _ := json.Marshal(refCt)
+		if len(incCt.Paths) == 0 || string(incJS) != string(refJS) {
+			t.Errorf("%s: reference-mode contract differs from incremental (%d vs %d paths)",
+				incCt.NF, len(refCt.Paths), len(incCt.Paths))
+		}
 	}
 }
 

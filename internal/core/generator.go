@@ -47,8 +47,9 @@ type Generator struct {
 	// exploration and composition carry no sessions and every
 	// feasibility check and witness solve runs the reference
 	// tree-walking implementation from scratch. Contracts are identical
-	// either way; the knob exists for the solver-ablation benchmarks
-	// (experiments.SolverBench, experiments.ChainBench).
+	// either way; the knob exists so tests can use the reference engine
+	// as an oracle (TestComposeManyIncrementalMatchesReference,
+	// TestChainFourStageQuick).
 	NoIncremental bool
 	// SkipReplay disables the witness-replay validation step (it is on
 	// by default because it is BOLT's own consistency check).

@@ -87,10 +87,11 @@ func BenchmarkComposeCold(b *testing.B) {
 	}
 }
 
-// chainbenchRoster is experiments.ChainBenchStages' roster at quick
-// scale, cut at its maxExhaustiveNFs (6): the chains chainbench still
-// composes uncoalesced. (package core cannot import experiments.)
-var chainbenchRoster = []string{"ingress-firewall", "nat", "bridge", "lb", "static-router", "lpm-router"}
+// chainRoster is experiments.ChainStages' roster at quick scale, cut
+// at six stages: the longest chains still composed uncoalesced
+// (TestChainDeepChainPruned composes the longer ones with coalescing).
+// (package core cannot import experiments.)
+var chainRoster = []string{"ingress-firewall", "nat", "bridge", "lb", "static-router", "lpm-router"}
 
 // The join index must keep exactly the pairs exhaustive pairing keeps.
 // Every fold of the 6-chain pairs each forwarding a-path with every
@@ -113,8 +114,8 @@ func TestJoinIndexKeepsExhaustivePairs(t *testing.T) {
 		}
 		return ct, paths
 	}
-	ct, paths := gen(chainbenchRoster[0])
-	for i, name := range chainbenchRoster[1:] {
+	ct, paths := gen(chainRoster[0])
+	for i, name := range chainRoster[1:] {
 		fold, bns := i+1, strings.Repeat("b.", i+1)
 		bCt, bPaths := gen(name)
 		ix := buildJoinIndex(bCt, bPaths, bns)
@@ -179,9 +180,9 @@ func TestJoinForkMatchesFreshSolve(t *testing.T) {
 			}
 			return ct, paths
 		}
-		ct, paths := gen(chainbenchRoster[0])
+		ct, paths := gen(chainRoster[0])
 		solved, sat := 0, 0
-		for i, name := range chainbenchRoster[1:] {
+		for i, name := range chainRoster[1:] {
 			bns := strings.Repeat("b.", i+1)
 			bCt, bPaths := gen(name)
 			ix := buildJoinIndex(bCt, bPaths, bns)

@@ -236,3 +236,27 @@ func RenderFigure3(rows []Figure3Row) string {
 	}
 	return b.String()
 }
+
+// ChainStages builds the deep-chain roster — firewall → NAT → bridge →
+// LB → static router → LPM router → egress firewall → edge router —
+// sized by the scale. Chains of length n use the first n stages, so
+// longer chains strictly extend shorter ones (which also exercises the
+// fold-prefix cache reuse). Every stage comes from the shared
+// internal/nf roster, so the stage cache keys — and therefore any
+// on-disk store — line up with what bolt and the other tools build.
+func ChainStages(sc Scale) ([]core.ChainStage, []string, error) {
+	// The first stage is the roster's "ingress-firewall" (the
+	// rule-bearing chain head), distinct from the bare default-deny
+	// "firewall"; its display name is "firewall".
+	rosterNames := []string{"ingress-firewall", "nat", "bridge", "lb", "static-router", "lpm-router", "egress-firewall", "edge-router"}
+	names := []string{"firewall", "nat", "bridge", "lb", "static-router", "lpm-router", "egress-firewall", "edge-router"}
+	stages := make([]core.ChainStage, len(rosterNames))
+	for i, rn := range rosterNames {
+		inst, err := nf.Build(rn, nf.BuildParams{Capacity: sc.TableCapacity})
+		if err != nil {
+			return nil, nil, err
+		}
+		stages[i] = core.ChainStage{Prog: inst.Prog, Models: inst.Models}
+	}
+	return stages, names, nil
+}

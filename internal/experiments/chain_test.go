@@ -1,0 +1,134 @@
+package experiments
+
+import (
+	"context"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"gobolt/internal/core"
+)
+
+// The 4-stage chain (firewall→nat→bridge→lb) is the composition
+// anchor: its composite path count is pinned (composition is
+// deterministic, so any drift signals a join-algebra change), the
+// composite is identical across worker counts and solver engines, and a
+// warm-cache re-compose must beat the cold one.
+func TestChainFourStageQuick(t *testing.T) {
+	stages, names, err := ChainStages(QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stages) != 8 || names[3] != "lb" {
+		t.Fatalf("unexpected roster %v", names)
+	}
+
+	serial := core.NewGenerator()
+	serial.Parallelism = 1
+	ct, err := core.ComposeMany(serial, stages[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantPaths = 582
+	if len(ct.Paths) != wantPaths {
+		t.Errorf("firewall+nat+bridge+lb composite has %d paths, want %d", len(ct.Paths), wantPaths)
+	}
+	want, _ := json.Marshal(ct)
+
+	pooled := core.NewGenerator()
+	pooled.Parallelism = 4
+	pooledCt, err := core.ComposeMany(pooled, stages[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(pooledCt); string(got) != string(want) {
+		t.Error("pooled composite differs from serial")
+	}
+
+	ref := core.NewGenerator()
+	ref.Parallelism = 1
+	ref.NoIncremental = true
+	refCt, err := core.ComposeMany(ref, stages[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(refCt); string(got) != string(want) {
+		t.Error("reference-mode composite differs from incremental")
+	}
+
+	cached := core.NewGenerator()
+	cached.Cache = core.NewContractCache()
+	start := time.Now()
+	coldCt, err := core.ComposeMany(cached, stages[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := time.Since(start)
+	start = time.Now()
+	warmCt, err := core.ComposeMany(cached, stages[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := time.Since(start)
+	if warmCt != coldCt {
+		t.Error("warm re-compose did not return the cached composite")
+	}
+	if warm >= cold {
+		t.Errorf("warm re-compose (%v) not faster than cold (%v)", warm, cold)
+	}
+}
+
+// Seven- and eight-stage chains are out of exhaustive reach (the
+// uncoalesced composite grows multiplicatively per fold) but must
+// complete in the deep-chain configuration: join index plus composite
+// coalescing. At seven stages the pooled fold must reproduce the serial
+// one byte for byte.
+func TestChainDeepChainPruned(t *testing.T) {
+	stages, names, err := ChainStages(QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 8 {
+		t.Fatalf("roster is not the 8-stage deep chain: %v", names)
+	}
+	compose := func(n, parallelism int) (*core.Contract, []core.JoinStats, time.Duration) {
+		g := core.NewGenerator()
+		g.Parallelism = parallelism
+		g.Coalesce = true
+		start := time.Now()
+		ct, stats, err := core.ComposeManyStats(context.Background(), g, stages[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct, stats, time.Since(start)
+	}
+	for _, n := range []int{7, 8} {
+		ct, stats, elapsed := compose(n, 1)
+		if len(ct.Paths) == 0 {
+			t.Fatalf("%d-stage chain composed to zero paths", n)
+		}
+		if len(stats) != n-1 {
+			t.Fatalf("%d-stage chain: expected %d fold stat records, got %d", n, n-1, len(stats))
+		}
+		var skipped, pairs uint64
+		for _, f := range stats {
+			if f.IndexSkipped+f.PreFiltered+f.SolverRefuted+f.Kept != f.Pairs {
+				t.Errorf("%d-stage chain, fold %d: pruning stats do not partition the pair count: %+v", n, f.Fold, f)
+			}
+			skipped += f.IndexSkipped
+			pairs += f.Pairs
+		}
+		if skipped == 0 {
+			t.Errorf("join index skipped no pairs on a %d-stage chain", n)
+		}
+		t.Logf("%d-stage chain: %d paths, %d/%d pairs index-skipped, %v", n, len(ct.Paths), skipped, pairs, elapsed)
+
+		if n == 7 {
+			pooled, _, _ := compose(n, 4)
+			want, _ := json.Marshal(ct)
+			if got, _ := json.Marshal(pooled); string(got) != string(want) {
+				t.Error("7-stage chain: pooled coalesced composite differs from serial")
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"gobolt/internal/core"
@@ -65,13 +66,15 @@ func TestFigure1WarmFromDisk(t *testing.T) {
 // TestChainFoldPrefixesWarmFromDisk pins that composed fold prefixes
 // survive a restart too: a fresh cache over a store populated by a
 // 4-stage chain composition re-composes the same chain with every fold
-// served from disk, and extends to a 5th stage paying only the new fold.
+// served from disk, byte-identical to the cold composite, and extends to
+// a 5th stage paying only the new fold; the coalesced composite restarts
+// byte-identical too.
 func TestChainFoldPrefixesWarmFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
 	cold, _ := diskScale(t, dir)
-	stages, _, err := ChainBenchStages(cold)
+	stages, _, err := ChainStages(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestChainFoldPrefixesWarmFromDisk(t *testing.T) {
 	// Restart: fresh memory, same store. Every fold of the re-composed
 	// chain must come back cached, with zero pipeline misses.
 	warm, warmCache := diskScale(t, dir)
-	warmStages, _, err := ChainBenchStages(warm)
+	warmStages, _, err := ChainStages(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +114,15 @@ func TestChainFoldPrefixesWarmFromDisk(t *testing.T) {
 	if len(warmCt.Paths) != len(coldCt.Paths) {
 		t.Fatalf("warm chain has %d paths, cold had %d", len(warmCt.Paths), len(coldCt.Paths))
 	}
+	coldJS, _ := json.Marshal(coldCt)
+	if warmJS, _ := json.Marshal(warmCt); string(warmJS) != string(coldJS) {
+		t.Fatal("warm chain decoded from the store differs from the cold composite")
+	}
 
 	// Extending the chain pays only the new fold: folds 1–3 cached,
 	// fold 4 joined fresh.
 	ext, _ := diskScale(t, dir)
-	extStages, _, err := ChainBenchStages(ext)
+	extStages, _, err := ChainStages(ext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,5 +137,28 @@ func TestChainFoldPrefixesWarmFromDisk(t *testing.T) {
 	}
 	if extStats[3].Cached {
 		t.Fatalf("extension fold 4 claimed cached on first composition")
+	}
+
+	// The deep-chain configuration (coalescing on) keys its composites
+	// apart; they too must restart from the store byte-identical.
+	coalDir := t.TempDir()
+	coalesced := func() (*core.Contract, core.TierStats) {
+		sc, cache := diskScale(t, coalDir)
+		g := sc.Generator()
+		g.Coalesce = true
+		ct, err := core.ComposeMany(g, stages[:4])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct, cache.TierStats()
+	}
+	coldCoal, _ := coalesced()
+	warmCoal, ts := coalesced()
+	if ts.Misses != 0 || ts.DiskHits == 0 {
+		t.Fatalf("coalesced warm compose was not served from the store: %+v", ts)
+	}
+	coldCoalJS, _ := json.Marshal(coldCoal)
+	if warmCoalJS, _ := json.Marshal(warmCoal); string(warmCoalJS) != string(coldCoalJS) {
+		t.Fatal("coalesced chain decoded from the store differs from the cold composite")
 	}
 }

@@ -40,7 +40,7 @@ type Scale struct {
 	// the serial harness exactly.
 	Parallelism int
 	// NoCache disables the process-wide contract cache, forcing every
-	// generation through the full pipeline (used by the cold benchmarks).
+	// generation through the full pipeline (boltbench -nocache).
 	NoCache bool
 	// Cache, when non-nil, is used instead of the process-wide
 	// SharedCache (and overrides NoCache). The -store tooling and the
@@ -53,11 +53,8 @@ type Scale struct {
 	MonitorShards int
 	MonitorBatch  int
 	// MonitorQueue is the per-shard ingest queue depth in batches
-	// (boltmon -queue; zero means the default of 4). MonitorNoRing swaps
-	// the SPSC-ring ingest hop for the channel + sync.Pool ablation
-	// (boltmon -noring); it never changes what the monitor reports.
-	MonitorQueue  int
-	MonitorNoRing bool
+	// (boltmon -queue; zero means the default of 4).
+	MonitorQueue int
 }
 
 // Generator returns the production generator configured for this scale:

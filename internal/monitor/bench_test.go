@@ -12,8 +12,8 @@ import (
 
 // BenchmarkMonitoredReplay vs BenchmarkBareReplay is the per-packet
 // price of online monitoring (classification + bound evaluation +
-// streaming state); BENCH_monitor.json reports the same comparison via
-// cmd/boltmon -benchjson. The Sharded variants are the flow-hashed
+// streaming state); bench's dp-mon and dp-bare rows measure the same
+// comparison end to end. The Sharded variants are the flow-hashed
 // batched fan-out.
 func BenchmarkMonitoredReplay(b *testing.B) { benchMonitored(b, monitor.Config{}) }
 func BenchmarkMonitoredReplaySharded2(b *testing.B) {
@@ -21,9 +21,6 @@ func BenchmarkMonitoredReplaySharded2(b *testing.B) {
 }
 func BenchmarkMonitoredReplaySharded4(b *testing.B) {
 	benchMonitored(b, monitor.Config{Shards: 4, Batch: 64})
-}
-func BenchmarkMonitoredReplaySharded2Chan(b *testing.B) {
-	benchMonitored(b, monitor.Config{Shards: 2, Batch: 64, NoRing: true})
 }
 
 // warmedReplay builds a monitor over the attack bridge, warms it on the

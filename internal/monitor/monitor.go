@@ -129,7 +129,7 @@ type Config struct {
 	// (default 1 — the serial monitor). Each shard owns its own
 	// classifier scratch, per-class ring/P²/hysteresis state and
 	// compiled-bound value vector; Run feeds them fixed-size batches over
-	// buffered channels, and Report/Alerts merge shard states
+	// per-shard SPSC rings, and Report/Alerts merge shard states
 	// deterministically (classes by label, alerts by packet index). On a
 	// trace whose flows are stream-consistent — every input class's
 	// packets hash to one shard — the merged output is byte-identical to
@@ -140,7 +140,7 @@ type Config struct {
 	// the merged output, only the amortization of the handoff.
 	Batch int
 	// Queue is each shard's ingest queue depth in batches (default 4).
-	// The ring backend rounds it up to a power of two. Like Batch it is
+	// The ring rounds it up to a power of two. Like Batch it is
 	// invisible in the merged output; it trades producer stalls against
 	// buffered memory.
 	Queue int
@@ -153,12 +153,6 @@ type Config struct {
 	// Never changes the merged output, only when alerts fire relative to
 	// ingest.
 	FlushStall int
-	// NoRing carries the sharded hop over buffered channels with
-	// sync.Pool batch recycling — the PR-7 ingest path, kept as the
-	// measured ablation for the lock-free SPSC ring + freelist pair
-	// that is now the default. Absent from report semantics: routing,
-	// per-shard order, and the merged output are identical either way.
-	NoRing bool
 	// FlowHash overrides the RSS-style flow hash assigning packets to
 	// shards (default FlowKey). Packets with equal hashes share a shard;
 	// the merge-layer identity guarantee is conditional on the hash
@@ -231,8 +225,8 @@ type Monitor struct {
 	envSlot []int
 
 	ing *ingester // non-nil while a sharded Run is draining
-	// frees are the per-shard freelists of batch buffers (ring backend),
-	// kept across Runs; see startIngest.
+	// frees are the per-shard freelists of batch buffers, kept across
+	// Runs; see startIngest.
 	frees []*ring.SPSC[*batch]
 }
 

@@ -302,16 +302,10 @@ func (b *batch) reset() {
 
 // ingester is the batched fan-out state for one sharded Run: a queue
 // and worker goroutine per shard, the under-construction batch per
-// shard, and the adaptive-flush bookkeeping. Two interchangeable
-// backends carry the hop — identical routing, per-shard order, and
-// merged output either way (TestRingChannelReportIdentity):
-//
-//   - the default is a lock-free SPSC ring per shard paired with an
-//     SPSC freelist ring recycling batch buffers consumer→producer, so
-//     the steady-state hop crosses no mutex, no sync.Pool, and feeds
-//     the GC nothing (DESIGN.md §5j);
-//   - Config.NoRing keeps the PR-7 buffered-channel + sync.Pool path
-//     as the measured ablation.
+// shard, and the adaptive-flush bookkeeping. The hop is a lock-free
+// SPSC ring per shard paired with an SPSC freelist ring recycling batch
+// buffers consumer→producer, so the steady-state hop crosses no mutex,
+// no sync.Pool, and feeds the GC nothing (DESIGN.md §5j).
 type ingester struct {
 	m    *Monitor
 	pend []*batch
@@ -322,14 +316,9 @@ type ingester struct {
 	probe   int
 	partial int // batches handed off by the adaptive flush
 
-	// ring backend: queues carry filled batches replay→shard; the
-	// monitor's freelists (Monitor.frees) recycle emptied buffers
-	// shard→replay.
+	// queues carry filled batches replay→shard; the monitor's freelists
+	// (Monitor.frees) recycle emptied buffers shard→replay.
 	queues []*ring.SPSC[*batch]
-
-	// channel backend (Config.NoRing).
-	chans []chan *batch
-	pool  sync.Pool
 
 	wg sync.WaitGroup
 }
@@ -343,27 +332,6 @@ func (m *Monitor) startIngest() {
 	}
 	for i := range ing.start {
 		ing.start[i] = -1
-	}
-	if m.cfg.NoRing {
-		ing.chans = make([]chan *batch, n)
-		ing.pool.New = func() any { return &batch{} }
-		for i, e := range m.engines {
-			ch := make(chan *batch, m.cfg.Queue)
-			ing.chans[i] = ch
-			ing.wg.Add(1)
-			go func(e *engine, ch chan *batch) {
-				defer ing.wg.Done()
-				for b := range ch {
-					for j := range b.obs {
-						e.observeP(&b.obs[j])
-					}
-					b.reset()
-					ing.pool.Put(b)
-				}
-			}(e, ch)
-		}
-		m.ing = ing
-		return
 	}
 	ing.queues = make([]*ring.SPSC[*batch], n)
 	if m.frees == nil {
@@ -425,14 +393,10 @@ func (e *engine) observeP(po *pObs) {
 }
 
 // acquire returns an empty batch for a shard off the shard's freelist
-// ring (or the shared pool on the channel backend). The freelist cannot
-// be empty here — it holds Cap+2 buffers and with none pending at most
-// Cap are queued and one is being drained — but a fresh buffer is cheap
-// to tolerate.
+// ring. The freelist cannot be empty here — it holds Cap+2 buffers and
+// with none pending at most Cap are queued and one is being drained —
+// but a fresh buffer is cheap to tolerate.
 func (ing *ingester) acquire(sh int) *batch {
-	if ing.chans != nil {
-		return ing.pool.Get().(*batch)
-	}
 	if b, ok := ing.m.frees[sh].TryPop(); ok {
 		return b
 	}
@@ -440,16 +404,11 @@ func (ing *ingester) acquire(sh int) *batch {
 }
 
 // handoff publishes a shard's pending batch to its worker. Push blocks
-// (spin, then park) when the shard is Queue batches behind — the same
-// backpressure the buffered channel applies.
+// (spin, then park) when the shard is Queue batches behind.
 func (ing *ingester) handoff(sh int) {
 	b := ing.pend[sh]
 	ing.pend[sh] = nil
 	ing.start[sh] = -1
-	if ing.chans != nil {
-		ing.chans[sh] <- b
-		return
-	}
 	ing.queues[sh].Push(b)
 }
 
@@ -508,14 +467,8 @@ func (m *Monitor) finishIngest() {
 		}
 		ing.pend[sh] = nil
 	}
-	if ing.chans != nil {
-		for _, ch := range ing.chans {
-			close(ch)
-		}
-	} else {
-		for _, q := range ing.queues {
-			q.Close()
-		}
+	for _, q := range ing.queues {
+		q.Close()
 	}
 	ing.wg.Wait()
 	m.partialFlushes += ing.partial

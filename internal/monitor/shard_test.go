@@ -2,6 +2,7 @@ package monitor_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,6 +53,9 @@ func rebuildRoster(t *testing.T, name string) *nf.Instance {
 type streamConsistentCase struct {
 	nf         string
 	warm, meas []traffic.Packet
+	// straddles marks a trace whose flows straddle shards instead: its
+	// one class's state is split across shards and merged back.
+	straddles bool
 }
 
 // streamConsistentCases builds the Figure-1 roster coverage: each case
@@ -104,15 +108,32 @@ func runMonitored(t *testing.T, inst *nf.Instance, ct *core.Contract, cfg monito
 // TestShardReportIdentityStreamConsistent pins the merge layer's
 // headline guarantee across the roster: on stream-consistent traces the
 // sharded Report() is byte-identical to the serial monitor's at every
-// shard count in {1,2,4,8}.
+// shard count in {1,2,4,8}. One more input, nat over eight UDP flows
+// that straddle shards at every count, must match too: its one class
+// is split across shards, and its counts, maxima and tail estimate
+// merge back to the serial values.
 func TestShardReportIdentityStreamConsistent(t *testing.T) {
-	for _, tc := range streamConsistentCases() {
+	warm, meas := straddlingWorkload()
+	cases := append(streamConsistentCases(), streamConsistentCase{nf: "nat", warm: warm, meas: meas, straddles: true})
+	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.nf, func(t *testing.T) {
+		name := tc.nf
+		if tc.straddles {
+			name += "-straddling"
+		}
+		t.Run(name, func(t *testing.T) {
 			_, ct := buildRoster(t, tc.nf)
 			_, want := runMonitored(t, rebuildRoster(t, tc.nf), ct, monitor.Config{}, tc.warm, tc.meas)
-			if strings.Count(want, "class ") < 2 {
+			if !tc.straddles && strings.Count(want, "class ") < 2 {
 				t.Fatalf("workload exercised fewer than 2 classes — the merge has nothing to merge:\n%s", want)
+			}
+			if tc.straddles {
+				first := monitor.FlowKey(tc.meas[0].Data, tc.meas[0].InPort) % 2
+				if !slices.ContainsFunc(tc.meas, func(p traffic.Packet) bool {
+					return monitor.FlowKey(p.Data, p.InPort)%2 != first
+				}) {
+					t.Fatal("the straddling trace lands on one of two shards — the merge has nothing to merge")
+				}
 			}
 			for _, shards := range shardCounts {
 				_, got := runMonitored(t, rebuildRoster(t, tc.nf), ct,
@@ -206,14 +227,7 @@ func TestShardAttackReportIdentity(t *testing.T) {
 // identical report, even on a workload whose classes straddle shards.
 func TestShardBatchInvariance(t *testing.T) {
 	_, ct := buildRoster(t, "nat")
-	streams := traffic.UDPStreams(traffic.StreamConfig{Streams: 8, PacketsPerStream: 40, Seed: 3})
-	var warmStreams, measStreams [][]traffic.Packet
-	for _, s := range streams {
-		warmStreams = append(warmStreams, s[:10])
-		measStreams = append(measStreams, s[10:])
-	}
-	warm := traffic.Interleave(1, 1_000, 1_000, warmStreams...)
-	meas := traffic.Interleave(2, 1_000+uint64(len(warm))*1_000, 1_000, measStreams...)
+	warm, meas := straddlingWorkload()
 
 	var want string
 	for _, batch := range []int{1, 7, 64} {
@@ -307,10 +321,10 @@ func TestCalibrateMetricAgreement(t *testing.T) {
 // (every class's packets landed on one shard), the entire report must be
 // byte-identical.
 func FuzzShardMerge(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(3), uint8(12), true, false, uint8(0))
-	f.Add(int64(7), uint8(4), uint8(1), uint8(30), false, true, uint8(1))
-	f.Add(int64(42), uint8(8), uint8(5), uint8(8), true, false, uint8(3))
-	f.Add(int64(99), uint8(3), uint8(2), uint8(20), false, true, uint8(64))
+	f.Add(int64(1), uint8(2), uint8(3), uint8(12), true, uint8(0))
+	f.Add(int64(7), uint8(4), uint8(1), uint8(30), false, uint8(1))
+	f.Add(int64(42), uint8(8), uint8(5), uint8(8), true, uint8(3))
+	f.Add(int64(99), uint8(3), uint8(2), uint8(20), false, uint8(64))
 
 	sc := experiments.QuickScale()
 	inst0, err := nf.Build("nat", nf.BuildParams{Capacity: sc.TableCapacity})
@@ -323,7 +337,7 @@ func FuzzShardMerge(f *testing.F) {
 	}
 	ctx := context.Background()
 
-	f.Fuzz(func(t *testing.T, seed int64, shardsIn, streamsIn, perStreamIn uint8, budgeted, noring bool, queueIn uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, shardsIn, streamsIn, perStreamIn uint8, budgeted bool, queueIn uint8) {
 		shards := int(shardsIn)%8 + 1
 		nStreams := int(streamsIn)%6 + 1
 		perStream := int(perStreamIn)%28 + 4
@@ -354,12 +368,12 @@ func FuzzShardMerge(f *testing.F) {
 			}
 			classes := make(map[int]string)
 			idx := 0
-			// The ingest backend and queue depth are transport knobs; the
-			// serial baseline never sees them, so any divergence they cause
-			// fails the merge oracle below.
+			// The queue depth is a transport knob; the serial baseline
+			// never sees it, so any divergence it causes fails the merge
+			// oracle below.
 			cfg := monitor.Config{
 				Shards: shardCount, Budget: budget, Batch: 8,
-				NoRing: noring, Queue: int(queueIn)%9 + 1,
+				Queue: int(queueIn)%9 + 1,
 			}
 			if shardCount <= 1 {
 				cfg.OnClassify = func(_ *core.PacketObservation, path *core.PathContract) {

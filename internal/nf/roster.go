@@ -14,7 +14,7 @@ const hourNS = uint64(3_600_000_000_000)
 // canonical evaluation configuration of each NF, so every tool that
 // accepts an NF name builds bit-identical instances — which is what
 // makes their contract cache keys line up across bolt, boltbench,
-// boltmon, chainbench, and distiller.
+// boltmon, distiller, and the chain tests.
 type BuildParams struct {
 	// Capacity sizes flow/MAC tables for the stateful NFs (0 = 4096).
 	Capacity int
@@ -68,8 +68,8 @@ func (e RosterEntry) ProvenanceLabel() string {
 }
 
 // roster is the single source of truth for every NF name the command
-// line tools accept. Chain tooling composes from it too: chainbench's
-// 8-stage roster is ingress-firewall → nat → bridge → lb →
+// line tools accept. Chain tooling composes from it too:
+// experiments.ChainStages' 8-stage roster is ingress-firewall → nat → bridge → lb →
 // static-router → lpm-router → egress-firewall → edge-router.
 var roster = []RosterEntry{
 	{

@@ -110,8 +110,9 @@ type Engine struct {
 	// NoIncremental disables the incremental solver engine: every
 	// feasibility check re-prepares the full constraint set and paths
 	// carry no Session. Verdicts and paths are identical either way; the
-	// knob exists for the solver-ablation benchmark (see
-	// experiments.SolverBench), not for production use.
+	// knob exists so tests can use the reference engine as an oracle
+	// (core's TestComposeManyIncrementalMatchesReference), not for
+	// production use.
 	NoIncremental bool
 
 	freshCtr int

@@ -12,10 +12,11 @@ import (
 //
 // It exists for two reasons:
 //
-//   - it is the baseline of the solver ablation (experiments.SolverBench
-//     and Solver.Reference), so the incremental engine's speedup is
-//     measured against the real predecessor algorithm rather than a
-//     strawman;
+//   - it is what Solver.Reference and the generator's NoIncremental
+//     switch run, so whole contracts and composites can be checked
+//     against the predecessor algorithm
+//     (TestComposeManyIncrementalMatchesReference,
+//     TestChainFourStageQuick);
 //   - it is the oracle for the differential tests (FuzzSolverEquivalence
 //     and friends): two independent implementations agreeing on verdict
 //     and witness is much stronger evidence than one implementation

@@ -73,9 +73,10 @@ type Solver struct {
 	Samples int
 	// Reference switches Solve to the pre-incremental tree-walking
 	// implementation (reference.go): same verdicts and witnesses, no
-	// compilation, no state reuse. It is the baseline of the solver
-	// ablation (experiments.SolverBench) and the oracle for differential
-	// tests; production code leaves it false.
+	// compilation, no state reuse. It is the oracle for differential
+	// tests (FuzzSolverEquivalence,
+	// TestComposeManyIncrementalMatchesReference); production code
+	// leaves it false.
 	Reference bool
 }
 
