@@ -5,9 +5,14 @@
 //
 // Usage:
 //
-//	distiller -nf NAME [-pcap trace.pcap | -gen uniform]
-//	          [-packets N] [-capacity N] [-inport P]
-//	          [-store DIR]
+//	distiller -nf NAME [-pcap trace.pcap [-inport P] | -packets N]
+//	          [-capacity N] [-sensitivity PCV] [-store DIR]
+//
+// Without -pcap the distiller generates N packets (at least 1, exit 2
+// otherwise) sized to the table capacity: bridge frames over
+// capacity/4 stations for bridge, UDP traffic over capacity/4 flows for
+// every other NF (at least one station or flow either way). An unknown
+// NF exits 1 naming the roster.
 //
 // With -store DIR the distiller also generates (or loads from the
 // shared on-disk contract store) the NF's performance contract and
@@ -43,6 +48,10 @@ func main() {
 		storeDir = flag.String("store", "", "contract store: check measurements against the NF's contract bound (shared with bolt/boltbench/boltctl)")
 	)
 	flag.Parse()
+	if *pcapPath == "" && *packets < 1 {
+		fmt.Fprintf(os.Stderr, "distiller: -packets must be at least 1, got %d\n", *packets)
+		os.Exit(2)
+	}
 
 	// Ctrl-C stops a long replay at the next packet boundary.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -92,12 +101,12 @@ func main() {
 		switch *nfName {
 		case "bridge":
 			pkts = traffic.BridgeFrames(traffic.BridgeConfig{
-				Packets: *packets, MACs: *capacity / 4, Ports: 4,
+				Packets: *packets, MACs: max(1, *capacity/4), Ports: 4,
 				StartNS: 1_000, GapNS: 10_000, Seed: 1,
 			})
 		default:
 			pkts = traffic.UDPFlows(traffic.UDPFlowConfig{
-				Packets: *packets, Flows: *capacity / 4, NewFlowEvery: 16,
+				Packets: *packets, Flows: max(1, *capacity/4), NewFlowEvery: 16,
 				StartNS: 1_000, GapNS: 10_000, Seed: 1, InPort: *inPort,
 			})
 		}

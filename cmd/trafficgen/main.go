@@ -5,31 +5,42 @@
 //
 //	trafficgen -class uniform|bridge|broadcast|lpm|options|invalid
 //	           -out workload.pcap [-packets N] [-seed S]
+//
+// -packets must be at least 1 (exit 2 otherwise); an unknown class exits
+// 1 naming the valid ones.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"gobolt/internal/pcap"
 	"gobolt/internal/traffic"
 )
 
+// classes are the packet classes -class accepts.
+var classes = []string{"uniform", "bridge", "broadcast", "lpm", "options", "invalid"}
+
 func main() {
 	var (
-		class   = flag.String("class", "uniform", "packet class: uniform, bridge, broadcast, lpm, options, invalid")
+		class   = flag.String("class", "uniform", "packet class: "+strings.Join(classes, ", "))
 		out     = flag.String("out", "workload.pcap", "output pcap path")
-		packets = flag.Int("packets", 10000, "packets to generate")
+		packets = flag.Int("packets", 10000, "packets to generate (at least 1)")
 		seed    = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
+	if *packets < 1 {
+		fmt.Fprintf(os.Stderr, "trafficgen: -packets must be at least 1, got %d\n", *packets)
+		os.Exit(2)
+	}
 
 	var pkts []traffic.Packet
 	switch *class {
 	case "uniform":
 		pkts = traffic.UDPFlows(traffic.UDPFlowConfig{
-			Packets: *packets, Flows: *packets / 8, NewFlowEvery: 16,
+			Packets: *packets, Flows: max(1, *packets/8), NewFlowEvery: 16,
 			StartNS: 1_000, GapNS: 10_000, Seed: *seed,
 		})
 	case "bridge":
@@ -57,7 +68,7 @@ func main() {
 			pkts = append(pkts, traffic.NonIPv4(uint64(1_000+i*10_000), 0))
 		}
 	default:
-		fatal(fmt.Errorf("unknown class %q", *class))
+		fatal(fmt.Errorf("unknown class %q (known: %s)", *class, strings.Join(classes, ", ")))
 	}
 
 	f, err := os.Create(*out)

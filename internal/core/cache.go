@@ -284,10 +284,14 @@ func (g *Generator) cacheKey(prog *nfir.Program, models map[string]nfir.Model) (
 	// schema=2: PR 9 added the sharability annotations (CallEvent.Args/
 	// Sharing, PathContract.SharedMA); bumping the tag fences off cached
 	// paths generated before the analysis existed, so every cache hit
-	// carries shard verdicts.
-	fmt.Fprintf(&b, "config schema=2 level=%d padIC=%d padMA=%d maxPaths=%d skipReplay=%t solverNodes=%d solverSamples=%d feasNodes=%d feasSamples=%d noInc=%t\n",
-		g.Level, g.CallPadIC, g.CallPadMA, g.MaxPaths, g.SkipReplay, s.MaxNodes, s.Samples,
-		g.FeasibilityMaxNodes, g.FeasibilitySamples, g.NoIncremental)
+	// carries shard verdicts. skipReplay=false and noInc=false are
+	// literal text: they name two generator options that no longer
+	// exist, and keeping their old values in the line keeps every key —
+	// and with it every store written by an earlier build — unchanged
+	// (TestCacheKeyGolden).
+	fmt.Fprintf(&b, "config schema=2 level=%d padIC=%d padMA=%d maxPaths=%d skipReplay=false solverNodes=%d solverSamples=%d feasNodes=%d feasSamples=%d noInc=false\n",
+		g.Level, g.CallPadIC, g.CallPadMA, g.MaxPaths, s.MaxNodes, s.Samples,
+		g.FeasibilityMaxNodes, g.FeasibilitySamples)
 	for _, n := range names {
 		fp, ok := models[n].(nfir.Fingerprinter)
 		if !ok {
@@ -323,12 +327,12 @@ func (g *Generator) derivedKey(parts ...string) string {
 // keys. A composite contract is a pure function of the two stages'
 // contracts and the join configuration: the stage keys already encode
 // program, models, and the generator knobs the join depends on
-// (feasibility budgets, NoIncremental), so hashing the pair addresses
-// the whole fold prefix — which is what makes re-composing a warm chain
-// one map lookup per step. Parallelism is deliberately absent, as in
-// cacheKey: it cannot change the output. Coalesce CAN — it merges
-// composite paths — so the recipe tag is versioned by it and coalesced
-// and uncoalesced composites never alias.
+// (feasibility budgets), so hashing the pair addresses the whole fold
+// prefix — which is what makes re-composing a warm chain one map lookup
+// per step. Parallelism is deliberately absent, as in cacheKey: it
+// cannot change the output. Coalesce CAN — it merges composite paths —
+// so the recipe tag is versioned by it and coalesced and uncoalesced
+// composites never alias.
 func (g *Generator) composedKey(aKey, bKey string) string {
 	return g.derivedKey(g.composeTag("compose"), aKey, bKey)
 }

@@ -109,3 +109,38 @@ func TestNilCacheIsSafe(t *testing.T) {
 	}
 	c.Reset() // must not panic
 }
+
+// The cache keys of a default generator are pinned as literals: a store
+// written by an earlier build is addressed by them, so a key that moves
+// without a deliberate schema bump turns every stored contract into a
+// silent miss. One roster NF's generation key, and the key its 2-stage
+// chain's composite is stored under (checked to be the one the fold
+// really stores).
+func TestCacheKeyGolden(t *testing.T) {
+	const (
+		wantNAT  = "0820ed9068a162116127df6f689d0bed0f58fa4df0e06317d61fc7562d1c765b"
+		wantFold = "858f4597b229f051dbf70f757294c753bd711cc5479cc505e854aae404b5882b"
+	)
+	g := NewGenerator()
+	g.Parallelism = 1
+	g.Cache = NewContractCache()
+	nat := nf.NewNAT(nf.NATConfig{ExternalIP: 0xC0A80001, Capacity: 512, TimeoutNS: 3_600_000_000_000, GranularityNS: 1_000_000})
+	if key, ok := g.CacheKey(nat.Prog, nat.Models); !ok || key != wantNAT {
+		t.Errorf("NAT cache key = %q (ok=%v), want %q", key, ok, wantNAT)
+	}
+
+	chain := buildChain4()[:2]
+	fwKey, _ := g.cacheKey(chain[0].Prog, chain[0].Models)
+	natKey, _ := g.cacheKey(chain[1].Prog, chain[1].Models)
+	fold := g.composedKey(fwKey, natKey)
+	if fold != wantFold {
+		t.Errorf("firewall→NAT composed key = %q, want %q", fold, wantFold)
+	}
+	ct, err := ComposeMany(g, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, ok := g.Cache.lookup(fold); !ok || got != ct {
+		t.Error("the composite is not cached under the composed key")
+	}
+}

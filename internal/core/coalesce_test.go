@@ -138,7 +138,7 @@ func TestCoalesceConservativeBound(t *testing.T) {
 		t.Fatalf("coalescing did not shrink the composite: %d -> %d paths", len(base.Paths), len(co.Paths))
 	}
 
-	sv := &symb.Solver{Reference: true, MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples}
+	sv := &symb.Solver{MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples}
 	admits := func(pc *PathContract, w map[string]uint64) bool {
 		for s, d := range pc.Domains {
 			if v, ok := w[s]; ok && (v < d.Lo || v > d.Hi) {

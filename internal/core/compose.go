@@ -31,8 +31,8 @@ import (
 // which keeps aCt.Paths and aPaths aligned by construction.
 //
 // Feasibility checks honour the generator's FeasibilityMaxNodes /
-// FeasibilitySamples budgets and the NoIncremental ablation switch; see
-// DefaultComposeFeasibilityMaxNodes for the defaults when unset.
+// FeasibilitySamples budgets; see DefaultComposeFeasibilityMaxNodes for
+// the defaults when unset.
 func Compose(g *Generator, aCt *Contract, aPaths []*nfir.Path, bProg *nfir.Program, bModels map[string]nfir.Model) (*Contract, error) {
 	ct, _, err := ComposeWithPaths(g, aCt, aPaths, bProg, bModels)
 	return ct, err
@@ -53,14 +53,9 @@ const (
 // composeSolver resolves the feasibility budget for composition joins.
 // The same knobs that tune exploration pruning — FeasibilityMaxNodes /
 // FeasibilitySamples, i.e. bolt's -feas-nodes / -feas-samples flags —
-// apply here; zero falls back to the composition defaults above, and
-// NoIncremental routes every check through the reference engine.
+// apply here; zero falls back to the composition defaults above.
 func (g *Generator) composeSolver() *symb.Solver {
-	s := &symb.Solver{
-		MaxNodes:  g.FeasibilityMaxNodes,
-		Samples:   g.FeasibilitySamples,
-		Reference: g.NoIncremental,
-	}
+	s := &symb.Solver{MaxNodes: g.FeasibilityMaxNodes, Samples: g.FeasibilitySamples}
 	if s.MaxNodes == 0 {
 		s.MaxNodes = DefaultComposeFeasibilityMaxNodes
 	}
@@ -71,10 +66,9 @@ func (g *Generator) composeSolver() *symb.Solver {
 }
 
 // joinFeas is the feasibility machinery for one composition: the solver
-// budget resolved from the generator and — unless the NoIncremental
-// ablation is on — an incremental engine whose memo every join worker
-// shares, so identical pair queries (common when many a-paths narrow to
-// the same constraint set) are O(1) repeats.
+// budget resolved from the generator and an incremental engine whose
+// memo every join worker shares, so identical pair queries (common when
+// many a-paths narrow to the same constraint set) are O(1) repeats.
 type joinFeas struct {
 	sv  *symb.Solver
 	eng *symb.Incremental
@@ -86,11 +80,7 @@ type joinFeas struct {
 }
 
 func (g *Generator) composeFeasibility() *joinFeas {
-	jf := &joinFeas{sv: g.composeSolver()}
-	if !g.NoIncremental {
-		jf.eng = symb.NewIncremental()
-	}
-	return jf
+	return &joinFeas{sv: g.composeSolver(), eng: symb.NewIncremental()}
 }
 
 // prefix prepares the shared a-side state one upstream path reuses
@@ -111,9 +101,6 @@ func (g *Generator) composeFeasibility() *joinFeas {
 // composite again with the same bns can produce one.
 func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string) *joinPrefix {
 	jp := &joinPrefix{jf: jf, aLen: len(pa.Constraints)}
-	if jf.eng == nil {
-		return jp
-	}
 	overwritten := func(name string) bool {
 		if strings.HasPrefix(name, bns) {
 			return true
@@ -164,13 +151,9 @@ type joinPrefix struct {
 // sharing the parent's prepared solver state (DAG composition narrows
 // one root path to several output ports this way).
 func (jp *joinPrefix) extend(extra ...symb.Expr) *joinPrefix {
-	child := &joinPrefix{jf: jp.jf, aLen: jp.aLen + len(extra), held: jp.held}
-	if jp.sess != nil {
-		s := jp.sess.Fork()
-		s.AssertAll(extra)
-		child.sess = s
-	}
-	return child
+	s := jp.sess.Fork()
+	s.AssertAll(extra)
+	return &joinPrefix{jf: jp.jf, aLen: jp.aLen + len(extra), sess: s, held: jp.held}
 }
 
 // pairQuery is one feasibility question put to a joinPrefix: the
@@ -187,22 +170,17 @@ type pairQuery struct {
 }
 
 // feasible reports whether a joined constraint set might be satisfiable.
-// The static pre-filter runs first in every mode — it only rejects sets
-// both solver engines would also refute, so the kept-pair set (and
-// hence the composite contract) is identical across incremental and
-// reference feasibility. The reference engine solves over the full map;
-// the incremental one over a fork of the prefix (see fork).
+// The static pre-filter runs first — it only rejects sets the solver
+// would also refute, so the kept-pair set (and hence the composite
+// contract) is the one a fresh solve over the full merged map keeps.
+// The solver then runs over a fork of the prefix (see fork), which
+// reaches that fresh solve's verdict.
 func (jp *joinPrefix) feasible(ctx context.Context, q *pairQuery) bool {
 	if joinObviouslyInfeasible(q.constraints, q.domains) {
 		jp.jf.prefiltered.Add(1)
 		return false
 	}
-	var ok bool
-	if jp.sess == nil {
-		ok = jp.jf.sv.FeasibleContext(ctx, q.constraints, q.domains)
-	} else {
-		ok = jp.fork(q).FeasibleContext(ctx, jp.jf.sv)
-	}
+	ok := jp.fork(q).FeasibleContext(ctx, jp.jf.sv)
 	if !ok {
 		jp.jf.solverRefuted.Add(1)
 	}
@@ -247,16 +225,15 @@ func (jp *joinPrefix) fork(q *pairQuery) *symb.Session {
 // constant the b path's branch condition contradicts), or — constant
 // propagation — whose conjunct mentions exactly one symbol pinned to a
 // single value by its merged domain and evaluates to false there. All
-// three conditions are ones every solver engine proves Unsat before any
-// bounded search: the reference implementation refutes constant-false
-// conjuncts while flattening, empty domains while intersecting bounds,
-// and single-symbol conjuncts over singleton domains by enumeration
-// (refPropagateEnum; the incremental engine's propagation does the
-// same). The single-symbol restriction matters: a ground-false conjunct
-// over TWO pinned symbols is something the bounded search may return
-// Unknown on (it requires complete candidate cover over every variable
-// in the set), so rejecting it would drop pairs the full scan keeps.
-// FuzzJoinPreFilter pins this against the reference engine.
+// three conditions are ones the solver proves Unsat before any bounded
+// search: it refutes constant-false conjuncts while flattening, empty
+// domains while intersecting bounds, and single-symbol conjuncts over
+// singleton domains by enumeration during propagation. The
+// single-symbol restriction matters: a ground-false conjunct over TWO
+// pinned symbols is something the bounded search may return Unknown on
+// (it requires complete candidate cover over every variable in the
+// set), so rejecting it would drop pairs the full scan keeps.
+// FuzzJoinPreFilter pins this against a fresh solve.
 func joinObviouslyInfeasible(constraints []symb.Expr, domains map[string]symb.Domain) bool {
 	singletons := false
 	for _, d := range domains {

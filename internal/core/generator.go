@@ -43,17 +43,6 @@ type Generator struct {
 	// dead paths, never drop feasible ones.
 	FeasibilityMaxNodes int
 	FeasibilitySamples  int
-	// NoIncremental restores the pre-incremental solver wholesale:
-	// exploration and composition carry no sessions and every
-	// feasibility check and witness solve runs the reference
-	// tree-walking implementation from scratch. Contracts are identical
-	// either way; the knob exists so tests can use the reference engine
-	// as an oracle (TestComposeManyIncrementalMatchesReference,
-	// TestChainFourStageQuick).
-	NoIncremental bool
-	// SkipReplay disables the witness-replay validation step (it is on
-	// by default because it is BOLT's own consistency check).
-	SkipReplay bool
 	// Coalesce merges composite paths that differ only in dead upstream
 	// branches between fold levels, taking the conservative max of their
 	// cost expressions (see coalesce.go). Bounds can only grow, never
@@ -88,27 +77,19 @@ func NewGenerator() *Generator {
 var defaultSolver = &symb.Solver{}
 
 func (g *Generator) solver() *symb.Solver {
-	s := g.Solver
-	if s == nil {
-		s = defaultSolver
+	if g.Solver == nil {
+		return defaultSolver
 	}
-	if g.NoIncremental && !s.Reference {
-		return &symb.Solver{MaxNodes: s.MaxNodes, Samples: s.Samples, Reference: true}
-	}
-	return s
+	return g.Solver
 }
 
 // feasibilitySolver resolves the exploration-pruning budget; nil keeps
 // the nfir engine's default.
 func (g *Generator) feasibilitySolver() *symb.Solver {
-	if g.FeasibilityMaxNodes == 0 && g.FeasibilitySamples == 0 && !g.NoIncremental {
+	if g.FeasibilityMaxNodes == 0 && g.FeasibilitySamples == 0 {
 		return nil
 	}
-	s := &symb.Solver{
-		MaxNodes:  g.FeasibilityMaxNodes,
-		Samples:   g.FeasibilitySamples,
-		Reference: g.NoIncremental,
-	}
+	s := &symb.Solver{MaxNodes: g.FeasibilityMaxNodes, Samples: g.FeasibilitySamples}
 	if s.MaxNodes == 0 {
 		s.MaxNodes = nfir.DefaultFeasibilityMaxNodes
 	}

@@ -233,18 +233,31 @@ func TestJoinForkMatchesFreshSolve(t *testing.T) {
 	}
 }
 
-// joinEngines are the two feasibility back ends a join can run on: the
-// reference solver over the full merged map, and the incremental engine
-// through the hoisted a-side prefix plus a per-pair overlay.
-func joinEngines() []*joinFeas {
-	return []*joinFeas{
-		{sv: &symb.Solver{MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples, Reference: true}},
-		{sv: &symb.Solver{MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples}, eng: symb.NewIncremental()},
+// newJoinFeas is a composition's feasibility machinery at the default
+// join budget: the incremental engine, which a join reaches through the
+// hoisted a-side prefix plus a per-pair overlay.
+func newJoinFeas() *joinFeas {
+	return &joinFeas{
+		sv:  &symb.Solver{MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples},
+		eng: symb.NewIncremental(),
 	}
 }
 
+// freshJoinFeasible is the judge a join's verdict must agree with: the
+// static pre-filter, then a fresh solve over mergePair's full merged
+// map at the same budget — no session, no prefix, no overlay.
+func freshJoinFeasible(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, bm *bPathMeta) bool {
+	q := mergePair(pa, rawA, pb, bns, bm, nil)
+	if joinObviouslyInfeasible(q.constraints, q.domains) {
+		return false
+	}
+	sv := &symb.Solver{MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples}
+	return sv.Feasible(q.constraints, q.domains)
+}
+
 // The merge's three rules, each pinned by the merged value and by a b
-// guard whose verdict depends on the rule, under both engines:
+// guard whose verdict depends on the rule, for the join and for the
+// fresh-solve judge:
 //   - a b-domain for a field a wrote with a symbol OVERWRITES a's domain
 //     of that symbol — here loosening it, so b's guard s > 30 is
 //     satisfiable although a bounded s to [10, 20];
@@ -295,7 +308,7 @@ func TestJoinDomainMerge(t *testing.T) {
 		// refute.
 		free := &PathContract{Action: nfir.ActionForward, Domains: tc.bDom}
 		freeIx := buildJoinIndex(&Contract{Paths: []*PathContract{free}}, nil, "b.")
-		jf := joinEngines()[1]
+		jf := newJoinFeas()
 		joined, ok := joinPair(ctx, pa, rawA, free, rawB, jf.prefix(pa, rawA, "b."), "b.", &freeIx.metas[0])
 		if !ok {
 			t.Fatalf("%s: unguarded pair refuted", tc.name)
@@ -307,11 +320,11 @@ func TestJoinDomainMerge(t *testing.T) {
 			t.Fatalf("%s: the merge mutated a's domains", tc.name)
 		}
 
-		for e, jf := range joinEngines() {
-			_, ok := joinPair(ctx, pa, rawA, pb, rawB, jf.prefix(pa, rawA, "b."), "b.", &ix.metas[0])
-			if ok != tc.feasible {
-				t.Errorf("%s: engine %d keeps the pair = %v, want %v", tc.name, e, ok, tc.feasible)
-			}
+		if _, ok := joinPair(ctx, pa, rawA, pb, rawB, jf.prefix(pa, rawA, "b."), "b.", &ix.metas[0]); ok != tc.feasible {
+			t.Errorf("%s: the join keeps the pair = %v, want %v", tc.name, ok, tc.feasible)
+		}
+		if ok := freshJoinFeasible(pa, rawA, pb, "b.", &ix.metas[0]); ok != tc.feasible {
+			t.Errorf("%s: a fresh solve keeps the pair = %v, want %v", tc.name, ok, tc.feasible)
 		}
 	}
 }

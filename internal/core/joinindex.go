@@ -21,32 +21,31 @@ import (
 //
 // Soundness bar: the index must never drop a pair the full scan keeps.
 // A pair is skipped only when the joined constraint set is *provably*
-// refuted by machinery the full scan runs unconditionally in every
-// solver mode:
+// refuted by machinery the full scan runs unconditionally:
 //
 //   - a constant write folds a Not-free single-field guard to a
 //     ground-false Const during substitution (symb.Substitute folds
 //     through symb.B), which joinObviouslyInfeasible rejects;
 //   - a symbol write turns b's field guards into guards over that
 //     symbol, and narrowing the symbol's merged domain through them
-//     empties it — which both engines prove during propagation;
+//     empties it — which the solver proves during propagation;
 //   - for a shared unwritten field, the a-side and b-side "pinned
 //     hulls" (see fieldPin) have an empty intersection, or intersect in
 //     a single value some single-field conjunct of either side
 //     evaluates false at.
 //
-// The hull argument: both solver engines propagate each single-symbol
+// The hull argument: the solver propagates each single-symbol
 // conjunct by narrowing the symbol's domain to the hull of its
 // satisfying values — structurally for Sym-vs-Const comparisons
 // (always), by exhaustive enumeration for other shapes when the domain
 // is narrower than enumWidth (symb's propagateEnum). Each such narrowing
-// operator is reductive and monotone, so the engines' propagation
+// operator is reductive and monotone, so the solver's propagation
 // fixpoint — which starts from the merged (intersected) domain and
 // applies a superset of the conjuncts the index models — always lands
 // inside any hull the index computes from a superset starting domain
-// with a subset of the conjuncts. Empty index hull ⟹ empty engine
+// with a subset of the conjuncts. Empty index hull ⟹ empty solver
 // domain ⟹ Unsat before any bounded (Unknown-prone) search runs.
-// Singleton hulls extend this: the engine's domain is at most that one
+// Singleton hulls extend this: the solver's domain is at most that one
 // value, and a conjunct evaluating false there is refuted by the same
 // propagation (interval ops structurally, everything else by width-0
 // enumeration).

@@ -114,10 +114,10 @@ func fuzzJoinChain(data []byte) (*PathContract, *nfir.Path, *Contract, []*nfir.P
 // FuzzJoinIndex pins the join index's soundness bar against exhaustive
 // pairing, mirroring FuzzJoinPreFilter: every pair the index prunes —
 // by the per-pair skip test or by exclusion from the equality-partition
-// candidate list — must be refuted by joinPair under BOTH solver
-// engines. The index may keep a pair the solver rejects (that costs
-// time, not correctness), but pruning a pair either engine would keep
-// breaks the composite contract.
+// candidate list — must be refuted both by joinPair through the hoisted
+// prefix and by a fresh solve over the full merged map. The index may
+// keep a pair the solver rejects (that costs time, not correctness),
+// but pruning a pair either would keep breaks the composite contract.
 func FuzzJoinIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 0, 1, 4, 0, 2, 1, 0, 0, 2, 3})
@@ -134,21 +134,16 @@ func FuzzJoinIndex(f *testing.F) {
 		}
 
 		ctx := context.Background()
-		engines := []*joinFeas{
-			{sv: &symb.Solver{MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples, Reference: true}},
-			{sv: &symb.Solver{MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples}, eng: symb.NewIncremental()},
-		}
+		jp := newJoinFeas().prefix(pa, rawA, "b.")
 		for j, pb := range bCt.Paths {
 			pruned := ix.skip(aw, pa, j) || (cands != nil && !inCands[j])
 			if !pruned {
 				continue
 			}
-			for e, jf := range engines {
-				jp := jf.prefix(pa, rawA, "b.")
-				if _, ok := joinPair(ctx, pa, rawA, pb, bRaws[j], jp, "b.", &ix.metas[j]); ok {
-					t.Fatalf("index pruned pair (a, b%d) but engine %d keeps it\na: %v dom %v writes %v\nb: %v dom %v",
-						j, e, pa.Constraints, pa.Domains, rawA.PktWrites, pb.Constraints, pb.Domains)
-				}
+			_, joined := joinPair(ctx, pa, rawA, pb, bRaws[j], jp, "b.", &ix.metas[j])
+			if fresh := freshJoinFeasible(pa, rawA, pb, "b.", &ix.metas[j]); joined || fresh {
+				t.Fatalf("index pruned pair (a, b%d) but the join keeps it = %v, a fresh solve = %v\na: %v dom %v writes %v\nb: %v dom %v",
+					j, joined, fresh, pa.Constraints, pa.Domains, rawA.PktWrites, pb.Constraints, pb.Domains)
 			}
 		}
 	})
@@ -305,14 +300,14 @@ func TestJoinIndexCandidates(t *testing.T) {
 	}
 }
 
-// FuzzJoinHoistedPrefix pins the hoisted a-side prefix against the
-// reference engine on the shapes where hoisting a's domains into it
-// could go wrong: a writes a symbol it also bounds (the prefix withholds
-// that domain, and b's bound for the written field overwrites it), and
-// a shared unwritten field both sides bound (the merge intersects).
-// One prefix per a-path serves every b-path, as in composePrepared;
-// joinPair through it must keep exactly the pairs a fresh reference
-// solve over the full merged map keeps.
+// FuzzJoinHoistedPrefix pins the hoisted a-side prefix against a fresh
+// solve on the shapes where hoisting a's domains into it could go
+// wrong: a writes a symbol it also bounds (the prefix withholds that
+// domain, and b's bound for the written field overwrites it), and a
+// shared unwritten field both sides bound (the merge intersects). One
+// prefix per a-path serves every b-path, as in composePrepared;
+// joinPair through it must keep exactly the pairs the pre-filter plus a
+// fresh solve over the full merged map keeps.
 func FuzzJoinHoistedPrefix(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 4, 1, 2, 0, 5, 1, 1, 0, 2, 3, 2, 0, 7, 1, 0, 4, 2, 6, 1})
@@ -389,14 +384,13 @@ func FuzzJoinHoistedPrefix(f *testing.F) {
 
 		ctx := context.Background()
 		ix := buildJoinIndex(bCt, nil, "b.")
-		engines := joinEngines()
-		prefixes := []*joinPrefix{engines[0].prefix(pa, rawA, "b."), engines[1].prefix(pa, rawA, "b.")}
+		jp := newJoinFeas().prefix(pa, rawA, "b.")
 		for j, pb := range bCt.Paths {
-			_, ref := joinPair(ctx, pa, rawA, pb, bRaws[j], prefixes[0], "b.", &ix.metas[j])
-			_, inc := joinPair(ctx, pa, rawA, pb, bRaws[j], prefixes[1], "b.", &ix.metas[j])
-			if ref != inc {
-				t.Fatalf("pair (a, b%d): reference keeps %v, hoisted prefix keeps %v\na: %v dom %v writes %v\nb: %v dom %v",
-					j, ref, inc, pa.Constraints, pa.Domains, rawA.PktWrites, pb.Constraints, pb.Domains)
+			fresh := freshJoinFeasible(pa, rawA, pb, "b.", &ix.metas[j])
+			_, inc := joinPair(ctx, pa, rawA, pb, bRaws[j], jp, "b.", &ix.metas[j])
+			if fresh != inc {
+				t.Fatalf("pair (a, b%d): fresh solve keeps %v, hoisted prefix keeps %v\na: %v dom %v writes %v\nb: %v dom %v",
+					j, fresh, inc, pa.Constraints, pa.Domains, rawA.PktWrites, pb.Constraints, pb.Domains)
 			}
 		}
 	})

@@ -80,10 +80,9 @@ func (g *Generator) GenerateWithPathsContext(ctx context.Context, prog *nfir.Pro
 // code against the models (Algorithm 2, lines 2–3).
 func (g *Generator) explorePaths(ctx context.Context, prog *nfir.Program, models map[string]nfir.Model) ([]*nfir.Path, error) {
 	engine := &nfir.Engine{
-		Models:        models,
-		MaxPaths:      g.MaxPaths,
-		Feasibility:   g.feasibilitySolver(),
-		NoIncremental: g.NoIncremental,
+		Models:      models,
+		MaxPaths:    g.MaxPaths,
+		Feasibility: g.feasibilitySolver(),
 	}
 	paths, err := engine.ExploreContext(ctx, prog)
 	if err != nil {
@@ -165,21 +164,15 @@ func (g *Generator) assembleCost(pa *nfir.Path) *PathContract {
 
 // solvePath is the Solve stage (Algorithm 2 line 6) followed, on Sat, by
 // the Replay stage: concrete inputs for the path, validated through the
-// model-linked build. The witness search is deterministic per path (the
+// model-linked build. The solve reuses the prepared solver state
+// exploration accumulated for the path (flattening, union-find,
+// propagation already done); verdict and witness are identical to a
+// from-scratch solve. The witness search is deterministic per path (the
 // solver's sampling is seeded by symbol name), so the outcome does not
 // depend on which worker runs it.
 func (g *Generator) solvePath(ctx context.Context, prog *nfir.Program, pa *nfir.Path, pc *PathContract) error {
-	var witness map[string]uint64
-	var res symb.Result
-	if pa.Session != nil {
-		// Reuse the prepared solver state exploration accumulated for
-		// this path (flattening, union-find, propagation already done);
-		// verdict and witness are identical to the from-scratch solve.
-		witness, res = pa.Session.SolveContext(ctx, g.solver())
-		pa.Session = nil // solved: release the session (and keep it out of the contract cache)
-	} else {
-		witness, res = g.solver().SolveContext(ctx, pa.Constraints, pa.Domains)
-	}
+	witness, res := pa.Session.SolveContext(ctx, g.solver())
+	pa.Session = nil // solved: release the session (and keep it out of the contract cache)
 	if res != symb.Sat {
 		// A cancelled solve reports Unknown; surface the cancellation
 		// rather than silently emitting a witness-less path the serial
@@ -190,9 +183,6 @@ func (g *Generator) solvePath(ctx context.Context, prog *nfir.Program, pa *nfir.
 		return nil
 	}
 	pc.Witness = witness
-	if g.SkipReplay {
-		return nil
-	}
 	return g.replay(prog, pa, witness)
 }
 

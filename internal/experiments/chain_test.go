@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 	"time"
@@ -12,8 +14,9 @@ import (
 // The 4-stage chain (firewall→nat→bridge→lb) is the composition
 // anchor: its composite path count is pinned (composition is
 // deterministic, so any drift signals a join-algebra change), the
-// composite is identical across worker counts and solver engines, and a
-// warm-cache re-compose must beat the cold one.
+// composite is identical across worker counts and to the reference
+// solver's recorded output, and a warm-cache re-compose must beat the
+// cold one.
 func TestChainFourStageQuick(t *testing.T) {
 	stages, names, err := ChainStages(QuickScale())
 	if err != nil {
@@ -45,15 +48,12 @@ func TestChainFourStageQuick(t *testing.T) {
 		t.Error("pooled composite differs from serial")
 	}
 
-	ref := core.NewGenerator()
-	ref.Parallelism = 1
-	ref.NoIncremental = true
-	refCt, err := core.ComposeMany(ref, stages[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := json.Marshal(refCt); string(got) != string(want) {
-		t.Error("reference-mode composite differs from incremental")
+	// The composite's SHA-256, recorded from the pre-incremental
+	// reference solver (serial, every check a from-scratch solve) when
+	// that engine could still run a whole composition.
+	const refDigest = "adcc0381b635fe293fbcc2e98e54504fc6ef6da5325b26d01c99c5d33eb904cb"
+	if sum := sha256.Sum256(want); hex.EncodeToString(sum[:]) != refDigest {
+		t.Errorf("composite digest %x, reference engine gave %s", sum, refDigest)
 	}
 
 	cached := core.NewGenerator()

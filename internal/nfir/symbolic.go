@@ -107,18 +107,10 @@ type Engine struct {
 	// bounded default (DefaultFeasibilityMaxNodes/DefaultFeasibilitySamples).
 	// Unknown verdicts keep the path (conservative).
 	Feasibility *symb.Solver
-	// NoIncremental disables the incremental solver engine: every
-	// feasibility check re-prepares the full constraint set and paths
-	// carry no Session. Verdicts and paths are identical either way; the
-	// knob exists so tests can use the reference engine as an oracle
-	// (core's TestComposeManyIncrementalMatchesReference), not for
-	// production use.
-	NoIncremental bool
 
 	freshCtr int
 	paths    []*Path
 	ctx      context.Context
-	inc      *symb.Incremental
 }
 
 // DefaultFeasibilityMaxNodes and DefaultFeasibilitySamples are the search
@@ -227,9 +219,6 @@ func (en *Engine) ExploreContext(ctx context.Context, p *Program) ([]*Path, erro
 			Samples:  DefaultFeasibilitySamples,
 		}
 	}
-	if !en.NoIncremental {
-		en.inc = symb.NewIncremental()
-	}
 	maxPaths := en.MaxPaths
 	if maxPaths == 0 {
 		maxPaths = DefaultMaxPaths
@@ -242,9 +231,7 @@ func (en *Engine) ExploreContext(ctx context.Context, p *Program) ([]*Path, erro
 		domains: make(map[string]symb.Domain),
 		ops:     make(map[perf.OpClass]uint64),
 		pcvs:    make(map[string]expr.Range),
-	}
-	if en.inc != nil {
-		st.sess = en.inc.NewSession()
+		sess:    symb.NewIncremental().NewSession(),
 	}
 	st.setDomain(SymPktLen, symb.Domain{Lo: 0, Hi: MaxPacket})
 	if p.NumPorts > 0 {
@@ -296,16 +283,9 @@ func (en *Engine) run(st *symState, stmts []Stmt, k contFn, maxPaths int) error 
 				if c, ok := cond.(symb.Const); ok && c.V == 0 {
 					return next(st)
 				}
-				stillFeasible := false
-				if st.sess != nil {
-					probe := st.sess.Fork()
-					probe.Assert(cond)
-					stillFeasible = probe.FeasibleContext(en.ctx, en.Feasibility)
-				} else {
-					cs := append(append([]symb.Expr(nil), st.constraints...), cond)
-					stillFeasible = en.Feasibility.FeasibleContext(en.ctx, cs, st.domains)
-				}
-				if stillFeasible {
+				probe := st.sess.Fork()
+				probe.Assert(cond)
+				if probe.FeasibleContext(en.ctx, en.Feasibility) {
 					return fmt.Errorf("while loop feasible beyond MaxIter=%d", maxIter)
 				}
 				return next(st)
@@ -461,13 +441,9 @@ const (
 )
 
 // feasible reports whether st's constraint set might still be
-// satisfiable: through the state's incremental session normally, or with
-// a from-scratch solve under the NoIncremental ablation.
+// satisfiable, through the state's incremental session.
 func (en *Engine) feasible(st *symState) bool {
-	if st.sess != nil {
-		return st.sess.FeasibleContext(en.ctx, en.Feasibility)
-	}
-	return en.Feasibility.FeasibleContext(en.ctx, st.constraints, st.domains)
+	return st.sess.FeasibleContext(en.ctx, en.Feasibility)
 }
 
 func (en *Engine) fork(st *symState, cond symb.Expr, thenK, elseK contFn, maxPaths int) error {

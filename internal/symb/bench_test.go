@@ -49,10 +49,9 @@ func benchFresh(i int) Expr {
 // baseline the incremental engine replaced.
 func BenchmarkFeasibilityReference(b *testing.B) {
 	cs, dom := benchConstraints()
-	s := &Solver{MaxNodes: 4000, Samples: 8, Reference: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !s.Feasible(append(cs[:len(cs):len(cs)], benchFresh(i)), dom) {
+		if _, res := referenceSolve(append(cs[:len(cs):len(cs)], benchFresh(i)), dom, 4000, 8); res == Unsat {
 			b.Fatal("infeasible")
 		}
 	}

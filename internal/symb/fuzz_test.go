@@ -131,7 +131,7 @@ func FuzzSolverEquivalence(f *testing.F) {
 		}
 
 		// (4) The reference implementation agrees on verdict and witness.
-		refM, refR := (&Solver{Reference: true}).SolveContext(ctx, cs, dom)
+		refM, refR := referenceSolve(cs, dom, sv.maxNodes(), sv.sampleCount())
 		if refR != freshR {
 			t.Fatalf("reference verdict %v, compiled %v for %s", refR, freshR, ConjString(cs))
 		}

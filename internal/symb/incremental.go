@@ -140,35 +140,21 @@ func (in *Incremental) NewSession() *Session {
 // layers of its own, so neither sees the other's later asserts and the
 // cost is linear in the number of symbols, not of constraints. Fork
 // writes to the parent (it freezes its current layer), so a session
-// must not be forked concurrently with any other use. Fork of a nil
-// session is nil, so state clones outside an engine-backed exploration
-// stay session-free.
+// must not be forked concurrently with any other use.
 func (s *Session) Fork() *Session {
-	if s == nil {
-		return nil
-	}
 	return &Session{eng: s.eng, prep: s.prep.fork()}
 }
 
 // Assert adds a constraint (conjunctions are flattened) and propagates
-// its consequences through the domains. Assert on a nil session is a
-// no-op, so exploration code can run session-free (the NoIncremental
-// ablation) without guarding every call.
+// its consequences through the domains.
 func (s *Session) Assert(c Expr) {
-	if s == nil {
-		return
-	}
 	s.prep.assert(c)
 }
 
 // AssertAll asserts each constraint of the slice in order — the batch
 // form callers use to seed a session from an existing constraint set
 // (chain composition prepares one session per upstream path this way).
-// No-op on a nil session, like Assert.
 func (s *Session) AssertAll(cs []Expr) {
-	if s == nil {
-		return
-	}
 	for _, c := range cs {
 		s.prep.assert(c)
 	}
@@ -227,20 +213,14 @@ func Analyse(c Expr) *Conjunct {
 
 // AssertConjunct asserts the constraint c was analysed from without
 // analysing it again: the session reaches the state, verdicts and
-// witnesses Assert would. No-op on a nil session, like Assert.
+// witnesses Assert would.
 func (s *Session) AssertConjunct(c *Conjunct) {
-	if s == nil {
-		return
-	}
 	s.prep.assertConjunct(c)
 }
 
 // SetDomain bounds a symbol, intersecting with any bound already
-// present. No-op on a nil session, like Assert.
+// present.
 func (s *Session) SetDomain(name string, d Domain) {
-	if s == nil {
-		return
-	}
 	s.prep.setDomain(name, d)
 }
 
@@ -254,9 +234,9 @@ type NamedDomain struct {
 // given (callers sort by name, so slot numbering is deterministic), then
 // propagates once, seeded by every slot that narrowed — the same
 // fixpoint as one SetDomain per name (domain propagation is confluent)
-// at the cost of one worklist pass. No-op on a nil session.
+// at the cost of one worklist pass.
 func (s *Session) SetDomains(ds []NamedDomain) {
-	if s == nil || len(ds) == 0 {
+	if len(ds) == 0 {
 		return
 	}
 	s.prep.setDomainList(ds)

@@ -151,13 +151,6 @@ func TestSessionForkIsolation(t *testing.T) {
 	}
 }
 
-func TestSessionNilFork(t *testing.T) {
-	var s *Session
-	if s.Fork() != nil {
-		t.Fatal("Fork of nil session must be nil")
-	}
-}
-
 // Two sessions with the same constraint set share one memo entry; the
 // second solve is a hit and returns an identical verdict and model.
 func TestIncrementalMemoHit(t *testing.T) {

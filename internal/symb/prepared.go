@@ -806,7 +806,7 @@ func (p *prepared) propagateOne(r *conRec) []int32 {
 // single-symbol constraints (masked-field comparisons and similar).
 const enumWidth = 4096
 
-// EnumWidth exports the enumeration cutoff: both engines fully decide
+// EnumWidth exports the enumeration cutoff: the solver fully decides
 // any single-symbol constraint whose symbol's domain is narrower than
 // this during propagation. Join-index pruning (internal/core) relies on
 // exactly that guarantee, so it must mirror the same cutoff.

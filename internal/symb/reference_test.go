@@ -10,17 +10,14 @@ import (
 // search, all over Expr trees and map[string]uint64 bindings, with no
 // state carried between calls.
 //
-// It exists for two reasons:
-//
-//   - it is what Solver.Reference and the generator's NoIncremental
-//     switch run, so whole contracts and composites can be checked
-//     against the predecessor algorithm
-//     (TestComposeManyIncrementalMatchesReference,
-//     TestChainFourStageQuick);
-//   - it is the oracle for the differential tests (FuzzSolverEquivalence
-//     and friends): two independent implementations agreeing on verdict
-//     and witness is much stronger evidence than one implementation
-//     agreeing with itself.
+// It is the oracle for the differential tests (FuzzSolverEquivalence,
+// BenchmarkFeasibilityReference): two independent implementations
+// agreeing on verdict and witness is much stronger evidence than one
+// implementation agreeing with itself. Whole contracts and composites
+// are pinned against it through SHA-256 digests of its output, recorded
+// when it could still run a whole generation
+// (core's TestComposeManyIncrementalMatchesReference, experiments'
+// TestChainFourStageQuick).
 //
 // Keep it dumb. Performance work belongs in prepared.go/solver.go.
 

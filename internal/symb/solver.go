@@ -71,13 +71,6 @@ type Solver struct {
 	// Samples is the number of pseudo-random candidate values tried per
 	// symbol beyond the structurally derived ones; 0 means DefaultSamples.
 	Samples int
-	// Reference switches Solve to the pre-incremental tree-walking
-	// implementation (reference.go): same verdicts and witnesses, no
-	// compilation, no state reuse. It is the oracle for differential
-	// tests (FuzzSolverEquivalence,
-	// TestComposeManyIncrementalMatchesReference); production code
-	// leaves it false.
-	Reference bool
 }
 
 // DefaultMaxNodes and DefaultSamples are the default search limits.
@@ -120,9 +113,6 @@ func (s *Solver) SolveContext(ctx context.Context, constraints []Expr, domains m
 func (s *Solver) solve(ctx context.Context, constraints []Expr, domains map[string]Domain, withModel bool) (map[string]uint64, Result) {
 	if ctx.Err() != nil {
 		return nil, Unknown
-	}
-	if s.Reference {
-		return referenceSolve(constraints, domains, s.maxNodes(), s.sampleCount())
 	}
 	p := prepare(constraints, domains)
 	model, res, _ := solvePrepared(ctx, p, s.maxNodes(), s.sampleCount(), withModel)
