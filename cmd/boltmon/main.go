@@ -271,7 +271,7 @@ func watch(ctx context.Context, sc experiments.Scale, mcfg monitor.Config, nfNam
 		defer f.Close()
 		recs, err := pcap.ReadAll(f)
 		if err != nil {
-			return false, err
+			return false, fmt.Errorf("%s: %w", pcapPath, err)
 		}
 		pkts = traffic.FromPCAP(recs, inPort)
 	} else {

@@ -12,7 +12,9 @@ import (
 	"gobolt/internal/core"
 	"gobolt/internal/experiments"
 	"gobolt/internal/nf"
+	"gobolt/internal/pcap"
 	"gobolt/internal/store"
+	"gobolt/internal/traffic"
 )
 
 // asCommand, as the test binary's first argument, makes the binary run
@@ -174,6 +176,60 @@ func TestStoredKey(t *testing.T) {
 			}
 			if strings.Contains(stdout, "Monitor report") {
 				t.Fatalf("failed load still monitored:\n%s", stdout)
+			}
+		})
+	}
+}
+
+// TestPcapReplay drives -pcap: a small capture of benign bridge frames,
+// written with internal/pcap, replays through the monitored bridge
+// without an alert, and a file that is not a whole pcap exits non-zero
+// naming the file instead of panicking or monitoring what it could read.
+func TestPcapReplay(t *testing.T) {
+	dir := t.TempDir()
+	pkts := traffic.BridgeFrames(traffic.BridgeConfig{
+		Packets: 64, MACs: experiments.QuickScale().TableCapacity / 4, Ports: 4,
+		StartNS: 1_000, GapNS: 1_000, Seed: 7,
+	})
+	var buf bytes.Buffer
+	if err := pcap.WriteAll(&buf, traffic.ToPCAP(pkts)); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		"benign.pcap":    buf.Bytes(),
+		"truncated.pcap": buf.Bytes()[:buf.Len()-5],
+		"garbage.pcap":   []byte("this is not a capture file, just text"),
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		file, want string // want: in stdout on success, in stderr on failure
+		fails      bool
+	}{
+		{file: "benign.pcap", want: "expectation met: quiet"},
+		{file: "truncated.pcap", want: "unexpected EOF", fails: true},
+		{file: "garbage.pcap", want: pcap.ErrBadMagic.Error(), fails: true},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			path := filepath.Join(dir, tc.file)
+			stdout, stderr, code := boltmon(t, "-scale", "quick", "-pcap", path, "-expect", "quiet")
+			if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine ") {
+				t.Fatalf("boltmon panicked:\n%s", stderr)
+			}
+			if !tc.fails {
+				if code != 0 || !strings.Contains(stdout, tc.want) || !strings.Contains(stdout, "unclassified 0") {
+					t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+				}
+				return
+			}
+			if code == 0 || !strings.Contains(stderr, "boltmon: "+path+": ") || !strings.Contains(stderr, tc.want) {
+				t.Fatalf("exit %d, want non-zero naming %s with %q\nstderr:\n%s", code, path, tc.want, stderr)
+			}
+			if strings.Contains(stdout, "Monitor report") {
+				t.Fatalf("unreadable capture still monitored:\n%s", stdout)
 			}
 		})
 	}

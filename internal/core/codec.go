@@ -63,6 +63,7 @@ package core
 // frames these bytes with a SHA-256 checksum that Store.Get verifies.
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -142,10 +143,9 @@ type encoder struct {
 	// the decoder holds to its budget.
 	expanded int
 
-	spelt []byte      // scratch: the table entry being spelled
-	keys  []string    // scratch: a map's keys, sorted
-	monos []expr.Mono // scratch: a polynomial's monomials, sorted
-	offs  []uint64    // scratch: packet-write offsets, sorted
+	spelt []byte   // scratch: the table entry being spelled
+	keys  []string // scratch: a map's keys, sorted
+	offs  []uint64 // scratch: packet-write offsets, sorted
 }
 
 // etable is one table as the encoder builds it: its entries' spellings,
@@ -497,13 +497,13 @@ func (e *encoder) cost(cost map[perf.Metric]expr.Poly) {
 		e.sep(n)
 		n++
 		e.lit(mk.field)
-		e.monos = p.AppendMonos(e.monos[:0])
-		slices.Sort(e.monos)
 		e.lit(`[`)
-		for i, m := range e.monos {
+		i := 0
+		for m, c := range p.All() {
 			e.sep(i)
+			i++
 			e.ref(`[`, tabMonos, appendString(e.spelt[:0], string(m)))
-			e.u64(`,`, p.Coef(m))
+			e.u64(`,`, c)
 			e.lit(`]`)
 		}
 		e.lit(`]`)
@@ -517,13 +517,13 @@ func (e *encoder) cost(cost map[perf.Metric]expr.Poly) {
 // polyObject writes a polynomial the way the polynomial table spells
 // one: canonical monomial → coefficient, in bytewise monomial order.
 func (e *encoder) polyObject(p expr.Poly) {
-	e.monos = p.AppendMonos(e.monos[:0])
-	slices.Sort(e.monos)
 	e.lit(`{`)
-	for i, m := range e.monos {
+	i := 0
+	for m, c := range p.All() {
 		e.sep(i)
+		i++
 		e.str(``, string(m))
-		e.u64(`:`, p.Coef(m))
+		e.u64(`:`, c)
 	}
 	e.lit(`}`)
 }
@@ -595,10 +595,14 @@ type decoder struct {
 	// it may not pass budget.
 	expanded, budget int
 
-	sbuf  []byte      // scratch: an escaped string, unescaped
-	kvs   []member    // scratch: the members of the object being read
-	elems []symb.Expr // scratch: the expression list being read
-	terms []term      // scratch: the terms of the polynomial being read
+	// arena holds the terms of every polynomial read so far, each
+	// polynomial a capacity-capped subslice of it (decoder.poly).
+	arena []expr.MonoCoef
+
+	sbuf  []byte          // scratch: an escaped string, unescaped
+	kvs   []member        // scratch: the members of the object being read
+	elems []symb.Expr     // scratch: the expression list being read
+	terms []expr.MonoCoef // scratch: the terms of the polynomial being read
 }
 
 // uses is what the decoder tracks of a table's references: each entry's
@@ -620,12 +624,6 @@ type table[V any] struct {
 type member struct {
 	k    string
 	a, b uint64
-}
-
-// term is one term of a polynomial being read.
-type term struct {
-	m expr.Mono
-	c uint64
 }
 
 // exprKey identifies an expression node by its own fields and its
@@ -1066,7 +1064,7 @@ func (d *decoder) costPoly() expr.Poly {
 			d.fail("zero coefficient for monomial %q", d.monos.vals[i])
 		default:
 			prev = d.rank[i]
-			d.terms = append(d.terms, term{d.monos.vals[i], c})
+			d.terms = append(d.terms, expr.MonoCoef{Mono: d.monos.vals[i], Coef: c})
 			d.i = k + 1
 		}
 		if !d.lit(`,`) {
@@ -1074,21 +1072,15 @@ func (d *decoder) costPoly() expr.Poly {
 		}
 	}
 	d.expect(`]`)
-	if d.err != nil {
-		return expr.Poly{}
-	}
-	terms := make(map[expr.Mono]uint64, len(d.terms))
-	for _, t := range d.terms {
-		terms[t.m] = t.c
-	}
-	return expr.OwnTerms(terms)
+	return d.poly()
 }
 
 // polyObject reads a polynomial table entry: a non-empty object,
-// canonical monomial → non-zero coefficient.
+// canonical monomial → non-zero coefficient. Its keys are strictly
+// ascending, so its terms are already in a polynomial's order.
 func (d *decoder) polyObject() expr.Poly {
 	kvs := d.members(`{`, d.u64Pair, false)
-	terms := make(map[expr.Mono]uint64, len(kvs))
+	d.terms = d.terms[:0]
 	for _, kv := range kvs {
 		m, err := expr.ParseMono(kv.k)
 		if err != nil {
@@ -1097,9 +1089,34 @@ func (d *decoder) polyObject() expr.Poly {
 		if kv.a == 0 {
 			d.fail("zero coefficient for monomial %q", kv.k)
 		}
-		terms[m] = kv.a
+		d.terms = append(d.terms, expr.MonoCoef{Mono: m, Coef: kv.a})
 	}
-	return expr.OwnTerms(terms)
+	return d.poly()
+}
+
+// poly returns the polynomial whose terms d.terms holds, strictly
+// ascending and non-zero, after copying them to the end of the arena.
+// The subslice it hands out has its capacity capped, so no polynomial
+// reaches into the next one's terms (see expr.Poly).
+//
+// Every cost-polynomial term is spelled "[index,coefficient]", so the
+// '['s still ahead bound the cost terms left to read, and one array
+// sized by them holds every polynomial of the artifact. Only the terms
+// of polynomial-table entries, object members, can overflow it; the
+// next array is then at least twice as large, and the polynomials
+// already read keep the old one.
+func (d *decoder) poly() expr.Poly {
+	n := len(d.terms)
+	if d.err != nil || n == 0 {
+		return expr.Poly{}
+	}
+	if n > cap(d.arena)-len(d.arena) {
+		ahead := bytes.Count(d.b[d.i:], []byte(`[`))
+		d.arena = make([]expr.MonoCoef, 0, max(n, 2*cap(d.arena), ahead))
+	}
+	at := len(d.arena)
+	d.arena = append(d.arena, d.terms...)
+	return expr.FromSorted(d.arena[at : at+n : at+n])
 }
 
 // exprList reads an expression-list table entry: a non-empty list of

@@ -15,7 +15,9 @@ package expr
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,16 +32,27 @@ type Mono string
 const ConstMono Mono = ""
 
 // NewMono builds the canonical monomial for the product of the given PCV
-// names; repeat a name to raise its power ("e","e" → "e^2").
+// names; repeat a name to raise its power ("e","e" → "e^2"). It panics on
+// a name that is empty or contains '*' or '^', which the monomial syntax
+// would read as the constant, a product or a power — like Eval on an
+// unbound PCV, that is a bug in the model that named it, not bad input.
 func NewMono(vars ...string) Mono {
 	if len(vars) == 0 {
 		return ConstMono
 	}
 	pow := make(map[string]int, len(vars))
 	for _, v := range vars {
+		checkName(v)
 		pow[v]++
 	}
 	return monoFromPowers(pow)
+}
+
+// checkName panics unless v can stand as a factor of a monomial.
+func checkName(v string) {
+	if v == "" || strings.ContainsAny(v, "*^") {
+		panic(fmt.Sprintf("expr: PCV name %q is empty or contains '*' or '^'", v))
+	}
 }
 
 func monoFromPowers(pow map[string]int) Mono {
@@ -160,84 +173,131 @@ func (m Mono) eval(binding map[string]uint64) uint64 {
 	return v
 }
 
+// MonoCoef is one term of a polynomial: Coef·Mono.
+type MonoCoef struct {
+	Mono Mono
+	Coef uint64
+}
+
+// compareMono orders terms by their monomials' bytes.
+func compareMono(a, b MonoCoef) int { return strings.Compare(string(a.Mono), string(b.Mono)) }
+
 // Poly is a performance expression: a polynomial over PCVs with uint64
-// coefficients. The zero value is the zero polynomial. Poly values are
-// immutable once shared; all operations return new polynomials.
+// coefficients. The zero value is the zero polynomial.
+//
+// A Poly holds its non-zero terms in a slice sorted by strictly
+// ascending monomial bytes, so the constant term, whose monomial is
+// empty, comes first when present, and the zero polynomial is the nil
+// slice. Each polynomial thus has exactly one representation, and
+// reflect.DeepEqual on values holding polynomials means equality.
+//
+// Poly values are immutable once shared; all operations return new
+// polynomials. That is what makes sharing term arrays safe: no
+// operation writes to, or appends to, a slice it did not just allocate,
+// and every slice a Poly holds has its capacity capped at its length,
+// so even an append would copy rather than write past its end. Add and
+// UpperEnvelope with a zero operand and MaxAssuming hand back an
+// operand's terms, and the contract artifact decoder gives every
+// polynomial it reads a subslice of one term array per artifact
+// (FromSorted).
 type Poly struct {
-	terms map[Mono]uint64
+	terms []MonoCoef
 }
 
 // Zero returns the zero polynomial.
 func Zero() Poly { return Poly{} }
 
 // Const returns the constant polynomial c.
-func Const(c uint64) Poly {
-	if c == 0 {
-		return Poly{}
-	}
-	return Poly{terms: map[Mono]uint64{ConstMono: c}}
-}
+func Const(c uint64) Poly { return Term(c) }
 
 // Var returns the polynomial 1·name.
-func Var(name string) Poly {
-	return Poly{terms: map[Mono]uint64{NewMono(name): 1}}
-}
+func Var(name string) Poly { return Term(1, name) }
 
 // Term returns the polynomial coef·mono.
 func Term(coef uint64, vars ...string) Poly {
 	if coef == 0 {
 		return Poly{}
 	}
-	return Poly{terms: map[Mono]uint64{NewMono(vars...): coef}}
+	return Poly{terms: []MonoCoef{{NewMono(vars...), coef}}}
 }
 
 // FromTerms builds a polynomial from a monomial→coefficient map; zero
 // coefficients are dropped. The input map is copied.
 func FromTerms(terms map[Mono]uint64) Poly {
-	p := Poly{terms: make(map[Mono]uint64, len(terms))}
+	ts := make([]MonoCoef, 0, len(terms))
 	for m, c := range terms {
-		if c != 0 {
-			p.terms[m] = c
-		}
+		ts = append(ts, MonoCoef{m, c})
 	}
-	if len(p.terms) == 0 {
-		return Poly{}
-	}
-	return p
+	return canonical(ts)
 }
 
-// OwnTerms is FromTerms for a caller that hands terms over: the map,
-// which must hold no zero coefficient, becomes the polynomial's own, and
-// the caller must not touch it again.
-func OwnTerms(terms map[Mono]uint64) Poly {
-	if len(terms) == 0 {
+// FromSorted adopts ts as a polynomial's terms without copying them. The
+// caller guarantees that ts is sorted by strictly ascending monomial
+// bytes with no zero coefficient, and must not write to it afterwards;
+// the contract decoder checks both properties as it reads.
+func FromSorted(ts []MonoCoef) Poly {
+	if len(ts) == 0 {
 		return Poly{}
 	}
-	return Poly{terms: terms}
+	return Poly{terms: ts[:len(ts):len(ts)]}
+}
+
+// canonical sorts freshly built terms, sums the coefficients of equal
+// monomials, drops the sums that are zero and adopts the result.
+func canonical(ts []MonoCoef) Poly {
+	slices.SortFunc(ts, compareMono)
+	out := ts[:0]
+	for i := 0; i < len(ts); {
+		t := ts[i]
+		for i++; i < len(ts) && ts[i].Mono == t.Mono; i++ {
+			t.Coef += ts[i].Coef
+		}
+		if t.Coef != 0 {
+			out = append(out, t)
+		}
+	}
+	return FromSorted(out)
 }
 
 // IsZero reports whether p is the zero polynomial.
 func (p Poly) IsZero() bool { return len(p.terms) == 0 }
 
 // Coef returns the coefficient of the given monomial (0 if absent).
-func (p Poly) Coef(m Mono) uint64 { return p.terms[m] }
-
-// ConstTerm returns the constant coefficient.
-func (p Poly) ConstTerm() uint64 { return p.terms[ConstMono] }
-
-// AppendMonos appends the monomials with non-zero coefficients to dst in
-// no particular order, for callers that impose their own (the contract
-// codec sorts them as strings) and reuse dst.
-func (p Poly) AppendMonos(dst []Mono) []Mono {
-	for m := range p.terms {
-		dst = append(dst, m)
+func (p Poly) Coef(m Mono) uint64 {
+	i, ok := slices.BinarySearchFunc(p.terms, MonoCoef{Mono: m}, compareMono)
+	if !ok {
+		return 0
 	}
-	return dst
+	return p.terms[i].Coef
+}
+
+// ConstTerm returns the constant coefficient. The constant monomial is
+// empty, so it sorts first.
+func (p Poly) ConstTerm() uint64 {
+	if len(p.terms) == 0 || p.terms[0].Mono != ConstMono {
+		return 0
+	}
+	return p.terms[0].Coef
+}
+
+// All yields the non-zero terms, monomial and coefficient, in ascending
+// order of the monomials' bytes — the order the contract codec writes.
+func (p Poly) All() iter.Seq2[Mono, uint64] {
+	return func(yield func(Mono, uint64) bool) {
+		for _, t := range p.terms {
+			if !yield(t.Mono, t.Coef) {
+				return
+			}
+		}
+	}
 }
 
 // Monos returns the monomials with non-zero coefficients, in display order.
 func (p Poly) Monos() []Mono {
-	ms := p.AppendMonos(make([]Mono, 0, len(p.terms)))
+	ms := make([]Mono, len(p.terms))
+	for i, t := range p.terms {
+		ms[i] = t.Mono
+	}
 	sort.Slice(ms, func(i, j int) bool { return displayLess(ms[i], ms[j]) })
 	return ms
 }
@@ -245,8 +305,8 @@ func (p Poly) Monos() []Mono {
 // Vars returns the sorted set of PCV names appearing in p.
 func (p Poly) Vars() []string {
 	seen := make(map[string]bool)
-	for m := range p.terms {
-		for v := range m.Powers() {
+	for _, t := range p.terms {
+		for v := range t.Mono.Powers() {
 			seen[v] = true
 		}
 	}
@@ -261,8 +321,8 @@ func (p Poly) Vars() []string {
 // Degree returns the total degree of p (0 for constants and zero).
 func (p Poly) Degree() int {
 	d := 0
-	for m := range p.terms {
-		if md := m.Degree(); md > d {
+	for _, t := range p.terms {
+		if md := t.Mono.Degree(); md > d {
 			d = md
 		}
 	}
@@ -273,8 +333,8 @@ func (p Poly) Degree() int {
 // Multilinear polynomials attain their extrema over a box at its corners,
 // which CompareAssuming exploits for exact comparison.
 func (p Poly) IsMultilinear() bool {
-	for m := range p.terms {
-		for _, k := range m.Powers() {
+	for _, t := range p.terms {
+		for _, k := range t.Mono.Powers() {
 			if k > 1 {
 				return false
 			}
@@ -283,31 +343,40 @@ func (p Poly) IsMultilinear() bool {
 	return true
 }
 
-// Add returns p + q. It builds the one result map and drops sums that
-// wrap to zero in place; a zero operand returns the other unchanged
-// (polynomials are immutable, so sharing its terms is safe).
+// Add returns p + q: one merge of the two term lists into one new slice,
+// dropping sums that wrap to zero. A zero operand returns the other
+// unchanged.
 func (p Poly) Add(q Poly) Poly {
+	return merge(p, q, func(a, b uint64) uint64 { return a + b })
+}
+
+// merge walks p's and q's terms in step and returns the polynomial with
+// every monomial of either, the coefficient of a monomial both hold
+// being both(theirs). A zero operand returns the other.
+func merge(p, q Poly, both func(a, b uint64) uint64) Poly {
 	if len(q.terms) == 0 {
 		return p
 	}
 	if len(p.terms) == 0 {
 		return q
 	}
-	out := make(map[Mono]uint64, len(p.terms)+len(q.terms))
-	for m, c := range p.terms {
-		out[m] = c
-	}
-	for m, c := range q.terms {
-		if s := out[m] + c; s != 0 {
-			out[m] = s
-		} else {
-			delete(out, m)
+	a, b := p.terms, q.terms
+	out := make([]MonoCoef, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch c := compareMono(a[0], b[0]); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			if s := both(a[0].Coef, b[0].Coef); s != 0 {
+				out = append(out, MonoCoef{a[0].Mono, s})
+			}
+			a, b = a[1:], b[1:]
 		}
 	}
-	if len(out) == 0 {
-		return Poly{}
-	}
-	return Poly{terms: out}
+	out = append(append(out, a...), b...)
+	return FromSorted(out)
 }
 
 // Scale returns k·p.
@@ -315,22 +384,24 @@ func (p Poly) Scale(k uint64) Poly {
 	if k == 0 {
 		return Poly{}
 	}
-	out := make(map[Mono]uint64, len(p.terms))
-	for m, c := range p.terms {
-		out[m] = c * k
+	out := make([]MonoCoef, 0, len(p.terms))
+	for _, t := range p.terms {
+		if c := t.Coef * k; c != 0 {
+			out = append(out, MonoCoef{t.Mono, c})
+		}
 	}
-	return FromTerms(out)
+	return FromSorted(out)
 }
 
 // Mul returns p · q.
 func (p Poly) Mul(q Poly) Poly {
-	out := make(map[Mono]uint64, len(p.terms)*len(q.terms))
-	for m1, c1 := range p.terms {
-		for m2, c2 := range q.terms {
-			out[m1.mul(m2)] += c1 * c2
+	out := make([]MonoCoef, 0, len(p.terms)*len(q.terms))
+	for _, a := range p.terms {
+		for _, b := range q.terms {
+			out = append(out, MonoCoef{a.Mono.mul(b.Mono), a.Coef * b.Coef})
 		}
 	}
-	return FromTerms(out)
+	return canonical(out)
 }
 
 // MulVar returns p · name, a common operation when an expert contract
@@ -341,8 +412,8 @@ func (p Poly) MulVar(name string) Poly { return p.Mul(Var(name)) }
 // because silently defaulting a PCV to zero hides contract-evaluation bugs.
 func (p Poly) Eval(binding map[string]uint64) uint64 {
 	var total uint64
-	for m, c := range p.terms {
-		total += c * m.eval(binding)
+	for _, t := range p.terms {
+		total += t.Coef * t.Mono.eval(binding)
 	}
 	return total
 }
@@ -352,16 +423,7 @@ func (p Poly) Eval(binding map[string]uint64) uint64 {
 // above everywhere; it is the cheap sound coalescing operation used when
 // no single path dominates the others.
 func UpperEnvelope(p, q Poly) Poly {
-	out := make(map[Mono]uint64, len(p.terms)+len(q.terms))
-	for m, c := range p.terms {
-		out[m] = c
-	}
-	for m, c := range q.terms {
-		if c > out[m] {
-			out[m] = c
-		}
-	}
-	return FromTerms(out)
+	return merge(p, q, func(a, b uint64) uint64 { return max(a, b) })
 }
 
 // Range bounds a PCV's value for comparison purposes.
@@ -438,12 +500,17 @@ func CompareAssuming(p, q Poly, ranges map[string]Range) Ordering {
 
 // termwiseLeq reports whether every coefficient of p is ≤ the matching
 // coefficient of q — a sound pointwise-≤ certificate for non-negative
-// PCVs.
+// PCVs. It walks both sorted term lists once.
 func termwiseLeq(p, q Poly) bool {
-	for m, c := range p.terms {
-		if c > q.terms[m] {
+	b := q.terms
+	for _, t := range p.terms {
+		for len(b) > 0 && compareMono(b[0], t) < 0 {
+			b = b[1:]
+		}
+		if len(b) == 0 || b[0].Mono != t.Mono || t.Coef > b[0].Coef {
 			return false
 		}
+		b = b[1:]
 	}
 	return true
 }
@@ -548,7 +615,7 @@ func (p Poly) String() string {
 		if i > 0 {
 			b.WriteString(" + ")
 		}
-		c := p.terms[m]
+		c := p.Coef(m)
 		if m == ConstMono {
 			b.WriteString(strconv.FormatUint(c, 10))
 			continue
@@ -572,7 +639,7 @@ func Parse(s string) (Poly, error) {
 	if s == "0" {
 		return Poly{}, nil
 	}
-	out := make(map[Mono]uint64)
+	var out []MonoCoef
 	for _, raw := range strings.Split(s, "+") {
 		term := strings.TrimSpace(raw)
 		if term == "" {
@@ -606,13 +673,16 @@ func Parse(s string) (Poly, error) {
 				}
 				name = f[:j]
 			}
+			if name == "" {
+				return Poly{}, fmt.Errorf("expr: power of nothing in %q", f)
+			}
 			for x := 0; x < k; x++ {
 				vars = append(vars, name)
 			}
 		}
-		out[NewMono(vars...)] += coef
+		out = append(out, MonoCoef{NewMono(vars...), coef})
 	}
-	return FromTerms(out), nil
+	return canonical(out), nil
 }
 
 // Derivative returns ∂p/∂v, the formal derivative with respect to one
@@ -620,41 +690,45 @@ func Parse(s string) (Poly, error) {
 // "each extra traversal costs 50 instructions": the derivative of the
 // class expression with respect to t.
 func (p Poly) Derivative(v string) Poly {
-	out := make(map[Mono]uint64)
-	for m, c := range p.terms {
-		pow := m.Powers()
+	var out []MonoCoef
+	for _, t := range p.terms {
+		pow := t.Mono.Powers()
 		k, ok := pow[v]
 		if !ok {
 			continue
 		}
 		pow[v] = k - 1
-		out[monoFromPowers(pow)] += c * uint64(k)
+		out = append(out, MonoCoef{monoFromPowers(pow), t.Coef * uint64(k)})
 	}
-	return FromTerms(out)
+	return canonical(out)
 }
 
 // RenameVars rewrites every PCV name through fn; chain composition uses
-// it to namespace the PCVs of each NF in a composite contract.
+// it to namespace the PCVs of each NF in a composite contract. Like
+// NewMono, it panics if fn returns a name that is empty or contains '*'
+// or '^'.
 func (p Poly) RenameVars(fn func(string) string) Poly {
-	out := make(map[Mono]uint64, len(p.terms))
-	for m, c := range p.terms {
-		pow := m.Powers()
+	out := make([]MonoCoef, 0, len(p.terms))
+	for _, t := range p.terms {
+		pow := t.Mono.Powers()
 		renamed := make(map[string]int, len(pow))
 		for v, k := range pow {
-			renamed[fn(v)] += k
+			w := fn(v)
+			checkName(w)
+			renamed[w] += k
 		}
-		out[monoFromPowers(renamed)] += c
+		out = append(out, MonoCoef{monoFromPowers(renamed), t.Coef})
 	}
-	return FromTerms(out)
+	return canonical(out)
 }
 
 // EvalFloat computes p under a float binding; used by reports that bind
 // PCVs to workload averages rather than integers.
 func (p Poly) EvalFloat(binding map[string]float64) float64 {
 	total := 0.0
-	for m, c := range p.terms {
-		v := float64(c)
-		for name, k := range m.Powers() {
+	for _, t := range p.terms {
+		v := float64(t.Coef)
+		for name, k := range t.Mono.Powers() {
 			x, ok := binding[name]
 			if !ok {
 				panic("expr: unbound PCV " + name)

@@ -342,11 +342,11 @@ func TestFromTermsDropsZeros(t *testing.T) {
 	if q := FromTerms(map[Mono]uint64{NewMono("x"): 0}); !q.IsZero() {
 		t.Error("all-zero FromTerms must be zero")
 	}
-	if q := OwnTerms(map[Mono]uint64{}); !reflect.DeepEqual(q, Zero()) {
-		t.Errorf("empty OwnTerms = %#v, want the zero value", q)
+	if q := FromSorted([]MonoCoef{}); !reflect.DeepEqual(q, Zero()) {
+		t.Errorf("empty FromSorted = %#v, want the zero value", q)
 	}
-	if q := OwnTerms(map[Mono]uint64{ConstMono: 3}); !reflect.DeepEqual(q, p) {
-		t.Errorf("OwnTerms = %v, want what FromTerms builds, %v", q, p)
+	if q := FromSorted([]MonoCoef{{ConstMono, 3}}); !reflect.DeepEqual(q, p) {
+		t.Errorf("FromSorted = %v, want what FromTerms builds, %v", q, p)
 	}
 }
 
@@ -463,4 +463,35 @@ func TestParseMonoMatchesReference(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { ParseMono("b.b.c*b.b.e^2") }); n != 0 {
 		t.Fatalf("ParseMono allocates %v times per call", n)
 	}
+}
+
+// A PCV name that is empty or contains '*' or '^' would alias the
+// constant, a product or a power in monomial syntax, so NewMono — and
+// with it Var, Term and RenameVars — panics, naming it.
+func TestMonoRejectsSyntaxNames(t *testing.T) {
+	for _, tc := range []struct {
+		name, bad string
+		build     func() Poly
+	}{
+		{"empty name is not the constant", "", func() Poly { return Var("") }},
+		{"a*b is not the product a·b", "a*b", func() Poly { return Var("a*b").Add(Term(1, "a", "b")) }},
+		{"renaming to x^2 does not square", "x^2", func() Poly {
+			return Var("a").RenameVars(func(string) string { return "x^2" })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var p Poly
+			r := panicOf(func() { p = tc.build() })
+			if msg, _ := r.(string); !strings.Contains(msg, strconv.Quote(tc.bad)) {
+				t.Fatalf("built %v (degree %d), panic %v; want a panic naming %q", p, p.Degree(), r, tc.bad)
+			}
+		})
+	}
+}
+
+// panicOf runs f and returns what it panicked with, nil if it returned.
+func panicOf(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
 }
