@@ -298,7 +298,7 @@ func watchBVM(ctx context.Context, sc experiments.Scale, mcfg monitor.Config, pa
 	build := func() (*bvm.Unit, *nf.Instance, *core.Contract, error) {
 		unit, inst, err := nf.LoadBVMUnit(path, nf.BuildParams{Capacity: sc.TableCapacity})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 		}
 		ct, err := sc.Generator().Generate(inst.Prog, inst.Models)
 		return unit, inst, ct, err

@@ -214,23 +214,49 @@ func TestPcapReplay(t *testing.T) {
 		{file: "garbage.pcap", want: pcap.ErrBadMagic.Error(), fails: true},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
-			path := filepath.Join(dir, tc.file)
-			stdout, stderr, code := boltmon(t, "-scale", "quick", "-pcap", path, "-expect", "quiet")
-			if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine ") {
-				t.Fatalf("boltmon panicked:\n%s", stderr)
-			}
-			if !tc.fails {
-				if code != 0 || !strings.Contains(stdout, tc.want) || !strings.Contains(stdout, "unclassified 0") {
-					t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-				}
-				return
-			}
-			if code == 0 || !strings.Contains(stderr, "boltmon: "+path+": ") || !strings.Contains(stderr, tc.want) {
-				t.Fatalf("exit %d, want non-zero naming %s with %q\nstderr:\n%s", code, path, tc.want, stderr)
-			}
-			if strings.Contains(stdout, "Monitor report") {
-				t.Fatalf("unreadable capture still monitored:\n%s", stdout)
-			}
+			watchFile(t, "-pcap", filepath.Join(dir, tc.file), tc.want, tc.fails)
+		})
+	}
+}
+
+// watchFile runs boltmon quietly on the file given to flag. On success
+// stdout must hold want and report no unclassified packet; on failure
+// the exit is non-zero, stderr names the file and holds want, and
+// nothing was monitored. Either way boltmon must not panic.
+func watchFile(t *testing.T, flag, path, want string, fails bool) {
+	t.Helper()
+	stdout, stderr, code := boltmon(t, "-scale", "quick", flag, path, "-expect", "quiet")
+	if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine ") {
+		t.Fatalf("boltmon panicked:\n%s", stderr)
+	}
+	if !fails {
+		if code != 0 || !strings.Contains(stdout, want) || !strings.Contains(stdout, "unclassified 0") {
+			t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+		}
+		return
+	}
+	if code == 0 || !strings.Contains(stderr, "boltmon: "+path+": ") || !strings.Contains(stderr, want) {
+		t.Fatalf("exit %d, want non-zero naming %s with %q\nstderr:\n%s", code, path, want, stderr)
+	}
+	if strings.Contains(stdout, "Monitor report") {
+		t.Fatalf("unreadable input still monitored:\n%s", stdout)
+	}
+}
+
+// TestBVMWatch drives -bvm end to end: a roster bytecode NF is verified,
+// compiled to nfir, analysed and watched through the interpreter without
+// an alert, and a file the verifier rejects exits non-zero naming the
+// file instead of panicking.
+func TestBVMWatch(t *testing.T) {
+	for _, tc := range []struct {
+		file, want string // want: in stdout on success, in stderr on failure
+		fails      bool
+	}{
+		{file: "internal/nf/bvmdata/ratelimit.bvm", want: "expectation met: quiet"},
+		{file: "internal/bvm/testdata/malformed/fall_off_end.bvm", want: "falls off the end", fails: true},
+	} {
+		t.Run(filepath.Base(tc.file), func(t *testing.T) {
+			watchFile(t, "-bvm", filepath.Join("..", "..", tc.file), tc.want, tc.fails)
 		})
 	}
 }

@@ -37,12 +37,8 @@ func Compile(p *Program, source string) (*nfir.Program, error) {
 		nfir.Set("r2", nfir.PktLen{}),
 		nfir.Set("r3", nfir.Now{}),
 	}
-	prog := &nfir.Program{
-		Name:     p.Name,
-		NumPorts: p.Ports,
-		Body:     append(prologue, body...),
-		Source:   source,
-	}
+	prog := nfir.NewProgram(p.Name, p.Ports, append(prologue, body...))
+	prog.Source = source
 	// Defense in depth: the compiled shape must satisfy the hardened
 	// nfir validator (arity, result binding, constant port range).
 	if errs := prog.ValidateWithSigs(p.NFIRSigs()); len(errs) > 0 {

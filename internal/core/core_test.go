@@ -512,7 +512,7 @@ func TestGeneratorMaxPaths(t *testing.T) {
 		))
 	}
 	body = append(body, nfir.Drop())
-	prog := &nfir.Program{Name: "explode", Body: body}
+	prog := nfir.NewProgram("explode", 0, body)
 	g := NewGenerator()
 	g.MaxPaths = 1000
 	if _, err := g.Generate(prog, nil); err == nil {

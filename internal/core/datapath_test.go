@@ -44,8 +44,7 @@ func TestAttachCallLogTakesEffectNextPacket(t *testing.T) {
 }
 
 // Generators replaying paths in parallel, and several generators at
-// once, all execute one shared *nfir.Program, racing to lower it on
-// first use (run with -race).
+// once, all execute one shared *nfir.Program (run with -race).
 func TestConcurrentReplaysShareProgram(t *testing.T) {
 	nat := nf.NewNAT(nf.NATConfig{Capacity: 64, TimeoutNS: 1 << 30, GranularityNS: 1 << 20, FirstPort: 1000, PortCount: 64})
 	var want string

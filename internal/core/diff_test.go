@@ -6,6 +6,7 @@ import (
 
 	"gobolt/internal/nf"
 	"gobolt/internal/nfir"
+	"gobolt/internal/packet"
 	"gobolt/internal/perf"
 )
 
@@ -39,12 +40,17 @@ func TestDiffDetectsRegression(t *testing.T) {
 
 	ex := nf.NewExampleLPM(nf.ExampleLPMConfig{Ports: 4})
 	// Developer adds a (costly) checksum fixup to the forwarding path.
-	body := ex.Prog.Body[0].(nfir.If)
-	body.Then = append([]nfir.Stmt{
-		nfir.Set("cs", nfir.Field(24, 2)),
-		nfir.PktStore{Off: nfir.C(24), Size: 2, Val: nfir.Add(nfir.L("cs"), nfir.C(1))},
-	}, body.Then...)
-	ex.Prog.Body[0] = body
+	ex.Prog = nfir.NewProgram("example-lpm", 4, []nfir.Stmt{
+		nfir.IfElse(nfir.Eq(nfir.Field(packet.OffEtherType, 2), nfir.C(0x0800)),
+			[]nfir.Stmt{
+				nfir.Set("cs", nfir.Field(24, 2)),
+				nfir.PktStore{Off: nfir.C(24), Size: 2, Val: nfir.Add(nfir.L("cs"), nfir.C(1))},
+				nfir.Invoke("lpm", "get", []nfir.Expr{nfir.Field(packet.OffDstIP, 4)}, "port"),
+				nfir.Fwd(nfir.L("port")),
+			},
+			[]nfir.Stmt{nfir.Drop()},
+		),
+	})
 	newCt, err := (&Generator{}).Generate(ex.Prog, ex.Models)
 	if err != nil {
 		t.Fatal(err)

@@ -129,13 +129,10 @@ func Microbench(n int) ([]MicrobenchRow, error) {
 
 	var rows []MicrobenchRow
 	for _, p := range programs {
-		prog := &nfir.Program{
-			Name: p.name,
-			Body: []nfir.Stmt{
-				nfir.Invoke("mem", "walk", []nfir.Expr{nfir.C(uint64(n))}, "sum"),
-				nfir.Fwd(nfir.C(0)),
-			},
-		}
+		prog := nfir.NewProgram(p.name, 0, []nfir.Stmt{
+			nfir.Invoke("mem", "walk", []nfir.Expr{nfir.C(uint64(n))}, "sum"),
+			nfir.Fwd(nfir.C(0)),
+		})
 		// Predicted: the contract's cycle polynomial at n.
 		outs := p.tr.Model().Outcomes("walk", nil, func(h string) symb.Sym { return symb.Sym{Name: h} })
 		predicted := outs[0].Cost[perf.Cycles].Eval(map[string]uint64{"n": uint64(n)})

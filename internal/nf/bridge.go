@@ -41,7 +41,7 @@ func NewBridgeWithCosts(cfg BridgeConfig, costs dslib.FlowTableCosts) *Bridge {
 	if cfg.Ports == 0 {
 		cfg.Ports = 4
 	}
-	in := newInstance("bridge", cfg.Ports)
+	in := newInstance()
 	table := dslib.NewFlowTable(in.Env, dslib.FlowTableConfig{
 		Name:            "mac",
 		Capacity:        cfg.Capacity,
@@ -55,7 +55,7 @@ func NewBridgeWithCosts(cfg BridgeConfig, costs dslib.FlowTableCosts) *Bridge {
 	})
 	in.register("mac", table, table.Model())
 
-	in.Prog.Body = []nfir.Stmt{
+	in.Prog = nfir.NewProgram("bridge", cfg.Ports, []nfir.Stmt{
 		nfir.Invoke("mac", "expire", []nfir.Expr{nfir.Now{}}, "expired"),
 		set("src", mac48(6)),
 		nfir.Invoke("mac", "put", []nfir.Expr{l("src"), nfir.InPort{}, nfir.Now{}}, "learn"),
@@ -76,6 +76,6 @@ func NewBridgeWithCosts(cfg BridgeConfig, costs dslib.FlowTableCosts) *Bridge {
 				),
 			},
 		),
-	}
+	})
 	return &Bridge{Instance: in, Table: table}
 }

@@ -70,7 +70,7 @@ func bvmBuilder(src, provenance string) func(BuildParams) (*Instance, error) {
 
 // newBVMInstance wires a loaded bytecode unit into a roster Instance.
 func newBVMInstance(unit *bvm.Unit) (*Instance, error) {
-	in := newInstance(unit.Prog.Name, unit.Prog.NumPorts)
+	in := newInstance()
 	in.Prog = unit.Prog
 	models, err := unit.Instantiate(in.Env)
 	if err != nil {

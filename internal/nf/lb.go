@@ -45,7 +45,7 @@ type LB struct {
 // backend if it is alive (LB4), re-steers them when it is not (LB3);
 // and assigns new flows via the Maglev ring (LB2).
 func NewLB(cfg LBConfig) (*LB, error) {
-	in := newInstance("lb", 2)
+	in := newInstance()
 	flows := dslib.NewFlowTable(in.Env, dslib.FlowTableConfig{
 		Name:          "flows",
 		Capacity:      cfg.FlowCapacity,
@@ -71,7 +71,7 @@ func NewLB(cfg LBConfig) (*LB, error) {
 		}
 	}
 
-	in.Prog.Body = []nfir.Stmt{
+	in.Prog = nfir.NewProgram("lb", 2, []nfir.Stmt{
 		nfir.Invoke("flows", "expire", []nfir.Expr{nfir.Now{}}, "expired"),
 		nfir.Then(nfir.Ne(ethType(), c(0x0800)), drp()),
 		set("proto", ipProto()),
@@ -122,6 +122,6 @@ func NewLB(cfg LBConfig) (*LB, error) {
 				),
 			},
 		),
-	}
+	})
 	return &LB{Instance: in, Flows: flows, Ring: ring}, nil
 }

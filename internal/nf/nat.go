@@ -42,7 +42,7 @@ type NAT struct {
 // and reverse-translates external packets that match an allocation,
 // dropping the rest (the NAT4 class).
 func NewNAT(cfg NATConfig) *NAT {
-	in := newInstance("nat", 2)
+	in := newInstance()
 	if cfg.FirstPort == 0 {
 		cfg.FirstPort = 1024
 	}
@@ -68,7 +68,7 @@ func NewNAT(cfg NATConfig) *NAT {
 	in.register("flows", nm, nm.Model())
 
 	extIP := c(uint64(cfg.ExternalIP))
-	in.Prog.Body = []nfir.Stmt{
+	in.Prog = nfir.NewProgram("nat", 2, []nfir.Stmt{
 		nfir.Invoke("flows", "expire", []nfir.Expr{nfir.Now{}}, "expired"),
 		// Invalid packets: non-IPv4, IP options, or non-TCP/UDP.
 		nfir.Then(nfir.Ne(ethType(), c(0x0800)), drp()),
@@ -116,6 +116,6 @@ func NewNAT(cfg NATConfig) *NAT {
 				),
 			},
 		),
-	}
+	})
 	return &NAT{Instance: in, Map: nm}
 }

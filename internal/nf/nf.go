@@ -32,9 +32,9 @@ type Instance struct {
 	Stack *dpdk.Stack
 }
 
-func newInstance(name string, numPorts uint64) *Instance {
+// newInstance starts an Instance; the caller sets Prog.
+func newInstance() *Instance {
 	return &Instance{
-		Prog:   &nfir.Program{Name: name, NumPorts: numPorts},
 		Env:    nfir.NewEnv(),
 		Models: make(map[string]nfir.Model),
 		Stack:  dpdk.NewStack(),

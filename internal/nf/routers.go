@@ -29,11 +29,11 @@ func NewLPMRouter(cfg LPMRouterConfig) *LPMRouter {
 	if cfg.MaxTbl8Groups == 0 {
 		cfg.MaxTbl8Groups = 256
 	}
-	in := newInstance("lpm-router", cfg.Ports)
+	in := newInstance()
 	table := dslib.NewDir248(in.Env, cfg.DefaultPort, cfg.MaxTbl8Groups)
 	in.register("lpm", table, table.Model())
 
-	in.Prog.Body = []nfir.Stmt{
+	in.Prog = nfir.NewProgram("lpm-router", cfg.Ports, []nfir.Stmt{
 		nfir.Then(nfir.Ne(ethType(), c(0x0800)), drp()),
 		nfir.Then(nfir.Ne(verIHL(), c(0x45)), drp()),
 		set("ttl", nfir.Field(22, 1)),
@@ -50,7 +50,7 @@ func NewLPMRouter(cfg LPMRouterConfig) *LPMRouter {
 		nfir.PktStore{Off: c(6), Size: 2, Val: c(0x0200)}, // own MAC hi
 		nfir.PktStore{Off: c(8), Size: 4, Val: c(0x01)},
 		fwd(l("port")),
-	}
+	})
 	return &LPMRouter{Instance: in, Table: table}
 }
 
@@ -73,11 +73,11 @@ func NewExampleLPM(cfg ExampleLPMConfig) *ExampleLPM {
 	if cfg.Ports == 0 {
 		cfg.Ports = 4
 	}
-	in := newInstance("example-lpm", cfg.Ports)
+	in := newInstance()
 	trie := dslib.NewPatricia(in.Env, cfg.DefaultPort)
 	in.register("lpm", trie, trie.Model())
 
-	in.Prog.Body = []nfir.Stmt{
+	in.Prog = nfir.NewProgram("example-lpm", cfg.Ports, []nfir.Stmt{
 		nfir.IfElse(nfir.Eq(ethType(), c(0x0800)),
 			[]nfir.Stmt{
 				nfir.Invoke("lpm", "get", []nfir.Expr{dstIP()}, "port"),
@@ -85,7 +85,7 @@ func NewExampleLPM(cfg ExampleLPMConfig) *ExampleLPM {
 			},
 			[]nfir.Stmt{drp()},
 		),
-	}
+	})
 	return &ExampleLPM{Instance: in, Trie: trie}
 }
 
@@ -107,7 +107,7 @@ type Firewall struct {
 // are dropped immediately — the cheap class of Table 5a — and the rest
 // run the rule scan.
 func NewFirewall(cfg FirewallConfig) *Firewall {
-	in := newInstance("firewall", 2)
+	in := newInstance()
 	deflt := uint64(0)
 	if cfg.DefaultAccept {
 		deflt = 1
@@ -115,7 +115,7 @@ func NewFirewall(cfg FirewallConfig) *Firewall {
 	rules := dslib.NewRuleSet(in.Env, cfg.Rules, deflt)
 	in.register("rules", rules, rules.Model())
 
-	in.Prog.Body = []nfir.Stmt{
+	in.Prog = nfir.NewProgram("firewall", 2, []nfir.Stmt{
 		nfir.Then(nfir.Ne(ethType(), c(0x0800)), drp()),
 		// The IP-options policy: IHL != 5 → drop (Table 5a, "IP Options").
 		nfir.Then(nfir.Ne(verIHL(), c(0x45)), drp()),
@@ -126,7 +126,7 @@ func NewFirewall(cfg FirewallConfig) *Firewall {
 			[]nfir.Stmt{fwd(c(1))},
 			[]nfir.Stmt{drp()},
 		),
-	}
+	})
 	return &Firewall{Instance: in, Rules: rules}
 }
 
@@ -149,12 +149,12 @@ func NewStaticRouter(cfg StaticRouterConfig) *StaticRouter {
 	if cfg.Ports == 0 {
 		cfg.Ports = 4
 	}
-	in := newInstance("static-router", cfg.Ports)
+	in := newInstance()
 	table := dslib.NewDir248(in.Env, cfg.DefaultPort, 16)
 	in.register("routes", table, table.Model())
 	in.register("optproc", dslib.OptionProcessor{}, dslib.OptionProcessor{}.Model())
 
-	in.Prog.Body = []nfir.Stmt{
+	in.Prog = nfir.NewProgram("static-router", cfg.Ports, []nfir.Stmt{
 		nfir.Then(nfir.Ne(ethType(), c(0x0800)), drp()),
 		set("vi", verIHL()),
 		nfir.Then(nfir.Ne(nfir.Shr(l("vi"), c(4)), c(4)), drp()), // not IPv4
@@ -163,6 +163,6 @@ func NewStaticRouter(cfg StaticRouterConfig) *StaticRouter {
 		nfir.Invoke("optproc", "process", []nfir.Expr{l("ihl")}, "nopts"),
 		nfir.Invoke("routes", "get", []nfir.Expr{dstIP()}, "port"),
 		fwd(l("port")),
-	}
+	})
 	return &StaticRouter{Instance: in, Table: table}
 }

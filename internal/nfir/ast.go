@@ -36,7 +36,7 @@
 package nfir
 
 import (
-	"sync/atomic"
+	"slices"
 
 	"gobolt/internal/symb"
 )
@@ -163,13 +163,12 @@ func (Forward) irStmt()  {}
 func (DropStmt) irStmt() {}
 
 // Program is one NF's stateless packet-processing code plus the names of
-// the stateful data structures it uses.
+// the stateful data structures it uses. Build it with NewProgram: the
+// body is fixed from then on, so every engine runs the code that was
+// analysed.
 type Program struct {
 	// Name identifies the NF in contracts and reports.
 	Name string
-	// Body is the per-packet processing code; it must terminate with
-	// Forward or Drop on every path.
-	Body []Stmt
 	// NumPorts bounds InPort (domain [0, NumPorts-1]).
 	NumPorts uint64
 	// Source records the frontend that produced the program (e.g.
@@ -178,9 +177,40 @@ type Program struct {
 	// cache key) only when set, so builtin keys are unchanged.
 	Source string
 
-	// low caches Body's executable form for the concrete interpreter; see
-	// lower. Programs are shared by pointer, never copied.
-	low atomic.Pointer[lowered]
+	// body is the per-packet processing code; it must terminate with
+	// Forward or Drop on every path. low is its executable form for the
+	// concrete interpreter, nil unless NewProgram built the program.
+	body []Stmt
+	low  *lowered
+}
+
+// NewProgram builds a program from a copy of body and lowers it once.
+// Statements and expressions boxed in interface values are immutable,
+// so copying every slice in the tree is what makes the caller's later
+// edits to its own slices unable to reach the program.
+func NewProgram(name string, numPorts uint64, body []Stmt) *Program {
+	p := &Program{Name: name, NumPorts: numPorts, body: copyStmts(body)}
+	p.low = lower(p.body)
+	return p
+}
+
+// copyStmts copies ss and every slice nested in it.
+func copyStmts(ss []Stmt) []Stmt {
+	out := slices.Clone(ss)
+	for i, s := range out {
+		switch x := s.(type) {
+		case If:
+			x.Then, x.Else = copyStmts(x.Then), copyStmts(x.Else)
+			out[i] = x
+		case While:
+			x.Body = copyStmts(x.Body)
+			out[i] = x
+		case Call:
+			x.Args, x.Dsts = slices.Clone(x.Args), slices.Clone(x.Dsts)
+			out[i] = x
+		}
+	}
+	return out
 }
 
 // Convenience constructors keep NF definitions readable.

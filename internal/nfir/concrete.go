@@ -288,7 +288,10 @@ func (e *Env) bind(lp *lowered) {
 // Locals live in the Env until the next ResetPacket; they do not carry
 // over from one program to a different one.
 func (e *Env) Run(p *Program) (Action, error) {
-	lp := p.lower()
+	lp := p.low
+	if lp == nil {
+		return Action{}, fmt.Errorf("nfir: %s: program not built by NewProgram", p.Name)
+	}
 	if e.low != lp || e.boundGen != e.linkGen {
 		e.bind(lp)
 	}
@@ -368,7 +371,7 @@ func (e *Env) exec(lp *lowered) error {
 		case opLoopInit:
 			e.iters[in.a] = 0
 		case opLoopNext:
-			if in.imm > 0 && e.iters[in.a] > in.imm {
+			if in.imm > 0 && e.iters[in.a] >= in.imm {
 				return fmt.Errorf("loop exceeded MaxIter=%d", in.imm)
 			}
 			e.iters[in.a]++

@@ -1,6 +1,7 @@
 package nfir
 
 import (
+	"strings"
 	"testing"
 
 	"gobolt/internal/perf"
@@ -9,19 +10,15 @@ import (
 // etherTypeProgram is the stylised §2.1 router's stateless skeleton:
 // drop non-IPv4, otherwise consult a stateful lookup and forward.
 func etherTypeProgram() *Program {
-	return &Program{
-		Name:     "mini-router",
-		NumPorts: 4,
-		Body: []Stmt{
-			IfElse(Eq(Field(12, 2), C(0x0800)),
-				[]Stmt{
-					Invoke("lpm", "get", []Expr{Field(30, 4)}, "port"),
-					Fwd(L("port")),
-				},
-				[]Stmt{Drop()},
-			),
-		},
-	}
+	return NewProgram("mini-router", 4, []Stmt{
+		IfElse(Eq(Field(12, 2), C(0x0800)),
+			[]Stmt{
+				Invoke("lpm", "get", []Expr{Field(30, 4)}, "port"),
+				Fwd(L("port")),
+			},
+			[]Stmt{Drop()},
+		),
+	})
 }
 
 // fixedDS returns constant results and charges a fixed cost.
@@ -116,16 +113,13 @@ func TestConcreteDSCostCharged(t *testing.T) {
 }
 
 func TestConcreteArithmeticAndLocals(t *testing.T) {
-	p := &Program{
-		Name: "arith",
-		Body: []Stmt{
-			Set("x", C(10)),
-			Set("y", Add(L("x"), C(5))),
-			Set("z", Mul(L("y"), L("y"))),
-			Then(Gt(L("z"), C(200)), Fwd(C(1))),
-			Drop(),
-		},
-	}
+	p := NewProgram("arith", 0, []Stmt{
+		Set("x", C(10)),
+		Set("y", Add(L("x"), C(5))),
+		Set("z", Mul(L("y"), L("y"))),
+		Then(Gt(L("z"), C(200)), Fwd(C(1))),
+		Drop(),
+	})
 	env := NewEnv()
 	env.Meter = perf.NewMeter(nil)
 	env.ResetPacket(nil, 0, 0)
@@ -146,22 +140,19 @@ func TestConcreteArithmeticAndLocals(t *testing.T) {
 }
 
 func TestConcreteWhileLoop(t *testing.T) {
-	p := &Program{
-		Name: "loop",
-		Body: []Stmt{
-			Set("i", C(0)),
-			Set("sum", C(0)),
-			While{
-				Cond:    Lt(L("i"), C(5)),
-				MaxIter: 10,
-				Body: []Stmt{
-					Set("sum", Add(L("sum"), L("i"))),
-					Set("i", Add(L("i"), C(1))),
-				},
+	p := NewProgram("loop", 0, []Stmt{
+		Set("i", C(0)),
+		Set("sum", C(0)),
+		While{
+			Cond:    Lt(L("i"), C(5)),
+			MaxIter: 10,
+			Body: []Stmt{
+				Set("sum", Add(L("sum"), L("i"))),
+				Set("i", Add(L("i"), C(1))),
 			},
-			Fwd(L("sum")),
 		},
-	}
+		Fwd(L("sum")),
+	})
 	env := NewEnv()
 	env.Meter = perf.NewMeter(nil)
 	env.ResetPacket(nil, 0, 0)
@@ -179,14 +170,11 @@ func TestConcreteWhileLoop(t *testing.T) {
 }
 
 func TestConcreteWhileMaxIterViolation(t *testing.T) {
-	p := &Program{
-		Name: "infinite",
-		Body: []Stmt{
-			Set("i", C(0)),
-			While{Cond: C(1), MaxIter: 3, Body: []Stmt{Set("i", Add(L("i"), C(1)))}},
-			Drop(),
-		},
-	}
+	p := NewProgram("infinite", 0, []Stmt{
+		Set("i", C(0)),
+		While{Cond: C(1), MaxIter: 3, Body: []Stmt{Set("i", Add(L("i"), C(1)))}},
+		Drop(),
+	})
 	env := NewEnv()
 	env.ResetPacket(nil, 0, 0)
 	if _, err := env.Run(p); err == nil {
@@ -194,16 +182,35 @@ func TestConcreteWhileMaxIterViolation(t *testing.T) {
 	}
 }
 
-func TestConcretePacketReadWrite(t *testing.T) {
-	p := &Program{
-		Name: "rewrite",
-		Body: []Stmt{
-			Set("src", Field(26, 4)),
-			PktStore{Off: C(26), Size: 4, Val: C(0x0A000001)},
-			Set("after", Field(26, 4)),
-			Fwd(C(0)),
-		},
+// A loop's body runs at most MaxIter times: when the condition still
+// holds at check MaxIter+1 the run fails before the body runs again, so
+// no stateful call is made beyond the bound the symbolic engine checked.
+func TestConcreteWhileBodyRunsAtMostMaxIter(t *testing.T) {
+	p := NewProgram("bounded", 0, []Stmt{
+		While{Cond: C(1), MaxIter: 2, Body: []Stmt{Invoke("ds", "none", nil)}},
+		Drop(),
+	})
+	ds := &scriptDS{}
+	env := NewEnv()
+	env.Meter = perf.NewMeter(nil)
+	env.Link("ds", ds)
+	env.ResetPacket(nil, 0, 0)
+	_, err := env.Run(p)
+	if err == nil || !strings.Contains(err.Error(), "loop exceeded MaxIter=2") {
+		t.Errorf("err = %v, want loop exceeded MaxIter=2", err)
 	}
+	if ds.calls != 2 {
+		t.Errorf("body ran %d times, want 2", ds.calls)
+	}
+}
+
+func TestConcretePacketReadWrite(t *testing.T) {
+	p := NewProgram("rewrite", 0, []Stmt{
+		Set("src", Field(26, 4)),
+		PktStore{Off: C(26), Size: 4, Val: C(0x0A000001)},
+		Set("after", Field(26, 4)),
+		Fwd(C(0)),
+	})
 	pkt := make([]byte, 64)
 	pkt[26], pkt[27], pkt[28], pkt[29] = 192, 168, 1, 7
 	env := NewEnv()
@@ -224,13 +231,13 @@ func TestConcretePacketReadWrite(t *testing.T) {
 }
 
 func TestConcretePacketBounds(t *testing.T) {
-	over := &Program{Name: "oob", Body: []Stmt{Set("x", Field(MaxPacket-1, 4)), Drop()}}
+	over := NewProgram("oob", 0, []Stmt{Set("x", Field(MaxPacket-1, 4)), Drop()})
 	env := NewEnv()
 	env.ResetPacket(nil, 0, 0)
 	if _, err := env.Run(over); err == nil {
 		t.Fatal("out-of-bounds load must fail")
 	}
-	overStore := &Program{Name: "oobw", Body: []Stmt{PktStore{Off: C(MaxPacket), Size: 1, Val: C(0)}, Drop()}}
+	overStore := NewProgram("oobw", 0, []Stmt{PktStore{Off: C(MaxPacket), Size: 1, Val: C(0)}, Drop()})
 	env.ResetPacket(nil, 0, 0)
 	if _, err := env.Run(overStore); err == nil {
 		t.Fatal("out-of-bounds store must fail")
@@ -263,14 +270,11 @@ func TestConcreteMemLoadStore(t *testing.T) {
 	env := NewEnv()
 	env.Meter = perf.NewMeter(nil)
 	base := env.Heap.Alloc(64)
-	p := &Program{
-		Name: "mem",
-		Body: []Stmt{
-			MemStore{Addr: C(base), Size: 8, Val: C(41)},
-			Set("v", Add(MemLoad{Addr: C(base), Size: 8}, C(1))),
-			Fwd(L("v")),
-		},
-	}
+	p := NewProgram("mem", 0, []Stmt{
+		MemStore{Addr: C(base), Size: 8, Val: C(41)},
+		Set("v", Add(MemLoad{Addr: C(base), Size: 8}, C(1))),
+		Fwd(L("v")),
+	})
 	env.ResetPacket(nil, 0, 0)
 	act, err := env.Run(p)
 	if err != nil {
@@ -291,15 +295,12 @@ func TestConcreteLoadDependenceTaint(t *testing.T) {
 	env.Meter = perf.NewMeter(sink)
 	base := env.Heap.Alloc(128)
 	env.Heap.Write(base, 8, base+64)
-	p := &Program{
-		Name: "chase",
-		Body: []Stmt{
-			Set("ptr", MemLoad{Addr: C(base), Size: 8}),
-			Set("v", MemLoad{Addr: L("ptr"), Size: 8}), // dependent
-			Set("w", MemLoad{Addr: C(base), Size: 8}),  // independent
-			Drop(),
-		},
-	}
+	p := NewProgram("chase", 0, []Stmt{
+		Set("ptr", MemLoad{Addr: C(base), Size: 8}),
+		Set("v", MemLoad{Addr: L("ptr"), Size: 8}), // dependent
+		Set("w", MemLoad{Addr: C(base), Size: 8}),  // independent
+		Drop(),
+	})
 	env.ResetPacket(nil, 0, 0)
 	if _, err := env.Run(p); err != nil {
 		t.Fatal(err)
@@ -324,16 +325,12 @@ type sinkFunc func(perf.Access)
 func (f sinkFunc) Op(ev perf.Access) { f(ev) }
 
 func TestConcreteMetadataExprs(t *testing.T) {
-	p := &Program{
-		Name:     "meta",
-		NumPorts: 2,
-		Body: []Stmt{
-			Set("t", Now{}),
-			Set("p", InPort{}),
-			Set("l", PktLen{}),
-			Fwd(L("p")),
-		},
-	}
+	p := NewProgram("meta", 2, []Stmt{
+		Set("t", Now{}),
+		Set("p", InPort{}),
+		Set("l", PktLen{}),
+		Fwd(L("p")),
+	})
 	env := NewEnv()
 	env.ResetPacket(make([]byte, 100), 1, 5_000_000)
 	act, err := env.Run(p)
@@ -354,15 +351,15 @@ func TestConcreteMetadataExprs(t *testing.T) {
 func TestConcreteErrors(t *testing.T) {
 	env := NewEnv()
 	env.ResetPacket(nil, 0, 0)
-	if _, err := env.Run(&Program{Name: "unassigned", Body: []Stmt{Fwd(L("nope"))}}); err == nil {
+	if _, err := env.Run(NewProgram("unassigned", 0, []Stmt{Fwd(L("nope"))})); err == nil {
 		t.Error("unassigned local must fail")
 	}
 	env.ResetPacket(nil, 0, 0)
-	if _, err := env.Run(&Program{Name: "noend", Body: []Stmt{Set("x", C(1))}}); err == nil {
+	if _, err := env.Run(NewProgram("noend", 0, []Stmt{Set("x", C(1))})); err == nil {
 		t.Error("missing terminator must fail")
 	}
 	env.ResetPacket(nil, 0, 0)
-	if _, err := env.Run(&Program{Name: "nods", Body: []Stmt{Invoke("ghost", "m", nil), Drop()}}); err == nil {
+	if _, err := env.Run(NewProgram("nods", 0, []Stmt{Invoke("ghost", "m", nil), Drop()})); err == nil {
 		t.Error("unknown DS must fail")
 	}
 }
@@ -403,14 +400,11 @@ func TestObservePCV(t *testing.T) {
 func TestConcreteStrictLogicalOps(t *testing.T) {
 	env := NewEnv()
 	env.Meter = perf.NewMeter(nil)
-	p := &Program{
-		Name: "strict",
-		Body: []Stmt{
-			// false && (x == 1): both comparisons charged + the && itself.
-			Then(And2(Eq(C(0), C(1)), Eq(C(1), C(1))), Fwd(C(0))),
-			Drop(),
-		},
-	}
+	p := NewProgram("strict", 0, []Stmt{
+		// false && (x == 1): both comparisons charged + the && itself.
+		Then(And2(Eq(C(0), C(1)), Eq(C(1), C(1))), Fwd(C(0))),
+		Drop(),
+	})
 	env.ResetPacket(nil, 0, 0)
 	if _, err := env.Run(p); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 package nfir
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -65,23 +67,23 @@ func TestResetPacketZeroesTail(t *testing.T) {
 	for i := range long {
 		long[i] = 0xAB
 	}
-	store := &Program{Name: "store", Body: []Stmt{
+	store := NewProgram("store", 0, []Stmt{
 		PktStore{Off: C(300), Size: 8, Val: C(^uint64(0))},
 		PktStore{Off: C(MaxPacket - 1), Size: 1, Val: C(0xFF)},
 		Drop(),
-	}}
+	})
 	env.ResetPacket(long, 0, 0)
 	if _, err := env.Run(store); err != nil {
 		t.Fatal(err)
 	}
 
-	read := &Program{Name: "read", Body: []Stmt{
+	read := NewProgram("read", 0, []Stmt{
 		Set("in", Field(8, 2)),
 		Set("old", Field(100, 8)),
 		Set("stored", Field(300, 8)),
 		Set("last", Field(MaxPacket-1, 1)),
 		Drop(),
-	}}
+	})
 	env.ResetPacket(long[:10], 0, 0)
 	if _, err := env.Run(read); err != nil {
 		t.Fatal(err)
@@ -93,67 +95,57 @@ func TestResetPacketZeroesTail(t *testing.T) {
 	}
 }
 
-// Program.Body is exported and mutable; every way of changing it between
-// two runs must be honoured by the next run, cached lowering or not.
-func TestBodyMutationHonoured(t *testing.T) {
+// NewProgram copies the caller's slices: editing them afterwards — a
+// top-level statement, a nested one, a call's arguments or its
+// destinations — changes neither what Run does nor the printed program
+// nor the explored paths. A Program NewProgram did not build cannot run.
+func TestCallerEditsCannotReachProgram(t *testing.T) {
+	inner := []Stmt{Fwd(L("port"))}
+	args := []Expr{Field(30, 4)}
+	dsts := []string{"port", "found"}
+	body := []Stmt{
+		Call{DS: "table", Method: "get", Args: args, Dsts: dsts},
+		IfElse(Eq(L("found"), C(1)), inner, []Stmt{Drop()}),
+	}
+	p := NewProgram("frozen", 4, body)
 	env := NewEnv()
-	env.Link("ds", &fixedDS{results: []uint64{7, 8}})
-	inner := []Stmt{Fwd(C(1))}
-	args := []Expr{C(0)}
-	dsts := []string{"x", "y"}
-	p := &Program{Name: "mut", Body: []Stmt{
-		Call{DS: "ds", Method: "m", Args: args, Dsts: dsts},
-		IfElse(Eq(L("x"), C(7)), inner, []Stmt{Drop()}),
-	}}
-	run := func() Action {
+	env.Link("table", &fixedDS{results: []uint64{2, 1}})
+	snapshot := func() (Action, string, string) {
 		t.Helper()
-		env.ResetPacket(nil, 0, 0)
+		env.ResetPacket(ipv4Packet(), 0, 0)
 		act, err := env.Run(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return act
+		var paths strings.Builder
+		for _, path := range explore(t, p, map[string]Model{"table": lookupModel{}}) {
+			fmt.Fprintf(&paths, "%v %v %v %d/%d %d\n", path.Constraints, path.Action, path.Port,
+				path.StatelessIC, path.StatelessMA, len(path.Events))
+		}
+		return act, p.String(), paths.String()
 	}
-	if act := run(); act != (Action{ActionForward, 1}) {
-		t.Fatalf("unmutated: %+v", act)
-	}
-	low := p.low.Load()
-	if run(); p.low.Load() != low {
-		t.Error("an unchanged body was lowered again")
+	act, text, paths := snapshot()
+	if act != (Action{ActionForward, 2}) {
+		t.Fatalf("before edits: %+v", act)
 	}
 
-	inner[0] = Fwd(C(2)) // an element of a nested slice
-	if act := run(); act.Port != 2 {
-		t.Errorf("nested statement replaced: port %d, want 2", act.Port)
+	body[1] = Fwd(C(3))
+	inner[0] = Drop()
+	args[0] = Field(26, 4)
+	dsts[0], dsts[1] = "found", "port"
+	gotAct, gotText, gotPaths := snapshot()
+	if gotAct != act {
+		t.Errorf("action after edits: %+v, want %+v", gotAct, act)
 	}
-	dsts[0], dsts[1] = "y", "x" // a call's destination names: x is now 8
-	if act := run(); act.Kind != ActionDrop {
-		t.Errorf("call destinations swapped: %+v, want drop", act)
+	if gotText != text {
+		t.Errorf("String after edits:\n%s\nwant:\n%s", gotText, text)
 	}
-	dsts[0], dsts[1] = "x", "y"
-	args[0] = L("undefined") // a call argument
-	env.ResetPacket(nil, 0, 0)
-	if _, err := env.Run(p); err == nil {
-		t.Error("call argument replaced by an unassigned local: no error")
+	if gotPaths != paths {
+		t.Errorf("paths after edits:\n%s\nwant:\n%s", gotPaths, paths)
 	}
-	args[0] = C(0)
-	p.Body[1] = Fwd(C(3)) // an element of Body itself
-	if act := run(); act.Port != 3 {
-		t.Errorf("top-level statement replaced: port %d, want 3", act.Port)
-	}
-	p.Body = p.Body[:1] // the slice header alone
-	env.ResetPacket(nil, 0, 0)
-	if _, err := env.Run(p); err == nil {
-		t.Error("body truncated before its Forward: no error")
-	}
-	p.Body = []Stmt{Fwd(C(4))} // a new slice
-	if act := run(); act.Port != 4 {
-		t.Errorf("body replaced: port %d, want 4", act.Port)
-	}
-	p.Body = nil
-	env.ResetPacket(nil, 0, 0)
-	if _, err := env.Run(p); err == nil {
-		t.Error("empty body: no error")
+
+	if _, err := env.Run(&Program{Name: "zero"}); err == nil {
+		t.Error("zero Program ran without error")
 	}
 }
 
@@ -190,7 +182,7 @@ func TestRelinkTakesEffectNextRun(t *testing.T) {
 }
 
 // One *Program may be run from many goroutines at once, each on its own
-// Env, including the first runs that race to lower it (run with -race).
+// Env (run with -race).
 func TestConcurrentRunsShareProgram(t *testing.T) {
 	p := etherTypeProgram()
 	var wg sync.WaitGroup
@@ -219,13 +211,13 @@ func TestRunAllocatesNothing(t *testing.T) {
 	env := NewEnv()
 	env.Meter = perf.NewMeter(nil)
 	env.Link("tbl", &scriptDS{})
-	p := &Program{Name: "calls", Body: []Stmt{
+	p := NewProgram("calls", 0, []Stmt{
 		Invoke("tbl", "count", []Expr{Field(0, 4), Now{}}, "n"),
 		Set("i", C(0)),
 		While{Cond: Lt(L("i"), C(3)), MaxIter: 4, Body: []Stmt{Set("i", Add(L("i"), C(1)))}},
 		Invoke("tbl", "none", nil),
 		Fwd(L("n")),
-	}}
+	})
 	pkt := ipv4Packet()
 	if allocs := testing.AllocsPerRun(200, func() {
 		env.ResetPacket(pkt, 1, 2)

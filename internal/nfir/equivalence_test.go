@@ -17,7 +17,6 @@ import (
 // randomProgram builds a small random (but valid) stateless program:
 // field reads, arithmetic over locals, nested branches, packet writes.
 func randomProgram(rng *rand.Rand) *Program {
-	p := &Program{Name: "random", NumPorts: 4}
 	defined := []string{}
 	var genStmts func(depth, budget int) []Stmt
 	genExpr := func() Expr {
@@ -70,13 +69,13 @@ func randomProgram(rng *rand.Rand) *Program {
 		}
 		return out
 	}
-	p.Body = genStmts(0, 8)
+	body := genStmts(0, 8)
 	// Deterministic terminator.
-	p.Body = append(p.Body, IfElse(genCond(),
+	body = append(body, IfElse(genCond(),
 		[]Stmt{Fwd(C(uint64(rng.Intn(4))))},
 		[]Stmt{Drop()},
 	))
-	return p
+	return NewProgram("random", 4, body)
 }
 
 // Property (the replay-validation invariant, program-generically): for a
@@ -242,17 +241,17 @@ func wildProgram(rng *rand.Rand) *Program {
 		}
 		return out
 	}
-	p := &Program{Name: "wild", NumPorts: 4}
+	var body []Stmt
 	for _, n := range names { // most locals start assigned, so most reads succeed
 		if rng.Intn(5) != 0 {
-			p.Body = append(p.Body, Set(n, Field(uint64(rng.Intn(64)), size())))
+			body = append(body, Set(n, Field(uint64(rng.Intn(64)), size())))
 		}
 	}
-	p.Body = append(p.Body, genStmts(0)...)
+	body = append(body, genStmts(0)...)
 	if rng.Intn(8) != 0 { // most bodies terminate; the rest fall off the end
-		p.Body = append(p.Body, IfElse(genExpr(1), []Stmt{Fwd(genExpr(1))}, []Stmt{Drop()}))
+		body = append(body, IfElse(genExpr(1), []Stmt{Fwd(genExpr(1))}, []Stmt{Drop()}))
 	}
-	return p
+	return NewProgram("wild", 4, body)
 }
 
 // scriptDS is wildProgram's stateful structure: a deterministic function

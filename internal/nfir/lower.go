@@ -2,14 +2,13 @@ package nfir
 
 import (
 	"fmt"
-	"unsafe"
 
 	"gobolt/internal/perf"
 	"gobolt/internal/symb"
 )
 
-// The concrete interpreter does not walk Program.Body: the body is
-// lowered once into a flat postfix instruction array in which locals,
+// The concrete interpreter does not walk a Program's body: NewProgram
+// lowers it once into a flat postfix instruction array in which locals,
 // data structures and call sites are integer slots and everything that
 // depends only on the program text (an operator's cost class, whether a
 // condition is comparison-shaped, a loop's bound) is already decided.
@@ -31,7 +30,7 @@ const (
 	opJz                     // pop; if imm, charge a branch; jump to a when zero
 	opJmp                    // jump to a
 	opLoopInit               // zero loop counter a
-	opLoopNext               // fail if counter a passed bound imm; count one iteration
+	opLoopNext               // fail if counter a reached bound imm; count one iteration
 	opCall                   // call site a; arguments are the top of the stack
 	opPktStore               // pop value, offset; store a bytes into the packet
 	opMemStore               // pop value, address; store a bytes into the heap
@@ -71,82 +70,14 @@ type lowered struct {
 	msgs   []string
 	stack  int // deepest operand stack any statement needs
 	loops  int // number of While statements, one counter each
-	guard  bodyGuard
 }
 
-// lower returns the program's executable form, building it on first use
-// and again whenever Body has changed since. Concurrent callers may both
-// build; the forms are interchangeable and the last store wins.
-func (p *Program) lower() *lowered {
-	if lp := p.low.Load(); lp != nil && lp.guard.holds(p.Body) {
-		return lp
-	}
+// lower builds the executable form of body.
+func lower(body []Stmt) *lowered {
 	lo := lowerer{out: &lowered{}, localSlot: map[string]int32{}, dsSlot: map[string]int32{}}
-	lo.out.guard.root = p.Body
-	lo.stmts(p.Body)
+	lo.stmts(body)
 	lo.emit(instr{op: opFellOff})
-	p.low.Store(lo.out)
 	return lo.out
-}
-
-// bodyGuard detects every change to a statement tree since it was
-// lowered, which is what makes it safe to cache the lowering although
-// Program.Body is an exported, mutable field.
-//
-// A statement or expression boxed in an interface value is immutable, so
-// the only places a tree can change are the root slice header and the
-// elements of its slices: Body, If.Then/Else, While.Body, Call.Args and
-// Call.Dsts. The guard remembers the root slice and, for every element
-// of every such slice, where it lives (a pointer into the program's own
-// backing array) and what it held. The tree is unchanged iff the root
-// still is the same slice and every element still is the same interface
-// value — same type word, same data pointer — or the same string. The
-// remembered data pointer keeps the old box alive, so an equal pointer
-// cannot be a recycled allocation. A false alarm (an element overwritten
-// with an equal value) costs one re-lowering.
-type bodyGuard struct {
-	root  []Stmt
-	boxes []boxGuard
-	names []nameGuard
-}
-
-// ifaceWords is the layout of a non-empty interface value such as a
-// Stmt or an Expr: the type word and the pointer to the boxed value.
-type ifaceWords struct{ tab, data unsafe.Pointer }
-
-type boxGuard struct {
-	at  *ifaceWords
-	was ifaceWords
-}
-
-type nameGuard struct {
-	at  *string
-	was string
-}
-
-// watchBoxes guards the elements of a []Stmt or []Expr.
-func watchBoxes[T any](g *bodyGuard, s []T) {
-	for i := range s {
-		at := (*ifaceWords)(unsafe.Pointer(&s[i]))
-		g.boxes = append(g.boxes, boxGuard{at: at, was: *at})
-	}
-}
-
-func (g *bodyGuard) holds(body []Stmt) bool {
-	if len(body) != len(g.root) || (len(body) > 0 && &body[0] != &g.root[0]) {
-		return false
-	}
-	for i := range g.boxes {
-		if b := &g.boxes[i]; b.at.data != b.was.data || b.at.tab != b.was.tab {
-			return false
-		}
-	}
-	for i := range g.names {
-		if n := &g.names[i]; *n.at != n.was {
-			return false
-		}
-	}
-	return true
 }
 
 type lowerer struct {
@@ -195,7 +126,6 @@ func (lo *lowerer) unknown(what string, v any) instr {
 }
 
 func (lo *lowerer) stmts(ss []Stmt) {
-	watchBoxes(&lo.out.guard, ss)
 	for _, s := range ss {
 		lo.stmt(s)
 	}
@@ -218,17 +148,16 @@ func (lo *lowerer) stmt(s Stmt) {
 		lo.out.loops++
 		lo.emit(instr{op: opLoopInit, a: counter})
 		top := lo.here()
+		toEnd := lo.cond(st.Cond)
 		next := instr{op: opLoopNext, a: counter}
 		if st.MaxIter > 0 {
 			next.imm = uint64(st.MaxIter)
 		}
 		lo.emit(next)
-		toEnd := lo.cond(st.Cond)
 		lo.stmts(st.Body)
 		lo.emit(instr{op: opJmp, a: top})
 		lo.out.code[toEnd].a = lo.here()
 	case Call:
-		watchBoxes(&lo.out.guard, st.Args)
 		for _, a := range st.Args {
 			lo.expr(a)
 		}
@@ -239,8 +168,7 @@ func (lo *lowerer) stmt(s Stmt) {
 			lo.out.ds = append(lo.out.ds, st.DS)
 		}
 		site := callSite{ds: ds, name: st.DS, method: st.Method, nargs: len(st.Args)}
-		for i, dst := range st.Dsts {
-			lo.out.guard.names = append(lo.out.guard.names, nameGuard{at: &st.Dsts[i], was: dst})
+		for _, dst := range st.Dsts {
 			site.dsts = append(site.dsts, lo.local(dst))
 		}
 		lo.out.calls = append(lo.out.calls, site)

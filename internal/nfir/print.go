@@ -15,7 +15,7 @@ func (p *Program) String() string {
 	} else {
 		fmt.Fprintf(&b, "nf %s(ports=%d):\n", p.Name, p.NumPorts)
 	}
-	printStmts(&b, p.Body, 1)
+	printStmts(&b, p.body, 1)
 	return b.String()
 }
 

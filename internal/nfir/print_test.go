@@ -6,25 +6,21 @@ import (
 )
 
 func TestProgramString(t *testing.T) {
-	p := &Program{
-		Name:     "demo",
-		NumPorts: 2,
-		Body: []Stmt{
-			Set("ttl", Field(22, 1)),
-			IfElse(Eq(Field(12, 2), C(0x0800)),
-				[]Stmt{
-					While{Cond: Lt(L("ttl"), C(5)), MaxIter: 8, Body: []Stmt{
-						Set("ttl", Add(L("ttl"), C(1))),
-					}},
-					Invoke("table", "get", []Expr{Field(30, 4), Now{}}, "port", "found"),
-					PktStore{Off: C(22), Size: 1, Val: L("ttl")},
-					MemStore{Addr: C(0x100), Size: 8, Val: InPort{}},
-					Fwd(L("port")),
-				},
-				[]Stmt{Drop()},
-			),
-		},
-	}
+	p := NewProgram("demo", 2, []Stmt{
+		Set("ttl", Field(22, 1)),
+		IfElse(Eq(Field(12, 2), C(0x0800)),
+			[]Stmt{
+				While{Cond: Lt(L("ttl"), C(5)), MaxIter: 8, Body: []Stmt{
+					Set("ttl", Add(L("ttl"), C(1))),
+				}},
+				Invoke("table", "get", []Expr{Field(30, 4), Now{}}, "port", "found"),
+				PktStore{Off: C(22), Size: 1, Val: L("ttl")},
+				MemStore{Addr: C(0x100), Size: 8, Val: InPort{}},
+				Fwd(L("port")),
+			},
+			[]Stmt{Drop()},
+		),
+	})
 	out := p.String()
 	for _, want := range []string{
 		"nf demo(ports=2):",

@@ -237,7 +237,7 @@ func (en *Engine) ExploreContext(ctx context.Context, p *Program) ([]*Path, erro
 	if p.NumPorts > 0 {
 		st.setDomain(SymInPort, symb.Domain{Lo: 0, Hi: p.NumPorts - 1})
 	}
-	err := en.run(st, p.Body, func(*symState) error {
+	err := en.run(st, p.body, func(*symState) error {
 		return fmt.Errorf("nfir: %s: path fell off the end without Forward/Drop", p.Name)
 	}, maxPaths)
 	if err != nil {

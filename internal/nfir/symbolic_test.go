@@ -37,22 +37,18 @@ func (lookupModel) Outcomes(method string, args []symb.Expr, fresh FreshFn) []Ou
 }
 
 func symRouterProgram() *Program {
-	return &Program{
-		Name:     "sym-router",
-		NumPorts: 4,
-		Body: []Stmt{
-			IfElse(Eq(Field(12, 2), C(0x0800)),
-				[]Stmt{
-					Invoke("table", "get", []Expr{Field(30, 4)}, "port", "found"),
-					IfElse(Eq(L("found"), C(1)),
-						[]Stmt{Fwd(L("port"))},
-						[]Stmt{Drop()},
-					),
-				},
-				[]Stmt{Drop()},
-			),
-		},
-	}
+	return NewProgram("sym-router", 4, []Stmt{
+		IfElse(Eq(Field(12, 2), C(0x0800)),
+			[]Stmt{
+				Invoke("table", "get", []Expr{Field(30, 4)}, "port", "found"),
+				IfElse(Eq(L("found"), C(1)),
+					[]Stmt{Fwd(L("port"))},
+					[]Stmt{Drop()},
+				),
+			},
+			[]Stmt{Drop()},
+		),
+	})
 }
 
 func explore(t *testing.T, p *Program, models map[string]Model) []*Path {
@@ -98,21 +94,18 @@ func TestSymbolicPathEnumeration(t *testing.T) {
 }
 
 func TestSymbolicInfeasiblePruned(t *testing.T) {
-	p := &Program{
-		Name: "contradiction",
-		Body: []Stmt{
-			IfElse(Eq(Field(0, 1), C(5)),
-				[]Stmt{
-					// Inside etherByte==5, the check etherByte==6 is dead.
-					IfElse(Eq(Field(0, 1), C(6)),
-						[]Stmt{Fwd(C(0))},
-						[]Stmt{Drop()},
-					),
-				},
-				[]Stmt{Drop()},
-			),
-		},
-	}
+	p := NewProgram("contradiction", 0, []Stmt{
+		IfElse(Eq(Field(0, 1), C(5)),
+			[]Stmt{
+				// Inside etherByte==5, the check etherByte==6 is dead.
+				IfElse(Eq(Field(0, 1), C(6)),
+					[]Stmt{Fwd(C(0))},
+					[]Stmt{Drop()},
+				),
+			},
+			[]Stmt{Drop()},
+		),
+	})
 	paths := explore(t, p, nil)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2 (dead branch pruned)", len(paths))
@@ -185,18 +178,15 @@ func (r replayStub) Invoke(method string, args []uint64, env *Env) ([]uint64, er
 
 func TestSymbolicLoopUnrolling(t *testing.T) {
 	// Count trailing option bytes equal to 1, up to 4: forks per length.
-	p := &Program{
-		Name: "optloop",
-		Body: []Stmt{
-			Set("i", C(0)),
-			While{
-				Cond:    And2(Lt(L("i"), C(4)), Eq(PktLoad{Off: Add(C(14), L("i")), Size: 1}, C(1))),
-				MaxIter: 8,
-				Body:    []Stmt{Set("i", Add(L("i"), C(1)))},
-			},
-			Fwd(L("i")),
+	p := NewProgram("optloop", 0, []Stmt{
+		Set("i", C(0)),
+		While{
+			Cond:    And2(Lt(L("i"), C(4)), Eq(PktLoad{Off: Add(C(14), L("i")), Size: 1}, C(1))),
+			MaxIter: 8,
+			Body:    []Stmt{Set("i", Add(L("i"), C(1)))},
 		},
-	}
+		Fwd(L("i")),
+	})
 	paths := explore(t, p, nil)
 	// i = 0..4 → 5 paths.
 	if len(paths) != 5 {
@@ -205,20 +195,17 @@ func TestSymbolicLoopUnrolling(t *testing.T) {
 }
 
 func TestSymbolicLoopBoundViolation(t *testing.T) {
-	p := &Program{
-		Name: "unbounded",
-		Body: []Stmt{
-			Set("i", C(0)),
-			While{
-				// Condition depends on a symbolic field and i never makes
-				// it false structurally.
-				Cond:    Ne(Field(0, 1), C(0)),
-				MaxIter: 3,
-				Body:    []Stmt{Set("i", Add(L("i"), C(1)))},
-			},
-			Drop(),
+	p := NewProgram("unbounded", 0, []Stmt{
+		Set("i", C(0)),
+		While{
+			// Condition depends on a symbolic field and i never makes
+			// it false structurally.
+			Cond:    Ne(Field(0, 1), C(0)),
+			MaxIter: 3,
+			Body:    []Stmt{Set("i", Add(L("i"), C(1)))},
 		},
-	}
+		Drop(),
+	})
 	en := &Engine{Models: nil}
 	if _, err := en.Explore(p); err == nil {
 		t.Fatal("expected loop bound violation")
@@ -226,13 +213,10 @@ func TestSymbolicLoopBoundViolation(t *testing.T) {
 }
 
 func TestSymbolicPacketWriteVisibleToChain(t *testing.T) {
-	p := &Program{
-		Name: "nat-ish",
-		Body: []Stmt{
-			PktStore{Off: C(26), Size: 4, Val: C(0x0A000001)},
-			Fwd(C(0)),
-		},
-	}
+	p := NewProgram("nat-ish", 0, []Stmt{
+		PktStore{Off: C(26), Size: 4, Val: C(0x0A000001)},
+		Fwd(C(0)),
+	})
 	paths := explore(t, p, nil)
 	if len(paths) != 1 {
 		t.Fatalf("paths = %d", len(paths))
@@ -250,16 +234,13 @@ func TestSymbolicPacketWriteVisibleToChain(t *testing.T) {
 }
 
 func TestSymbolicWriteThenReadSeesValue(t *testing.T) {
-	p := &Program{
-		Name: "rw",
-		Body: []Stmt{
-			PktStore{Off: C(26), Size: 4, Val: C(7)},
-			IfElse(Eq(Field(26, 4), C(7)),
-				[]Stmt{Fwd(C(0))},
-				[]Stmt{Drop()},
-			),
-		},
-	}
+	p := NewProgram("rw", 0, []Stmt{
+		PktStore{Off: C(26), Size: 4, Val: C(7)},
+		IfElse(Eq(Field(26, 4), C(7)),
+			[]Stmt{Fwd(C(0))},
+			[]Stmt{Drop()},
+		),
+	})
 	paths := explore(t, p, nil)
 	if len(paths) != 1 || paths[0].Action != ActionForward {
 		t.Fatalf("write-then-read must fold to a single forward path, got %d paths", len(paths))
@@ -269,19 +250,16 @@ func TestSymbolicWriteThenReadSeesValue(t *testing.T) {
 func TestSymbolicFieldSymCanonical(t *testing.T) {
 	// Reading the same field twice yields one symbol, so the second
 	// branch folds.
-	p := &Program{
-		Name: "canon",
-		Body: []Stmt{
-			IfElse(Eq(Field(12, 2), C(0x0800)),
-				[]Stmt{
-					IfElse(Eq(Field(12, 2), C(0x0800)),
-						[]Stmt{Fwd(C(0))},
-						[]Stmt{Drop()}),
-				},
-				[]Stmt{Drop()},
-			),
-		},
-	}
+	p := NewProgram("canon", 0, []Stmt{
+		IfElse(Eq(Field(12, 2), C(0x0800)),
+			[]Stmt{
+				IfElse(Eq(Field(12, 2), C(0x0800)),
+					[]Stmt{Fwd(C(0))},
+					[]Stmt{Drop()}),
+			},
+			[]Stmt{Drop()},
+		),
+	})
 	paths := explore(t, p, nil)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2", len(paths))
@@ -301,16 +279,12 @@ func TestParseFieldSym(t *testing.T) {
 }
 
 func TestSymbolicInPortDomain(t *testing.T) {
-	p := &Program{
-		Name:     "portcheck",
-		NumPorts: 2,
-		Body: []Stmt{
-			IfElse(Eq(InPort{}, C(5)), // impossible: ports are 0..1
-				[]Stmt{Fwd(C(0))},
-				[]Stmt{Drop()},
-			),
-		},
-	}
+	p := NewProgram("portcheck", 2, []Stmt{
+		IfElse(Eq(InPort{}, C(5)), // impossible: ports are 0..1
+			[]Stmt{Fwd(C(0))},
+			[]Stmt{Drop()},
+		),
+	})
 	paths := explore(t, p, nil)
 	if len(paths) != 1 || paths[0].Action != ActionDrop {
 		t.Fatalf("in_port=5 must be infeasible with 2 ports; got %d paths", len(paths))
@@ -342,16 +316,13 @@ func TestEventSummaryAndInputSymbols(t *testing.T) {
 // recorded the unmasked value, so a read-after-write branched on the
 // full 32-bit quantity and diverged from concrete execution.
 func TestPktStoreTruncatesWideValue(t *testing.T) {
-	p := &Program{
-		Name: "trunc-store",
-		Body: []Stmt{
-			PktStore{Off: C(10), Size: 1, Val: Field(25, 4)},
-			IfElse(Lt(Field(10, 1), C(220)),
-				[]Stmt{Fwd(C(0))},
-				[]Stmt{Drop()},
-			),
-		},
-	}
+	p := NewProgram("trunc-store", 0, []Stmt{
+		PktStore{Off: C(10), Size: 1, Val: Field(25, 4)},
+		IfElse(Lt(Field(10, 1), C(220)),
+			[]Stmt{Fwd(C(0))},
+			[]Stmt{Drop()},
+		),
+	})
 	paths := explore(t, p, nil)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2", len(paths))
@@ -387,16 +358,13 @@ func TestPktStoreTruncatesWideValue(t *testing.T) {
 // A value that provably fits the slot must be stored untouched — no
 // gratuitous mask wrapping (legacy constraint shapes depend on it).
 func TestPktStoreKeepsFittingValue(t *testing.T) {
-	p := &Program{
-		Name: "fit-store",
-		Body: []Stmt{
-			PktStore{Off: C(10), Size: 1, Val: Field(25, 1)}, // 1-byte load fits
-			IfElse(Lt(Field(10, 1), C(220)),
-				[]Stmt{Fwd(C(0))},
-				[]Stmt{Drop()},
-			),
-		},
-	}
+	p := NewProgram("fit-store", 0, []Stmt{
+		PktStore{Off: C(10), Size: 1, Val: Field(25, 1)}, // 1-byte load fits
+		IfElse(Lt(Field(10, 1), C(220)),
+			[]Stmt{Fwd(C(0))},
+			[]Stmt{Drop()},
+		),
+	})
 	paths := explore(t, p, nil)
 	for _, pa := range paths {
 		if pa.Action != ActionForward {

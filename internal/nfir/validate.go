@@ -51,7 +51,7 @@ type validator struct {
 
 func (v *validator) run(p *Program) []error {
 	defined := map[string]bool{}
-	terminates := v.checkStmts(p.Body, defined, "body")
+	terminates := v.checkStmts(p.body, defined, "body")
 	if !terminates {
 		v.errs = append(v.errs, fmt.Errorf("%s: not every path ends in Forward or Drop", p.Name))
 	}

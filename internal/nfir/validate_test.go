@@ -15,20 +15,16 @@ func errorsContain(errs []error, frag string) bool {
 }
 
 func TestValidateCleanProgram(t *testing.T) {
-	p := &Program{
-		Name:     "clean",
-		NumPorts: 2,
-		Body: []Stmt{
-			Set("x", Field(12, 2)),
-			IfElse(Eq(L("x"), C(0x0800)),
-				[]Stmt{
-					nfInvoke(),
-					Fwd(L("port")),
-				},
-				[]Stmt{Drop()},
-			),
-		},
-	}
+	p := NewProgram("clean", 2, []Stmt{
+		Set("x", Field(12, 2)),
+		IfElse(Eq(L("x"), C(0x0800)),
+			[]Stmt{
+				nfInvoke(),
+				Fwd(L("port")),
+			},
+			[]Stmt{Drop()},
+		),
+	})
 	if errs := p.Validate(map[string]bool{"lpm": true}); len(errs) != 0 {
 		t.Fatalf("clean program reported: %v", errs)
 	}
@@ -39,125 +35,104 @@ func nfInvoke() Stmt {
 }
 
 func TestValidateMissingTerminator(t *testing.T) {
-	p := &Program{Name: "noend", Body: []Stmt{Set("x", C(1))}}
+	p := NewProgram("noend", 0, []Stmt{Set("x", C(1))})
 	if errs := p.Validate(nil); !errorsContain(errs, "Forward or Drop") {
 		t.Errorf("errs = %v", errs)
 	}
 	// One-armed If does not terminate all paths.
-	p2 := &Program{Name: "oneArm", Body: []Stmt{Then(Eq(Field(0, 1), C(1)), Drop())}}
+	p2 := NewProgram("oneArm", 0, []Stmt{Then(Eq(Field(0, 1), C(1)), Drop())})
 	if errs := p2.Validate(nil); !errorsContain(errs, "Forward or Drop") {
 		t.Errorf("errs = %v", errs)
 	}
 }
 
 func TestValidateUnassignedLocal(t *testing.T) {
-	p := &Program{Name: "ghost", Body: []Stmt{Fwd(L("nope"))}}
+	p := NewProgram("ghost", 0, []Stmt{Fwd(L("nope"))})
 	if errs := p.Validate(nil); !errorsContain(errs, `unassigned local "nope"`) {
 		t.Errorf("errs = %v", errs)
 	}
 	// A local defined in only one branch of an If is possibly unassigned
 	// afterwards.
-	p2 := &Program{
-		Name: "branchdef",
-		Body: []Stmt{
-			IfElse(Eq(Field(0, 1), C(1)),
-				[]Stmt{Set("y", C(1))},
-				[]Stmt{Set("z", C(2))},
-			),
-			Fwd(L("y")),
-		},
-	}
+	p2 := NewProgram("branchdef", 0, []Stmt{
+		IfElse(Eq(Field(0, 1), C(1)),
+			[]Stmt{Set("y", C(1))},
+			[]Stmt{Set("z", C(2))},
+		),
+		Fwd(L("y")),
+	})
 	if errs := p2.Validate(nil); !errorsContain(errs, `unassigned local "y"`) {
 		t.Errorf("errs = %v", errs)
 	}
 	// But a local defined before a terminating branch survives.
-	p3 := &Program{
-		Name: "okdef",
-		Body: []Stmt{
-			IfElse(Eq(Field(0, 1), C(1)),
-				[]Stmt{Drop()},
-				[]Stmt{Set("y", C(2))},
-			),
-			Fwd(L("y")),
-		},
-	}
+	p3 := NewProgram("okdef", 0, []Stmt{
+		IfElse(Eq(Field(0, 1), C(1)),
+			[]Stmt{Drop()},
+			[]Stmt{Set("y", C(2))},
+		),
+		Fwd(L("y")),
+	})
 	if errs := p3.Validate(nil); len(errs) != 0 {
 		t.Errorf("terminating-branch definition rejected: %v", errs)
 	}
 }
 
 func TestValidateOutOfBoundsAccess(t *testing.T) {
-	p := &Program{Name: "oob", Body: []Stmt{Set("x", Field(MaxPacket, 2)), Drop()}}
+	p := NewProgram("oob", 0, []Stmt{Set("x", Field(MaxPacket, 2)), Drop()})
 	if errs := p.Validate(nil); !errorsContain(errs, "exceeds MaxPacket") {
 		t.Errorf("errs = %v", errs)
 	}
-	p2 := &Program{Name: "oobw", Body: []Stmt{PktStore{Off: C(MaxPacket - 1), Size: 4, Val: C(0)}, Drop()}}
+	p2 := NewProgram("oobw", 0, []Stmt{PktStore{Off: C(MaxPacket - 1), Size: 4, Val: C(0)}, Drop()})
 	if errs := p2.Validate(nil); !errorsContain(errs, "exceeds MaxPacket") {
 		t.Errorf("errs = %v", errs)
 	}
-	p3 := &Program{Name: "badsize", Body: []Stmt{Set("x", Field(0, 3)), Drop()}}
+	p3 := NewProgram("badsize", 0, []Stmt{Set("x", Field(0, 3)), Drop()})
 	if errs := p3.Validate(nil); !errorsContain(errs, "unsupported access size") {
 		t.Errorf("errs = %v", errs)
 	}
 }
 
 func TestValidateLoops(t *testing.T) {
-	unbounded := &Program{
-		Name: "loop",
-		Body: []Stmt{
-			Set("i", C(0)),
-			While{Cond: Lt(L("i"), C(4)), Body: []Stmt{Set("i", Add(L("i"), C(1)))}},
-			Drop(),
-		},
-	}
+	unbounded := NewProgram("loop", 0, []Stmt{
+		Set("i", C(0)),
+		While{Cond: Lt(L("i"), C(4)), Body: []Stmt{Set("i", Add(L("i"), C(1)))}},
+		Drop(),
+	})
 	if errs := unbounded.Validate(nil); !errorsContain(errs, "MaxIter") {
 		t.Errorf("errs = %v", errs)
 	}
-	alwaysExit := &Program{
-		Name: "exitloop",
-		Body: []Stmt{
-			While{Cond: C(1), MaxIter: 3, Body: []Stmt{Drop()}},
-			Drop(),
-		},
-	}
+	alwaysExit := NewProgram("exitloop", 0, []Stmt{
+		While{Cond: C(1), MaxIter: 3, Body: []Stmt{Drop()}},
+		Drop(),
+	})
 	if errs := alwaysExit.Validate(nil); !errorsContain(errs, "terminates unconditionally") {
 		t.Errorf("errs = %v", errs)
 	}
 	// Loop-body definitions must not leak (zero-iteration case).
-	leak := &Program{
-		Name: "leak",
-		Body: []Stmt{
-			Set("i", C(0)),
-			While{Cond: Lt(L("i"), Field(0, 1)), MaxIter: 4, Body: []Stmt{
-				Set("v", C(7)),
-				Set("i", Add(L("i"), C(1))),
-			}},
-			Fwd(L("v")),
-		},
-	}
+	leak := NewProgram("leak", 0, []Stmt{
+		Set("i", C(0)),
+		While{Cond: Lt(L("i"), Field(0, 1)), MaxIter: 4, Body: []Stmt{
+			Set("v", C(7)),
+			Set("i", Add(L("i"), C(1))),
+		}},
+		Fwd(L("v")),
+	})
 	if errs := leak.Validate(nil); !errorsContain(errs, `unassigned local "v"`) {
 		t.Errorf("errs = %v", errs)
 	}
 }
 
 func TestValidateUnreachableAndRegistry(t *testing.T) {
-	p := &Program{
-		Name: "dead",
-		Body: []Stmt{
-			Drop(),
-			Set("x", C(1)),
-		},
-	}
+	p := NewProgram("dead", 0, []Stmt{
+		Drop(),
+		Set("x", C(1)),
+	})
 	if errs := p.Validate(nil); !errorsContain(errs, "unreachable") {
 		t.Errorf("errs = %v", errs)
 	}
-	p2 := &Program{
-		Name: "ghostds",
-		Body: []Stmt{
-			Invoke("ghost", "m", nil),
-			Drop(),
-		},
-	}
+	p2 := NewProgram("ghostds", 0, []Stmt{
+		Invoke("ghost", "m", nil),
+		Drop(),
+	})
 	if errs := p2.Validate(map[string]bool{"real": true}); !errorsContain(errs, `unregistered data structure "ghost"`) {
 		t.Errorf("errs = %v", errs)
 	}
@@ -193,15 +168,11 @@ type shipped struct {
 // representative structural corpus.
 func shippedPrograms(t *testing.T) []shipped {
 	t.Helper()
-	router := &Program{
-		Name:     "router",
-		NumPorts: 4,
-		Body: []Stmt{
-			Then(Ne(Field(12, 2), C(0x0800)), Drop()),
-			Invoke("lpm", "get", []Expr{Field(30, 4)}, "port"),
-			Fwd(L("port")),
-		},
-	}
+	router := NewProgram("router", 4, []Stmt{
+		Then(Ne(Field(12, 2), C(0x0800)), Drop()),
+		Invoke("lpm", "get", []Expr{Field(30, 4)}, "port"),
+		Fwd(L("port")),
+	})
 	return []shipped{{prog: router, ds: map[string]bool{"lpm": true}}}
 }
 
@@ -217,7 +188,7 @@ func TestValidateWithSigs(t *testing.T) {
 		},
 	}
 	base := func(body ...Stmt) *Program {
-		return &Program{Name: "sig-test", NumPorts: 2, Body: body}
+		return NewProgram("sig-test", 2, body)
 	}
 	cases := []struct {
 		name string
@@ -285,7 +256,7 @@ func TestValidateWithSigs(t *testing.T) {
 // lives only in the signature-aware layer: the base Validate must keep
 // accepting the bridge's flood-port sentinel (0xFFFF ≥ NumPorts).
 func TestValidateWithSigsKeepsFloodPorts(t *testing.T) {
-	p := &Program{Name: "flood", NumPorts: 4, Body: []Stmt{Fwd(C(0xFFFF))}}
+	p := NewProgram("flood", 4, []Stmt{Fwd(C(0xFFFF))})
 	if errs := p.Validate(nil); len(errs) != 0 {
 		t.Fatalf("base Validate rejected the flood sentinel: %v", errs)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // walker is the tree-walking concrete interpreter Env.Run replaced: it
-// evaluates Program.Body directly, with string-keyed maps for locals and
+// evaluates a Program's body directly, with string-keyed maps for locals and
 // their load-dependence taints. It survives as the differential oracle
 // for the slot-compiled interpreter — the two must agree on action,
 // IC/MA, the access stream, PCVs, locals and error text for every
@@ -32,7 +32,7 @@ func (w *walker) resetPacket(pkt []byte, inPort, timeNS uint64) {
 }
 
 func (w *walker) run(p *Program) (Action, error) {
-	done, err := w.execStmts(p.Body)
+	done, err := w.execStmts(p.body)
 	if err != nil {
 		return Action{}, fmt.Errorf("nfir: %s: %w", p.Name, err)
 	}
@@ -74,15 +74,15 @@ func (w *walker) execStmt(s Stmt) (done bool, err error) {
 		return w.execStmts(st.Else)
 	case While:
 		for iter := 0; ; iter++ {
-			if st.MaxIter > 0 && iter > st.MaxIter {
-				return false, fmt.Errorf("loop exceeded MaxIter=%d", st.MaxIter)
-			}
 			v, _, err := w.evalCond(st.Cond)
 			if err != nil {
 				return false, err
 			}
 			if v == 0 {
 				return false, nil
+			}
+			if st.MaxIter > 0 && iter >= st.MaxIter {
+				return false, fmt.Errorf("loop exceeded MaxIter=%d", st.MaxIter)
 			}
 			done, err := w.execStmts(st.Body)
 			if err != nil || done {
