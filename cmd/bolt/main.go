@@ -10,7 +10,6 @@
 //	     [-metric instructions|memaccesses|cycles]
 //	     [-level nf|full]
 //	     [-paths] [-capacity N] [-parallel N]
-//	     [-feas-nodes N] [-feas-samples N]
 //	     [-provision RATE] [-clockhz HZ]
 //	     [-json[=artifact|summary]]
 //	     [-store DIR]
@@ -38,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -83,10 +83,6 @@ func main() {
 		capacity  = flag.Int("capacity", 4096, "table capacity for stateful NFs")
 		parallel  = flag.Int("parallel", 0, "worker pool size for per-path analysis (0 = one per CPU, 1 = serial)")
 		storeDir  = flag.String("store", "", "back the contract cache with the on-disk store at this directory")
-		feasNodes = flag.Int("feas-nodes", 0,
-			"search-node budget for the branch-pruning feasibility solver (0 = default; larger can only prune more provably dead paths)")
-		feasSamples = flag.Int("feas-samples", 0,
-			"random candidate samples per symbol for the feasibility solver (0 = default)")
 		provision = flag.String("provision", "", "target packet rate to provision cores for (e.g. 10Mpps); prints the core count the shard-aware bound needs")
 		clockHz   = flag.Float64("clockhz", 3.2e9, "core clock for -provision")
 		pcvFlag   = flag.String("pcv", "", "comma-separated PCV assumptions for -provision (e.g. c=2,e=1); unstated PCVs are assumed 0")
@@ -94,6 +90,16 @@ func main() {
 	)
 	flag.Var(&asJSON, "json", "emit the contract as a lossless artifact (or -json=summary for the legacy provisioning export)")
 	flag.Parse()
+	var target float64
+	if *provision != "" {
+		var err error
+		if target, err = parseRate(*provision); err != nil {
+			fatal(err)
+		}
+	}
+	if !positiveFinite(*clockHz) {
+		fatal(fmt.Errorf("bad -clockhz %v (want a finite clock rate above 0 Hz, e.g. 3.2e9)", *clockHz))
+	}
 
 	// Interrupt cancels the generation; the pipeline reports how far it got.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -122,8 +128,6 @@ func main() {
 	}
 	g := core.NewGenerator()
 	g.Parallelism = *parallel
-	g.FeasibilityMaxNodes = *feasNodes
-	g.FeasibilitySamples = *feasSamples
 	if *level == "full" {
 		g.Level = dpdk.FullStack
 	}
@@ -161,10 +165,6 @@ func main() {
 		return
 	}
 	if *provision != "" {
-		target, err := parseRate(*provision)
-		if err != nil {
-			fatal(err)
-		}
 		pcvs, err := parsePCVs(ct, *pcvFlag)
 		if err != nil {
 			fatal(err)
@@ -200,10 +200,16 @@ func parseRate(s string) (float64, error) {
 		mult, s = 1e9, strings.TrimSuffix(s, "g")
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
+	if err != nil || !positiveFinite(v*mult) {
 		return 0, fmt.Errorf("bad rate %q (want e.g. 10Mpps, 500Kpps, 2.5M)", orig)
 	}
 	return v * mult, nil
+}
+
+// positiveFinite reports whether v is a usable rate or clock: finite
+// and above zero (strconv.ParseFloat also accepts "inf" and "nan").
+func positiveFinite(v float64) bool {
+	return v > 0 && !math.IsInf(v, 1)
 }
 
 // parsePCVs turns the -pcv flag into the full assumption binding: every

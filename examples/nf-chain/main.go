@@ -176,10 +176,10 @@ func main() {
 	if again != ct {
 		log.Fatal("warm re-compose did not return the cached composite")
 	}
-	hits, misses, entries := g.Cache.Stats()
+	ts := g.Cache.TierStats()
 	fmt.Printf("\nWarm re-compose: %v vs %v cold (%.0fx); cache: %d hits, %d misses, %d entries.\n",
 		warm.Round(10*time.Microsecond), cold.Round(10*time.Microsecond),
-		float64(cold)/float64(warm), hits, misses, entries)
+		float64(cold)/float64(warm), ts.MemHits+ts.DiskHits, ts.Misses, ts.Entries)
 	fmt.Println("The chain's fold prefixes are content-addressed, so recomposing (or")
 	fmt.Println("extending) a known chain skips both stage generation and the joins.")
 }

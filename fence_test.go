@@ -1,11 +1,13 @@
 package gobolt
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -56,15 +58,100 @@ var retiredSolverKnobs = []string{"NoIncremental", "SkipReplay", "referenceSolve
 // TestRetiredSolverKnobsStayGone fails if a non-test Go file outside
 // bench/ mentions any of retiredSolverKnobs, in code or in a comment.
 func TestRetiredSolverKnobsStayGone(t *testing.T) {
+	forbidSpellings(t, retiredSolverKnobs)
+}
+
+// retiredAnalysisOptions are the spellings of the analysis options no
+// caller set — the generator's feasibility budgets, bolt's flags for
+// them, and the functions that turned their zero values back into the
+// fixed budgets — and of the chain-composition entry points that
+// ComposeMany replaced.
+var retiredAnalysisOptions = []string{
+	"FeasibilityMaxNodes", "FeasibilitySamples", "feas-nodes", "feas-samples",
+	"composeSolver", "shardFeasSolver", "ComposeWithPaths", "ComposeManyContext",
+}
+
+// TestRetiredAnalysisOptionsStayGone fails if a non-test Go file outside
+// bench/ mentions any of retiredAnalysisOptions, if core.Generator has
+// any settable field beyond its six, if nfir.Engine exports any field
+// but Models, or if core exports Compose or Generator.GenerateWithPaths
+// again (names the spelling list cannot catch: they prefix live ones).
+func TestRetiredAnalysisOptionsStayGone(t *testing.T) {
+	forbidSpellings(t, retiredAnalysisOptions)
+
+	fields := func(dir, typ string) []string {
+		var out []string
+		for _, f := range parsePackage(t, dir) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != typ {
+					return true
+				}
+				for _, fl := range ts.Type.(*ast.StructType).Fields.List {
+					for _, name := range fl.Names {
+						if name.IsExported() {
+							out = append(out, name.Name)
+						}
+					}
+				}
+				return false
+			})
+		}
+		return out
+	}
+	want := []string{"Level", "CallPadIC", "CallPadMA", "Coalesce", "Parallelism", "Cache"}
+	if got := fields("internal/core", "Generator"); !slices.Equal(got, want) {
+		t.Errorf("core.Generator's settable fields are %v, want %v", got, want)
+	}
+	if got := fields("internal/nfir", "Engine"); !slices.Equal(got, []string{"Models"}) {
+		t.Errorf("nfir.Engine exports %v, want only Models", got)
+	}
+	for _, f := range parsePackage(t, "internal/core") {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && (fn.Name.Name == "Compose" || fn.Name.Name == "GenerateWithPaths") {
+				t.Errorf("internal/core declares %s again; chains compose through ComposeMany", fn.Name.Name)
+			}
+		}
+	}
+}
+
+// forbidSpellings fails the test for every line of a non-test Go file
+// outside bench/ that mentions one of spellings, in code or in a comment.
+func forbidSpellings(t *testing.T, spellings []string) {
+	t.Helper()
 	walkNonTestGo(t, func(path, src string) {
 		for i, line := range strings.Split(src, "\n") {
-			for _, knob := range retiredSolverKnobs {
-				if strings.Contains(line, knob) {
-					t.Errorf("%s:%d mentions %q: %s", path, i+1, knob, strings.TrimSpace(line))
+			for _, s := range spellings {
+				if strings.Contains(line, s) {
+					t.Errorf("%s:%d mentions %q: %s", path, i+1, s, strings.TrimSpace(line))
 				}
 			}
 		}
 	})
+}
+
+// parsePackage parses the non-test Go files of one package directory.
+func parsePackage(t *testing.T, dir string) []*ast.File {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		t.Fatalf("no Go files in %s; is the test running from the repository root?", dir)
+	}
+	return files
 }
 
 // TestNoUnsafeOutsideBench fails if a non-test Go file outside bench/

@@ -101,18 +101,6 @@ func (c *ContractCache) Disk() *store.Store {
 	return c.disk
 }
 
-// Stats reports cache traffic: hits (served from either tier), misses
-// (lookups that ran the full pipeline), and resident memory entries.
-// Uncacheable generations count neither as hit nor miss.
-func (c *ContractCache) Stats() (hits, misses uint64, entries int) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits + c.diskHits, c.misses, len(c.byKey)
-}
-
 // TierStats breaks cache traffic down by tier.
 type TierStats struct {
 	// MemHits are lookups served from the memory map.
@@ -280,18 +268,17 @@ func (g *Generator) cacheKey(prog *nfir.Program, models map[string]nfir.Model) (
 	sort.Strings(names)
 
 	var b strings.Builder
-	s := g.solver()
 	// schema=2: PR 9 added the sharability annotations (CallEvent.Args/
 	// Sharing, PathContract.SharedMA); bumping the tag fences off cached
 	// paths generated before the analysis existed, so every cache hit
-	// carries shard verdicts. skipReplay=false and noInc=false are
-	// literal text: they name two generator options that no longer
-	// exist, and keeping their old values in the line keeps every key —
-	// and with it every store written by an earlier build — unchanged
-	// (TestCacheKeyGolden).
-	fmt.Fprintf(&b, "config schema=2 level=%d padIC=%d padMA=%d maxPaths=%d skipReplay=false solverNodes=%d solverSamples=%d feasNodes=%d feasSamples=%d noInc=false\n",
-		g.Level, g.CallPadIC, g.CallPadMA, g.MaxPaths, s.MaxNodes, s.Samples,
-		g.FeasibilityMaxNodes, g.FeasibilitySamples)
+	// carries shard verdicts. Everything after padMA is literal text: it
+	// names generator options that no longer exist (the path cap, the
+	// solver budgets, replay skipping, the reference solver) at the
+	// values every generation used, and keeping them in the line keeps
+	// every key — and with it every store written by an earlier build —
+	// unchanged (TestCacheKeyGolden).
+	fmt.Fprintf(&b, "config schema=2 level=%d padIC=%d padMA=%d maxPaths=0 skipReplay=false solverNodes=0 solverSamples=0 feasNodes=0 feasSamples=0 noInc=false\n",
+		g.Level, g.CallPadIC, g.CallPadMA)
 	for _, n := range names {
 		fp, ok := models[n].(nfir.Fingerprinter)
 		if !ok {
@@ -325,11 +312,10 @@ func (g *Generator) derivedKey(parts ...string) string {
 
 // composedKey content-addresses the composition a→b from the two sides'
 // keys. A composite contract is a pure function of the two stages'
-// contracts and the join configuration: the stage keys already encode
-// program, models, and the generator knobs the join depends on
-// (feasibility budgets), so hashing the pair addresses the whole fold
-// prefix — which is what makes re-composing a warm chain one map lookup
-// per step. Parallelism is deliberately absent, as in cacheKey: it
+// contracts (the join solver's budget is fixed): the stage keys already
+// encode program, models, analysis level and padding, so hashing the
+// pair addresses the whole fold prefix — which is what makes
+// re-composing a warm chain one map lookup per step. Parallelism is deliberately absent, as in cacheKey: it
 // cannot change the output. Coalesce CAN — it merges composite paths —
 // so the recipe tag is versioned by it and coalesced and uncoalesced
 // composites never alias.

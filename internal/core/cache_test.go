@@ -25,9 +25,8 @@ func TestCacheHitReturnsIdenticalContract(t *testing.T) {
 	if first != second {
 		t.Error("second generation should return the cached *Contract")
 	}
-	hits, misses, entries := cache.Stats()
-	if hits != 1 || misses != 1 || entries != 1 {
-		t.Errorf("stats = %d hits, %d misses, %d entries; want 1/1/1", hits, misses, entries)
+	if ts := cache.TierStats(); ts != (TierStats{MemHits: 1, Misses: 1, Entries: 1}) {
+		t.Errorf("stats = %+v; want 1 mem hit, 1 miss, 1 entry", ts)
 	}
 }
 
@@ -53,7 +52,7 @@ func TestCacheKeySensitiveToConfig(t *testing.T) {
 	if string(aJS) == string(bJS) {
 		t.Error("padded and unpadded contracts should differ")
 	}
-	if _, _, entries := cache.Stats(); entries != 2 {
+	if entries := cache.TierStats().Entries; entries != 2 {
 		t.Errorf("entries = %d, want 2", entries)
 	}
 }
@@ -81,9 +80,8 @@ func TestCacheSkipsNonFingerprintingModels(t *testing.T) {
 	if gen() == gen() {
 		t.Error("uncacheable generation should run the pipeline each time")
 	}
-	hits, misses, entries := cache.Stats()
-	if hits != 0 || misses != 0 || entries != 0 {
-		t.Errorf("uncacheable runs should not touch the cache, got %d/%d/%d", hits, misses, entries)
+	if ts := cache.TierStats(); ts != (TierStats{}) {
+		t.Errorf("uncacheable runs should not touch the cache, got %+v", ts)
 	}
 }
 
@@ -96,15 +94,14 @@ func TestCacheReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.Reset()
-	hits, misses, entries := cache.Stats()
-	if hits != 0 || misses != 0 || entries != 0 {
-		t.Errorf("after Reset stats = %d/%d/%d, want zeros", hits, misses, entries)
+	if ts := cache.TierStats(); ts != (TierStats{}) {
+		t.Errorf("after Reset stats = %+v, want zeros", ts)
 	}
 }
 
 func TestNilCacheIsSafe(t *testing.T) {
 	var c *ContractCache
-	if h, m, e := c.Stats(); h != 0 || m != 0 || e != 0 {
+	if ts := c.TierStats(); ts != (TierStats{}) {
 		t.Error("nil cache stats should be zero")
 	}
 	c.Reset() // must not panic

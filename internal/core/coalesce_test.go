@@ -138,7 +138,6 @@ func TestCoalesceConservativeBound(t *testing.T) {
 		t.Fatalf("coalescing did not shrink the composite: %d -> %d paths", len(base.Paths), len(co.Paths))
 	}
 
-	sv := &symb.Solver{MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples}
 	admits := func(pc *PathContract, w map[string]uint64) bool {
 		for s, d := range pc.Domains {
 			if v, ok := w[s]; ok && (v < d.Lo || v > d.Hi) {
@@ -160,7 +159,7 @@ func TestCoalesceConservativeBound(t *testing.T) {
 
 	classified := 0
 	for _, u := range base.Paths {
-		w, res := sv.Solve(u.Constraints, u.Domains)
+		w, res := joinSolver.Solve(u.Constraints, u.Domains)
 		if res != symb.Sat {
 			continue // bounded search could not produce a packet for this path
 		}

@@ -87,7 +87,7 @@ func TestCodecRoundTripRawPaths(t *testing.T) {
 	}
 	g := sc.Generator()
 	for _, stage := range stages[:3] {
-		ct, paths, err := g.GenerateWithPaths(stage.Prog, stage.Models)
+		ct, paths, err := g.GenerateWithPathsContext(context.Background(), stage.Prog, stage.Models)
 		if err != nil {
 			t.Fatalf("%s: generate: %v", stage.Prog.Name, err)
 		}

@@ -16,59 +16,10 @@ import (
 	"gobolt/internal/symb"
 )
 
-// Compose builds the performance contract of the chain a→b (§3.4): every
-// packet is processed by a; packets a forwards continue into b. Path
-// pairs are joined by substituting a's output-packet expressions into
-// b's input-packet symbols, conjoining the constraint sets, and keeping
-// only pairs the solver cannot rule out. a's drop paths appear unchanged
-// (the packet never reaches b). b's symbols and PCVs are namespaced with
-// "b." so the two NFs' variables stay distinguishable, as in the
-// composite contracts of Table 5c.
-//
-// The composition needs b's symbolic paths (not just its contract), so
-// it takes the second NF's program and models and generates it. The
-// a-side usually comes from GenerateWithPaths (or a previous Compose),
-// which keeps aCt.Paths and aPaths aligned by construction.
-//
-// Feasibility checks honour the generator's FeasibilityMaxNodes /
-// FeasibilitySamples budgets; see DefaultComposeFeasibilityMaxNodes for
-// the defaults when unset.
-func Compose(g *Generator, aCt *Contract, aPaths []*nfir.Path, bProg *nfir.Program, bModels map[string]nfir.Model) (*Contract, error) {
-	ct, _, err := ComposeWithPaths(g, aCt, aPaths, bProg, bModels)
-	return ct, err
-}
-
-// DefaultComposeFeasibilityMaxNodes and DefaultComposeFeasibilitySamples
-// are the pairwise-join feasibility budget used when the Generator does
-// not set FeasibilityMaxNodes / FeasibilitySamples. Joins conjoin two
-// NFs' path constraints, so the default budget is deliberately larger
-// than the exploration default (nfir.DefaultFeasibilityMaxNodes):
-// proving a pair infeasible is what keeps composite contracts tight —
-// an Unknown keeps the pair, soundly but loosely.
-const (
-	DefaultComposeFeasibilityMaxNodes = 20000
-	DefaultComposeFeasibilitySamples  = 24
-)
-
-// composeSolver resolves the feasibility budget for composition joins.
-// The same knobs that tune exploration pruning — FeasibilityMaxNodes /
-// FeasibilitySamples, i.e. bolt's -feas-nodes / -feas-samples flags —
-// apply here; zero falls back to the composition defaults above.
-func (g *Generator) composeSolver() *symb.Solver {
-	s := &symb.Solver{MaxNodes: g.FeasibilityMaxNodes, Samples: g.FeasibilitySamples}
-	if s.MaxNodes == 0 {
-		s.MaxNodes = DefaultComposeFeasibilityMaxNodes
-	}
-	if s.Samples == 0 {
-		s.Samples = DefaultComposeFeasibilitySamples
-	}
-	return s
-}
-
-// joinFeas is the feasibility machinery for one composition: the solver
-// budget resolved from the generator and an incremental engine whose
-// memo every join worker shares, so identical pair queries (common when
-// many a-paths narrow to the same constraint set) are O(1) repeats.
+// joinFeas is the feasibility machinery for one composition: the join
+// solver's budget and an incremental engine whose memo every join
+// worker shares, so identical pair queries (common when many a-paths
+// narrow to the same constraint set) are O(1) repeats.
 type joinFeas struct {
 	sv  *symb.Solver
 	eng *symb.Incremental
@@ -79,8 +30,8 @@ type joinFeas struct {
 	solverRefuted atomic.Uint64
 }
 
-func (g *Generator) composeFeasibility() *joinFeas {
-	return &joinFeas{sv: g.composeSolver(), eng: symb.NewIncremental()}
+func newJoinFeas() *joinFeas {
+	return &joinFeas{sv: joinSolver, eng: symb.NewIncremental()}
 }
 
 // prefix prepares the shared a-side state one upstream path reuses
@@ -438,31 +389,6 @@ func joinEvents(a, b string) string {
 	return "a." + a + " | b." + b
 }
 
-// ComposeWithPaths is Compose plus synthetic composite paths aligned
-// with the returned contract, so the result can itself be composed with
-// a further NF — the §3.4 extension to longer chains, which "pieces
-// together compatible paths one at a time in sequence". ComposeMany
-// wraps exactly this fold, and additionally content-addresses each
-// composite in the contract cache.
-func ComposeWithPaths(g *Generator, aCt *Contract, aPaths []*nfir.Path, bProg *nfir.Program, bModels map[string]nfir.Model) (*Contract, []*nfir.Path, error) {
-	return ComposeWithPathsContext(context.Background(), g, aCt, aPaths, bProg, bModels)
-}
-
-// ComposeWithPathsContext is ComposeWithPaths with cancellation. The
-// second NF is generated through the pipeline once (contract and paths
-// come from the same exploration, so they align by construction — and
-// the generation hits the contract cache when one is attached). The
-// composite itself is not cached here: the a-side is an arbitrary
-// caller-supplied contract with no content address. Use ComposeMany for
-// cached chains.
-func ComposeWithPathsContext(ctx context.Context, g *Generator, aCt *Contract, aPaths []*nfir.Path, bProg *nfir.Program, bModels map[string]nfir.Model) (*Contract, []*nfir.Path, error) {
-	bCt, bPaths, err := g.GenerateWithPathsContext(ctx, bProg, bModels)
-	if err != nil {
-		return nil, nil, err
-	}
-	return composePrepared(ctx, g, aCt, aPaths, bProg.Name, bCt, bPaths, "", "b.", nil)
-}
-
 // JoinStats is the pruning accounting of one fold level: where each of
 // the Pairs = forward-a-paths × b-paths candidate pairs ended up. Every
 // considered pair lands in exactly one of IndexSkipped, PreFiltered,
@@ -517,7 +443,7 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 		}
 	}
 
-	jf := g.composeFeasibility()
+	jf := newJoinFeas()
 	ix := buildJoinIndex(bCt, bPaths, bns)
 	var indexSkipped atomic.Uint64
 	type slot struct {
@@ -660,23 +586,29 @@ type ChainStage struct {
 	Models map[string]nfir.Model
 }
 
-// ComposeMany folds a chain of NFs left to right into one composite
-// contract: nfs[0] → nfs[1] → … Every stage's drop paths terminate the
-// chain there; forwarded packets continue. The PCVs and model symbols
-// of stage k are namespaced one "b." per fold level: stage 1 keeps its
-// names, stage 2's "x" appears as "b.x", stage 3's as "b.b.x", stage
-// 4's as "b.b.b.x" — the prefix length tells you how many joins deep
-// the stage sits, and no two stages can collide (examples/nf-chain
-// walks through reading them).
-func ComposeMany(g *Generator, stages []ChainStage) (*Contract, error) {
-	return ComposeManyContext(context.Background(), g, stages)
-}
-
-// ComposeManyContext generates every stage's contract concurrently on
-// the generator's worker pool (the stages are independent NFs), then
-// folds the joins left to right — the fold order is what keeps the
-// composite deterministic; within each fold step the per-a-path joins
-// themselves run on the pool (see composePrepared).
+// ComposeMany builds the performance contract of a chain of NFs (§3.4):
+// stages[0] → stages[1] → … Every packet is processed by the first
+// stage; packets a stage forwards continue into the next, and a stage's
+// drop paths end the chain there, unchanged. The fold "pieces together
+// compatible paths one at a time in sequence": each step joins the
+// composite so far (a) with the next stage (b) by substituting a's
+// output-packet expressions into b's input-packet symbols, conjoining
+// the constraint sets, and keeping only pairs the join solver cannot
+// rule out. Each step also synthesises composite symbolic paths aligned
+// with the composite contract, which is what lets the next step join
+// onto it.
+//
+// The PCVs and model symbols of stage k are namespaced one "b." per
+// fold level, as in the composite contracts of Table 5c: stage 1 keeps
+// its names, stage 2's "x" appears as "b.x", stage 3's as "b.b.x" — the
+// prefix length tells you how many joins deep the stage sits, and no two
+// stages can collide (examples/nf-chain walks through reading them).
+//
+// The stages' contracts are generated concurrently on the generator's
+// worker pool (the stages are independent NFs); the joins then fold
+// left to right, and the fold order is what keeps the composite
+// deterministic. Within each fold step the per-a-path joins run on the
+// pool too (see composePrepared).
 //
 // When the generator has a cache attached, every fold prefix is
 // content-addressed: the key of stages[0..k] hashes the key of
@@ -684,15 +616,15 @@ func ComposeMany(g *Generator, stages []ChainStage) (*Contract, error) {
 // warm chain — or extending a chain whose prefix was composed before —
 // skips the joins (and, for a fully warm chain, the stage generations
 // too).
-func ComposeManyContext(ctx context.Context, g *Generator, stages []ChainStage) (*Contract, error) {
-	ct, _, err := ComposeManyStats(ctx, g, stages)
+func ComposeMany(g *Generator, stages []ChainStage) (*Contract, error) {
+	ct, _, err := ComposeManyStats(context.Background(), g, stages)
 	return ct, err
 }
 
-// ComposeManyStats is ComposeManyContext plus per-fold-level pruning
-// statistics: one JoinStats per fold (len(stages)-1 entries), in fold
-// order. A fully warm chain that returns its composite straight from
-// the cache reports nil stats — no fold ran.
+// ComposeManyStats is ComposeMany with cancellation, plus per-fold-level
+// pruning statistics: one JoinStats per fold (len(stages)-1 entries), in
+// fold order. A fully warm chain that returns its composite straight
+// from the cache reports nil stats — no fold ran.
 func ComposeManyStats(ctx context.Context, g *Generator, stages []ChainStage) (*Contract, []JoinStats, error) {
 	if len(stages) < 2 {
 		return nil, nil, fmt.Errorf("core: a chain needs at least two stages")

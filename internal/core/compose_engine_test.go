@@ -138,8 +138,8 @@ func TestComposeManyWarmCacheRecompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitsCold, _, entries := g.Cache.Stats()
-	if entries == 0 {
+	cold := g.Cache.TierStats()
+	if cold.Entries == 0 {
 		t.Fatal("cold compose stored nothing in the cache")
 	}
 	second, err := ComposeMany(g, buildChain4())
@@ -149,9 +149,8 @@ func TestComposeManyWarmCacheRecompose(t *testing.T) {
 	if second != first {
 		t.Error("warm re-compose did not return the cached composite")
 	}
-	hitsWarm, _, _ := g.Cache.Stats()
-	if hitsWarm <= hitsCold {
-		t.Errorf("warm re-compose did not hit the cache (hits %d → %d)", hitsCold, hitsWarm)
+	if warm := g.Cache.TierStats(); warm.MemHits <= cold.MemHits {
+		t.Errorf("warm re-compose did not hit the cache (hits %d → %d)", cold.MemHits, warm.MemHits)
 	}
 	// A chain extending a cached prefix reuses it: composing 4 stages
 	// after a 3-stage run of the same prefix hits the fold-prefix entry.
@@ -160,17 +159,13 @@ func TestComposeManyWarmCacheRecompose(t *testing.T) {
 	if _, err := ComposeMany(g2, buildChain4()[:3]); err != nil {
 		t.Fatal(err)
 	}
-	_, missesBefore, _ := g2.Cache.Stats()
 	extended, err := ComposeMany(g2, buildChain4())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitsExt, missesExt, _ := g2.Cache.Stats()
-	if hitsExt == 0 {
+	if g2.Cache.TierStats().MemHits == 0 {
 		t.Error("extending a cached prefix reused nothing")
 	}
-	_ = missesBefore
-	_ = missesExt
 	extJS, _ := json.Marshal(extended)
 	firstJS, _ := json.Marshal(first)
 	if string(extJS) != string(firstJS) {
@@ -178,31 +173,10 @@ func TestComposeManyWarmCacheRecompose(t *testing.T) {
 	}
 }
 
-// Composition must honour the generator's feasibility budgets (it used
-// to hard-code symb.Solver{MaxNodes: 20000, Samples: 24}, silently
-// ignoring FeasibilityMaxNodes/FeasibilitySamples and the bolt
-// -feas-nodes/-feas-samples flags). Unit level: the knobs reach the
-// join solver, zeros keep the composition defaults.
-func TestComposeSolverRoutesBudgets(t *testing.T) {
-	g := NewGenerator()
-	s := g.composeSolver()
-	if s.MaxNodes != DefaultComposeFeasibilityMaxNodes ||
-		s.Samples != DefaultComposeFeasibilitySamples {
-		t.Errorf("default compose solver = %+v", *s)
-	}
-	g.FeasibilityMaxNodes = 123
-	g.FeasibilitySamples = 7
-	s = g.composeSolver()
-	if s.MaxNodes != 123 || s.Samples != 7 {
-		t.Errorf("routed compose solver = %+v", *s)
-	}
-}
-
-// Behavioural level: a cross-stage contradiction that only the search
-// can refute (interval propagation cannot — x+y == 5 ∧ x·y == 100
-// keeps non-empty intervals) is pruned under the default budget but
-// must survive as Unknown when the budget is starved. Under the old
-// hard-coded solver both runs pruned it.
+// A cross-stage contradiction that only the search can refute
+// (interval propagation cannot — x+y == 5 ∧ x·y == 100 keeps non-empty
+// intervals) is pruned by a composition at the join budget, but must
+// survive as Unknown when the join's budget is starved.
 func TestComposeRoutesFeasibilityBudgets(t *testing.T) {
 	stage := func(name string, cons []symb.Expr, doms map[string]symb.Domain) (*Contract, []*nfir.Path) {
 		pc := &PathContract{
@@ -225,25 +199,24 @@ func TestComposeRoutesFeasibilityBudgets(t *testing.T) {
 	aDoms := map[string]symb.Domain{"x": {Lo: 0, Hi: 50}, "y": {Lo: 0, Hi: 50}}
 	bCons := []symb.Expr{symb.B(symb.Eq, symb.S("flag"), symb.C(1))}
 	bDoms := map[string]symb.Domain{"flag": {Lo: 0, Hi: 1}}
+	aCt, aPaths := stage("a", aCons, aDoms)
+	bCt, bPaths := stage("b", bCons, bDoms)
 
-	run := func(nodes int) int {
-		t.Helper()
-		g := NewGenerator()
-		g.Parallelism = 1
-		g.FeasibilityMaxNodes = nodes
-		aCt, aPaths := stage("a", aCons, aDoms)
-		bCt, bPaths := stage("b", bCons, bDoms)
-		ct, _, err := composePrepared(context.Background(), g, aCt, aPaths, "b", bCt, bPaths, "", "b.", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(ct.Paths)
+	g := NewGenerator()
+	g.Parallelism = 1
+	ct, _, err := composePrepared(context.Background(), g, aCt, aPaths, "b", bCt, bPaths, "", "b.", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := run(0); got != 0 {
-		t.Errorf("default budget kept %d joined paths, want 0 (the pair is unsatisfiable)", got)
+	if got := len(ct.Paths); got != 0 {
+		t.Errorf("the join budget kept %d joined paths, want 0 (the pair is unsatisfiable)", got)
 	}
-	if got := run(5); got != 1 {
-		t.Errorf("starved budget kept %d joined paths, want 1 (truncated search must keep the pair)", got)
+
+	starved := &joinFeas{sv: &symb.Solver{MaxNodes: 5, Samples: joinSolver.Samples}, eng: symb.NewIncremental()}
+	ix := buildJoinIndex(bCt, bPaths, "b.")
+	jp := starved.prefix(aCt.Paths[0], aPaths[0], "b.")
+	if _, ok := joinPair(context.Background(), aCt.Paths[0], aPaths[0], bCt.Paths[0], bPaths[0], jp, "b.", &ix.metas[0]); !ok {
+		t.Error("a starved join refuted the pair; a truncated search must keep it")
 	}
 }
 
@@ -310,11 +283,11 @@ func TestComposeMidJoinCancellation(t *testing.T) {
 	fw, sr := buildChainNFs()
 	g := NewGenerator()
 	g.Parallelism = 1
-	fwCt, fwPaths, err := g.GenerateWithPaths(fw.Prog, fw.Models)
+	fwCt, fwPaths, err := g.GenerateWithPathsContext(context.Background(), fw.Prog, fw.Models)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srCt, srPaths, err := g.GenerateWithPaths(sr.Prog, sr.Models)
+	srCt, srPaths, err := g.GenerateWithPathsContext(context.Background(), sr.Prog, sr.Models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,11 +383,7 @@ func FuzzJoinPreFilter(f *testing.F) {
 		if !joinObviouslyInfeasible(cons, domains) {
 			return
 		}
-		sv := &symb.Solver{
-			MaxNodes: DefaultComposeFeasibilityMaxNodes,
-			Samples:  DefaultComposeFeasibilitySamples,
-		}
-		if sv.Feasible(cons, domains) {
+		if joinSolver.Feasible(cons, domains) {
 			t.Fatalf("pre-filter rejected a set a fresh solve finds feasible:\nconstraints %v\ndomains %v", cons, domains)
 		}
 	})

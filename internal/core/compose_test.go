@@ -26,7 +26,7 @@ func buildChainNFs() (*nf.Firewall, *nf.StaticRouter) {
 func TestComposeFirewallRouter(t *testing.T) {
 	fw, sr := buildChainNFs()
 	g := NewGenerator()
-	fwCt, fwPaths, err := g.GenerateWithPaths(fw.Prog, fw.Models)
+	fwCt, err := g.Generate(fw.Prog, fw.Models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestComposeFirewallRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Compose(g, fwCt, fwPaths, sr.Prog, sr.Models)
+	comp, err := ComposeMany(g, []ChainStage{{Prog: fw.Prog, Models: fw.Models}, {Prog: sr.Prog, Models: sr.Models}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestComposeFirewallRouter(t *testing.T) {
 func TestComposeDropPathsPassThrough(t *testing.T) {
 	fw, sr := buildChainNFs()
 	g := NewGenerator()
-	fwCt, fwPaths, err := g.GenerateWithPaths(fw.Prog, fw.Models)
+	fwCt, err := g.Generate(fw.Prog, fw.Models)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Compose(g, fwCt, fwPaths, sr.Prog, sr.Models)
+	comp, err := ComposeMany(g, []ChainStage{{Prog: fw.Prog, Models: fw.Models}, {Prog: sr.Prog, Models: sr.Models}})
 	if err != nil {
 		t.Fatal(err)
 	}

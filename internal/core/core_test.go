@@ -500,24 +500,3 @@ func TestContractGenerationDeterministic(t *testing.T) {
 		t.Error("contract JSON is not deterministic")
 	}
 }
-
-// Path explosion protection: a program with many independent symbolic
-// branches trips MaxPaths instead of hanging.
-func TestGeneratorMaxPaths(t *testing.T) {
-	var body []nfir.Stmt
-	for i := uint64(0); i < 24; i++ {
-		body = append(body, nfir.Then(
-			nfir.Eq(nfir.Field(i, 1), nfir.C(1)),
-			nfir.Set("x", nfir.C(i)),
-		))
-	}
-	body = append(body, nfir.Drop())
-	prog := nfir.NewProgram("explode", 0, body)
-	g := NewGenerator()
-	g.MaxPaths = 1000
-	if _, err := g.Generate(prog, nil); err == nil {
-		t.Fatal("expected MaxPaths error")
-	} else if !strings.Contains(err.Error(), "MaxPaths") {
-		t.Fatalf("err = %v", err)
-	}
-}

@@ -19,19 +19,13 @@ import (
 // path appears unchanged. Symbolic output ports fan out to every
 // feasible successor, each pairing carrying its own port constraint.
 //
-// Like ComposeMany, the result is deterministic at any Parallelism,
-// honours the generator's feasibility budgets, and is content-addressed
-// in the contract cache when one is attached.
+// The root and every successor generate concurrently on the
+// generator's worker pool, and the per-root-path joins then fan out
+// over the pool into indexed slots; assembly restores root path order,
+// so like ComposeMany the result is byte-identical at any Parallelism.
+// It is content-addressed in the contract cache when one is attached.
 func ComposeDAG(g *Generator, root ChainStage, successors map[uint64]ChainStage) (*Contract, error) {
-	return ComposeDAGContext(context.Background(), g, root, successors)
-}
-
-// ComposeDAGContext is ComposeDAG with cancellation; the root and every
-// successor generate concurrently on the generator's worker pool, and
-// the per-root-path joins then fan out over the pool into indexed slots
-// (assembly restores root path order, keeping the output byte-identical
-// to a serial run).
-func ComposeDAGContext(ctx context.Context, g *Generator, root ChainStage, successors map[uint64]ChainStage) (*Contract, error) {
+	ctx := context.Background()
 	ports := make([]uint64, 0, len(successors))
 	for p := range successors {
 		ports = append(ports, p)
@@ -84,7 +78,7 @@ func ComposeDAGContext(ctx context.Context, g *Generator, root ChainStage, succe
 	}
 
 	name := rootCt.NF + "+dag"
-	jf := g.composeFeasibility()
+	jf := newJoinFeas()
 	slots := make([][]*PathContract, len(rootCt.Paths))
 	err = par.ForEach(ctx, g.workers(), len(rootCt.Paths), func(i int) error {
 		pa := rootCt.Paths[i]

@@ -29,20 +29,6 @@ type Generator struct {
 	// "Instruction Replay"). Default: 1 IC (call linkage the production
 	// build inlines away); the build difference does not add accesses.
 	CallPadIC, CallPadMA uint64
-	// MaxPaths bounds exploration (0 = nfir default).
-	MaxPaths int
-	// Solver produces path witnesses; nil gets a default.
-	Solver *symb.Solver
-	// FeasibilityMaxNodes / FeasibilitySamples configure the bounded
-	// solver that prunes dead branches during exploration and dead path
-	// pairs during chain composition. Zero keeps the per-site defaults
-	// (nfir.DefaultFeasibilityMaxNodes/DefaultFeasibilitySamples for
-	// exploration, DefaultComposeFeasibilityMaxNodes/Samples for joins);
-	// deep NFs whose branches need more search to refute can raise them
-	// without editing source. Larger budgets can only prune more provably
-	// dead paths, never drop feasible ones.
-	FeasibilityMaxNodes int
-	FeasibilitySamples  int
 	// Coalesce merges composite paths that differ only in dead upstream
 	// branches between fold levels, taking the conservative max of their
 	// cost expressions (see coalesce.go). Bounds can only grow, never
@@ -71,33 +57,20 @@ func NewGenerator() *Generator {
 	return &Generator{CallPadIC: 1}
 }
 
-// defaultSolver backs Generators with a nil Solver. Solvers are
-// stateless between Solve calls, so sharing one is safe; keeping the
-// Generator unmutated is what makes concurrent Generate calls race-free.
-var defaultSolver = &symb.Solver{}
-
-func (g *Generator) solver() *symb.Solver {
-	if g.Solver == nil {
-		return defaultSolver
-	}
-	return g.Solver
-}
-
-// feasibilitySolver resolves the exploration-pruning budget; nil keeps
-// the nfir engine's default.
-func (g *Generator) feasibilitySolver() *symb.Solver {
-	if g.FeasibilityMaxNodes == 0 && g.FeasibilitySamples == 0 {
-		return nil
-	}
-	s := &symb.Solver{MaxNodes: g.FeasibilityMaxNodes, Samples: g.FeasibilitySamples}
-	if s.MaxNodes == 0 {
-		s.MaxNodes = nfir.DefaultFeasibilityMaxNodes
-	}
-	if s.Samples == 0 {
-		s.Samples = nfir.DefaultFeasibilitySamples
-	}
-	return s
-}
+// The analysis takes no solver configuration (§3: NF code in, contract
+// out). Solvers are stateless between calls, so sharing them keeps the
+// Generator unmutated and concurrent Generate calls race-free.
+// witnessSolver solves each path for its witness at the solver's
+// default budget. joinSolver prunes dead path pairs in chain
+// composition, with a budget above exploration's: refuting a pair keeps
+// the composite tight, and an Unknown keeps it, soundly but loosely.
+// shardSolver answers the sharability analysis's hash-field queries at
+// nfir's exploration-pruning budget.
+var (
+	witnessSolver = &symb.Solver{}
+	joinSolver    = &symb.Solver{MaxNodes: 20000, Samples: 24}
+	shardSolver   = &symb.Solver{MaxNodes: nfir.PruneMaxNodes, Samples: nfir.PruneSamples}
+)
 
 // workers resolves the Parallelism option.
 func (g *Generator) workers() int {
@@ -123,11 +96,4 @@ func (g *Generator) Generate(prog *nfir.Program, models map[string]nfir.Model) (
 func (g *Generator) GenerateContext(ctx context.Context, prog *nfir.Program, models map[string]nfir.Model) (*Contract, error) {
 	ct, _, err := g.GenerateWithPathsContext(ctx, prog, models)
 	return ct, err
-}
-
-// GenerateWithPaths also returns the underlying symbolic paths, aligned
-// with Contract.Paths; chain composition (§3.4) needs them to connect
-// output-packet expressions across NFs.
-func (g *Generator) GenerateWithPaths(prog *nfir.Program, models map[string]nfir.Model) (*Contract, []*nfir.Path, error) {
-	return g.GenerateWithPathsContext(context.Background(), prog, models)
 }

@@ -120,7 +120,7 @@ func TestJoinIndexKeepsExhaustivePairs(t *testing.T) {
 		fold, bns := i+1, strings.Repeat("b.", i+1)
 		bCt, bPaths := gen(name)
 		ix := buildJoinIndex(bCt, bPaths, bns)
-		jf := g.composeFeasibility()
+		jf := newJoinFeas()
 		var kept uint64
 		for ai, pa := range ct.Paths {
 			if pa.Action != nfir.ActionForward {
@@ -187,7 +187,7 @@ func TestJoinForkMatchesFreshSolve(t *testing.T) {
 			bns := strings.Repeat("b.", i+1)
 			bCt, bPaths := gen(name)
 			ix := buildJoinIndex(bCt, bPaths, bns)
-			jf := g.composeFeasibility()
+			jf := newJoinFeas()
 			for ai, pa := range ct.Paths {
 				if pa.Action != nfir.ActionForward {
 					continue
@@ -234,16 +234,6 @@ func TestJoinForkMatchesFreshSolve(t *testing.T) {
 	}
 }
 
-// newJoinFeas is a composition's feasibility machinery at the default
-// join budget: the incremental engine, which a join reaches through the
-// hoisted a-side prefix plus a per-pair overlay.
-func newJoinFeas() *joinFeas {
-	return &joinFeas{
-		sv:  &symb.Solver{MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples},
-		eng: symb.NewIncremental(),
-	}
-}
-
 // freshJoinFeasible is the judge a join's verdict must agree with: the
 // static pre-filter, then a fresh solve over mergePair's full merged
 // map at the same budget — no session, no prefix, no overlay.
@@ -252,8 +242,7 @@ func freshJoinFeasible(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns 
 	if joinObviouslyInfeasible(q.constraints, q.domains) {
 		return false
 	}
-	sv := &symb.Solver{MaxNodes: DefaultComposeFeasibilityMaxNodes, Samples: DefaultComposeFeasibilitySamples}
-	return sv.Feasible(q.constraints, q.domains)
+	return joinSolver.Feasible(q.constraints, q.domains)
 }
 
 // The merge's three rules, each pinned by the merged value and by a b

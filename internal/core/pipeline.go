@@ -34,7 +34,10 @@ import (
 // byte-identical to a serial run at any pool width.
 
 // GenerateWithPathsContext runs the full pipeline with cancellation.
-// It is the ground-truth entry point every other Generate variant wraps.
+// It is the ground-truth entry point every other Generate variant wraps,
+// and it also returns the underlying symbolic paths, aligned with
+// Contract.Paths: chain composition (§3.4) needs them to connect
+// output-packet expressions across NFs.
 func (g *Generator) GenerateWithPathsContext(ctx context.Context, prog *nfir.Program, models map[string]nfir.Model) (*Contract, []*nfir.Path, error) {
 	modelNames := make(map[string]bool, len(models))
 	for n := range models {
@@ -79,11 +82,7 @@ func (g *Generator) GenerateWithPathsContext(ctx context.Context, prog *nfir.Pro
 // explorePaths is the Explore stage: symbolic execution of the stateless
 // code against the models (Algorithm 2, lines 2–3).
 func (g *Generator) explorePaths(ctx context.Context, prog *nfir.Program, models map[string]nfir.Model) ([]*nfir.Path, error) {
-	engine := &nfir.Engine{
-		Models:      models,
-		MaxPaths:    g.MaxPaths,
-		Feasibility: g.feasibilitySolver(),
-	}
+	engine := &nfir.Engine{Models: models}
 	paths, err := engine.ExploreContext(ctx, prog)
 	if err != nil {
 		return nil, fmt.Errorf("core: symbolic execution of %s: %w", prog.Name, err)
@@ -96,7 +95,7 @@ func (g *Generator) explorePaths(ctx context.Context, prog *nfir.Program, models
 // Each path's Events slice is private to the path (exploration clones
 // it per branch), so annotating in parallel workers is race-free.
 func (g *Generator) analysePath(ctx context.Context, prog *nfir.Program, models map[string]nfir.Model, pa *nfir.Path) (*PathContract, error) {
-	g.annotateSharing(pa, models)
+	annotateSharing(pa, models)
 	pc := g.assembleCost(pa)
 	if err := g.solvePath(ctx, prog, pa, pc); err != nil {
 		return nil, err
@@ -171,7 +170,7 @@ func (g *Generator) assembleCost(pa *nfir.Path) *PathContract {
 // solver's sampling is seeded by symbol name), so the outcome does not
 // depend on which worker runs it.
 func (g *Generator) solvePath(ctx context.Context, prog *nfir.Program, pa *nfir.Path, pc *PathContract) error {
-	witness, res := pa.Session.SolveContext(ctx, g.solver())
+	witness, res := pa.Session.SolveContext(ctx, witnessSolver)
 	pa.Session = nil // solved: release the session (and keep it out of the contract cache)
 	if res != symb.Sat {
 		// A cancelled solve reports Unknown; surface the cancellation

@@ -87,19 +87,6 @@ func mergeHashFields(a, b hashFields) hashFields {
 	return out
 }
 
-// shardFeasSolver is the bounded solver behind the two hash-field
-// feasibility queries; it reuses the generator's exploration-pruning
-// budget so the verdicts are deterministic per configuration.
-func (g *Generator) shardFeasSolver() *symb.Solver {
-	if s := g.feasibilitySolver(); s != nil {
-		return s
-	}
-	return &symb.Solver{
-		MaxNodes: nfir.DefaultFeasibilityMaxNodes,
-		Samples:  nfir.DefaultFeasibilitySamples,
-	}
-}
-
 // pathHashFields decides which flow-hash fields the dispatcher reads for
 // the packets selected by the path's constraints, by refutation: if
 // "this path and not IPv4" is infeasible, every packet on the path
@@ -113,18 +100,17 @@ func (g *Generator) shardFeasSolver() *symb.Solver {
 // not constrain pkt_len, so the analysis assumes well-formed traffic
 // (≥ 34-byte packets), the same assumption the roster programs' field
 // reads already make.
-func (g *Generator) pathHashFields(pa *nfir.Path) hashFields {
-	sv := g.shardFeasSolver()
+func pathHashFields(pa *nfir.Path) hashFields {
 	eth := symb.S(nfir.FieldSymName(12, 2))
 	with := func(extra symb.Expr) []symb.Expr {
 		cs := make([]symb.Expr, 0, len(pa.Constraints)+1)
 		cs = append(cs, pa.Constraints...)
 		return append(cs, extra)
 	}
-	if !sv.Feasible(with(symb.B(symb.Ne, eth, symb.C(flowHashEthertype))), pa.Domains) {
+	if !shardSolver.Feasible(with(symb.B(symb.Ne, eth, symb.C(flowHashEthertype))), pa.Domains) {
 		return ipv4HashFields()
 	}
-	if !sv.Feasible(with(symb.B(symb.Eq, eth, symb.C(flowHashEthertype))), pa.Domains) {
+	if !shardSolver.Feasible(with(symb.B(symb.Eq, eth, symb.C(flowHashEthertype))), pa.Domains) {
 		return fallbackHashFields()
 	}
 	return mergeHashFields(ipv4HashFields(), fallbackHashFields())
@@ -239,7 +225,7 @@ func keyPins(args []symb.Expr, keyArgs []int, need hashFields) bool {
 // The default at every decision point is shared-rw: absence of a
 // sharability model, an undescribed method, or an unanalysable key all
 // cost contention, never soundness.
-func (g *Generator) annotateSharing(pa *nfir.Path, models map[string]nfir.Model) {
+func annotateSharing(pa *nfir.Path, models map[string]nfir.Model) {
 	var hash hashFields
 	haveHash := false
 	for i := range pa.Events {
@@ -256,7 +242,7 @@ func (g *Generator) annotateSharing(pa *nfir.Path, models map[string]nfir.Model)
 		}
 		ev.Sharing = classify(sa, func() bool {
 			if !haveHash {
-				hash = g.pathHashFields(pa)
+				hash = pathHashFields(pa)
 				haveHash = true
 			}
 			return keyPins(ev.Args, sa.KeyArgs, hash)

@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -98,6 +99,13 @@ func (a Alert) String() string {
 	return b.String()
 }
 
+// windowSize bounds each class's recent-sample window, and tailQuantile
+// is the target of each class's tail sketch (the report's p99 column).
+const (
+	windowSize   = 32
+	tailQuantile = 0.99
+)
+
 // Config tunes a Monitor.
 type Config struct {
 	// Metric is the budgeted metric (default Instructions — deterministic
@@ -109,16 +117,13 @@ type Config struct {
 	// ClockHz and TargetPPS derive a cycle budget when Budget is zero:
 	// the per-packet cycles one core must not exceed to sustain
 	// TargetPPS — Contract.Provision solved for cycles. Setting them
-	// forces Metric to Cycles and Detailed on.
+	// forces Metric to Cycles and Detailed on. Each must be zero (unset)
+	// or finite and positive; New rejects anything else.
 	ClockHz, TargetPPS float64
 	// Trigger and Clear set the overload hysteresis: Trigger consecutive
 	// over-budget packets page (default 3), Clear consecutive calm
 	// packets un-page (default 8).
 	Trigger, Clear int
-	// RingSize bounds the per-class recent-sample window (default 32).
-	RingSize int
-	// Quantile is the per-class tail sketch's target (default 0.99).
-	Quantile float64
 	// Level selects NF-only or full-stack measurement for Run.
 	Level dpdk.AnalysisLevel
 	// Detailed attaches the detailed hardware model so cycles are
@@ -210,6 +215,9 @@ type Monitor struct {
 	shardIdx int
 
 	engines []*engine
+	// Each shard reads the fields above per packet and the producer
+	// writes those below; the pad keeps the two off one cache line.
+	_ [64]byte
 	// packets counts ingested packets across the monitor's lifetime and
 	// assigns each its global index before sharding.
 	packets int
@@ -238,12 +246,6 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 	if cfg.Clear <= 0 {
 		cfg.Clear = 8
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 32
-	}
-	if cfg.Quantile <= 0 || cfg.Quantile >= 1 {
-		cfg.Quantile = 0.99
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -264,6 +266,12 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 	}
 	if cfg.FlowHash == nil {
 		cfg.FlowHash = FlowKey
+	}
+	// An infinite TargetPPS would derive a budget of 0, which silently
+	// turns overload alerting off.
+	unsetOrPositive := func(v float64) bool { return v == 0 || v > 0 && !math.IsInf(v, 1) }
+	if !unsetOrPositive(cfg.ClockHz) || !unsetOrPositive(cfg.TargetPPS) {
+		return nil, fmt.Errorf("monitor: ClockHz %v and TargetPPS %v must each be 0 (unset) or finite and positive", cfg.ClockHz, cfg.TargetPPS)
 	}
 	shardAware := cfg.ShardAware && cfg.Shards > 1
 	if cfg.Budget == 0 && cfg.ClockHz > 0 && cfg.TargetPPS > 0 {
@@ -590,7 +598,7 @@ func (m *Monitor) Report() string {
 	for _, ci := range seen {
 		st := rows[ci]
 		fmt.Fprintf(&b, "  class %-52s pkts %6d  max obs %8d  max pred %8d  p%02.0f %8.0f",
-			m.classes[ci], st.packets, st.maxObserved, st.maxPred, m.cfg.Quantile*100, st.quantile)
+			m.classes[ci], st.packets, st.maxObserved, st.maxPred, tailQuantile*100, st.quantile)
 		if m.cfg.Budget > 0 {
 			fmt.Fprintf(&b, "  headroom %8d", st.minHeadroom)
 		}

@@ -234,8 +234,8 @@ func (e *engine) observe(idx int, obs *core.PacketObservation, ic, ma, cycles ui
 
 func (e *engine) newClassState(ci int) *classState {
 	st := &classState{
-		win:    *newWindow(e.m.cfg.RingSize),
-		sketch: *newQuantileSketch(e.m.cfg.Quantile),
+		win:    *newWindow(windowSize),
+		sketch: *newQuantileSketch(tailQuantile),
 		hys:    hysteresis{Trigger: e.m.cfg.Trigger, Clear: e.m.cfg.Clear},
 	}
 	e.classes[ci] = st

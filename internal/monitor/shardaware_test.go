@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -56,6 +57,33 @@ func TestShardAwareBudgetAndBounds(t *testing.T) {
 	for _, a := range aware.Alerts() {
 		if a.Kind == monitor.AlertViolation && a.Metric == perf.Cycles {
 			t.Errorf("shard-aware cycle violation: %s", a.String())
+		}
+	}
+}
+
+// New rejects a ClockHz or TargetPPS that is set but is not finite and
+// positive. An infinite TargetPPS used to derive a budget of 0, which
+// silently turned overload alerting off.
+func TestNewRejectsUnusableRates(t *testing.T) {
+	_, ct := buildRoster(t, "nat")
+	for _, tc := range []struct {
+		name string
+		cfg  monitor.Config
+		ok   bool
+	}{
+		{"unset", monitor.Config{}, true},
+		{"clock only", monitor.Config{ClockHz: 3.2e9}, true},
+		{"both", monitor.Config{ClockHz: 3.2e9, TargetPPS: 1e6}, true},
+		{"infinite target", monitor.Config{ClockHz: 3.2e9, TargetPPS: math.Inf(1)}, false},
+		{"NaN target", monitor.Config{ClockHz: 3.2e9, TargetPPS: math.NaN()}, false},
+		{"negative target", monitor.Config{ClockHz: 3.2e9, TargetPPS: -1}, false},
+		{"infinite clock", monitor.Config{ClockHz: math.Inf(1), TargetPPS: 1e6}, false},
+		{"negative clock", monitor.Config{ClockHz: -1, TargetPPS: 1e6}, false},
+		{"bad clock beside a budget", monitor.Config{Budget: 500, ClockHz: math.NaN()}, false},
+	} {
+		_, err := monitor.New(ct, tc.cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New error = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

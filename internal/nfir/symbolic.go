@@ -101,26 +101,27 @@ type PktWrite struct {
 type Engine struct {
 	// Models maps data-structure names to their symbolic models.
 	Models map[string]Model
-	// MaxPaths aborts runaway exploration; 0 means DefaultMaxPaths.
-	MaxPaths int
-	// Feasibility is the solver used to prune dead branches; nil gets a
-	// bounded default (DefaultFeasibilityMaxNodes/DefaultFeasibilitySamples).
-	// Unknown verdicts keep the path (conservative).
-	Feasibility *symb.Solver
+	// maxPaths aborts runaway exploration; 0 means DefaultMaxPaths.
+	// Only tests lower it.
+	maxPaths int
 
 	freshCtr int
 	paths    []*Path
 	ctx      context.Context
 }
 
-// DefaultFeasibilityMaxNodes and DefaultFeasibilitySamples are the search
-// budget of the branch-pruning solver when Feasibility is nil. They are
-// deliberately small: pruning only needs to refute obviously dead
-// branches, and Unknown keeps the branch anyway.
+// PruneMaxNodes and PruneSamples are the search budget of pruneSolver.
+// They are deliberately small: pruning only needs to refute obviously
+// dead branches, and Unknown keeps the branch anyway.
 const (
-	DefaultFeasibilityMaxNodes = 4000
-	DefaultFeasibilitySamples  = 8
+	PruneMaxNodes = 4000
+	PruneSamples  = 8
 )
+
+// pruneSolver prunes dead branches during exploration. Unknown verdicts
+// keep the path (conservative). Solvers are stateless between calls, so
+// every Engine shares it.
+var pruneSolver = &symb.Solver{MaxNodes: PruneMaxNodes, Samples: PruneSamples}
 
 // DefaultMaxPaths bounds exploration; the paper reports NFs with several
 // hundred to a few thousand paths.
@@ -213,15 +214,8 @@ func (en *Engine) ExploreContext(ctx context.Context, p *Program) ([]*Path, erro
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("nfir: exploring %s: %w", p.Name, err)
 	}
-	if en.Feasibility == nil {
-		en.Feasibility = &symb.Solver{
-			MaxNodes: DefaultFeasibilityMaxNodes,
-			Samples:  DefaultFeasibilitySamples,
-		}
-	}
-	maxPaths := en.MaxPaths
-	if maxPaths == 0 {
-		maxPaths = DefaultMaxPaths
+	if en.maxPaths == 0 {
+		en.maxPaths = DefaultMaxPaths
 	}
 	en.paths = nil
 	st := &symState{
@@ -239,7 +233,7 @@ func (en *Engine) ExploreContext(ctx context.Context, p *Program) ([]*Path, erro
 	}
 	err := en.run(st, p.body, func(*symState) error {
 		return fmt.Errorf("nfir: %s: path fell off the end without Forward/Drop", p.Name)
-	}, maxPaths)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("nfir: exploring %s: %w", p.Name, err)
 	}
@@ -248,12 +242,12 @@ func (en *Engine) ExploreContext(ctx context.Context, p *Program) ([]*Path, erro
 
 type contFn func(*symState) error
 
-func (en *Engine) run(st *symState, stmts []Stmt, k contFn, maxPaths int) error {
+func (en *Engine) run(st *symState, stmts []Stmt, k contFn) error {
 	if len(stmts) == 0 {
 		return k(st)
 	}
 	s, rest := stmts[0], stmts[1:]
-	next := func(st *symState) error { return en.run(st, rest, k, maxPaths) }
+	next := func(st *symState) error { return en.run(st, rest, k) }
 
 	switch x := s.(type) {
 	case Assign:
@@ -264,9 +258,8 @@ func (en *Engine) run(st *symState, stmts []Stmt, k contFn, maxPaths int) error 
 	case If:
 		cond := en.evalCondSym(st, x.Cond)
 		return en.fork(st, cond,
-			func(st *symState) error { return en.run(st, x.Then, next, maxPaths) },
-			func(st *symState) error { return en.run(st, x.Else, next, maxPaths) },
-			maxPaths)
+			func(st *symState) error { return en.run(st, x.Then, next) },
+			func(st *symState) error { return en.run(st, x.Else, next) })
 
 	case While:
 		maxIter := x.MaxIter
@@ -285,17 +278,16 @@ func (en *Engine) run(st *symState, stmts []Stmt, k contFn, maxPaths int) error 
 				}
 				probe := st.sess.Fork()
 				probe.Assert(cond)
-				if probe.FeasibleContext(en.ctx, en.Feasibility) {
+				if probe.FeasibleContext(en.ctx, pruneSolver) {
 					return fmt.Errorf("while loop feasible beyond MaxIter=%d", maxIter)
 				}
 				return next(st)
 			}
 			return en.fork(st, cond,
 				func(st *symState) error {
-					return en.run(st, x.Body, func(st *symState) error { return iterate(st, iter+1) }, maxPaths)
+					return en.run(st, x.Body, func(st *symState) error { return iterate(st, iter+1) })
 				},
-				next,
-				maxPaths)
+				next)
 		}
 		return iterate(st, 0)
 
@@ -443,10 +435,10 @@ const (
 // feasible reports whether st's constraint set might still be
 // satisfiable, through the state's incremental session.
 func (en *Engine) feasible(st *symState) bool {
-	return st.sess.FeasibleContext(en.ctx, en.Feasibility)
+	return st.sess.FeasibleContext(en.ctx, pruneSolver)
 }
 
-func (en *Engine) fork(st *symState, cond symb.Expr, thenK, elseK contFn, maxPaths int) error {
+func (en *Engine) fork(st *symState, cond symb.Expr, thenK, elseK contFn) error {
 	if c, ok := cond.(symb.Const); ok {
 		if c.V != 0 {
 			return thenK(st)
@@ -456,8 +448,8 @@ func (en *Engine) fork(st *symState, cond symb.Expr, thenK, elseK contFn, maxPat
 	if err := en.ctx.Err(); err != nil {
 		return fmt.Errorf("exploration cancelled after %d paths: %w", len(en.paths), err)
 	}
-	if len(en.paths) >= maxPaths {
-		return fmt.Errorf("exceeded MaxPaths=%d", maxPaths)
+	if len(en.paths) >= en.maxPaths {
+		return fmt.Errorf("exceeded MaxPaths=%d", en.maxPaths)
 	}
 	tSt := st.clone()
 	tSt.addConstraint(cond)

@@ -1,6 +1,7 @@
 package nfir
 
 import (
+	"strings"
 	"testing"
 
 	"gobolt/internal/expr"
@@ -209,6 +210,25 @@ func TestSymbolicLoopBoundViolation(t *testing.T) {
 	en := &Engine{Models: nil}
 	if _, err := en.Explore(p); err == nil {
 		t.Fatal("expected loop bound violation")
+	}
+}
+
+// Path explosion protection: a program with many independent symbolic
+// branches trips the path cap instead of hanging.
+func TestExploreMaxPaths(t *testing.T) {
+	var body []Stmt
+	for i := uint64(0); i < 24; i++ {
+		body = append(body, Then(
+			Eq(Field(i, 1), C(1)),
+			Set("x", C(i)),
+		))
+	}
+	body = append(body, Drop())
+	en := &Engine{maxPaths: 1000}
+	if _, err := en.Explore(NewProgram("explode", 0, body)); err == nil {
+		t.Fatal("expected MaxPaths error")
+	} else if !strings.Contains(err.Error(), "MaxPaths=1000") {
+		t.Fatalf("err = %v", err)
 	}
 }
 
