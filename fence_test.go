@@ -1,9 +1,11 @@
 package gobolt
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -174,4 +176,121 @@ func TestNoUnsafeOutsideBench(t *testing.T) {
 			t.Errorf("%s mentions bodyGuard", path)
 		}
 	})
+}
+
+// TestPCVRangesNeverWritten fails if a non-test Go file outside bench/
+// writes into a PCVRanges map it did not make itself. Chain composition
+// interns the PCV-range maps of joined paths, so many paths of one
+// composite share each map, as the paths of a decoded contract share
+// the codec's ranges table: a write through one path would change them
+// all.
+func TestPCVRangesNeverWritten(t *testing.T) {
+	walkNonTestGo(t, func(path, src string) {
+		for _, w := range pcvRangesWrites(t, path, src) {
+			t.Errorf("%s writes into a shared PCVRanges map: %s", path, w)
+		}
+	})
+}
+
+// The checker itself: each write form it must catch, and the one write
+// it allows, into a map the same function just made.
+func TestPCVRangesWritesChecker(t *testing.T) {
+	src := `package p
+func writes(p, q *PathContract, v string, r Range) {
+	p.PCVRanges[v] = r
+	delete(q.PCVRanges, v)
+	clear(p.PCVRanges)
+	maps.Copy(p.PCVRanges, q.PCVRanges)
+	m := q.PCVRanges
+	m[v] = r
+}
+func fresh(p *PathContract, v string, r Range) {
+	p.PCVRanges = make(map[string]Range)
+	p.PCVRanges[v] = r
+	m := maps.Clone(p.PCVRanges)
+	m[v] = r
+	_ = p.PCVRanges[v]
+}
+`
+	got := pcvRangesWrites(t, "p.go", src)
+	want := []string{
+		"line 3: p.PCVRanges", "line 4: q.PCVRanges", "line 5: p.PCVRanges",
+		"line 6: p.PCVRanges", "line 8: m",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("checker found %q, want %q", got, want)
+	}
+}
+
+// pcvRangesWrites lists the writes in src into a map named by a
+// .PCVRanges selector, or by a variable assigned from one, that the
+// enclosing function did not itself assign from make or a literal: index
+// assignments, delete, clear, and maps.Copy, maps.Insert and
+// maps.DeleteFunc into it.
+func pcvRangesWrites(t *testing.T, path, src string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		fresh, aliases := map[string]bool{}, map[string]bool{}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, rhs := range as.Rhs {
+				lhs := types.ExprString(as.Lhs[i])
+				switch x := rhs.(type) {
+				case *ast.CompositeLit:
+					fresh[lhs] = true
+				case *ast.CallExpr:
+					if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "make" {
+						fresh[lhs] = true
+					}
+				}
+				if strings.HasSuffix(types.ExprString(rhs), ".PCVRanges") {
+					aliases[lhs] = true
+				}
+			}
+			return true
+		})
+		write := func(m ast.Expr) {
+			name := types.ExprString(m)
+			if (strings.HasSuffix(name, ".PCVRanges") || aliases[name]) && !fresh[name] {
+				out = append(out, fmt.Sprintf("line %d: %s", fset.Position(m.Pos()).Line, name))
+			}
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					if ix, ok := lhs.(*ast.IndexExpr); ok {
+						write(ix.X)
+					}
+				}
+			case *ast.IncDecStmt:
+				if ix, ok := x.X.(*ast.IndexExpr); ok {
+					write(ix.X)
+				}
+			case *ast.CallExpr:
+				if len(x.Args) == 0 {
+					break
+				}
+				switch fun := types.ExprString(x.Fun); fun {
+				case "delete", "clear", "maps.Copy", "maps.Insert", "maps.DeleteFunc":
+					write(x.Args[0])
+				}
+			}
+			return true
+		})
+	}
+	return out
 }

@@ -6,7 +6,9 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"gobolt/internal/expr"
@@ -23,6 +25,9 @@ import (
 type joinFeas struct {
 	sv  *symb.Solver
 	eng *symb.Incremental
+
+	// ranges interns the kept paths' PCV-range maps.
+	ranges rangeTable
 
 	// Pruning counters for JoinStats; updated atomically because join
 	// workers run in parallel.
@@ -51,7 +56,7 @@ func newJoinFeas() *joinFeas {
 // chain fold no a-side name carries the deeper prefix, but composing a
 // composite again with the same bns can produce one.
 func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string) *joinPrefix {
-	jp := &joinPrefix{jf: jf, aLen: len(pa.Constraints)}
+	jp := &joinPrefix{jf: jf, aLen: len(pa.Constraints), rangesKey: rangesKey(pa.PCVRanges)}
 	overwritten := func(name string) bool {
 		if strings.HasPrefix(name, bns) {
 			return true
@@ -78,8 +83,9 @@ func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string) *joinP
 	}
 	// Domains go in before the constraints, as in a fresh solve
 	// (symb.prepare): interval propagation of an order cycle such as
-	// x < y ∧ y <= x narrows by one value per round, so it must not run
-	// over full 64-bit domains a bound would have cut short.
+	// x < y ∧ y <= x narrows by one value per round, so it should run
+	// over the bounded domains, not over full 64-bit ones where only the
+	// solver's strict-cycle check, thousands of steps in, would end it.
 	s := jf.eng.NewSession()
 	s.SetDomains(install)
 	s.AssertAll(pa.Constraints)
@@ -91,20 +97,99 @@ func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string) *joinP
 // must pass constraint slices whose first aLen entries are exactly the
 // prefix this joinPrefix was built from, and a merged domain map that
 // holds every a-domain the prefix withheld (held, sorted).
+//
+// A joinPrefix serves one a-path's pairs, one after another on one
+// goroutine, so it also carries their scratch (see pairScratch).
 type joinPrefix struct {
-	jf   *joinFeas
-	aLen int
-	sess *symb.Session
-	held []string
+	jf        *joinFeas
+	aLen      int
+	sess      *symb.Session
+	held      []string
+	rangesKey string // rangesKey of the a-path's PCVRanges
+	pairScratch
+}
+
+// pairScratch is the working memory of one pair's question, reused by
+// the next pair: the solver fork (recycled through ForkInto), b's
+// substitution map, the merged names b wrote, the pair's own copy of
+// the suffix pre-analysis and the domain overlay. None of it outlives
+// the pair's verdict; what a kept path retains (its constraints,
+// domains, cost and ranges) is allocated fresh.
+type pairScratch struct {
+	child   *symb.Session
+	subst   map[string]symb.Expr
+	touched []string
+	pre     []*symb.Conjunct
+	overlay []symb.NamedDomain
 }
 
 // extend returns a joinPrefix whose prefix is this one's plus extra,
 // sharing the parent's prepared solver state (DAG composition narrows
-// one root path to several output ports this way).
+// one root path to several output ports this way). The extension has
+// scratch of its own.
 func (jp *joinPrefix) extend(extra ...symb.Expr) *joinPrefix {
 	s := jp.sess.Fork()
 	s.AssertAll(extra)
-	return &joinPrefix{jf: jp.jf, aLen: jp.aLen + len(extra), sess: s, held: jp.held}
+	return &joinPrefix{jf: jp.jf, aLen: jp.aLen + len(extra), sess: s, held: jp.held, rangesKey: jp.rangesKey}
+}
+
+// rangeTable interns the PCV-range maps of one fold's joined paths. A
+// joined path's ranges are a's plus b's, and a fold's a-paths and
+// b-paths carry few distinct range maps (the 582 paths of the 4-chain
+// carry 6), so each distinct merge is built once and every path that
+// needs it shares it. Sharing is safe because nothing writes into a
+// path's PCVRanges (decoded contracts already share them through the
+// codec's ranges table); TestPCVRangesNeverWritten keeps it so.
+type rangeTable struct {
+	mu sync.Mutex
+	m  map[[2]string]map[string]expr.Range
+}
+
+// merge returns a's ranges overridden by b's, where aKey and bKey are
+// the maps' rangesKey. When b adds nothing to a non-empty a, that is a
+// itself.
+func (t *rangeTable) merge(aKey string, a map[string]expr.Range, bKey string, b map[string]expr.Range) map[string]expr.Range {
+	if len(a) > 0 && subsetOf(b, a) {
+		return a
+	}
+	k := [2]string{aKey, bKey}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if m, ok := t.m[k]; ok {
+		return m
+	}
+	m := make(map[string]expr.Range, len(a)+len(b))
+	maps.Copy(m, a)
+	maps.Copy(m, b)
+	if t.m == nil {
+		t.m = make(map[[2]string]map[string]expr.Range)
+	}
+	t.m[k] = m
+	return m
+}
+
+// subsetOf reports whether every entry of b is in a with the same value.
+func subsetOf(b, a map[string]expr.Range) bool {
+	for v, r := range b {
+		if ar, ok := a[v]; !ok || ar != r {
+			return false
+		}
+	}
+	return true
+}
+
+// rangesKey spells a PCV-range map canonically: equal maps, and only
+// those, have equal keys.
+func rangesKey(m map[string]expr.Range) string {
+	var b []byte
+	for _, v := range slices.Sorted(maps.Keys(m)) {
+		r := m[v]
+		b = strconv.AppendQuote(b, v)
+		b = strconv.AppendUint(append(b, ':'), r.Lo, 10)
+		b = strconv.AppendUint(append(b, ','), r.Hi, 10)
+		b = append(b, ';')
+	}
+	return string(b)
 }
 
 // pairQuery is one feasibility question put to a joinPrefix: the
@@ -146,8 +231,12 @@ func (jp *joinPrefix) feasible(ctx context.Context, q *pairQuery) bool {
 // in the prefix, or the intersection of a's and b's, which intersecting
 // into the prefix reproduces — so the fork's propagation fixpoint, and
 // with it the verdict and witness, is the fresh solve's.
+//
+// The fork is the previous pair's, recycled: it is valid until the next
+// call, which overwrites it.
 func (jp *joinPrefix) fork(q *pairQuery) *symb.Session {
-	child := jp.sess.Fork()
+	child := jp.sess.ForkInto(jp.child)
+	jp.child = child
 	for i, c := range q.constraints[jp.aLen:] {
 		if i < len(q.pre) && q.pre[i] != nil {
 			child.AssertConjunct(q.pre[i])
@@ -155,8 +244,7 @@ func (jp *joinPrefix) fork(q *pairQuery) *symb.Session {
 			child.Assert(c)
 		}
 	}
-	var buf [16]symb.NamedDomain
-	overlay := buf[:0]
+	overlay := jp.overlay[:0]
 	for _, n := range jp.held {
 		overlay = append(overlay, symb.NamedDomain{Name: n, Domain: q.domains[n]})
 	}
@@ -166,6 +254,7 @@ func (jp *joinPrefix) fork(q *pairQuery) *symb.Session {
 	slices.SortFunc(overlay, func(x, y symb.NamedDomain) int { return strings.Compare(x.Name, y.Name) })
 	overlay = slices.CompactFunc(overlay, func(x, y symb.NamedDomain) bool { return x.Name == y.Name })
 	child.SetDomains(overlay)
+	jp.overlay = overlay
 	return child
 }
 
@@ -252,8 +341,7 @@ func singleSymOf(e symb.Expr) (string, bool) {
 // and this function does only what depends on a as well. The returned
 // path carries ID 0; the caller assigns IDs during assembly.
 func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathContract, rawB *nfir.Path, jp *joinPrefix, bns string, bm *bPathMeta) (*PathContract, bool) {
-	var touchedBuf [8]string
-	q := mergePair(pa, rawA, pb, bns, bm, touchedBuf[:0])
+	q := mergePair(pa, rawA, pb, bns, bm, &jp.pairScratch)
 	if !jp.feasible(ctx, &q) {
 		return nil, false
 	}
@@ -262,17 +350,13 @@ func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathCo
 	for _, m := range perf.Metrics {
 		cost[m] = pa.Cost[m].Add(bm.cost[m])
 	}
-	ranges := make(map[string]expr.Range, len(pa.PCVRanges)+len(bm.ranges))
-	maps.Copy(ranges, pa.PCVRanges)
-	maps.Copy(ranges, bm.ranges)
-
 	return &PathContract{
 		Action:      pb.Action,
 		Constraints: q.constraints,
 		Domains:     q.domains,
 		Events:      joinEvents(pa.Events, pb.Events),
 		Cost:        cost,
-		PCVRanges:   ranges,
+		PCVRanges:   jp.jf.ranges.merge(jp.rangesKey, pa.PCVRanges, bm.rangesKey, bm.ranges),
 		// Shared-MA composes exactly like cost: both stages run on the
 		// same shard (the chain is dispatched once), so their shared
 		// accesses add. EffectiveSharedMA keeps the composition
@@ -285,8 +369,10 @@ func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathCo
 
 // mergePair builds the pair's feasibility question: a's constraints
 // followed by b's under the substitution, and a's domains merged with
-// b's. touched is the buffer the b-written names are appended to.
-func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, bm *bPathMeta, touched []string) pairQuery {
+// b's. The question's touched and pre slices live in sc, so they are
+// valid until sc's next use; its constraints and domains are the kept
+// path's own.
+func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, bm *bPathMeta, sc *pairScratch) pairQuery {
 	// b's symbol substitution: packet fields written by a map to a's
 	// output expressions; unwritten fields stay shared with a's input;
 	// b-locals are namespaced (bm.renames). Only the first part depends
@@ -298,7 +384,11 @@ func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, 
 			continue
 		}
 		if subst == nil {
-			subst = make(map[string]symb.Expr, len(bm.renames)+len(bm.fields))
+			if sc.subst == nil {
+				sc.subst = make(map[string]symb.Expr, len(bm.renames)+len(bm.fields))
+			}
+			subst = sc.subst
+			clear(subst)
 			maps.Copy(subst, bm.renames)
 		}
 		if w.Size == f.key.size {
@@ -319,7 +409,8 @@ func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, 
 		if subst != nil && mentionsWritten(bm.consOffs[i], rawA) {
 			c = symb.Substitute(pb.Constraints[i], subst)
 			if !ownPre {
-				pre, ownPre = slices.Clone(bm.pre), true
+				pre, ownPre = append(sc.pre[:0], bm.pre...), true
+				sc.pre = pre
 			}
 			pre[i] = nil
 		}
@@ -328,6 +419,7 @@ func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, 
 
 	domains := make(map[string]symb.Domain, len(pa.Domains)+len(bm.doms))
 	maps.Copy(domains, pa.Domains)
+	touched := sc.touched[:0]
 	for _, bd := range bm.doms {
 		name, overwrite := bd.name, false
 		w, written := rawA.PktWrites[bd.key.off]
@@ -361,6 +453,7 @@ func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, 
 		domains[name] = d
 		touched = append(touched, name)
 	}
+	sc.touched = touched
 	return pairQuery{constraints: constraints, domains: domains, touched: touched, pre: pre}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"strings"
 	"testing"
@@ -29,10 +30,11 @@ func buildBenchChain4(t testing.TB) []ChainStage {
 // The cold 4-chain's join accounting and allocation budget. The counts
 // are a property of the chain, not of the join's implementation: moving
 // work out of the per-pair loop must leave every fold's verdicts alone.
-// The allocation ceiling is the count with sorted-term polynomials
-// (62.4 k) plus 5 %; the per-pair join took ~230 k allocations per
-// compose, the eagerly cloned fork ~111 k and the layered fork, adding
-// map-based polynomials, 71.8 k.
+// The allocation ceiling is the count with recycled join scratch
+// (49.8 k) plus 5 %; the per-pair join took ~230 k allocations per
+// compose, the eagerly cloned fork ~111 k, the layered fork, adding
+// map-based polynomials, 71.8 k, and a fresh fork per pair with
+// sorted-term polynomials 62.4 k.
 func TestComposeColdChainCounts(t *testing.T) {
 	stages := buildBenchChain4(t)
 	compose := func() (*Contract, []JoinStats) {
@@ -64,8 +66,8 @@ func TestComposeColdChainCounts(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(2, func() { compose() })
 	t.Logf("cold 4-chain compose: %.0f allocations", allocs)
-	if allocs > 65_500 {
-		t.Errorf("cold 4-chain compose takes %.0f allocations, want <= 65500", allocs)
+	if allocs > 52_300 {
+		t.Errorf("cold 4-chain compose takes %.0f allocations, want <= 52300", allocs)
 	}
 }
 
@@ -205,7 +207,7 @@ func TestJoinForkMatchesFreshSolve(t *testing.T) {
 					if ix.skip(aw, pa, j) {
 						continue
 					}
-					q := mergePair(pa, rawA, bCt.Paths[j], bns, &ix.metas[j], nil)
+					q := mergePair(pa, rawA, bCt.Paths[j], bns, &ix.metas[j], new(pairScratch))
 					if joinObviouslyInfeasible(q.constraints, q.domains) {
 						continue
 					}
@@ -238,7 +240,7 @@ func TestJoinForkMatchesFreshSolve(t *testing.T) {
 // static pre-filter, then a fresh solve over mergePair's full merged
 // map at the same budget — no session, no prefix, no overlay.
 func freshJoinFeasible(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, bm *bPathMeta) bool {
-	q := mergePair(pa, rawA, pb, bns, bm, nil)
+	q := mergePair(pa, rawA, pb, bns, bm, new(pairScratch))
 	if joinObviouslyInfeasible(q.constraints, q.domains) {
 		return false
 	}
@@ -316,5 +318,56 @@ func TestJoinDomainMerge(t *testing.T) {
 		if ok := freshJoinFeasible(pa, rawA, pb, "b.", &ix.metas[0]); ok != tc.feasible {
 			t.Errorf("%s: a fresh solve keeps the pair = %v, want %v", tc.name, ok, tc.feasible)
 		}
+	}
+}
+
+// A refuted pair costs the question, not the prefix: once a joinPrefix
+// has answered one pair, the next pairs reuse its solver fork, its
+// substitution map and its scratch slices, so a pair the solver refutes
+// allocates a fixed handful of objects (its merged constraints and
+// domains, which a kept pair would keep, and the suffix the fork adds)
+// however large a's prefix is: 5 over a 5-constraint prefix and 7 over
+// 201, where forking afresh for every pair took 17 and 19.
+func TestJoinPairAllocsPerRefutedPair(t *testing.T) {
+	const shared = "pkt_10_1" // unwritten by a, bounded by both sides
+	allocs := func(n int) float64 {
+		aDoms := map[string]symb.Domain{"s": {Lo: 10, Hi: 20}, shared: {Lo: 0, Hi: 100}}
+		aCons := []symb.Expr{symb.B(symb.Ule, symb.S("s"), symb.C(40))}
+		for i := 0; i < n; i++ {
+			x := fmt.Sprintf("x%d", i)
+			aDoms[x] = symb.Word
+			aCons = append(aCons, symb.B(symb.Ult, symb.S(x), symb.C(uint64(1000+i))))
+		}
+		pa := &PathContract{Action: nfir.ActionForward, Constraints: aCons, Domains: aDoms}
+		rawA := &nfir.Path{Action: nfir.ActionForward, Constraints: aCons, Domains: aDoms,
+			PktWrites: map[uint64]nfir.PktWrite{12: {Size: 2, Val: symb.S("s")}}}
+		// b's guard on the shared field contradicts the intersected
+		// domain [50, 100]; only the solver's propagation sees it.
+		pb := &PathContract{Action: nfir.ActionForward,
+			Constraints: []symb.Expr{symb.B(symb.Ugt, symb.S(shared), symb.C(100)), symb.B(symb.Ugt, symb.S("pkt_12_2"), symb.C(5))},
+			Domains:     map[string]symb.Domain{shared: {Lo: 50, Hi: 255}, "pkt_12_2": symb.Word}}
+		rawB := &nfir.Path{Action: nfir.ActionForward, Constraints: pb.Constraints, Domains: pb.Domains}
+		ix := buildJoinIndex(&Contract{Paths: []*PathContract{pb}}, []*nfir.Path{rawB}, "b.")
+		jf := newJoinFeas()
+		jp := jf.prefix(pa, rawA, "b.")
+		ctx := context.Background()
+		pair := func() {
+			if _, ok := joinPair(ctx, pa, rawA, pb, rawB, jp, "b.", &ix.metas[0]); ok {
+				t.Fatal("the contradicting pair was kept")
+			}
+		}
+		pair() // warm the prefix's scratch
+		got := testing.AllocsPerRun(50, pair)
+		if r := jf.solverRefuted.Load(); r < 51 {
+			t.Fatalf("the solver refuted %d pairs, want every one: the pair never reached it", r)
+		}
+		return got
+	}
+	small, large := allocs(4), allocs(200)
+	t.Logf("refuted pair on a warm prefix: %.0f allocations over a 5-constraint prefix, %.0f over 201", small, large)
+	const ceiling = 10
+	if small > ceiling || large > ceiling {
+		t.Errorf("a refuted pair allocates %.0f objects over a 5-constraint prefix and %.0f over 201, want at most %d",
+			small, large, ceiling)
 	}
 }

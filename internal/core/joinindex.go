@@ -106,10 +106,11 @@ type bPathMeta struct {
 	doms []bDom
 	// cost, sharedMA and ranges are b's per-metric cost, effective
 	// shared-MA and PCV ranges with every PCV renamed into the fold's
-	// namespace.
-	cost     map[perf.Metric]expr.Poly
-	sharedMA expr.Poly
-	ranges   map[string]expr.Range
+	// namespace; rangesKey is rangesKey(ranges).
+	cost      map[perf.Metric]expr.Poly
+	sharedMA  expr.Poly
+	ranges    map[string]expr.Range
+	rangesKey string
 	// writes is b's packet writes as the composite path carries them:
 	// b-local symbols in the write values renamed the way the
 	// constraints are (see renameChained).
@@ -475,6 +476,7 @@ func buildBPathMeta(pb *PathContract, rawB *nfir.Path, bns string) bPathMeta {
 	for v, r := range pb.PCVRanges {
 		m.ranges[rename(v)] = r
 	}
+	m.rangesKey = rangesKey(m.ranges)
 	return m
 }
 
@@ -486,15 +488,21 @@ func buildBPathMeta(pb *PathContract, rawB *nfir.Path, bns string) bPathMeta {
 // (joinPair's domain overwrite order would then depend on map
 // iteration) or it is itself a shared input symbol (b's own domain for
 // it may intersect rather than overwrite).
+//
+// binding is skip's evaluation scratch, reused by every pair of the
+// a-path (they run on one goroutine): each conjunct skip evaluates
+// mentions one field symbol alone, so binding that one name is enough,
+// and a stale entry for another field is never read.
 type aJoinInfo struct {
 	consts     map[fieldKey]uint64
 	syms       map[fieldKey]string
 	writtenOff map[uint64]bool
 	pins       map[fieldKey]*fieldPin
+	binding    map[string]uint64
 }
 
 func buildAJoinInfo(pa *PathContract, rawA *nfir.Path) aJoinInfo {
-	aw := aJoinInfo{pins: computePins(pa.Constraints, pa.Domains)}
+	aw := aJoinInfo{pins: computePins(pa.Constraints, pa.Domains), binding: make(map[string]uint64)}
 	symTargets := make(map[string]int)
 	for off, w := range rawA.PktWrites {
 		if aw.writtenOff == nil {
@@ -551,9 +559,9 @@ func (ix *joinIndex) skip(aw aJoinInfo, pa *PathContract, j int) bool {
 				// Const; a false one is rejected by the static
 				// pre-filter. (b's declared domain for the field is
 				// dropped by the merge here, so it must not be used.)
-				binding := map[string]uint64{bpin.name: c}
+				aw.binding[bpin.name] = c
 				for _, e := range bpin.notFree {
-					if e.Eval(binding) == 0 {
+					if e.Eval(aw.binding) == 0 {
 						return true
 					}
 				}
@@ -591,15 +599,15 @@ func (ix *joinIndex) skip(aw aJoinInfo, pa *PathContract, j int) bool {
 			return true
 		}
 		if d.Lo == d.Hi {
-			binding := map[string]uint64{bpin.name: d.Lo}
+			aw.binding[bpin.name] = d.Lo
 			for _, e := range bpin.cons {
-				if e.Eval(binding) == 0 {
+				if e.Eval(aw.binding) == 0 {
 					return true
 				}
 			}
 			if apin, ok := aw.pins[f]; ok {
 				for _, e := range apin.cons {
-					if e.Eval(binding) == 0 {
+					if e.Eval(aw.binding) == 0 {
 						return true
 					}
 				}

@@ -29,7 +29,7 @@ func FuzzSolverEquivalence(f *testing.F) {
 	f.Add(int64(42), uint8(4))
 	f.Add(int64(-7877226890531368631), uint8(3)) // store-truncation regression seed
 	f.Add(int64(987654321), uint8(1))
-	f.Add(int64(330), uint8(',')) // b > a ∧ b <= a: the order cycle the universe bound keeps finite
+	f.Add(int64(330), uint8(',')) // b > a ∧ b <= a: an order cycle, refuted by propagation within the universe bound
 
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
 		r := rand.New(rand.NewSource(seed))
@@ -88,10 +88,11 @@ func FuzzSolverEquivalence(f *testing.F) {
 		// join's own order — a parent session with some domains and the
 		// first constraints, a fork that asserts the rest and then
 		// receives the remaining domains. Every session is first bounded
-		// by a coarse universe that contains every domain above: interval
-		// propagation of an order cycle (b > a ∧ b <= a) narrows one value
-		// per round, so over full 64-bit domains it would not finish in
-		// either engine, and a fresh solve never runs it there.
+		// by a coarse universe that contains every domain above, so an
+		// order cycle (b > a ∧ b <= a), which interval propagation narrows
+		// one value per round, is refuted within a few hundred rounds here
+		// as in the fresh solve; over full 64-bit domains the sessions
+		// would reach Unsat through the strict-cycle check instead.
 		universe := Domain{Lo: 0, Hi: 255}
 		bounded := map[string]Domain{"a": universe, "b": universe}
 		late := NewIncremental().NewSession()

@@ -145,6 +145,22 @@ func (s *Session) Fork() *Session {
 	return &Session{eng: s.eng, prep: s.prep.fork()}
 }
 
+// ForkInto is Fork into dst, a discarded session whose buffers the child
+// reuses; it returns dst, now a child of s, and a nil dst makes it Fork.
+// The intended dst is the previous child of s, dropped once its query
+// was answered: the child then pays only for its own suffix, not for the
+// per-slot arrays of the prefix. dst's old state is overwritten, so
+// nothing may read dst, or any session forked from it, again; and dst
+// must not be s or a session s was forked from.
+func (s *Session) ForkInto(dst *Session) *Session {
+	if dst == nil {
+		return s.Fork()
+	}
+	dst.eng = s.eng
+	s.prep.forkInto(dst.prep)
+	return dst
+}
+
 // Assert adds a constraint (conjunctions are flattened) and propagates
 // its consequences through the domains.
 func (s *Session) Assert(c Expr) {

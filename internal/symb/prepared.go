@@ -28,6 +28,13 @@ import (
 //
 // Nothing frozen is ever written again: exploration keeps extending the
 // parent after a fork, and the child must not see it.
+//
+// A fork can also be recycled (forkInto): a child nothing reads any more
+// becomes the next child, its per-slot arrays, owned top levels,
+// constraint tail, arena and propagation scratch reused in place. The
+// join checks every candidate pair of one upstream path on a fork of the
+// same prefix and drops each fork once it has its verdict, so one
+// recycled child serves them all.
 type prepared struct {
 	// nameSet holds every original (pre-substitution) symbol seen; a Sat
 	// model binds each of them through its union-find representative.
@@ -75,8 +82,7 @@ type prepared struct {
 	arena []int32
 
 	// Propagation scratch, grown lazily and reused across asserts. Never
-	// shared with forks (fork leaves them nil): no live data survives a
-	// propagate call.
+	// shared with forks: no live data survives a propagate call.
 	pqueue   []int32
 	pqueued  []bool
 	pchanged []int32
@@ -202,7 +208,9 @@ func (l *layered[V]) set(k string, v V) { l.top.set(k, v) }
 
 // fork freezes the top level (if it holds anything) and returns a child
 // over the same frozen levels; l continues with an empty top of its own.
-func (l *layered[V]) fork() layered[V] {
+// The child's top level reuses kv's backing array (nil allocates one on
+// the first set).
+func (l *layered[V]) fork(kv []entry[V]) layered[V] {
 	if l.top.size() > 0 {
 		f := &frozen[V]{level: l.top, below: l.below, depth: 1}
 		if l.below != nil {
@@ -213,7 +221,7 @@ func (l *layered[V]) fork() layered[V] {
 		}
 		l.top, l.below = level[V]{}, f
 	}
-	return layered[V]{below: l.below}
+	return layered[V]{top: level[V]{kv: kv[:0]}, below: l.below}
 }
 
 // flatten merges every level into one, upper levels overriding lower.
@@ -293,8 +301,8 @@ func (l *conList) each(fn func(ci int32, r *conRec)) {
 }
 
 // fork freezes the owned tail into a new segment and returns a child
-// sharing every segment.
-func (l *conList) fork() conList {
+// sharing every segment, whose own tail reuses own's backing array.
+func (l *conList) fork(own []conRec) conList {
 	if len(l.own) > 0 {
 		segs := make([][]conRec, 0, len(l.segs)+1)
 		segs = append(segs, l.segs...)
@@ -308,7 +316,7 @@ func (l *conList) fork() conList {
 		}
 		l.segs, l.own = segs, nil
 	}
-	return conList{segs: l.segs, n: l.n}
+	return conList{segs: l.segs, own: own[:0], n: l.n}
 }
 
 func newPrepared() *prepared {
@@ -370,26 +378,49 @@ func flattenInto(e Expr, out *[]Expr) bool {
 // so its cost is linear in the number of slots and independent of the
 // number of constraints.
 func (p *prepared) fork() *prepared {
+	return p.forkInto(&prepared{})
+}
+
+// forkInto is fork into q, a discarded state whose buffers the child
+// reuses: the per-slot arrays with their headroom, the top levels of the
+// layered maps, the owned constraint tail, the arena and the propagation
+// scratch. q's old contents are overwritten, so nothing may read q, or
+// any state forked from q, again — the arena's old bindings back the
+// constraint records q's own forks froze — and q must not be p or one of
+// p's ancestors.
+func (p *prepared) forkInto(q *prepared) *prepared {
 	n := len(p.slots)
-	q := &prepared{
-		nameSet:  p.nameSet.fork(),
+	slots, dom := q.slots[:0], q.dom[:0]
+	if cap(slots) < n {
+		slots = make([]slotInfo, 0, n+slotHeadroom)
+	}
+	if cap(dom) < n {
+		dom = make([]Domain, 0, n+slotHeadroom)
+	}
+	slots = append(slots, p.slots...)
+	dom = append(dom, p.dom...)
+	for i := range slots {
+		cs := slots[i].cons
+		slots[i].cons = cs[:len(cs):len(cs)]
+	}
+	*q = prepared{
+		nameSet:  p.nameSet.fork(q.nameSet.top.kv),
 		nNames:   p.nNames,
 		namesKey: p.namesKey,
-		uf:       p.uf.fork(),
-		symtab:   p.symtab.fork(),
-		slots:    make([]slotInfo, n, n+slotHeadroom),
-		dom:      make([]Domain, n, n+slotHeadroom),
-		cons:     p.cons.fork(),
+		uf:       p.uf.fork(q.uf.top.kv),
+		symtab:   p.symtab.fork(q.symtab.top.kv),
+		slots:    slots,
+		dom:      dom,
+		cons:     p.cons.fork(q.cons.own),
 		key:      p.key,
 		maxStack: p.maxStack,
 		hasUnion: p.hasUnion,
 		unsat:    p.unsat,
-	}
-	copy(q.dom, p.dom)
-	copy(q.slots, p.slots)
-	for i := range q.slots {
-		cs := q.slots[i].cons
-		q.slots[i].cons = cs[:len(cs):len(cs)]
+		arena:    q.arena[:0],
+		// pqueued is all false between propagate calls.
+		pqueue:   q.pqueue[:0],
+		pqueued:  q.pqueued,
+		pchanged: q.pchanged[:0],
 	}
 	return q
 }
@@ -771,6 +802,9 @@ func (p *prepared) propagate(seedCon int32, seedSlots []int32) {
 		ci := queue[head]
 		queued[ci] = false
 		changed := p.propagateOne(p.cons.at(ci))
+		if step := head + 1; step >= cycleCheckFrom && step&(step-1) == 0 && p.strictOrderCycle() {
+			p.unsat = true
+		}
 		if p.unsat {
 			for _, cj := range queue[head+1:] {
 				queued[cj] = false
@@ -785,6 +819,92 @@ func (p *prepared) propagate(seedCon int32, seedSlots []int32) {
 		}
 	}
 	p.pqueue = queue[:0]
+}
+
+// cycleCheckFrom is the number of propagation steps after which
+// propagate looks for a strict order cycle, and again at every doubling.
+// No roster propagation comes near it; an order cycle over wide domains
+// passes it within a millisecond.
+const cycleCheckFrom = 1 << 12
+
+// strictOrderCycle reports whether the symbol-symbol order constraints
+// form a cycle through at least one strict edge (x < y ≤ … ≤ x), which
+// no assignment satisfies. Interval propagation refutes such a cycle
+// only by narrowing one value per round — 2^64 rounds over full domains
+// — but the refutation is certain: at any non-empty fixpoint each edge
+// u < v forces lo(v) ≥ lo(u)+1 and each u ≤ v forces lo(v) ≥ lo(u), so
+// around the cycle lo(x) > lo(x). Declaring Unsat on finding the cycle
+// is therefore exactly the verdict propagation would reach, at once.
+// Symbol equalities count as a non-strict edge each way.
+func (p *prepared) strictOrderCycle() bool {
+	type edge struct {
+		to     int32
+		strict bool
+	}
+	adj := make([][]edge, len(p.slots))
+	p.cons.each(func(_ int32, r *conRec) {
+		sh := &r.an.shape
+		if sh.kind != shapeSymSym {
+			return
+		}
+		l, g := r.slots[sh.l], r.slots[sh.r] // l op g
+		switch sh.op {
+		case Ult, Ule:
+			adj[l] = append(adj[l], edge{g, sh.op == Ult})
+		case Ugt, Uge:
+			adj[g] = append(adj[g], edge{l, sh.op == Ugt})
+		case Eq:
+			adj[l] = append(adj[l], edge{g, false})
+			adj[g] = append(adj[g], edge{l, false})
+		}
+	})
+	// Tarjan's strongly connected components; a strict edge inside one
+	// closes a strict cycle.
+	n := len(adj)
+	index, low, comp := make([]int32, n), make([]int32, n), make([]int32, n)
+	onStack := make([]bool, n)
+	var stack []int32
+	next, ncomp := int32(1), int32(0)
+	var visit func(v int32)
+	visit = func(v int32) {
+		index[v], low[v] = next, next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, e := range adj[v] {
+			if index[e.to] == 0 {
+				visit(e.to)
+				low[v] = min(low[v], low[e.to])
+			} else if onStack[e.to] {
+				low[v] = min(low[v], index[e.to])
+			}
+		}
+		if low[v] == index[v] {
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				onStack[w] = false
+				comp[w] = ncomp
+				if w == v {
+					break
+				}
+			}
+			ncomp++
+		}
+	}
+	for v := range adj {
+		if index[v] == 0 {
+			visit(int32(v))
+		}
+	}
+	for v, es := range adj {
+		for _, e := range es {
+			if e.strict && comp[v] == comp[e.to] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // propagateOne narrows domains using one constraint, returning the slots
