@@ -179,21 +179,25 @@ func TestNoUnsafeOutsideBench(t *testing.T) {
 }
 
 // TestPCVRangesNeverWritten fails if a non-test Go file outside bench/
-// writes into a PCVRanges map it did not make itself. Chain composition
-// interns the PCV-range maps of joined paths, so many paths of one
-// composite share each map, as the paths of a decoded contract share
-// the codec's ranges table: a write through one path would change them
-// all.
+// writes into a PCVRanges map it did not make itself, or hands one to a
+// function not known to only read it. Chain composition interns the
+// PCV-range maps of joined paths, so many paths of one composite share
+// each map, as the paths of a decoded contract share the codec's ranges
+// table: a write through one path would change them all.
+//
+// The check is syntactic and per function; see pcvRangesWrites for what
+// it does not follow.
 func TestPCVRangesNeverWritten(t *testing.T) {
 	walkNonTestGo(t, func(path, src string) {
 		for _, w := range pcvRangesWrites(t, path, src) {
-			t.Errorf("%s writes into a shared PCVRanges map: %s", path, w)
+			t.Errorf("%s may write into a shared PCVRanges map: %s", path, w)
 		}
 	})
 }
 
-// The checker itself: each write form it must catch, and the one write
-// it allows, into a map the same function just made.
+// The checker itself: each write form it must catch, and the uses it
+// allows — writes into a map the function made before them, and calls
+// that only read.
 func TestPCVRangesWritesChecker(t *testing.T) {
 	src := `package p
 func writes(p, q *PathContract, v string, r Range) {
@@ -203,30 +207,55 @@ func writes(p, q *PathContract, v string, r Range) {
 	maps.Copy(p.PCVRanges, q.PCVRanges)
 	m := q.PCVRanges
 	m[v] = r
+	fill(q.PCVRanges)
+	fill(m)
 }
 func fresh(p *PathContract, v string, r Range) {
+	p.PCVRanges[v] = r
 	p.PCVRanges = make(map[string]Range)
 	p.PCVRanges[v] = r
+	fill(p.PCVRanges)
 	m := maps.Clone(p.PCVRanges)
 	m[v] = r
 	_ = p.PCVRanges[v]
+	_ = len(p.PCVRanges)
+	m = p.PCVRanges
+	m[v] = r
 }
 `
 	got := pcvRangesWrites(t, "p.go", src)
 	want := []string{
 		"line 3: p.PCVRanges", "line 4: q.PCVRanges", "line 5: p.PCVRanges",
-		"line 6: p.PCVRanges", "line 8: m",
+		"line 6: p.PCVRanges", "line 8: m", "line 9: q.PCVRanges passed to fill",
+		"line 10: m passed to fill",
+		"line 13: p.PCVRanges", "line 22: m",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("checker found %q, want %q", got, want)
 	}
 }
 
-// pcvRangesWrites lists the writes in src into a map named by a
-// .PCVRanges selector, or by a variable assigned from one, that the
-// enclosing function did not itself assign from make or a literal: index
-// assignments, delete, clear, and maps.Copy, maps.Insert and
-// maps.DeleteFunc into it.
+// pcvRangeReaders are the callees a shared PCVRanges map may be passed
+// to: each only reads its map arguments.
+var pcvRangeReaders = map[string]bool{
+	"len": true, "maps.Clone": true, "maps.Keys": true, "maps.Equal": true,
+	"expr.MaxAssuming": true, "expr.CompareAssuming": true,
+	"mergeRanges": true, "ranges": true, "rangesKey": true, "jp.jf.ranges.merge": true,
+}
+
+// pcvRangesWrites lists the uses in src of a shared PCV-range map: one
+// named by a .PCVRanges selector, or by a variable last assigned from
+// one, unless the function last assigned that name from make or a
+// literal. A use is an index assignment or increment, delete, clear,
+// maps.Copy, maps.Insert or maps.DeleteFunc into the map, or passing it
+// to any callee outside pcvRangeReaders.
+//
+// "Last assigned" is in source order, not control flow: a make on one
+// branch of an if counts for a write on the other. Aliases are
+// followed only through plain assignments within one function, not
+// through other struct fields, closures' captured variables or values
+// returned by calls, and a map is not tracked before it becomes a
+// path's PCVRanges (its maker fills it first).
 func pcvRangesWrites(t *testing.T, path, src string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -234,38 +263,61 @@ func pcvRangesWrites(t *testing.T, path, src string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const (
+		other = iota
+		fresh // assigned from make or a composite literal
+		alias // assigned from a .PCVRanges selector
+	)
+	type assign struct {
+		pos  token.Pos
+		kind int
+	}
 	var out []string
 	for _, d := range f.Decls {
 		fn, ok := d.(*ast.FuncDecl)
 		if !ok || fn.Body == nil {
 			continue
 		}
-		fresh, aliases := map[string]bool{}, map[string]bool{}
+		assigns := map[string][]assign{} // per name, in source order
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
 			if !ok || len(as.Lhs) != len(as.Rhs) {
 				return true
 			}
 			for i, rhs := range as.Rhs {
-				lhs := types.ExprString(as.Lhs[i])
+				kind := other
 				switch x := rhs.(type) {
 				case *ast.CompositeLit:
-					fresh[lhs] = true
+					kind = fresh
 				case *ast.CallExpr:
 					if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "make" {
-						fresh[lhs] = true
+						kind = fresh
 					}
 				}
 				if strings.HasSuffix(types.ExprString(rhs), ".PCVRanges") {
-					aliases[lhs] = true
+					kind = alias
 				}
+				lhs := types.ExprString(as.Lhs[i])
+				assigns[lhs] = append(assigns[lhs], assign{as.End(), kind})
 			}
 			return true
 		})
-		write := func(m ast.Expr) {
-			name := types.ExprString(m)
-			if (strings.HasSuffix(name, ".PCVRanges") || aliases[name]) && !fresh[name] {
-				out = append(out, fmt.Sprintf("line %d: %s", fset.Position(m.Pos()).Line, name))
+		// shared reports whether name, at pos, may be a path's map.
+		shared := func(name string, pos token.Pos) bool {
+			last := -1
+			for _, a := range assigns[name] {
+				if a.pos <= pos {
+					last = a.kind
+				}
+			}
+			if strings.HasSuffix(name, ".PCVRanges") {
+				return last != fresh
+			}
+			return last == alias
+		}
+		report := func(m ast.Expr, how string) {
+			if name := types.ExprString(m); shared(name, m.Pos()) {
+				out = append(out, fmt.Sprintf("line %d: %s%s", fset.Position(m.Pos()).Line, name, how))
 			}
 		}
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -273,20 +325,26 @@ func pcvRangesWrites(t *testing.T, path, src string) []string {
 			case *ast.AssignStmt:
 				for _, lhs := range x.Lhs {
 					if ix, ok := lhs.(*ast.IndexExpr); ok {
-						write(ix.X)
+						report(ix.X, "")
 					}
 				}
 			case *ast.IncDecStmt:
 				if ix, ok := x.X.(*ast.IndexExpr); ok {
-					write(ix.X)
+					report(ix.X, "")
 				}
 			case *ast.CallExpr:
-				if len(x.Args) == 0 {
-					break
-				}
-				switch fun := types.ExprString(x.Fun); fun {
-				case "delete", "clear", "maps.Copy", "maps.Insert", "maps.DeleteFunc":
-					write(x.Args[0])
+				args := x.Args
+				switch fun := types.ExprString(x.Fun); {
+				case len(args) == 0 || pcvRangeReaders[fun]:
+				case fun == "delete" || fun == "clear" || strings.HasPrefix(fun, "maps."):
+					// maps.Copy and maps.Insert write their first argument
+					// and read the second; maps.Clone, Keys and Equal are
+					// readers.
+					report(args[0], "")
+				default:
+					for _, a := range args {
+						report(a, " passed to "+fun)
+					}
 				}
 			}
 			return true

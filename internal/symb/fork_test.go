@@ -32,10 +32,14 @@ import (
 // session first meets it, as FuzzSolverEquivalence bounds its symbols,
 // so an order cycle is refuted by propagation within a few rounds.
 func FuzzSessionFork(f *testing.F) {
-	f.Add(int64(1), []byte{0, 4, 0, 0, 1, 9, 0, 2, 4, 1, 0})
-	f.Add(int64(7), []byte{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 0, 1, 2, 3, 5, 6, 7, 8})
-	f.Add(int64(42), []byte{2, 3, 4, 0, 1, 4, 9, 9, 3, 2, 1, 0, 4, 4, 1, 1})
-	f.Add(int64(-3), []byte{4, 0, 4, 5, 4, 10, 1, 6, 2, 7, 3, 8, 0, 4, 14, 1})
+	// An op byte decodes as op % 6, 5 being ForkInto. The first four
+	// seeds and the checked-in corpus entry 1a9ce5a02977f9b1 predate
+	// ForkInto and use bytes 0–4 only, each meaning what it did when the
+	// decoder was op % 5, so they still replay the same sequences.
+	f.Add(int64(1), []byte{0, 4, 0, 0, 1, 4, 0, 2, 4, 1, 0})
+	f.Add(int64(7), []byte{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 0, 1, 2, 3, 0, 1, 2, 3})
+	f.Add(int64(42), []byte{2, 3, 4, 0, 1, 4, 4, 4, 3, 2, 1, 0, 4, 4, 1, 1})
+	f.Add(int64(-3), []byte{4, 0, 4, 0, 4, 0, 1, 1, 2, 2, 3, 3, 0, 4, 4, 1})
 	f.Add(int64(11), []byte{4, 0, 4, 1, 5, 0, 5, 2, 11, 0, 4, 4, 17, 1, 5, 3, 23, 0})
 	f.Add(int64(5), []byte{4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 0, 1, 5, 2, 3, 5, 5, 0})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
