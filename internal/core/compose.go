@@ -29,10 +29,15 @@ type joinFeas struct {
 	// ranges interns the kept paths' PCV-range maps.
 	ranges rangeTable
 
+	// keepModels asks for a model of every kept pair, for the next fold
+	// (see joinmodel.go); only a fold with a successor sets it.
+	keepModels bool
+
 	// Pruning counters for JoinStats; updated atomically because join
 	// workers run in parallel.
 	prefiltered   atomic.Uint64
 	solverRefuted atomic.Uint64
+	modelProved   atomic.Uint64
 }
 
 func newJoinFeas() *joinFeas {
@@ -40,10 +45,24 @@ func newJoinFeas() *joinFeas {
 }
 
 // prefix prepares the shared a-side state one upstream path reuses
-// across every b-candidate it is joined with: the path's constraints
-// and domains are flattened, compiled and propagated once in a solver
-// session, and each candidate pays only for its own suffix and domain
-// overlay.
+// across every b-candidate it is joined with: a's model (nil when none
+// is known), made total and checked once (see totalModel), and a solver
+// session in which the path's constraints and domains are flattened,
+// compiled and propagated once, so each candidate pays only for its own
+// suffix and domain overlay. The session is built when the first pair
+// reaches the solver (see session): an a-path whose every pair the
+// model check proves never builds one.
+func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string, model map[string]uint64) *joinPrefix {
+	return &joinPrefix{
+		jf: jf, aLen: len(pa.Constraints), rangesKey: rangesKey(pa.PCVRanges),
+		model: totalModel(pa, model),
+		pa:    pa, rawA: rawA, bns: bns,
+	}
+}
+
+// session returns the prefix's solver session, building it on first
+// use: an extension forks its parent's and asserts its extra
+// conjuncts; a root prefix installs a's domains and constraints.
 //
 // The merge in joinPair intersects a b-domain with a's for a shared
 // name, which is what the session's SetDomain does, but OVERWRITES a's
@@ -55,8 +74,17 @@ func newJoinFeas() *joinFeas {
 // withheld too: a b-local renamed onto one would overwrite it. In a
 // chain fold no a-side name carries the deeper prefix, but composing a
 // composite again with the same bns can produce one.
-func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string) *joinPrefix {
-	jp := &joinPrefix{jf: jf, aLen: len(pa.Constraints), rangesKey: rangesKey(pa.PCVRanges)}
+func (jp *joinPrefix) session() *symb.Session {
+	if jp.sess != nil {
+		return jp.sess
+	}
+	if jp.parent != nil {
+		s := jp.parent.session().Fork()
+		s.AssertAll(jp.extra)
+		jp.sess, jp.held = s, jp.parent.held
+		return s
+	}
+	pa, rawA, bns := jp.pa, jp.rawA, jp.bns
 	overwritten := func(name string) bool {
 		if strings.HasPrefix(name, bns) {
 			return true
@@ -86,11 +114,11 @@ func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string) *joinP
 	// x < y ∧ y <= x narrows by one value per round, so it should run
 	// over the bounded domains, not over full 64-bit ones where only the
 	// solver's strict-cycle check, thousands of steps in, would end it.
-	s := jf.eng.NewSession()
+	s := jp.jf.eng.NewSession()
 	s.SetDomains(install)
 	s.AssertAll(pa.Constraints)
 	jp.sess = s
-	return jp
+	return s
 }
 
 // joinPrefix is a prepared a-side constraint prefix. feasible() calls
@@ -103,34 +131,48 @@ func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string) *joinP
 type joinPrefix struct {
 	jf        *joinFeas
 	aLen      int
-	sess      *symb.Session
-	held      []string
 	rangesKey string // rangesKey of the a-path's PCVRanges
+	// model is a's model, total and checked against a; nil when none is
+	// known, which sends every pair to the solver.
+	model map[string]uint64
+
+	// session builds sess from a's path (pa, rawA, bns) or, for an
+	// extension, from parent plus extra; held is set with it.
+	pa     *PathContract
+	rawA   *nfir.Path
+	bns    string
+	parent *joinPrefix
+	extra  []symb.Expr
+	sess   *symb.Session
+	held   []string
+
 	pairScratch
 }
 
 // pairScratch is the working memory of one pair's question, reused by
 // the next pair: the solver fork (recycled through ForkInto), b's
 // substitution map, the merged names b wrote, the pair's own copy of
-// the suffix pre-analysis and the domain overlay. None of it outlives
+// the suffix pre-analysis, the domain overlay, and the model check's
+// added bindings, b's values and evaluation stack. None of it outlives
 // the pair's verdict; what a kept path retains (its constraints,
-// domains, cost and ranges) is allocated fresh.
+// domains, cost, ranges and model) is allocated fresh.
 type pairScratch struct {
 	child   *symb.Session
 	subst   map[string]symb.Expr
 	touched []string
 	pre     []*symb.Conjunct
 	overlay []symb.NamedDomain
+	ext     []modelEntry
+	vals    []uint64
+	stack   []uint64
 }
 
 // extend returns a joinPrefix whose prefix is this one's plus extra,
 // sharing the parent's prepared solver state (DAG composition narrows
 // one root path to several output ports this way). The extension has
-// scratch of its own.
+// scratch of its own and no model: a's model need not satisfy extra.
 func (jp *joinPrefix) extend(extra ...symb.Expr) *joinPrefix {
-	s := jp.sess.Fork()
-	s.AssertAll(extra)
-	return &joinPrefix{jf: jp.jf, aLen: jp.aLen + len(extra), sess: s, held: jp.held, rangesKey: jp.rangesKey}
+	return &joinPrefix{jf: jp.jf, aLen: jp.aLen + len(extra), rangesKey: jp.rangesKey, parent: jp, extra: extra}
 }
 
 // rangeTable interns the PCV-range maps of one fold's joined paths. A
@@ -205,22 +247,50 @@ type pairQuery struct {
 	pre         []*symb.Conjunct
 }
 
-// feasible reports whether a joined constraint set might be satisfiable.
-// The static pre-filter runs first — it only rejects sets the solver
-// would also refute, so the kept-pair set (and hence the composite
-// contract) is the one a fresh solve over the full merged map keeps.
-// The solver then runs over a fork of the prefix (see fork), which
-// reaches that fresh solve's verdict.
+// feasible is decide for a question with no b-side (a DAG's egress and
+// port narrowing): the pre-filter, then the solver.
 func (jp *joinPrefix) feasible(ctx context.Context, q *pairQuery) bool {
-	if joinObviouslyInfeasible(q.constraints, q.domains) {
-		jp.jf.prefiltered.Add(1)
-		return false
-	}
-	ok := jp.fork(q).FeasibleContext(ctx, jp.jf.sv)
-	if !ok {
-		jp.jf.solverRefuted.Add(1)
-	}
+	_, ok := jp.decide(ctx, q, nil, nil)
 	return ok
+}
+
+// decide reports whether a joined constraint set might be satisfiable,
+// with the kept pair's model when the fold keeps models and one is
+// known. The static pre-filter runs first: it only rejects sets the
+// solver would also refute. The model check (see joinmodel.go) runs
+// next, when the pair has a b-side (bm): it only keeps sets the solver
+// cannot refute. The solver then runs over a fork of the prefix (see
+// fork), which reaches a fresh solve's verdict. So the kept-pair set
+// (and hence the composite contract) is the one a fresh solve over the
+// full merged map keeps. A fold that keeps models asks the solver for
+// one; an Unknown pair is kept without.
+func (jp *joinPrefix) decide(ctx context.Context, q *pairQuery, rawA *nfir.Path, bm *bPathMeta) (map[string]uint64, bool) {
+	jf := jp.jf
+	if joinObviouslyInfeasible(q.constraints, q.domains) {
+		jf.prefiltered.Add(1)
+		return nil, false
+	}
+	if bm != nil && jp.proved(q, rawA, bm) {
+		jf.modelProved.Add(1)
+		if jf.keepModels {
+			return jp.pairModel(), true
+		}
+		return nil, true
+	}
+	child := jp.fork(q)
+	if !jf.keepModels {
+		ok := child.FeasibleContext(ctx, jf.sv)
+		if !ok {
+			jf.solverRefuted.Add(1)
+		}
+		return nil, ok
+	}
+	model, res := child.SolveContext(ctx, jf.sv)
+	if res == symb.Unsat {
+		jf.solverRefuted.Add(1)
+		return nil, false
+	}
+	return model, true
 }
 
 // fork returns the prefix session extended to q: it asserts the suffix
@@ -235,7 +305,7 @@ func (jp *joinPrefix) feasible(ctx context.Context, q *pairQuery) bool {
 // The fork is the previous pair's, recycled: it is valid until the next
 // call, which overwrites it.
 func (jp *joinPrefix) fork(q *pairQuery) *symb.Session {
-	child := jp.sess.ForkInto(jp.child)
+	child := jp.session().ForkInto(jp.child)
 	jp.child = child
 	for i, c := range q.constraints[jp.aLen:] {
 		if i < len(q.pre) && q.pre[i] != nil {
@@ -339,11 +409,12 @@ func singleSymOf(e symb.Expr) (string, bool) {
 // under the same bns: everything that depends on b alone — the renamed
 // constraints, costs, shared-MA and PCV ranges — is computed there once,
 // and this function does only what depends on a as well. The returned
-// path carries ID 0; the caller assigns IDs during assembly.
-func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathContract, rawB *nfir.Path, jp *joinPrefix, bns string, bm *bPathMeta) (*PathContract, bool) {
+// path carries ID 0; the caller assigns IDs during assembly. model is
+// the kept path's model when jp's fold keeps models and one is known.
+func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathContract, rawB *nfir.Path, jp *joinPrefix, bns string, bm *bPathMeta) (joined *PathContract, model map[string]uint64, ok bool) {
 	q := mergePair(pa, rawA, pb, bns, bm, &jp.pairScratch)
-	if !jp.feasible(ctx, &q) {
-		return nil, false
+	if model, ok = jp.decide(ctx, &q, rawA, bm); !ok {
+		return nil, nil, false
 	}
 
 	cost := make(map[perf.Metric]expr.Poly, perf.NumMetrics)
@@ -364,7 +435,7 @@ func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathCo
 		// analysis.
 		SharedMA:      pa.EffectiveSharedMA().Add(bm.sharedMA),
 		ShardAnalysed: true,
-	}, true
+	}, model, true
 }
 
 // mergePair builds the pair's feasibility question: a's constraints
@@ -487,7 +558,9 @@ func joinEvents(a, b string) string {
 // considered pair lands in exactly one of IndexSkipped, PreFiltered,
 // SolverRefuted, or Kept, so the four sum to Pairs (unless the fold was
 // served from cache, in which case Cached is set and the counters are
-// zero). CoalesceMerged counts composite paths merged away by
+// zero). ModelProved counts the Kept pairs the model check proved
+// without a solve (see joinmodel.go); it is part of Kept, not a fifth
+// share. CoalesceMerged counts composite paths merged away by
 // coalescing after the join; PathsOut is the fold's final path count.
 type JoinStats struct {
 	Fold           int    `json:"fold"`
@@ -499,9 +572,29 @@ type JoinStats struct {
 	PreFiltered    uint64 `json:"prefiltered"`
 	SolverRefuted  uint64 `json:"solver_refuted"`
 	Kept           uint64 `json:"kept"`
+	ModelProved    uint64 `json:"model_proved"`
 	CoalesceMerged uint64 `json:"coalesce_merged"`
 	PathsOut       int    `json:"paths_out"`
 	Cached         bool   `json:"cached,omitempty"`
+}
+
+// foldSide is one side of a fold: a contract, the symbolic paths
+// aligned with it, and — in memory only, never cached — a model per
+// path known to satisfy it (see joinmodel.go). models may be nil, and
+// an entry nil, where none is known; a stage path's Witness serves as
+// its model.
+type foldSide struct {
+	ct     *Contract
+	paths  []*nfir.Path
+	models []map[string]uint64
+}
+
+// model returns path i's known model: models[i], or its Witness.
+func (s *foldSide) model(i int) map[string]uint64 {
+	if s.models != nil && s.models[i] != nil {
+		return s.models[i]
+	}
+	return s.ct.Paths[i].Witness
 }
 
 // composePrepared joins an already-generated pair of stages. The joins
@@ -512,14 +605,16 @@ type JoinStats struct {
 // byte-identical to the serial fold at any Parallelism. key, when
 // non-empty, content-addresses the composed stage in the generator's
 // contract cache. bns is the namespace prefix applied to b's local
-// symbols (see joinPair). stats, when non-nil, receives the fold's
-// pruning accounting.
-func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []*nfir.Path, bName string, bCt *Contract, bPaths []*nfir.Path, key, bns string, stats *JoinStats) (*Contract, []*nfir.Path, error) {
+// symbols (see joinPair). next says a fold follows this one: the result
+// then carries the kept paths' models for it. stats, when non-nil,
+// receives the fold's pruning accounting.
+func composePrepared(ctx context.Context, g *Generator, a foldSide, bName string, b foldSide, key, bns string, next bool, stats *JoinStats) (foldSide, error) {
+	aCt, aPaths, bCt, bPaths := a.ct, a.paths, b.ct, b.paths
 	if len(aCt.Paths) != len(aPaths) {
-		return nil, nil, fmt.Errorf("core: contract/path mismatch for %s", aCt.NF)
+		return foldSide{}, fmt.Errorf("core: contract/path mismatch for %s", aCt.NF)
 	}
 	if len(bCt.Paths) != len(bPaths) {
-		return nil, nil, fmt.Errorf("core: contract/path mismatch for %s", bCt.NF)
+		return foldSide{}, fmt.Errorf("core: contract/path mismatch for %s", bCt.NF)
 	}
 	name := aCt.NF + "+" + bName
 	if stats != nil {
@@ -532,28 +627,32 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 				stats.Cached = true
 				stats.PathsOut = len(ct.Paths)
 			}
-			return ct, paths, nil
+			return foldSide{ct: ct, paths: paths}, nil
 		}
 	}
 
 	jf := newJoinFeas()
+	jf.keepModels = next
 	ix := buildJoinIndex(bCt, bPaths, bns)
 	var indexSkipped atomic.Uint64
 	type slot struct {
-		pcs  []*PathContract
-		raws []*nfir.Path
+		pcs    []*PathContract
+		raws   []*nfir.Path
+		models []map[string]uint64
 	}
 	slots := make([]slot, len(aCt.Paths))
 	err := par.ForEach(ctx, g.workers(), len(aCt.Paths), func(i int) error {
 		pa := aCt.Paths[i]
 		rawA := aPaths[i]
 		if pa.Action != nfir.ActionForward {
+			// A pass-through path is never joined again, so it needs no
+			// model.
 			cp := *pa
 			cp.Events = prefixEvents("a.", pa.Events)
-			slots[i] = slot{pcs: []*PathContract{&cp}, raws: []*nfir.Path{rawA}}
+			slots[i] = slot{pcs: []*PathContract{&cp}, raws: []*nfir.Path{rawA}, models: []map[string]uint64{nil}}
 			return nil
 		}
-		jp := jf.prefix(pa, rawA, bns)
+		jp := jf.prefix(pa, rawA, bns, a.model(i))
 		aw := buildAJoinInfo(pa, rawA)
 		cands, partPruned := ix.candidates(aw)
 		if partPruned > 0 {
@@ -568,12 +667,13 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 				indexSkipped.Add(1)
 				return nil
 			}
-			joined, ok := joinPair(ctx, pa, rawA, bCt.Paths[j], bPaths[j], jp, bns, &ix.metas[j])
+			joined, model, ok := joinPair(ctx, pa, rawA, bCt.Paths[j], bPaths[j], jp, bns, &ix.metas[j])
 			if !ok {
 				return nil
 			}
 			sl.pcs = append(sl.pcs, joined)
 			sl.raws = append(sl.raws, joinRawPaths(rawA, joined, &ix.metas[j]))
+			sl.models = append(sl.models, model)
 			return nil
 		}
 		if cands != nil {
@@ -593,12 +693,13 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 		return nil
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: composing %s: %w", name, err)
+		return foldSide{}, fmt.Errorf("core: composing %s: %w", name, err)
 	}
 
 	var pcs []*PathContract
 	var raws []*nfir.Path
 	var shared []bool
+	var models []map[string]uint64
 	forward, kept := 0, uint64(0)
 	for i, sl := range slots {
 		for k, pc := range sl.pcs {
@@ -609,6 +710,9 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 			// untouched during ID assignment and coalescing.
 			shared = append(shared, sl.raws[k] == aPaths[i])
 		}
+		if next {
+			models = append(models, sl.models...)
+		}
 		if aCt.Paths[i].Action == nfir.ActionForward {
 			forward++
 			kept += uint64(len(sl.pcs))
@@ -616,7 +720,11 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 	}
 	var mergedAway uint64
 	if g.Coalesce {
+		in := pcs
 		pcs, raws, shared, mergedAway = coalescePaths(pcs, raws, shared)
+		if next {
+			models = coalescedModels(in, models, pcs)
+		}
 	}
 
 	out := &Contract{NF: name, Level: aCt.Level}
@@ -633,13 +741,30 @@ func composePrepared(ctx context.Context, g *Generator, aCt *Contract, aPaths []
 		stats.PreFiltered = jf.prefiltered.Load()
 		stats.SolverRefuted = jf.solverRefuted.Load()
 		stats.Kept = kept
+		stats.ModelProved = jf.modelProved.Load()
 		stats.CoalesceMerged = mergedAway
 		stats.PathsOut = len(out.Paths)
 	}
 	if key != "" {
 		g.Cache.store(key, out, raws)
 	}
-	return out, raws, nil
+	return foldSide{ct: out, paths: raws, models: models}, nil
+}
+
+// coalescedModels realigns the models of in with out, the coalesced
+// list: a path coalescing left as it was keeps its model, and a merged
+// representative, whose constraints no member's model was checked
+// against, gets none.
+func coalescedModels(in []*PathContract, models []map[string]uint64, out []*PathContract) []map[string]uint64 {
+	byPath := make(map[*PathContract]map[string]uint64, len(in))
+	for k, pc := range in {
+		byPath[pc] = models[k]
+	}
+	realigned := make([]map[string]uint64, len(out))
+	for k, pc := range out {
+		realigned[k] = byPath[pc]
+	}
+	return realigned
 }
 
 // joinRawPaths synthesises the composite symbolic path: the chain's
@@ -739,37 +864,34 @@ func ComposeManyStats(ctx context.Context, g *Generator, stages []ChainStage) (*
 		}
 	}
 
-	type stageGen struct {
-		ct    *Contract
-		paths []*nfir.Path
-	}
-	gens := make([]stageGen, len(stages))
+	gens := make([]foldSide, len(stages))
 	err := par.ForEach(ctx, g.workers(), len(stages), func(i int) error {
 		ct, paths, err := g.GenerateWithPathsContext(ctx, stages[i].Prog, stages[i].Models)
 		if err != nil {
 			return err
 		}
-		gens[i] = stageGen{ct: ct, paths: paths}
+		gens[i] = foldSide{ct: ct, paths: paths}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: generating chain stages: %w", err)
 	}
 	stats := make([]JoinStats, 0, len(stages)-1)
-	ct, paths := gens[0].ct, gens[0].paths
+	acc := gens[0]
 	for i, st := range stages[1:] {
 		// Fold step i joins stage i+2 one level deeper: its locals get
 		// one more "b." than the previous stage's, so every stage owns a
 		// distinct namespace in the composite.
 		bns := strings.Repeat("b.", i+1)
 		fs := JoinStats{Fold: i + 1}
-		ct, paths, err = composePrepared(ctx, g, ct, paths, st.Prog.Name, gens[i+1].ct, gens[i+1].paths, foldKeys[i+1], bns, &fs)
+		next := i+2 < len(stages)
+		acc, err = composePrepared(ctx, g, acc, st.Prog.Name, gens[i+1], foldKeys[i+1], bns, next, &fs)
 		if err != nil {
 			return nil, nil, err
 		}
 		stats = append(stats, fs)
 	}
-	return ct, stats, nil
+	return acc.ct, stats, nil
 }
 
 // NaiveAdd is the baseline composition Figure 3 compares against:

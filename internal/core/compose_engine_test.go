@@ -204,18 +204,18 @@ func TestComposeRoutesFeasibilityBudgets(t *testing.T) {
 
 	g := NewGenerator()
 	g.Parallelism = 1
-	ct, _, err := composePrepared(context.Background(), g, aCt, aPaths, "b", bCt, bPaths, "", "b.", nil)
+	out, err := composePrepared(context.Background(), g, foldSide{ct: aCt, paths: aPaths}, "b", foldSide{ct: bCt, paths: bPaths}, "", "b.", false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ct.Paths); got != 0 {
+	if got := len(out.ct.Paths); got != 0 {
 		t.Errorf("the join budget kept %d joined paths, want 0 (the pair is unsatisfiable)", got)
 	}
 
 	starved := &joinFeas{sv: &symb.Solver{MaxNodes: 5, Samples: joinSolver.Samples}, eng: symb.NewIncremental()}
 	ix := buildJoinIndex(bCt, bPaths, "b.")
-	jp := starved.prefix(aCt.Paths[0], aPaths[0], "b.")
-	if _, ok := joinPair(context.Background(), aCt.Paths[0], aPaths[0], bCt.Paths[0], bPaths[0], jp, "b.", &ix.metas[0]); !ok {
+	jp := starved.prefix(aCt.Paths[0], aPaths[0], "b.", nil)
+	if _, _, ok := joinPair(context.Background(), aCt.Paths[0], aPaths[0], bCt.Paths[0], bPaths[0], jp, "b.", &ix.metas[0]); !ok {
 		t.Error("a starved join refuted the pair; a truncated search must keep it")
 	}
 }
@@ -292,21 +292,22 @@ func TestComposeMidJoinCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sanity: with a live context the same join succeeds.
-	if _, _, err := composePrepared(context.Background(), g, fwCt, fwPaths, sr.Prog.Name, srCt, srPaths, "", "b.", nil); err != nil {
+	fwSide, srSide := foldSide{ct: fwCt, paths: fwPaths}, foldSide{ct: srCt, paths: srPaths}
+	if _, err := composePrepared(context.Background(), g, fwSide, sr.Prog.Name, srSide, "", "b.", false, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Now cancel partway: enough polls to get into the pair loop, far
 	// fewer than a full composition consumes.
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.remaining.Store(5)
-	ct, _, err := composePrepared(ctx, g, fwCt, fwPaths, sr.Prog.Name, srCt, srPaths, "", "b.", nil)
+	out, err := composePrepared(ctx, g, fwSide, sr.Prog.Name, srSide, "", "b.", false, nil)
 	if err == nil {
 		t.Fatal("mid-join cancellation was swallowed")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error does not unwrap to context.Canceled: %v", err)
 	}
-	if ct != nil {
+	if out.ct != nil {
 		t.Error("cancelled composition still returned a contract")
 	}
 }

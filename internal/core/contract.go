@@ -58,6 +58,9 @@ type PathContract struct {
 	ShardAnalysed bool
 	// Witness is a concrete input exercising the path (nil when the
 	// solver returned Unknown; such paths are retained conservatively).
+	// Joined paths carry none: the model that kept a joined path moves
+	// to the next fold of its composition in memory only (see
+	// joinmodel.go) and never reaches a contract, artifact or store.
 	Witness map[string]uint64
 }
 

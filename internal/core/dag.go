@@ -89,7 +89,7 @@ func ComposeDAG(g *Generator, root ChainStage, successors map[uint64]ChainStage)
 			slots[i] = []*PathContract{&cp}
 			return nil
 		}
-		jp := jf.prefix(pa, rawA, "b.")
+		jp := jf.prefix(pa, rawA, "b.", nil)
 		aw := buildAJoinInfo(pa, rawA)
 		var sl []*PathContract
 
@@ -122,7 +122,7 @@ func ComposeDAG(g *Generator, root ChainStage, successors map[uint64]ChainStage)
 				if s.ix.skip(aw, pa, j) {
 					continue
 				}
-				joined, ok := joinPair(ctx, &narrowed, rawA, pb, s.paths[j], np, "b.", &s.ix.metas[j])
+				joined, _, ok := joinPair(ctx, &narrowed, rawA, pb, s.paths[j], np, "b.", &s.ix.metas[j])
 				if !ok {
 					continue
 				}

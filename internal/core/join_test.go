@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,11 +31,15 @@ func buildBenchChain4(t testing.TB) []ChainStage {
 // The cold 4-chain's join accounting and allocation budget. The counts
 // are a property of the chain, not of the join's implementation: moving
 // work out of the per-pair loop must leave every fold's verdicts alone.
-// The allocation ceiling is the count with recycled join scratch
-// (49.8 k) plus 5 %; the per-pair join took ~230 k allocations per
+// The model-proved counts are the chain's too: how many kept pairs the
+// stage witnesses and the models earlier folds kept already satisfy
+// (fold 1's a-witnesses leave the protocol byte at 0, which most of the
+// NAT's paths exclude). The allocation ceiling is the count with model
+// reuse (44.8 k) plus 5 %, so a join that quietly stops reusing models
+// (49.8 k) fails it; the per-pair join took ~230 k allocations per
 // compose, the eagerly cloned fork ~111 k, the layered fork, adding
-// map-based polynomials, 71.8 k, and a fresh fork per pair with
-// sorted-term polynomials 62.4 k.
+// map-based polynomials, 71.8 k, a fresh fork per pair with sorted-term
+// polynomials 62.4 k, and recycled join scratch 49.8 k.
 func TestComposeColdChainCounts(t *testing.T) {
 	stages := buildBenchChain4(t)
 	compose := func() (*Contract, []JoinStats) {
@@ -48,14 +53,14 @@ func TestComposeColdChainCounts(t *testing.T) {
 		return ct, stats
 	}
 	ct, stats := compose()
-	want := [][5]uint64{{8, 2, 0, 0, 6}, {36, 0, 0, 0, 36}, {648, 36, 0, 36, 576}}
+	want := [][6]uint64{{8, 2, 0, 0, 6, 1}, {36, 0, 0, 0, 36, 36}, {648, 36, 0, 36, 576, 540}}
 	if len(stats) != len(want) {
 		t.Fatalf("%d folds, want %d", len(stats), len(want))
 	}
 	for i, s := range stats {
-		got := [5]uint64{s.Pairs, s.IndexSkipped, s.PreFiltered, s.SolverRefuted, s.Kept}
+		got := [6]uint64{s.Pairs, s.IndexSkipped, s.PreFiltered, s.SolverRefuted, s.Kept, s.ModelProved}
 		if got != want[i] {
-			t.Errorf("fold %d: (pairs, index-skipped, prefiltered, refuted, kept) = %v, want %v", s.Fold, got, want[i])
+			t.Errorf("fold %d: (pairs, index-skipped, prefiltered, refuted, kept, model-proved) = %v, want %v", s.Fold, got, want[i])
 		}
 	}
 	if len(ct.Paths) != 582 {
@@ -66,8 +71,8 @@ func TestComposeColdChainCounts(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(2, func() { compose() })
 	t.Logf("cold 4-chain compose: %.0f allocations", allocs)
-	if allocs > 52_300 {
-		t.Errorf("cold 4-chain compose takes %.0f allocations, want <= 52300", allocs)
+	if allocs > 47_000 {
+		t.Errorf("cold 4-chain compose takes %.0f allocations, want <= 47000", allocs)
 	}
 }
 
@@ -118,18 +123,19 @@ func TestJoinIndexKeepsExhaustivePairs(t *testing.T) {
 		return ct, paths
 	}
 	ct, paths := gen(chainRoster[0])
+	acc := foldSide{ct: ct, paths: paths}
 	for i, name := range chainRoster[1:] {
 		fold, bns := i+1, strings.Repeat("b.", i+1)
 		bCt, bPaths := gen(name)
 		ix := buildJoinIndex(bCt, bPaths, bns)
 		jf := newJoinFeas()
 		var kept uint64
-		for ai, pa := range ct.Paths {
+		for ai, pa := range acc.ct.Paths {
 			if pa.Action != nfir.ActionForward {
 				continue
 			}
-			rawA := paths[ai]
-			jp := jf.prefix(pa, rawA, bns)
+			rawA := acc.paths[ai]
+			jp := jf.prefix(pa, rawA, bns, nil)
 			aw := buildAJoinInfo(pa, rawA)
 			cands, _ := ix.candidates(aw)
 			inCands := make(map[int]bool, len(cands))
@@ -137,7 +143,7 @@ func TestJoinIndexKeepsExhaustivePairs(t *testing.T) {
 				inCands[j] = true
 			}
 			for j, pb := range bCt.Paths {
-				if _, ok := joinPair(ctx, pa, rawA, pb, bPaths[j], jp, bns, &ix.metas[j]); !ok {
+				if _, _, ok := joinPair(ctx, pa, rawA, pb, bPaths[j], jp, bns, &ix.metas[j]); !ok {
 					continue
 				}
 				kept++
@@ -148,7 +154,7 @@ func TestJoinIndexKeepsExhaustivePairs(t *testing.T) {
 		}
 		var st JoinStats
 		var err error
-		ct, paths, err = composePrepared(ctx, g, ct, paths, name, bCt, bPaths, "", bns, &st)
+		acc, err = composePrepared(ctx, g, acc, name, foldSide{ct: bCt, paths: bPaths}, "", bns, true, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,19 +166,22 @@ func TestJoinIndexKeepsExhaustivePairs(t *testing.T) {
 
 // The join's fork of the hoisted a-side prefix must answer exactly what
 // a fresh solve of the joined pair answers. For every pair of the quick
-// 6-chain that reaches the solver — past the join index and the static
-// pre-filter — coalesced and uncoalesced, the fork (pre-analysed
-// b-conjuncts, re-substituted ones asserted as they stand, the sorted
-// overlay) must reach the verdict and witness of Solver.SolveContext
-// over the pair's full constraint list and merged domains.
-// FuzzJoinHoistedPrefix checks random shapes; this pins the real roster.
+// 6-chain that gets past the join index and the static pre-filter —
+// coalesced and uncoalesced — the fork (pre-analysed b-conjuncts,
+// re-substituted ones asserted as they stand, the sorted overlay) must
+// reach the verdict and witness of Solver.SolveContext over the pair's
+// full constraint list and merged domains. The prefix carries the model
+// its fold received — a stage path's witness, then the models the
+// earlier folds kept — and every pair the model check proves must also
+// pass checkModelProof. FuzzJoinHoistedPrefix checks random shapes; this
+// pins the real roster.
 func TestJoinForkMatchesFreshSolve(t *testing.T) {
 	ctx := context.Background()
 	for _, coalesce := range []bool{false, true} {
 		g := NewGenerator()
 		g.Parallelism = 1
 		g.Coalesce = coalesce
-		gen := func(name string) (*Contract, []*nfir.Path) {
+		gen := func(name string) foldSide {
 			inst, err := nf.Build(name, nf.BuildParams{Capacity: 512})
 			if err != nil {
 				t.Fatal(err)
@@ -181,25 +190,25 @@ func TestJoinForkMatchesFreshSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return ct, paths
+			return foldSide{ct: ct, paths: paths}
 		}
-		ct, paths := gen(chainRoster[0])
-		solved, sat := 0, 0
+		acc := gen(chainRoster[0])
+		solved, sat, proved := 0, 0, 0
 		for i, name := range chainRoster[1:] {
 			bns := strings.Repeat("b.", i+1)
-			bCt, bPaths := gen(name)
-			ix := buildJoinIndex(bCt, bPaths, bns)
+			b := gen(name)
+			ix := buildJoinIndex(b.ct, b.paths, bns)
 			jf := newJoinFeas()
-			for ai, pa := range ct.Paths {
+			for ai, pa := range acc.ct.Paths {
 				if pa.Action != nfir.ActionForward {
 					continue
 				}
-				rawA := paths[ai]
-				jp := jf.prefix(pa, rawA, bns)
+				rawA := acc.paths[ai]
+				jp := jf.prefix(pa, rawA, bns, acc.model(ai))
 				aw := buildAJoinInfo(pa, rawA)
 				cands, _ := ix.candidates(aw)
 				if cands == nil {
-					for j := range bCt.Paths {
+					for j := range b.ct.Paths {
 						cands = append(cands, j)
 					}
 				}
@@ -207,16 +216,20 @@ func TestJoinForkMatchesFreshSolve(t *testing.T) {
 					if ix.skip(aw, pa, j) {
 						continue
 					}
-					q := mergePair(pa, rawA, bCt.Paths[j], bns, &ix.metas[j], new(pairScratch))
+					q := mergePair(pa, rawA, b.ct.Paths[j], bns, &ix.metas[j], new(pairScratch))
 					if joinObviouslyInfeasible(q.constraints, q.domains) {
 						continue
+					}
+					what := fmt.Sprintf("coalesce=%v fold %d (%s), pair (a%d, b%d)", coalesce, i+1, name, ai, j)
+					if jp.proved(&q, rawA, &ix.metas[j]) {
+						proved++
+						checkModelProof(t, jp, &q, what)
 					}
 					solved++
 					gotM, gotR := jp.fork(&q).SolveContext(ctx, jf.sv)
 					wantM, wantR := jf.sv.SolveContext(ctx, q.constraints, q.domains)
 					if gotR != wantR || !maps.Equal(gotM, wantM) {
-						t.Fatalf("coalesce=%v fold %d (%s), pair (a%d, b%d): fork %v %v, fresh solve %v %v",
-							coalesce, i+1, name, ai, j, gotR, gotM, wantR, wantM)
+						t.Fatalf("%s: fork %v %v, fresh solve %v %v", what, gotR, gotM, wantR, wantM)
 					}
 					if gotR == symb.Sat {
 						sat++
@@ -224,14 +237,145 @@ func TestJoinForkMatchesFreshSolve(t *testing.T) {
 				}
 			}
 			var err error
-			ct, paths, err = composePrepared(ctx, g, ct, paths, name, bCt, bPaths, "", bns, nil)
+			acc, err = composePrepared(ctx, g, acc, name, b, "", bns, i+2 < len(chainRoster), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		t.Logf("coalesce=%v: %d pairs reached the solver, %d sat", coalesce, solved, sat)
-		if solved == 0 || sat == 0 {
-			t.Fatalf("coalesce=%v: %d pairs solved, %d sat: the roster no longer exercises the fork", coalesce, solved, sat)
+		t.Logf("coalesce=%v: %d pairs reached the solver, %d sat, %d model-proved", coalesce, solved, sat, proved)
+		if solved == 0 || sat == 0 || proved == 0 {
+			t.Fatalf("coalesce=%v: %d pairs solved, %d sat, %d model-proved: the roster no longer exercises the fork and the model check",
+				coalesce, solved, sat, proved)
+		}
+	}
+}
+
+// checkModelProof is the model check's soundness oracle for a pair jp
+// has just proved: the assignment the check used must bind every symbol
+// of the merged query, satisfy every merged conjunct and lie in every
+// merged domain under the map-based Expr.Eval, and a fresh solve of
+// the query must not answer Unsat.
+func checkModelProof(t *testing.T, jp *joinPrefix, q *pairQuery, what string) {
+	t.Helper()
+	m := jp.pairModel()
+	for _, c := range q.constraints {
+		for _, s := range symb.Symbols(c) {
+			if _, ok := m[s]; !ok {
+				t.Fatalf("%s: the proving model leaves %s of %v unbound", what, s, c)
+			}
+		}
+		if c.Eval(m) == 0 {
+			t.Fatalf("%s: the proving model %v falsifies %v", what, m, c)
+		}
+	}
+	for name, d := range q.domains {
+		if v, ok := m[name]; !ok || v < d.Lo || v > d.Hi {
+			t.Fatalf("%s: the proving model puts %s at %d (bound %v), outside its merged domain %v", what, name, v, ok, d)
+		}
+	}
+	if _, res := joinSolver.Solve(q.constraints, q.domains); res == symb.Unsat {
+		t.Fatalf("%s: the model check proved a pair a fresh solve refutes\nconstraints %v\ndomains %v", what, q.constraints, q.domains)
+	}
+}
+
+// A pair the model check proves costs no solver work and no scratch of
+// its own: the check allocates nothing once the prefix's scratch has
+// grown, and an a-path whose every pair it proves never builds its
+// solver session.
+func TestJoinModelCheckAllocatesNothing(t *testing.T) {
+	const shared = "pkt_10_1" // unwritten by a, bounded by both sides
+	aDoms := map[string]symb.Domain{"s": {Lo: 10, Hi: 20}, shared: {Lo: 0, Hi: 100}}
+	aCons := []symb.Expr{symb.B(symb.Ule, symb.S("s"), symb.C(40))}
+	pa := &PathContract{Action: nfir.ActionForward, Constraints: aCons, Domains: aDoms}
+	rawA := &nfir.Path{Action: nfir.ActionForward, Constraints: aCons, Domains: aDoms,
+		PktWrites: map[uint64]nfir.PktWrite{12: {Size: 2, Val: symb.S("s")}}}
+	// b's guards hold at a's model (s = 12 through the write, the shared
+	// field at 30) and at b's witness for its local t.
+	pb := &PathContract{Action: nfir.ActionForward,
+		Constraints: []symb.Expr{
+			symb.B(symb.Ugt, symb.S(shared), symb.C(20)),
+			symb.B(symb.Ugt, symb.S("pkt_12_2"), symb.C(5)),
+			symb.B(symb.Eq, symb.S("t"), symb.C(3)),
+		},
+		Domains: map[string]symb.Domain{shared: {Lo: 0, Hi: 255}, "pkt_12_2": symb.Word, "t": {Lo: 0, Hi: 7}},
+		Witness: map[string]uint64{shared: 30, "pkt_12_2": 12, "t": 3}}
+	rawB := &nfir.Path{Action: nfir.ActionForward, Constraints: pb.Constraints, Domains: pb.Domains}
+	ix := buildJoinIndex(&Contract{Paths: []*PathContract{pb}}, []*nfir.Path{rawB}, "b.")
+	jf := newJoinFeas()
+	jp := jf.prefix(pa, rawA, "b.", map[string]uint64{"s": 12, shared: 30})
+	if _, _, ok := joinPair(context.Background(), pa, rawA, pb, rawB, jp, "b.", &ix.metas[0]); !ok {
+		t.Fatal("the satisfiable pair was refuted")
+	}
+	if n := jf.modelProved.Load(); n != 1 {
+		t.Fatalf("the model check proved %d pairs, want 1", n)
+	}
+	if jp.sess != nil {
+		t.Error("the prefix built a solver session although no pair reached the solver")
+	}
+	q := mergePair(pa, rawA, pb, "b.", &ix.metas[0], &jp.pairScratch)
+	checkModelProof(t, jp, &q, "the hand-built pair")
+	allocs := testing.AllocsPerRun(50, func() {
+		if !jp.proved(&q, rawA, &ix.metas[0]) {
+			t.Fatal("the model check stopped proving the pair")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("the model check allocates %.0f objects per proved pair, want 0", allocs)
+	}
+}
+
+// Model reuse changes which pairs the solver sees, never the result.
+// The cold 4-chain is composed once from scratch and once with fold 2's
+// composite already in the cache: a cached prefix carries no models, so
+// fold 3 then solves every pair it would otherwise have proved. The
+// composites must be byte-identical and every fold's accounting equal
+// apart from ModelProved, serially and on a pool; the cold accounting,
+// ModelProved included, must not depend on the pool.
+func TestComposeModelReuseIdentity(t *testing.T) {
+	stages := buildBenchChain4(t)
+	var serialStats []JoinStats
+	for _, par := range []int{1, 4} {
+		g := NewGenerator()
+		g.Parallelism = par
+		g.Cache = NewContractCache()
+		cold, coldStats, err := ComposeManyStats(context.Background(), g, stages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serialStats == nil {
+			serialStats = coldStats
+		} else if !slices.Equal(coldStats, serialStats) {
+			t.Errorf("parallelism %d: cold stats %+v, serial %+v", par, coldStats, serialStats)
+		}
+
+		g = NewGenerator()
+		g.Parallelism = par
+		g.Cache = NewContractCache()
+		_, prefixStats, err := ComposeManyStats(context.Background(), g, stages[:3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, warmStats, err := ComposeManyStats(context.Background(), g, stages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(coldStats) != 3 || len(prefixStats) != 2 || len(warmStats) != 3 || !warmStats[1].Cached || warmStats[2].Cached {
+			t.Fatalf("parallelism %d: fold stats cold %+v, prefix %+v, warm %+v: want fold 2 served from the cache and fold 3 joined",
+				par, coldStats, prefixStats, warmStats)
+		}
+		if got, want := jsonDigest(t, warm), jsonDigest(t, cold); got != want {
+			t.Errorf("parallelism %d: the composite over a cached prefix differs from the cold one", par)
+		}
+		if coldStats[2].ModelProved == 0 || warmStats[2].ModelProved != 0 {
+			t.Errorf("parallelism %d: fold 3 model-proved %d cold and %d over a cached prefix, want > 0 and 0",
+				par, coldStats[2].ModelProved, warmStats[2].ModelProved)
+		}
+		for i, got := range append(prefixStats, warmStats[2]) {
+			want := coldStats[i]
+			got.ModelProved, want.ModelProved = 0, 0
+			if got != want {
+				t.Errorf("parallelism %d, fold %d: stats %+v, cold compose %+v", par, i+1, got, want)
+			}
 		}
 	}
 }
@@ -301,7 +445,7 @@ func TestJoinDomainMerge(t *testing.T) {
 		free := &PathContract{Action: nfir.ActionForward, Domains: tc.bDom}
 		freeIx := buildJoinIndex(&Contract{Paths: []*PathContract{free}}, nil, "b.")
 		jf := newJoinFeas()
-		joined, ok := joinPair(ctx, pa, rawA, free, rawB, jf.prefix(pa, rawA, "b."), "b.", &freeIx.metas[0])
+		joined, _, ok := joinPair(ctx, pa, rawA, free, rawB, jf.prefix(pa, rawA, "b.", nil), "b.", &freeIx.metas[0])
 		if !ok {
 			t.Fatalf("%s: unguarded pair refuted", tc.name)
 		}
@@ -312,7 +456,7 @@ func TestJoinDomainMerge(t *testing.T) {
 			t.Fatalf("%s: the merge mutated a's domains", tc.name)
 		}
 
-		if _, ok := joinPair(ctx, pa, rawA, pb, rawB, jf.prefix(pa, rawA, "b."), "b.", &ix.metas[0]); ok != tc.feasible {
+		if _, _, ok := joinPair(ctx, pa, rawA, pb, rawB, jf.prefix(pa, rawA, "b.", nil), "b.", &ix.metas[0]); ok != tc.feasible {
 			t.Errorf("%s: the join keeps the pair = %v, want %v", tc.name, ok, tc.feasible)
 		}
 		if ok := freshJoinFeasible(pa, rawA, pb, "b.", &ix.metas[0]); ok != tc.feasible {
@@ -349,10 +493,10 @@ func TestJoinPairAllocsPerRefutedPair(t *testing.T) {
 		rawB := &nfir.Path{Action: nfir.ActionForward, Constraints: pb.Constraints, Domains: pb.Domains}
 		ix := buildJoinIndex(&Contract{Paths: []*PathContract{pb}}, []*nfir.Path{rawB}, "b.")
 		jf := newJoinFeas()
-		jp := jf.prefix(pa, rawA, "b.")
+		jp := jf.prefix(pa, rawA, "b.", nil)
 		ctx := context.Background()
 		pair := func() {
-			if _, ok := joinPair(ctx, pa, rawA, pb, rawB, jp, "b.", &ix.metas[0]); ok {
+			if _, _, ok := joinPair(ctx, pa, rawA, pb, rawB, jp, "b.", &ix.metas[0]); ok {
 				t.Fatal("the contradicting pair was kept")
 			}
 		}

@@ -116,6 +116,12 @@ type bPathMeta struct {
 	// constraints are (see renameChained).
 	writes map[uint64]nfir.PktWrite
 
+	// check and vars are what the model check reads (see joinmodel.go):
+	// b's constraints compiled over b's own names, and b's symbols with
+	// their merge classification and witness values.
+	check *symb.CompiledSet
+	vars  []bVar
+
 	pins map[fieldKey]*fieldPin
 	// eqConst records fields pinned by a direct (field == k) conjunct;
 	// only those participate in equality partitions, because a bare
@@ -432,6 +438,7 @@ func buildBPathMeta(pb *PathContract, rawB *nfir.Path, bns string) bPathMeta {
 			m.renames[s] = symb.S(rename(s))
 		}
 	}
+	m.buildModelCheck(pb, syms, bns)
 	for i, c := range pb.Constraints {
 		m.cons[i] = symb.Substitute(c, m.renames)
 		m.pre[i] = symb.Analyse(m.cons[i])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"gobolt/internal/nfir"
@@ -134,13 +135,13 @@ func FuzzJoinIndex(f *testing.F) {
 		}
 
 		ctx := context.Background()
-		jp := newJoinFeas().prefix(pa, rawA, "b.")
+		jp := newJoinFeas().prefix(pa, rawA, "b.", nil)
 		for j, pb := range bCt.Paths {
 			pruned := ix.skip(aw, pa, j) || (cands != nil && !inCands[j])
 			if !pruned {
 				continue
 			}
-			_, joined := joinPair(ctx, pa, rawA, pb, bRaws[j], jp, "b.", &ix.metas[j])
+			_, _, joined := joinPair(ctx, pa, rawA, pb, bRaws[j], jp, "b.", &ix.metas[j])
 			if fresh := freshJoinFeasible(pa, rawA, pb, "b.", &ix.metas[j]); joined || fresh {
 				t.Fatalf("index pruned pair (a, b%d) but the join keeps it = %v, a fresh solve = %v\na: %v dom %v writes %v\nb: %v dom %v",
 					j, joined, fresh, pa.Constraints, pa.Domains, rawA.PktWrites, pb.Constraints, pb.Domains)
@@ -307,11 +308,18 @@ func TestJoinIndexCandidates(t *testing.T) {
 // shared unwritten field both sides bound (the merge intersects). One
 // prefix per a-path serves every b-path, as in composePrepared;
 // joinPair through it must keep exactly the pairs the pre-filter plus a
-// fresh solve over the full merged map keeps.
+// fresh solve over the full merged map keeps. The prefix carries a
+// model for a and each b-path a witness, so the model check runs in
+// front of the solver, and every pair it proves must pass
+// checkModelProof.
 func FuzzJoinHoistedPrefix(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 4, 1, 2, 0, 5, 1, 1, 0, 2, 3, 2, 0, 7, 1, 0, 4, 2, 6, 1})
 	f.Add([]byte{0, 7, 0, 3, 2, 1, 2, 4, 0, 0, 1, 3, 1, 5, 0, 2, 2, 3, 0, 6, 1, 4, 4})
+	// A b guard over the field a wrote that b's witness satisfies and
+	// a's written symbol does not; a drawn a-model that violates a.
+	f.Add([]byte("00091107010021010000717001"))
+	f.Add([]byte("0000100101000100010001"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() uint64 {
@@ -382,12 +390,37 @@ func FuzzJoinHoistedPrefix(f *testing.F) {
 			bRaws = append(bRaws, &nfir.Path{ID: j, Constraints: cons, Domains: doms, Action: nfir.ActionForward})
 		}
 
+		// The models are decoded last, so older inputs keep the shapes
+		// they always decoded to. A model is either solved, as a stage
+		// path's witness is, or drawn from the input; the check trusts
+		// neither: a's is checked against a once per prefix, b's only
+		// through the pair.
+		model := func(cons []symb.Expr, doms map[string]symb.Domain, names ...string) map[string]uint64 {
+			if next()%2 == 0 {
+				m, _ := joinSolver.Solve(cons, doms)
+				return m
+			}
+			m := make(map[string]uint64, len(names))
+			for _, n := range names {
+				m[n] = next() % 32
+			}
+			return m
+		}
+		aModel := model(aCons, aDoms, "s", shared)
+		for _, pb := range bCt.Paths {
+			pb.Witness = model(pb.Constraints, pb.Domains, shared, written, "t")
+		}
+
 		ctx := context.Background()
 		ix := buildJoinIndex(bCt, nil, "b.")
-		jp := newJoinFeas().prefix(pa, rawA, "b.")
+		jp := newJoinFeas().prefix(pa, rawA, "b.", aModel)
 		for j, pb := range bCt.Paths {
+			q := mergePair(pa, rawA, pb, "b.", &ix.metas[j], &jp.pairScratch)
+			if !joinObviouslyInfeasible(q.constraints, q.domains) && jp.proved(&q, rawA, &ix.metas[j]) {
+				checkModelProof(t, jp, &q, fmt.Sprintf("pair (a, b%d)", j))
+			}
 			fresh := freshJoinFeasible(pa, rawA, pb, "b.", &ix.metas[j])
-			_, inc := joinPair(ctx, pa, rawA, pb, bRaws[j], jp, "b.", &ix.metas[j])
+			_, _, inc := joinPair(ctx, pa, rawA, pb, bRaws[j], jp, "b.", &ix.metas[j])
 			if fresh != inc {
 				t.Fatalf("pair (a, b%d): fresh solve keeps %v, hoisted prefix keeps %v\na: %v dom %v writes %v\nb: %v dom %v",
 					j, fresh, inc, pa.Constraints, pa.Domains, rawA.PktWrites, pb.Constraints, pb.Domains)

@@ -115,6 +115,9 @@ func TestChainDeepChainPruned(t *testing.T) {
 			if f.IndexSkipped+f.PreFiltered+f.SolverRefuted+f.Kept != f.Pairs {
 				t.Errorf("%d-stage chain, fold %d: pruning stats do not partition the pair count: %+v", n, f.Fold, f)
 			}
+			if f.ModelProved > f.Kept {
+				t.Errorf("%d-stage chain, fold %d: the model check proved %d pairs, more than the %d kept", n, f.Fold, f.ModelProved, f.Kept)
+			}
 			skipped += f.IndexSkipped
 			pairs += f.Pairs
 		}

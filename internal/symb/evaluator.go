@@ -22,6 +22,17 @@ func (cs *CompiledSet) ProgramSlots(i int) []int {
 	return out
 }
 
+// StackSize reports how many values an EvalOn stack must hold.
+func (cs *CompiledSet) StackSize() int { return len(cs.stack) }
+
+// EvalOn is Eval over the caller's evaluation stack, which must hold
+// StackSize values. Goroutines that each bring their own vals and stack
+// may share the set, and a caller evaluating many sets in turn reuses
+// one stack for all of them instead of holding an Evaluator per set.
+func (cs *CompiledSet) EvalOn(i int, vals, stack []uint64) uint64 {
+	return evalProgram(&cs.progs[i], cs.slots[i], vals, stack)
+}
+
 // Evaluator evaluates one CompiledSet's programs against its own value
 // array. Unlike CompiledSet.Eval it is safe to use one Evaluator per
 // goroutine over a shared set.
