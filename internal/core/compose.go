@@ -412,7 +412,7 @@ func singleSymOf(e symb.Expr) (string, bool) {
 // path carries ID 0; the caller assigns IDs during assembly. model is
 // the kept path's model when jp's fold keeps models and one is known.
 func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathContract, rawB *nfir.Path, jp *joinPrefix, bns string, bm *bPathMeta) (joined *PathContract, model map[string]uint64, ok bool) {
-	q := mergePair(pa, rawA, pb, bns, bm, &jp.pairScratch)
+	q := mergePair(pa, rawA, pb, bm, &jp.pairScratch)
 	if model, ok = jp.decide(ctx, &q, rawA, bm); !ok {
 		return nil, nil, false
 	}
@@ -440,17 +440,18 @@ func joinPair(ctx context.Context, pa *PathContract, rawA *nfir.Path, pb *PathCo
 
 // mergePair builds the pair's feasibility question: a's constraints
 // followed by b's under the substitution, and a's domains merged with
-// b's. The question's touched and pre slices live in sc, so they are
+// b's, each b symbol landing where bSym.merged puts it. The question's touched and pre slices live in sc, so they are
 // valid until sc's next use; its constraints and domains are the kept
 // path's own.
-func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, bm *bPathMeta, sc *pairScratch) pairQuery {
+func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bm *bPathMeta, sc *pairScratch) pairQuery {
 	// b's symbol substitution: packet fields written by a map to a's
 	// output expressions; unwritten fields stay shared with a's input;
 	// b-locals are namespaced (bm.renames). Only the first part depends
 	// on a, so the full map is built only when a wrote a field b reads.
 	var subst map[string]symb.Expr
-	for _, f := range bm.fields {
-		w, written := rawA.PktWrites[f.key.off]
+	for i := range bm.fields {
+		f := &bm.fields[i]
+		name, w, written := f.merged(rawA) // a field is own exactly when a wrote it
 		if !written {
 			continue
 		}
@@ -462,13 +463,12 @@ func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, 
 			clear(subst)
 			maps.Copy(subst, bm.renames)
 		}
-		if w.Size == f.key.size {
-			subst[f.name] = w.Val
-		} else {
+		if w == nil {
 			// Overlapping mixed-size rewrite: sound fallback is an
 			// unconstrained fresh symbol.
-			subst[f.name] = symb.S(bns + f.name)
+			w = symb.S(name)
 		}
+		subst[f.name] = w
 	}
 
 	// Conjuncts that mention no field a wrote are the same for every
@@ -491,25 +491,13 @@ func mergePair(pa *PathContract, rawA *nfir.Path, pb *PathContract, bns string, 
 	domains := make(map[string]symb.Domain, len(pa.Domains)+len(bm.doms))
 	maps.Copy(domains, pa.Domains)
 	touched := sc.touched[:0]
-	for _, bd := range bm.doms {
-		name, overwrite := bd.name, false
-		w, written := rawA.PktWrites[bd.key.off]
-		switch {
-		case bd.local:
-			name, overwrite = bd.renamed, true
-		case !bd.field || !written:
-			// now, pkt_len or an unwritten field: shared with a.
-		case w.Size != bd.key.size:
-			// Mixed-size rewrite: the field became a fresh b symbol.
-			name, overwrite = bd.renamed, true
-		default:
-			sym, isSym := w.Val.(symb.Sym)
-			if !isSym {
-				// Substituted to a non-symbol expression: the domain is
-				// implied by a's constraints.
-				continue
-			}
-			name, overwrite = sym.Name, true
+	for i := range bm.doms {
+		bd := &bm.doms[i]
+		name, _, overwrite := bd.merged(rawA)
+		if name == "" {
+			// Substituted to a non-symbol expression: the domain is
+			// implied by a's constraints.
+			continue
 		}
 		d := bd.d
 		if old, ok := domains[name]; ok && !overwrite {
@@ -597,6 +585,17 @@ func (s *foldSide) model(i int) map[string]uint64 {
 	return s.ct.Paths[i].Witness
 }
 
+// anyModel reports whether some forward path of s brings a model to
+// the fold it is the a-side of.
+func (s *foldSide) anyModel() bool {
+	for i, pa := range s.ct.Paths {
+		if pa.Action == nfir.ActionForward && s.model(i) != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // composePrepared joins an already-generated pair of stages. The joins
 // of distinct a-paths are independent, so they fan out over the
 // generator's worker pool into result slots indexed by a's path order;
@@ -633,7 +632,7 @@ func composePrepared(ctx context.Context, g *Generator, a foldSide, bName string
 
 	jf := newJoinFeas()
 	jf.keepModels = next
-	ix := buildJoinIndex(bCt, bPaths, bns)
+	ix := buildJoinIndex(bCt, bPaths, bns, a.anyModel())
 	var indexSkipped atomic.Uint64
 	type slot struct {
 		pcs    []*PathContract

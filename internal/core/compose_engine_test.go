@@ -213,7 +213,7 @@ func TestComposeRoutesFeasibilityBudgets(t *testing.T) {
 	}
 
 	starved := &joinFeas{sv: &symb.Solver{MaxNodes: 5, Samples: joinSolver.Samples}, eng: symb.NewIncremental()}
-	ix := buildJoinIndex(bCt, bPaths, "b.")
+	ix := buildJoinIndex(bCt, bPaths, "b.", true)
 	jp := starved.prefix(aCt.Paths[0], aPaths[0], "b.", nil)
 	if _, _, ok := joinPair(context.Background(), aCt.Paths[0], aPaths[0], bCt.Paths[0], bPaths[0], jp, "b.", &ix.metas[0]); !ok {
 		t.Error("a starved join refuted the pair; a truncated search must keep it")

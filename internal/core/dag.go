@@ -70,7 +70,7 @@ func ComposeDAG(g *Generator, root ChainStage, successors map[uint64]ChainStage)
 		if err != nil {
 			return fmt.Errorf("core: successor on port %d: %w", ports[i], err)
 		}
-		succs[i] = succ{port: ports[i], ct: ct, paths: paths, ix: buildJoinIndex(ct, paths, "b.")}
+		succs[i] = succ{port: ports[i], ct: ct, paths: paths, ix: buildJoinIndex(ct, paths, "b.", false)} // DAG prefixes bring no model
 		return nil
 	})
 	if err != nil {

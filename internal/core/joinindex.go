@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"gobolt/internal/expr"
 	"gobolt/internal/nfir"
@@ -85,9 +87,9 @@ type fieldPin struct {
 // per pair only for what also depends on the a-path: the substitution
 // entries of fields a wrote, the domain merge, and the cost sums.
 type bPathMeta struct {
-	// fields are b's packet-field symbols with their parsed keys, in
-	// sorted order; whether a wrote each one is decided per pair.
-	fields []bField
+	// fields are b's packet-field symbols, in sorted order; whether a
+	// wrote each one is decided per pair.
+	fields []bSym
 	// renames is the a-independent part of b's substitution: every
 	// b-local symbol to its namespaced name. Packet fields, now and
 	// pkt_len are shared with a and have no entry.
@@ -118,7 +120,8 @@ type bPathMeta struct {
 
 	// check and vars are what the model check reads (see joinmodel.go):
 	// b's constraints compiled over b's own names, and b's symbols with
-	// their merge classification and witness values.
+	// their witness values. Both are nil when the index was built for
+	// a-paths that bring no model.
 	check *symb.CompiledSet
 	vars  []bVar
 
@@ -130,23 +133,52 @@ type bPathMeta struct {
 	eqConst map[fieldKey]uint64
 }
 
-// bField is one packet-field symbol of a b-path.
-type bField struct {
-	name string
-	key  fieldKey
+// bSym is one symbol of a b-path — a constraint symbol or a declared
+// domain name — classified for the merge (see merged).
+type bSym struct {
+	name    string
+	renamed string // bns+name: the target for b-locals and mixed-size rewrites
+	key     fieldKey
+	field   bool
+	local   bool
 }
 
-// bDom is one declared domain of a b-path. A b-local symbol's domain
-// lands on its namespaced name (renamed); a field's depends on whether
-// a wrote it, which joinPair decides per pair; now and pkt_len are
-// shared with a as they stand.
+// merged is where s lands in a pair's merged query against an a-path
+// that made rawA's packet writes. It is the one statement of that rule:
+// b's substitution, its domain merge and the model check all read it.
+//
+//   - a b-local, or a field a rewrote at another size: b's own fresh
+//     name, renamed;
+//   - now, pkt_len or a field a did not write: its name, shared with a;
+//   - a field a wrote at its size: a's written value w, whose name is
+//     the symbol's when w is a plain symbol and "" otherwise.
+//
+// own reports that b's domain for the merged name replaces a's rather
+// than intersecting it; it is false exactly for the shared names.
+func (s *bSym) merged(rawA *nfir.Path) (name string, w symb.Expr, own bool) {
+	if s.local {
+		return s.renamed, nil, true
+	}
+	if !s.field {
+		return s.name, nil, false
+	}
+	pw, written := rawA.PktWrites[s.key.off]
+	switch {
+	case !written:
+		return s.name, nil, false
+	case pw.Size != s.key.size:
+		return s.renamed, nil, true
+	}
+	if sym, ok := pw.Val.(symb.Sym); ok {
+		return sym.Name, pw.Val, true
+	}
+	return "", pw.Val, true
+}
+
+// bDom is one declared domain of a b-path.
 type bDom struct {
-	name    string
-	d       symb.Domain
-	renamed string // bns+name: the target for b-locals and mixed-size rewrites
-	field   bool
-	key     fieldKey
-	local   bool
+	bSym
+	d symb.Domain
 }
 
 // fieldPartition is the equality index for one guarded field: b-paths
@@ -377,15 +409,17 @@ func computePins(cons []symb.Expr, doms map[string]symb.Domain) map[fieldKey]*fi
 // buildJoinIndex prepares the b-side of a fold whose b-locals are
 // namespaced with bns: per-path join metadata (see bPathMeta), field
 // pins, and the per-field equality partitions. bPaths, aligned with
-// bCt.Paths, supplies the packet writes; nil leaves them out.
-func buildJoinIndex(bCt *Contract, bPaths []*nfir.Path, bns string) *joinIndex {
+// bCt.Paths, supplies the packet writes; nil leaves them out. models
+// says some a-path of the fold brings a model; only then is the model
+// check's b-side compiled.
+func buildJoinIndex(bCt *Contract, bPaths []*nfir.Path, bns string, models bool) *joinIndex {
 	ix := &joinIndex{metas: make([]bPathMeta, len(bCt.Paths))}
 	for j, pb := range bCt.Paths {
 		var rawB *nfir.Path
 		if bPaths != nil {
 			rawB = bPaths[j]
 		}
-		ix.metas[j] = buildBPathMeta(pb, rawB, bns)
+		ix.metas[j] = buildBPathMeta(pb, rawB, bns, models)
 	}
 	// Partition by every field that at least one b-path equality-pins.
 	ix.parts = make(map[fieldKey]*fieldPartition)
@@ -408,7 +442,7 @@ func buildJoinIndex(bCt *Contract, bPaths []*nfir.Path, bns string) *joinIndex {
 	return ix
 }
 
-func buildBPathMeta(pb *PathContract, rawB *nfir.Path, bns string) bPathMeta {
+func buildBPathMeta(pb *PathContract, rawB *nfir.Path, bns string, models bool) bPathMeta {
 	m := bPathMeta{
 		renames:  make(map[string]symb.Expr),
 		cons:     make([]symb.Expr, len(pb.Constraints)),
@@ -428,17 +462,24 @@ func buildBPathMeta(pb *PathContract, rawB *nfir.Path, bns string) bPathMeta {
 		syms = append(syms, s)
 	}
 	sort.Strings(syms)
+	syms = slices.Compact(syms)
+	// Every symbol is classified once; the fields, the domains and the
+	// model check's symbols share these.
+	classes := make([]bSym, len(syms))
 	for i, s := range syms {
-		if i > 0 && syms[i-1] == s {
-			continue
-		}
-		if f, isField := fieldOf(s); isField {
-			m.fields = append(m.fields, bField{name: s, key: f})
+		bs := bSym{name: s, renamed: rename(s)}
+		bs.key, bs.field = fieldOf(s)
+		if bs.field {
+			m.fields = append(m.fields, bs)
 		} else if s != nfir.SymNow && s != nfir.SymPktLen {
-			m.renames[s] = symb.S(rename(s))
+			bs.local = true
+			m.renames[s] = symb.S(bs.renamed)
 		}
+		classes[i] = bs
 	}
-	m.buildModelCheck(pb, syms, bns)
+	if models {
+		m.buildModelCheck(pb, classes)
+	}
 	for i, c := range pb.Constraints {
 		m.cons[i] = symb.Substitute(c, m.renames)
 		m.pre[i] = symb.Analyse(m.cons[i])
@@ -462,10 +503,7 @@ func buildBPathMeta(pb *PathContract, rawB *nfir.Path, bns string) bPathMeta {
 	}
 	sort.Strings(names)
 	for _, s := range names {
-		bd := bDom{name: s, d: pb.Domains[s], renamed: rename(s)}
-		bd.key, bd.field = fieldOf(s)
-		_, bd.local = m.renames[s]
-		m.doms = append(m.doms, bd)
+		m.doms = append(m.doms, bDom{bSym: classOf(classes, s), d: pb.Domains[s]})
 	}
 	for _, mt := range perf.Metrics {
 		m.cost[mt] = pb.Cost[mt].RenameVars(rename)
@@ -485,6 +523,13 @@ func buildBPathMeta(pb *PathContract, rawB *nfir.Path, bns string) bPathMeta {
 	}
 	m.rangesKey = rangesKey(m.ranges)
 	return m
+}
+
+// classOf returns s's entry of classes, which is sorted by name and
+// holds s.
+func classOf(classes []bSym, s string) bSym {
+	i, _ := slices.BinarySearchFunc(classes, s, func(c bSym, s string) int { return strings.Compare(c.name, s) })
+	return classes[i]
 }
 
 // aJoinInfo classifies one a-path for the skip test: constant-valued

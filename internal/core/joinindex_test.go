@@ -126,7 +126,7 @@ func FuzzJoinIndex(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 2, 1, 1, 1, 0, 0, 0, 0, 3, 1, 2, 2, 0, 1, 0, 4, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pa, rawA, bCt, bRaws := fuzzJoinChain(data)
-		ix := buildJoinIndex(bCt, nil, "b.")
+		ix := buildJoinIndex(bCt, nil, "b.", true)
 		aw := buildAJoinInfo(pa, rawA)
 		cands, _ := ix.candidates(aw)
 		inCands := make(map[int]bool)
@@ -198,7 +198,7 @@ func TestJoinIndexSkipCases(t *testing.T) {
 	const f = "pkt_10_1"
 	mkB := func(cons []symb.Expr, doms map[string]symb.Domain) (*Contract, *joinIndex) {
 		ct := &Contract{Paths: []*PathContract{{Action: nfir.ActionForward, Constraints: cons, Domains: doms}}}
-		return ct, buildJoinIndex(ct, nil, "b.")
+		return ct, buildJoinIndex(ct, nil, "b.", true)
 	}
 	mkA := func(writes map[uint64]nfir.PktWrite, cons []symb.Expr, doms map[string]symb.Domain) (*PathContract, aJoinInfo) {
 		pa := &PathContract{Action: nfir.ActionForward, Constraints: cons, Domains: doms}
@@ -271,7 +271,7 @@ func TestJoinIndexCandidates(t *testing.T) {
 		{Action: nfir.ActionForward, Constraints: []symb.Expr{symb.B(symb.Eq, symb.S(f), symb.C(2054))}},
 		{Action: nfir.ActionForward},
 	}}
-	ix := buildJoinIndex(ct, nil, "b.")
+	ix := buildJoinIndex(ct, nil, "b.", true)
 
 	// a writes 2048 to the field: candidates are the ==2048 bucket plus
 	// the rest, in ascending order.
@@ -308,10 +308,13 @@ func TestJoinIndexCandidates(t *testing.T) {
 // shared unwritten field both sides bound (the merge intersects). One
 // prefix per a-path serves every b-path, as in composePrepared;
 // joinPair through it must keep exactly the pairs the pre-filter plus a
-// fresh solve over the full merged map keeps. The prefix carries a
-// model for a and each b-path a witness, so the model check runs in
-// front of the solver, and every pair it proves must pass
-// checkModelProof.
+// fresh solve over the full merged map keeps. Every pair is joined
+// twice: through a prefix with no model, so the fork decides it as it
+// decides every pair of a cache-served, coalesced or DAG prefix; and
+// through a prefix that carries a model for a while each b-path carries
+// a witness, so the model check runs in front of the solver. Both must
+// keep what the fresh solve keeps, and every pair the check proves must
+// pass checkModelProof.
 func FuzzJoinHoistedPrefix(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 4, 1, 2, 0, 5, 1, 1, 0, 2, 3, 2, 0, 7, 1, 0, 4, 2, 6, 1})
@@ -412,19 +415,27 @@ func FuzzJoinHoistedPrefix(f *testing.F) {
 		}
 
 		ctx := context.Background()
-		ix := buildJoinIndex(bCt, nil, "b.")
+		ix := buildJoinIndex(bCt, nil, "b.", true)
 		jp := newJoinFeas().prefix(pa, rawA, "b.", aModel)
+		bare := newJoinFeas().prefix(pa, rawA, "b.", nil)
 		for j, pb := range bCt.Paths {
-			q := mergePair(pa, rawA, pb, "b.", &ix.metas[j], &jp.pairScratch)
+			q := mergePair(pa, rawA, pb, &ix.metas[j], &jp.pairScratch)
 			if !joinObviouslyInfeasible(q.constraints, q.domains) && jp.proved(&q, rawA, &ix.metas[j]) {
 				checkModelProof(t, jp, &q, fmt.Sprintf("pair (a, b%d)", j))
 			}
 			fresh := freshJoinFeasible(pa, rawA, pb, "b.", &ix.metas[j])
-			_, _, inc := joinPair(ctx, pa, rawA, pb, bRaws[j], jp, "b.", &ix.metas[j])
-			if fresh != inc {
-				t.Fatalf("pair (a, b%d): fresh solve keeps %v, hoisted prefix keeps %v\na: %v dom %v writes %v\nb: %v dom %v",
-					j, fresh, inc, pa.Constraints, pa.Domains, rawA.PktWrites, pb.Constraints, pb.Domains)
+			for _, p := range []struct {
+				what string
+				jp   *joinPrefix
+			}{{"hoisted prefix", bare}, {"hoisted prefix with a model", jp}} {
+				if _, _, inc := joinPair(ctx, pa, rawA, pb, bRaws[j], p.jp, "b.", &ix.metas[j]); fresh != inc {
+					t.Fatalf("pair (a, b%d): fresh solve keeps %v, %s keeps %v\na: %v dom %v writes %v model %v\nb: %v dom %v witness %v",
+						j, fresh, p.what, inc, pa.Constraints, pa.Domains, rawA.PktWrites, aModel, pb.Constraints, pb.Domains, pb.Witness)
+				}
 			}
+		}
+		if n := bare.jf.modelProved.Load(); n != 0 {
+			t.Fatalf("the model check proved %d pairs of a prefix with no model", n)
 		}
 	})
 }

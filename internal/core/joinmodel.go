@@ -43,15 +43,11 @@ import (
 // DAG-narrowed prefix carry none, and their pairs go to the solver.
 
 // bVar is one symbol of a b-path — a constraint symbol or a domain
-// name — as the model check binds it.
+// name — with b's witness value for it.
 type bVar struct {
-	name    string
-	renamed string // bns+name: the merged name of a b-local or a mixed-size rewrite
-	key     fieldKey
-	field   bool
-	local   bool
-	w       uint64 // b's witness value of the symbol
-	hasW    bool
+	bSym
+	wit    uint64
+	hasWit bool
 }
 
 // modelEntry is one binding a pair adds to a's model.
@@ -61,25 +57,24 @@ type modelEntry struct {
 }
 
 // buildModelCheck fills the b-path metadata the model check reads: b's
-// constraints compiled over b's own names, and every b symbol (syms) in
-// the compiled set's slot order followed by the domain-only names, so
-// the first len(check.Slots()) values a pair binds are the programs'
-// binding.
-func (m *bPathMeta) buildModelCheck(pb *PathContract, syms []string, bns string) {
+// constraints compiled over b's own names, and every b symbol (classes,
+// sorted by name) in the compiled set's slot order followed by the
+// domain-only names, so the first len(check.Slots()) values a pair
+// binds are the programs' binding.
+func (m *bPathMeta) buildModelCheck(pb *PathContract, classes []bSym) {
 	m.check = symb.CompileSet(pb.Constraints...)
-	names := slices.Clone(m.check.Slots())
-	for _, s := range syms {
-		if !slices.Contains(names, s) {
-			names = append(names, s)
+	slots := m.check.Slots()
+	m.vars = make([]bVar, 0, len(classes))
+	for _, s := range slots {
+		m.vars = append(m.vars, bVar{bSym: classOf(classes, s)})
+	}
+	for _, c := range classes {
+		if !slices.Contains(slots, c.name) {
+			m.vars = append(m.vars, bVar{bSym: c})
 		}
 	}
-	m.vars = make([]bVar, len(names))
-	for i, s := range names {
-		off, size, isField := nfir.ParseFieldSym(s)
-		v := bVar{name: s, renamed: bns + s, key: fieldKey{off: off, size: size}, field: isField}
-		_, v.local = m.renames[s]
-		v.w, v.hasW = pb.Witness[s]
-		m.vars[i] = v
+	for i := range m.vars {
+		m.vars[i].wit, m.vars[i].hasWit = pb.Witness[m.vars[i].name]
 	}
 }
 
@@ -124,7 +119,7 @@ func totalModel(pa *PathContract, m map[string]uint64) map[string]uint64 {
 // leaves the bindings it added in jp.ext, valid until the next call.
 // It allocates nothing once the prefix's scratch has grown.
 func (jp *joinPrefix) proved(q *pairQuery, rawA *nfir.Path, bm *bPathMeta) bool {
-	if jp.model == nil {
+	if jp.model == nil || bm.check == nil {
 		return false
 	}
 	jp.ext, jp.vals = jp.ext[:0], jp.vals[:0]
@@ -152,40 +147,27 @@ func (jp *joinPrefix) proved(q *pairQuery, rawA *nfir.Path, bm *bPathMeta) bool 
 	return true
 }
 
-// bValue is the value the merged query gives b's symbol v: a's output
-// expression for a field a wrote, otherwise the value of the name v
-// merges onto — a's model's where it has one, else b's witness's, which
-// the first b symbol merging onto that name adds to jp.ext.
+// bValue is the value the merged query gives b's symbol v: a's written
+// expression where bSym.merged maps v to one, otherwise the value of the
+// name v merges onto — a's model's where it has one, else b's
+// witness's, which the first b symbol merging onto that name adds to
+// jp.ext.
 func (jp *joinPrefix) bValue(v *bVar, rawA *nfir.Path) (uint64, bool) {
-	name := v.name
-	switch {
-	case v.local:
-		name = v.renamed
-	case v.field:
-		w, written := rawA.PktWrites[v.key.off]
-		switch {
-		case !written:
-		case w.Size != v.key.size:
-			name = v.renamed
-		default:
-			sym, isSym := w.Val.(symb.Sym)
-			if !isSym {
-				if !boundIn(w.Val, jp.model) {
-					return 0, false
-				}
-				return w.Val.Eval(jp.model), true
-			}
-			name = sym.Name
+	name, w, _ := v.merged(rawA)
+	if name == "" {
+		if !boundIn(w, jp.model) {
+			return 0, false
 		}
+		return w.Eval(jp.model), true
 	}
 	if x, ok := jp.lookup(name); ok {
 		return x, true
 	}
-	if !v.hasW {
+	if !v.hasWit {
 		return 0, false
 	}
-	jp.ext = append(jp.ext, modelEntry{name: name, v: v.w})
-	return v.w, true
+	jp.ext = append(jp.ext, modelEntry{name: name, v: v.wit})
+	return v.wit, true
 }
 
 // lookup reads a name of the pair model: a's model, then jp.ext.
