@@ -66,18 +66,22 @@ func TestRetiredSolverKnobsStayGone(t *testing.T) {
 // retiredAnalysisOptions are the spellings of the analysis options no
 // caller set — the generator's feasibility budgets, bolt's flags for
 // them, and the functions that turned their zero values back into the
-// fixed budgets — and of the chain-composition entry points that
-// ComposeMany replaced.
+// fixed budgets — and of the composition entry points ComposeMany
+// replaced or outlived: chains compose one way, through its fold, so
+// neither the DAG composer nor the recipe-key helpers only it used come
+// back.
 var retiredAnalysisOptions = []string{
 	"FeasibilityMaxNodes", "FeasibilitySamples", "feas-nodes", "feas-samples",
 	"composeSolver", "shardFeasSolver", "ComposeWithPaths", "ComposeManyContext",
+	"ComposeDAG", "derivedKey", "composeTag",
 }
 
 // TestRetiredAnalysisOptionsStayGone fails if a non-test Go file outside
 // bench/ mentions any of retiredAnalysisOptions, if core.Generator has
 // any settable field beyond its six, if nfir.Engine exports any field
-// but Models, or if core exports Compose or Generator.GenerateWithPaths
-// again (names the spelling list cannot catch: they prefix live ones).
+// but Models, or if core declares Compose, ComposeDAG or
+// Generator.GenerateWithPaths again (the first and last are names the
+// spelling list cannot catch: they prefix live ones).
 func TestRetiredAnalysisOptionsStayGone(t *testing.T) {
 	forbidSpellings(t, retiredAnalysisOptions)
 
@@ -110,7 +114,7 @@ func TestRetiredAnalysisOptionsStayGone(t *testing.T) {
 	}
 	for _, f := range parsePackage(t, "internal/core") {
 		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && (fn.Name.Name == "Compose" || fn.Name.Name == "GenerateWithPaths") {
+			if fn, ok := d.(*ast.FuncDecl); ok && (fn.Name.Name == "Compose" || fn.Name.Name == "ComposeDAG" || fn.Name.Name == "GenerateWithPaths") {
 				t.Errorf("internal/core declares %s again; chains compose through ComposeMany", fn.Name.Name)
 			}
 		}

@@ -23,10 +23,10 @@ import (
 // adds an on-disk tier (internal/store) behind it, making warmth survive
 // the process: a lookup that misses memory tries the disk, decodes the
 // stored artifact, and promotes it; a store writes through to disk. The
-// same lookup/store seam serves the Generator, chain composition's
-// fold-prefix reuse, and the DAG planner, so all of them fall back to
-// disk transparently. Disk failures (absent, corrupt, undecodable) are
-// never fatal — they count in TierStats and the pipeline simply reruns.
+// same lookup/store seam serves the Generator and chain composition's
+// fold-prefix reuse, so both fall back to disk transparently. Disk
+// failures (absent, corrupt, undecodable) are never fatal — they count
+// in TierStats and the pipeline simply reruns.
 //
 // Soundness rests on two conditions:
 //
@@ -293,41 +293,25 @@ func (g *Generator) cacheKey(prog *nfir.Program, models map[string]nfir.Model) (
 	return hex.EncodeToString(sum[:]), true
 }
 
-// derivedKey hashes a composition recipe — already-derived cache keys
-// plus structure tags — into a new content address. Any empty part (an
-// uncacheable side) or a missing cache makes the derivation uncacheable
-// too, reported as "".
-func (g *Generator) derivedKey(parts ...string) string {
-	if g.Cache == nil {
-		return ""
-	}
-	for _, p := range parts {
-		if p == "" {
-			return ""
-		}
-	}
-	sum := sha256.Sum256([]byte(strings.Join(parts, "\n")))
-	return hex.EncodeToString(sum[:])
-}
-
 // composedKey content-addresses the composition a→b from the two sides'
 // keys. A composite contract is a pure function of the two stages'
 // contracts (the join solver's budget is fixed): the stage keys already
 // encode program, models, analysis level and padding, so hashing the
 // pair addresses the whole fold prefix — which is what makes
-// re-composing a warm chain one map lookup per step. Parallelism is deliberately absent, as in cacheKey: it
-// cannot change the output. Coalesce CAN — it merges composite paths —
-// so the recipe tag is versioned by it and coalesced and uncoalesced
-// composites never alias.
+// re-composing a warm chain one map lookup per step. Parallelism is
+// deliberately absent, as in cacheKey: it cannot change the output.
+// Coalesce CAN — it merges composite paths — so the recipe tag is
+// versioned by it and coalesced and uncoalesced composites never alias.
+// An uncacheable side ("") or a missing cache makes the composite
+// uncacheable too, reported as "".
 func (g *Generator) composedKey(aKey, bKey string) string {
-	return g.derivedKey(g.composeTag("compose"), aKey, bKey)
-}
-
-// composeTag versions a composition recipe tag by the knobs that change
-// composite bytes.
-func (g *Generator) composeTag(tag string) string {
-	if g.Coalesce {
-		return tag + "+coalesce"
+	if g.Cache == nil || aKey == "" || bKey == "" {
+		return ""
 	}
-	return tag
+	tag := "compose"
+	if g.Coalesce {
+		tag = "compose+coalesce"
+	}
+	sum := sha256.Sum256([]byte(tag + "\n" + aKey + "\n" + bKey))
+	return hex.EncodeToString(sum[:])
 }

@@ -64,20 +64,16 @@ func collectSyms(e symb.Expr, dst []string) []string {
 
 // liveProjection splits a path's constraints and domains into the live
 // part (connected to downstream-visible symbols) and the dead rest.
-// raw may be nil for terminal composites (ComposeDAG keeps no raw
-// paths); then only classification-visible symbols anchor liveness.
 func liveProjection(pc *PathContract, raw *nfir.Path) ([]symb.Expr, map[string]symb.Domain) {
 	live := make(map[string]bool)
-	if raw != nil {
-		for _, w := range raw.PktWrites {
-			for _, s := range collectSyms(w.Val, nil) {
-				live[s] = true
-			}
+	for _, w := range raw.PktWrites {
+		for _, s := range collectSyms(w.Val, nil) {
+			live[s] = true
 		}
-		if raw.Port != nil {
-			for _, s := range collectSyms(raw.Port, nil) {
-				live[s] = true
-			}
+	}
+	if raw.Port != nil {
+		for _, s := range collectSyms(raw.Port, nil) {
+			live[s] = true
 		}
 	}
 	for v := range pc.PCVRanges {
@@ -135,19 +131,17 @@ func liveProjection(pc *PathContract, raw *nfir.Path) ([]symb.Expr, map[string]s
 func coalesceSig(pc *PathContract, raw *nfir.Path, liveCons []symb.Expr, liveDoms map[string]symb.Domain) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "act=%d\n", pc.Action)
-	if raw != nil {
-		offs := make([]uint64, 0, len(raw.PktWrites))
-		for off := range raw.PktWrites {
-			offs = append(offs, off)
-		}
-		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-		for _, off := range offs {
-			w := raw.PktWrites[off]
-			fmt.Fprintf(&b, "w %d/%d=%s\n", off, w.Size, w.Val)
-		}
-		if raw.Port != nil {
-			fmt.Fprintf(&b, "port=%s\n", raw.Port)
-		}
+	offs := make([]uint64, 0, len(raw.PktWrites))
+	for off := range raw.PktWrites {
+		offs = append(offs, off)
+	}
+	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
+	for _, off := range offs {
+		w := raw.PktWrites[off]
+		fmt.Fprintf(&b, "w %d/%d=%s\n", off, w.Size, w.Val)
+	}
+	if raw.Port != nil {
+		fmt.Fprintf(&b, "port=%s\n", raw.Port)
 	}
 	for _, c := range liveCons {
 		fmt.Fprintf(&b, "c %s\n", c)
@@ -180,9 +174,9 @@ func coalesceSig(pc *PathContract, raw *nfir.Path, liveCons []symb.Expr, liveDom
 
 // coalescePaths merges mergeable composite paths in first-occurrence
 // order and returns the coalesced lists plus the number of paths merged
-// away. raws/shared may be nil (terminal composites with no raw paths);
-// when present, shared[i] marks raws[i] as borrowed from the a-side
-// (pass-through paths), which the merge must not mutate.
+// away. raws and shared are aligned with pcs; shared[i] marks raws[i] as
+// borrowed from the a-side (pass-through paths), which the merge must
+// not mutate.
 func coalescePaths(pcs []*PathContract, raws []*nfir.Path, shared []bool) ([]*PathContract, []*nfir.Path, []bool, uint64) {
 	type group struct {
 		out      int // index in the coalesced output
@@ -198,12 +192,8 @@ func coalescePaths(pcs []*PathContract, raws []*nfir.Path, shared []bool) ([]*Pa
 	var merged uint64
 
 	for i, pc := range pcs {
-		var raw *nfir.Path
-		if raws != nil {
-			raw = raws[i]
-		}
-		liveCons, liveDoms := liveProjection(pc, raw)
-		sig := coalesceSig(pc, raw, liveCons, liveDoms)
+		liveCons, liveDoms := liveProjection(pc, raws[i])
+		sig := coalesceSig(pc, raws[i], liveCons, liveDoms)
 		if grp, ok := groups[sig]; ok {
 			grp.members = append(grp.members, pc)
 			merged++
@@ -213,10 +203,8 @@ func coalescePaths(pcs []*PathContract, raws []*nfir.Path, shared []bool) ([]*Pa
 		groups[sig] = grp
 		order = append(order, grp)
 		outPcs = append(outPcs, pc)
-		if raws != nil {
-			outRaws = append(outRaws, raws[i])
-			outShared = append(outShared, shared[i])
-		}
+		outRaws = append(outRaws, raws[i])
+		outShared = append(outShared, shared[i])
 	}
 	if merged == 0 {
 		return pcs, raws, shared, 0
@@ -247,13 +235,11 @@ func coalescePaths(pcs []*PathContract, raws []*nfir.Path, shared []bool) ([]*Pa
 		rep.SharedMA = sharedMA
 		rep.ShardAnalysed = true
 		outPcs[grp.out] = &rep
-		if outRaws != nil {
-			repRaw := *outRaws[grp.out]
-			repRaw.Constraints = grp.liveCons
-			repRaw.Domains = grp.liveDoms
-			outRaws[grp.out] = &repRaw
-			outShared[grp.out] = false // fresh copy: safe to renumber
-		}
+		repRaw := *outRaws[grp.out]
+		repRaw.Constraints = grp.liveCons
+		repRaw.Domains = grp.liveDoms
+		outRaws[grp.out] = &repRaw
+		outShared[grp.out] = false // fresh copy: safe to renumber
 	}
 	return outPcs, outRaws, outShared, merged
 }

@@ -61,8 +61,7 @@ func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string, model 
 }
 
 // session returns the prefix's solver session, building it on first
-// use: an extension forks its parent's and asserts its extra
-// conjuncts; a root prefix installs a's domains and constraints.
+// use from a's domains and constraints.
 //
 // The merge in joinPair intersects a b-domain with a's for a shared
 // name, which is what the session's SetDomain does, but OVERWRITES a's
@@ -70,19 +69,13 @@ func (jf *joinFeas) prefix(pa *PathContract, rawA *nfir.Path, bns string, model 
 // the field replaces a's for the symbol). Those domains are withheld
 // from the prefix — installed there they could only be intersected,
 // never replaced — and every fork installs them itself through the
-// overlay (see feasible). Names under the fold's namespace bns are
+// overlay (see fork). Names under the fold's namespace bns are
 // withheld too: a b-local renamed onto one would overwrite it. In a
 // chain fold no a-side name carries the deeper prefix, but composing a
 // composite again with the same bns can produce one.
 func (jp *joinPrefix) session() *symb.Session {
 	if jp.sess != nil {
 		return jp.sess
-	}
-	if jp.parent != nil {
-		s := jp.parent.session().Fork()
-		s.AssertAll(jp.extra)
-		jp.sess, jp.held = s, jp.parent.held
-		return s
 	}
 	pa, rawA, bns := jp.pa, jp.rawA, jp.bns
 	overwritten := func(name string) bool {
@@ -121,7 +114,7 @@ func (jp *joinPrefix) session() *symb.Session {
 	return s
 }
 
-// joinPrefix is a prepared a-side constraint prefix. feasible() calls
+// joinPrefix is a prepared a-side constraint prefix. decide calls
 // must pass constraint slices whose first aLen entries are exactly the
 // prefix this joinPrefix was built from, and a merged domain map that
 // holds every a-domain the prefix withheld (held, sorted).
@@ -136,15 +129,13 @@ type joinPrefix struct {
 	// known, which sends every pair to the solver.
 	model map[string]uint64
 
-	// session builds sess from a's path (pa, rawA, bns) or, for an
-	// extension, from parent plus extra; held is set with it.
-	pa     *PathContract
-	rawA   *nfir.Path
-	bns    string
-	parent *joinPrefix
-	extra  []symb.Expr
-	sess   *symb.Session
-	held   []string
+	// session builds sess from a's path (pa, rawA, bns); held is set
+	// with it.
+	pa   *PathContract
+	rawA *nfir.Path
+	bns  string
+	sess *symb.Session
+	held []string
 
 	pairScratch
 }
@@ -165,14 +156,6 @@ type pairScratch struct {
 	ext     []modelEntry
 	vals    []uint64
 	stack   []uint64
-}
-
-// extend returns a joinPrefix whose prefix is this one's plus extra,
-// sharing the parent's prepared solver state (DAG composition narrows
-// one root path to several output ports this way). The extension has
-// scratch of its own and no model: a's model need not satisfy extra.
-func (jp *joinPrefix) extend(extra ...symb.Expr) *joinPrefix {
-	return &joinPrefix{jf: jp.jf, aLen: jp.aLen + len(extra), rangesKey: jp.rangesKey, parent: jp, extra: extra}
 }
 
 // rangeTable interns the PCV-range maps of one fold's joined paths. A
@@ -237,9 +220,9 @@ func rangesKey(m map[string]expr.Range) string {
 // pairQuery is one feasibility question put to a joinPrefix: the
 // joined constraint list (the prefix's aLen constraints, then the
 // suffix), the full merged domain map, the merged entries the b-side
-// wrote (touched; nil when there is no b-side), and the pre-analysed
-// form of each suffix conjunct (pre; shorter than the suffix, or nil at
-// a position, where a conjunct must be asserted as it stands).
+// wrote (touched), and the pre-analysed form of each suffix conjunct
+// (pre; shorter than the suffix, or nil at a position, where a conjunct
+// must be asserted as it stands).
 type pairQuery struct {
 	constraints []symb.Expr
 	domains     map[string]symb.Domain
@@ -247,30 +230,23 @@ type pairQuery struct {
 	pre         []*symb.Conjunct
 }
 
-// feasible is decide for a question with no b-side (a DAG's egress and
-// port narrowing): the pre-filter, then the solver.
-func (jp *joinPrefix) feasible(ctx context.Context, q *pairQuery) bool {
-	_, ok := jp.decide(ctx, q, nil, nil)
-	return ok
-}
-
 // decide reports whether a joined constraint set might be satisfiable,
 // with the kept pair's model when the fold keeps models and one is
 // known. The static pre-filter runs first: it only rejects sets the
 // solver would also refute. The model check (see joinmodel.go) runs
-// next, when the pair has a b-side (bm): it only keeps sets the solver
-// cannot refute. The solver then runs over a fork of the prefix (see
-// fork), which reaches a fresh solve's verdict. So the kept-pair set
-// (and hence the composite contract) is the one a fresh solve over the
-// full merged map keeps. A fold that keeps models asks the solver for
-// one; an Unknown pair is kept without.
+// next: it only keeps sets the solver cannot refute. The solver then
+// runs over a fork of the prefix (see fork), which reaches a fresh
+// solve's verdict. So the kept-pair set (and hence the composite
+// contract) is the one a fresh solve over the full merged map keeps. A
+// fold that keeps models asks the solver for one; an Unknown pair is
+// kept without.
 func (jp *joinPrefix) decide(ctx context.Context, q *pairQuery, rawA *nfir.Path, bm *bPathMeta) (map[string]uint64, bool) {
 	jf := jp.jf
 	if joinObviouslyInfeasible(q.constraints, q.domains) {
 		jf.prefiltered.Add(1)
 		return nil, false
 	}
-	if bm != nil && jp.proved(q, rawA, bm) {
+	if jp.proved(q, rawA, bm) {
 		jf.modelProved.Add(1)
 		if jf.keepModels {
 			return jp.pairModel(), true
@@ -795,9 +771,9 @@ func renameChained(bns, s string) string {
 	return bns + s
 }
 
-// ChainStage is one NF of a chain or DAG topology: the program and the
-// symbolic models of the stateful structures it calls. It is the unit
-// ComposeMany and ComposeDAG generate (and cache) per stage.
+// ChainStage is one NF of a chain: the program and the symbolic models
+// of the stateful structures it calls. It is the unit ComposeMany
+// generates (and caches) per stage.
 type ChainStage struct {
 	Prog   *nfir.Program
 	Models map[string]nfir.Model

@@ -220,50 +220,6 @@ func TestComposeRoutesFeasibilityBudgets(t *testing.T) {
 	}
 }
 
-func buildDAG() (ChainStage, map[uint64]ChainStage) {
-	root := nf.NewLPMRouter(nf.LPMRouterConfig{Ports: 8, DefaultPort: 7})
-	if err := root.Table.AddRoute(0x0A000000, 8, 1); err != nil {
-		panic(err)
-	}
-	if err := root.Table.AddRoute(0x14000000, 8, 2); err != nil {
-		panic(err)
-	}
-	fw := nf.NewFirewall(nf.FirewallConfig{
-		Rules: []dslib.Rule{{SrcMask: 0, SrcVal: 0, ProtoVal: 17, Action: 1}},
-	})
-	sr := nf.NewStaticRouter(nf.StaticRouterConfig{Ports: 4})
-	return ChainStage{Prog: root.Prog, Models: root.Models},
-		map[uint64]ChainStage{
-			1: {Prog: fw.Prog, Models: fw.Models},
-			2: {Prog: sr.Prog, Models: sr.Models},
-		}
-}
-
-// DAG composition gets the same determinism guarantee as ComposeMany.
-func TestComposeDAGParallelMatchesSerial(t *testing.T) {
-	serial := NewGenerator()
-	serial.Parallelism = 1
-	root, succs := buildDAG()
-	want, err := ComposeDAG(serial, root, succs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJS, _ := json.Marshal(want)
-	for _, workers := range []int{4, 8} {
-		g := NewGenerator()
-		g.Parallelism = workers
-		root, succs := buildDAG()
-		got, err := ComposeDAG(g, root, succs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotJS, _ := json.Marshal(got)
-		if string(wantJS) != string(gotJS) {
-			t.Errorf("ComposeDAG at Parallelism=%d differs from serial", workers)
-		}
-	}
-}
-
 // countdownCtx reports Canceled after a fixed number of Err() polls —
 // a deterministic way to land a cancellation in the middle of the join
 // loop rather than before work starts.

@@ -19,7 +19,7 @@ import (
 // over the same input symbol). Each a-path then only forks solver
 // sessions for b-candidates whose guards can intersect the a-path's
 // output state, skipping the rest without building the substitution or
-// touching joinPrefix.feasible.
+// asking joinPrefix.decide.
 //
 // Soundness bar: the index must never drop a pair the full scan keeps.
 // A pair is skipped only when the joined constraint set is *provably*

@@ -310,7 +310,7 @@ func TestJoinIndexCandidates(t *testing.T) {
 // joinPair through it must keep exactly the pairs the pre-filter plus a
 // fresh solve over the full merged map keeps. Every pair is joined
 // twice: through a prefix with no model, so the fork decides it as it
-// decides every pair of a cache-served, coalesced or DAG prefix; and
+// decides every pair of a cache-served or coalesced prefix; and
 // through a prefix that carries a model for a while each b-path carries
 // a witness, so the model check runs in front of the solver. Both must
 // keep what the fresh solve keeps, and every pair the check proves must

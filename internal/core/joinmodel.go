@@ -39,8 +39,8 @@ import (
 //
 // Models live in memory only, between the folds of one composition.
 // They never enter PathContract.Witness, a raw path, an artifact or the
-// store: a prefix decoded from the cache, a coalesced path and a
-// DAG-narrowed prefix carry none, and their pairs go to the solver.
+// store: a prefix decoded from the cache and a coalesced path carry
+// none, and their pairs go to the solver.
 
 // bVar is one symbol of a b-path — a constraint symbol or a domain
 // name — with b's witness value for it.
@@ -119,7 +119,7 @@ func totalModel(pa *PathContract, m map[string]uint64) map[string]uint64 {
 // leaves the bindings it added in jp.ext, valid until the next call.
 // It allocates nothing once the prefix's scratch has grown.
 func (jp *joinPrefix) proved(q *pairQuery, rawA *nfir.Path, bm *bPathMeta) bool {
-	if jp.model == nil || bm.check == nil {
+	if jp.model == nil {
 		return false
 	}
 	jp.ext, jp.vals = jp.ext[:0], jp.vals[:0]

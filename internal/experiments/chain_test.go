@@ -78,11 +78,12 @@ func TestChainFourStageQuick(t *testing.T) {
 	}
 }
 
-// Seven- and eight-stage chains are out of exhaustive reach (the
-// uncoalesced composite grows multiplicatively per fold) but must
-// complete in the deep-chain configuration: join index plus composite
-// coalescing. At seven stages the pooled fold must reproduce the serial
-// one byte for byte.
+// The 7- and 8-stage prefixes of the deep-chain roster compose with
+// the join index and composite coalescing: each fold's pruning stats
+// partition its pairs, the index skips some, and at seven stages the
+// pooled fold reproduces the serial one byte for byte. The uncoalesced
+// 8-stage chain composes too, and its path count is pinned: it is the
+// deepest uncoalesced composite any test checks.
 func TestChainDeepChainPruned(t *testing.T) {
 	stages, names, err := ChainStages(QuickScale())
 	if err != nil {
@@ -91,10 +92,10 @@ func TestChainDeepChainPruned(t *testing.T) {
 	if len(names) != 8 {
 		t.Fatalf("roster is not the 8-stage deep chain: %v", names)
 	}
-	compose := func(n, parallelism int) (*core.Contract, []core.JoinStats, time.Duration) {
+	compose := func(n, parallelism int, coalesce bool) (*core.Contract, []core.JoinStats, time.Duration) {
 		g := core.NewGenerator()
 		g.Parallelism = parallelism
-		g.Coalesce = true
+		g.Coalesce = coalesce
 		start := time.Now()
 		ct, stats, err := core.ComposeManyStats(context.Background(), g, stages[:n])
 		if err != nil {
@@ -102,15 +103,12 @@ func TestChainDeepChainPruned(t *testing.T) {
 		}
 		return ct, stats, time.Since(start)
 	}
-	for _, n := range []int{7, 8} {
-		ct, stats, elapsed := compose(n, 1)
-		if len(ct.Paths) == 0 {
-			t.Fatalf("%d-stage chain composed to zero paths", n)
-		}
+	// checkStats checks an n-stage composition's per-fold records and
+	// returns the pairs the index skipped and the pairs in total.
+	checkStats := func(n int, stats []core.JoinStats) (skipped, pairs uint64) {
 		if len(stats) != n-1 {
 			t.Fatalf("%d-stage chain: expected %d fold stat records, got %d", n, n-1, len(stats))
 		}
-		var skipped, pairs uint64
 		for _, f := range stats {
 			if f.IndexSkipped+f.PreFiltered+f.SolverRefuted+f.Kept != f.Pairs {
 				t.Errorf("%d-stage chain, fold %d: pruning stats do not partition the pair count: %+v", n, f.Fold, f)
@@ -121,17 +119,32 @@ func TestChainDeepChainPruned(t *testing.T) {
 			skipped += f.IndexSkipped
 			pairs += f.Pairs
 		}
+		return skipped, pairs
+	}
+	for _, n := range []int{7, 8} {
+		ct, stats, elapsed := compose(n, 1, true)
+		if len(ct.Paths) == 0 {
+			t.Fatalf("%d-stage chain composed to zero paths", n)
+		}
+		skipped, pairs := checkStats(n, stats)
 		if skipped == 0 {
 			t.Errorf("join index skipped no pairs on a %d-stage chain", n)
 		}
 		t.Logf("%d-stage chain: %d paths, %d/%d pairs index-skipped, %v", n, len(ct.Paths), skipped, pairs, elapsed)
 
 		if n == 7 {
-			pooled, _, _ := compose(n, 4)
+			pooled, _, _ := compose(n, 4, true)
 			want, _ := json.Marshal(ct)
 			if got, _ := json.Marshal(pooled); string(got) != string(want) {
 				t.Error("7-stage chain: pooled coalesced composite differs from serial")
 			}
 		}
 	}
+
+	ct, stats, elapsed := compose(8, 1, false)
+	if got := len(ct.Paths); got != 6666 {
+		t.Errorf("uncoalesced 8-stage chain composed to %d paths, want 6666", got)
+	}
+	checkStats(8, stats)
+	t.Logf("uncoalesced 8-stage chain: %d paths, %v", len(ct.Paths), elapsed)
 }

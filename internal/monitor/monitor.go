@@ -526,19 +526,6 @@ func (m *Monitor) MaxPredicted() uint64 {
 	return worst
 }
 
-// Overloaded reports whether any class on any shard currently has a
-// raised page — the fleet-level overload signal.
-func (m *Monitor) Overloaded() bool {
-	for _, e := range m.engines {
-		for _, st := range e.classes {
-			if st != nil && st.hys.Paged() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Calibrate derives an overload budget from a benign workload: replay it
 // through an unbudgeted monitor and scale the worst predicted bound by
 // factor (the operator's provisioning margin). This is the §5.2
