@@ -20,8 +20,32 @@ func bridgeStreams(perStream int) (*nf.Bridge, []traffic.Packet) {
 	return br, traffic.Interleave(1, 1_000, 1_000, ss...)
 }
 
+// churn warms an instance up over all but the last meas packets, checks
+// that at least half of the warm-up's second half expired something, and
+// returns the rest: time keeps running, so every measured packet meets
+// the steady state.
+func churn(t *testing.T, inst *nf.Instance, pkts []traffic.Packet, meas int) []traffic.Packet {
+	t.Helper()
+	warm := pkts[:len(pkts)-meas]
+	recs, err := (&Runner{}).Run(inst, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steady, expiring := recs[len(recs)/2:], 0
+	for _, rec := range steady {
+		if rec.PCVs["e"] > 0 {
+			expiring++
+		}
+	}
+	if 2*expiring < len(steady) {
+		t.Fatalf("only %d of the last %d warm-up packets expire an entry", expiring, len(steady))
+	}
+	return pkts[len(pkts)-meas:]
+}
+
 // The per-packet path of an established flow allocates nothing: not in
-// the interpreter, not in the data structures' charging or results.
+// the interpreter, not in the data structures' charging or results. Nor
+// does a churning one: a new flow reuses an entry an expiry freed.
 func TestEstablishedPacketsAllocateNothing(t *testing.T) {
 	br, pkts := bridgeStreams(64)
 	if _, err := (&Runner{}).Run(br.Instance, pkts); err != nil {
@@ -42,6 +66,26 @@ func TestEstablishedPacketsAllocateNothing(t *testing.T) {
 	if last := natRecs[len(natRecs)-1]; last.Action.Kind != nfir.ActionForward || nat.Map.Count() != 64 {
 		t.Fatalf("NAT flows not established: %+v, %d flows", last, nat.Map.Count())
 	}
+
+	// The churn cases measure more packets than AllocsPerRun runs, so
+	// their time never wraps: the benchmark's dp-mon-churn bridge (2-ms
+	// expiry over 8192 random stations), and a NAT whose round-robin
+	// flows expire before they come round again.
+	const meas = 1024
+	churnBr := nf.NewBridge(nf.BridgeConfig{
+		Ports: 4, Capacity: 8192, TimeoutNS: 2_000_000, GranularityNS: 1_000,
+		RehashThreshold: 16, Seed: 77,
+	})
+	stations := traffic.BridgeFrames(traffic.BridgeConfig{
+		Packets: 4096 + meas, MACs: 8192, Ports: 4, StartNS: 1_000, GapNS: 1_000, Seed: 42,
+	})
+	churnNAT := nf.NewNAT(nf.NATConfig{
+		ExternalIP: 0xC0A80001, Capacity: 64, TimeoutNS: 20_000, GranularityNS: 1_000,
+	})
+	rotating := traffic.UDPFlows(traffic.UDPFlowConfig{
+		Packets: 1024 + meas, Flows: 64, RoundRobin: true, StartNS: 1_000, GapNS: 1_000,
+		InPort: nf.NATPortInternal,
+	})
 	for _, c := range []struct {
 		name string
 		inst *nf.Instance
@@ -49,6 +93,8 @@ func TestEstablishedPacketsAllocateNothing(t *testing.T) {
 	}{
 		{"bridge, known source and destination", br.Instance, pkts},
 		{"NAT lookup_int:hit", nat.Instance, flows},
+		{"bridge under churn", churnBr.Instance, churn(t, churnBr.Instance, stations, meas)},
+		{"NAT under churn", churnNAT.Instance, churn(t, churnNAT.Instance, rotating, meas)},
 	} {
 		i := 0
 		allocs := testing.AllocsPerRun(500, func() {

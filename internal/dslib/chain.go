@@ -22,7 +22,9 @@ type chainCosts struct {
 
 // centry is one hash-table entry. Entries form per-bucket chains (Go
 // slices standing for the linked chains, with per-entry simulated
-// addresses) and one global age-ordered list for expiry.
+// addresses) and one global age-ordered list for expiry. An entry that
+// expiry removed waits on the free list, linked through nextAge, for the
+// next insert to reuse it.
 type centry struct {
 	keys  []uint64
 	tag   uint16
@@ -37,6 +39,13 @@ type centry struct {
 // chains is a keyed chained hash index with an age list. It meters every
 // inspected entry and reports the walk's traversal and collision counts,
 // from which callers observe the t and c PCVs.
+//
+// Like libVig's fixed-capacity maps, it recycles entries: remove puts an
+// entry on the free list and insert takes it back, so the entries ever
+// allocated are bounded by the peak occupancy and a churning table
+// allocates nothing per flow. A reused entry still takes a fresh
+// simulated address, so the metered streams are those of a table that
+// allocates every entry.
 type chains struct {
 	nbuckets    int
 	hashKey     uint64
@@ -46,6 +55,7 @@ type chains struct {
 	bucketsAddr uint64
 
 	oldest, newest *centry
+	free           *centry
 }
 
 func newChains(env *nfir.Env, nbuckets, keyLen int, seed uint64) *chains {
@@ -131,25 +141,41 @@ func (c *chains) findEntry(env *nfir.Env, target *centry, costs chainCosts) (t, 
 	panic("dslib: entry missing from its own bucket")
 }
 
-// insert adds a fresh entry at the chain tail and age-list tail. The walk
-// cost has already been charged by the caller.
-func (c *chains) insert(env *nfir.Env, keys []uint64, val, stamp uint64) *centry {
-	bucket, tag := c.locate(keys)
-	e := &centry{
-		keys:   append([]uint64(nil), keys...),
+// entry takes an entry off the free list, or allocates one when the list
+// is empty, and overwrites every field: the key is copied into the
+// entry's own key slice, and the entry gets a fresh simulated address.
+// The caller links it and counts it.
+func (c *chains) entry(env *nfir.Env, keys []uint64, tag uint16, val, stamp uint64, bucket int) *centry {
+	e := c.free
+	if e == nil {
+		e = &centry{keys: make([]uint64, 0, c.keyLen)}
+	} else {
+		c.free = e.nextAge
+	}
+	*e = centry{
+		keys:   append(e.keys[:0], keys...),
 		tag:    tag,
 		val:    val,
 		stamp:  stamp,
 		addr:   env.Heap.Alloc(64),
 		bucket: bucket,
 	}
+	return e
+}
+
+// insert adds a new entry at the chain tail and age-list tail. The walk
+// cost has already been charged by the caller.
+func (c *chains) insert(env *nfir.Env, keys []uint64, val, stamp uint64) *centry {
+	bucket, tag := c.locate(keys)
+	e := c.entry(env, keys, tag, val, stamp, bucket)
 	c.buckets[bucket] = append(c.buckets[bucket], e)
 	c.ageAppend(e)
 	c.count++
 	return e
 }
 
-// remove unlinks the entry from its bucket chain and the age list.
+// remove unlinks the entry from its bucket chain and the age list and
+// puts it on the free list. The caller must not use it afterwards.
 func (c *chains) remove(e *centry) {
 	chain := c.buckets[e.bucket]
 	for i, ent := range chain {
@@ -160,6 +186,35 @@ func (c *chains) remove(e *centry) {
 	}
 	c.ageRemove(e)
 	c.count--
+	e.nextAge, c.free = c.free, e
+}
+
+// synthesize builds the pathological state of the paper's Br1/NAT1/LB1
+// rows, which no packet trace reaches: up to n entries, while the count
+// stays under capacity, all in bucket 0 with tag 0 and stamp 0, so any
+// packet long enough after time 0 mass-expires them. next(i, keys) fills
+// entry i's key into the zeroed keys and returns its value, or false to
+// stop early. The age order is the chain order reversed: the oldest
+// entry sits at the chain tail, so each expiry walks the whole remaining
+// chain, the quadratic worst case the e·t contract term bounds.
+func (c *chains) synthesize(env *nfir.Env, n, capacity int, next func(i int, keys []uint64) (val uint64, ok bool)) []*centry {
+	var created []*centry
+	keys := make([]uint64, c.keyLen)
+	for i := 0; i < n && c.count < capacity; i++ {
+		clear(keys)
+		val, ok := next(i, keys)
+		if !ok {
+			break
+		}
+		e := c.entry(env, keys, 0, val, 0, 0)
+		c.buckets[0] = append(c.buckets[0], e)
+		created = append(created, e)
+		c.count++
+	}
+	for i := len(created) - 1; i >= 0; i-- {
+		c.ageAppend(created[i])
+	}
+	return created
 }
 
 func (c *chains) ageAppend(e *centry) {

@@ -107,8 +107,31 @@ func TestChargeStreamPinned(t *testing.T) {
 		{"natmap", "lookup_ext", []uint64{1003, 60}, []uint64{0, 0}, "5:0e0ca9066ae5fd9b"},        // miss
 		{"natmap", "lookup_ext", []uint64{5, 60}, []uint64{0, 0}, "5:43c13adb40c02a63"},           // port out of range
 		{"natmap", "expire", []uint64{5000}, []uint64{2}, "151:bfb0a8e722eaf181"},                 // expires both
-		{"dir248", "get", []uint64{0x0a090909}, []uint64{1}, "3:2c033885ed6365f8"},                // short
-		{"dir248", "get", []uint64{0x0a010203}, []uint64{2}, "6:8d6961e6be90c0b1"},                // long
+
+		// Inserts after expiry, recorded before the chains recycled entries:
+		// an entry an expiry freed and a put reuses emits what a fresh one did.
+		{"flowtable", "put", []uint64{6, 1, 6000}, []uint64{0}, "47:62346b803dc0956f"},                 // new, into the emptied table
+		{"flowtable", "get", []uint64{6, 6100}, []uint64{1, 1}, "21:686f39202e1cd1ea"},                 // hit
+		{"flowtable", "expire", []uint64{7100}, []uint64{1}, "43:41d6997ae1aba5b7"},                    // expires it
+		{"flowtable", "put", []uint64{7, 2, 7200}, []uint64{0}, "47:e75ca082cfa31caf"},                 // new, a different key
+		{"flowtable", "put", []uint64{8, 2, 7300}, []uint64{0}, "57:a78a453b75dbd453"},                 // new
+		{"flowtable", "put", []uint64{9, 2, 7400}, []uint64{0}, "67:4401e43762618407"},                 // new
+		{"flowtable", "put", []uint64{10, 2, 7500}, []uint64{3}, "219:6bf7b6448c7ebd83"},               // new, and the rehash defence again
+		{"flowtable", "put", []uint64{7, 3, 7600}, []uint64{1}, "29:bcfa7c2f4c607ce2"},                 // known, after the rehash
+		{"flowtable", "put", []uint64{11, 2, 7700}, []uint64{2}, "33:46d6bf13c87a16e1"},                // full
+		{"flowtable", "expire", []uint64{9000}, []uint64{4}, "175:e50cc9c293ed8f85"},                   // expires all four
+		{"flowtable", "put", []uint64{12, 3, 9100}, []uint64{0}, "47:648e561e175b79af"},                // new, after the rehash and its expiry
+		{"flowtable", "peek", []uint64{12}, []uint64{3, 1}, "21:f18bd8803cf0ccea"},                     // hit
+		{"natmap", "add", []uint64{11, 12, 13, 0x456, 6000}, []uint64{1000, 0}, "79:75d5ea523084fdce"}, // new, into the emptied map
+		{"natmap", "lookup_ext", []uint64{1000, 6100}, []uint64{1110, 1}, "14:eafce05e6abf6aec"},       // hit
+		{"natmap", "expire", []uint64{7100}, []uint64{1}, "73:7ff788a64b173d86"},                       // expires it
+		{"natmap", "add", []uint64{14, 15, 16, 0x789, 7200}, []uint64{1000, 0}, "79:425790f7b115194e"}, // new, a different flow
+		{"natmap", "lookup_ext", []uint64{1000, 7300}, []uint64{1929, 1}, "14:4d923f885f534eec"},       // hit: the new flow's port
+		{"natmap", "lookup_int", []uint64{14, 15, 16, 7400}, []uint64{1000, 1}, "35:e35ea8236891ef62"}, // hit
+		{"natmap", "lookup_int", []uint64{11, 12, 13, 7400}, []uint64{0, 0}, "16:4c6cdbc8fe41826c"},    // miss: the expired flow
+
+		{"dir248", "get", []uint64{0x0a090909}, []uint64{1}, "3:2c033885ed6365f8"}, // short
+		{"dir248", "get", []uint64{0x0a010203}, []uint64{2}, "6:8d6961e6be90c0b1"}, // long
 		{"maglev", "pick", []uint64{12345}, []uint64{0}, "4:2a5055237f025fb8"},
 		{"maglev", "alive", []uint64{1, 200}, []uint64{1}, "3:7b0171fe1565029b"}, // alive
 		{"maglev", "heartbeat", []uint64{1, 5000}, nil, "4:a581c3b1ce01048e"},

@@ -202,32 +202,10 @@ func (t *FlowTable) quantize(now uint64) uint64 { return now - now%t.cfg.Granula
 // methodology for Br1/NAT1/LB1: "we modified the NF to synthesise the
 // necessary state" because no PCAP file reaches it.
 func (t *FlowTable) SynthesizePathological(env *nfir.Env, n int, now uint64) {
-	stamp := uint64(0)
-	if now > t.cfg.TimeoutNS+1 {
-		stamp = 0 // long expired
-	}
-	var created []*centry
-	for i := 0; i < n && t.ch.count < t.cfg.Capacity; i++ {
-		keys := make([]uint64, t.cfg.KeyWords)
+	t.ch.synthesize(env, n, t.cfg.Capacity, func(i int, keys []uint64) (uint64, bool) {
 		keys[0] = uint64(i) + 1
-		e := &centry{
-			keys:   keys,
-			tag:    0,
-			val:    uint64(i),
-			stamp:  stamp,
-			addr:   env.Heap.Alloc(64),
-			bucket: 0,
-		}
-		t.ch.buckets[0] = append(t.ch.buckets[0], e)
-		created = append(created, e)
-		t.ch.count++
-	}
-	// Age order reversed w.r.t. chain order: the oldest entry sits at the
-	// chain tail, so each expiry walks the whole remaining chain — the
-	// quadratic worst case the e·t contract term bounds.
-	for i := len(created) - 1; i >= 0; i-- {
-		t.ch.ageAppend(created[i])
-	}
+		return uint64(i), true
+	})
 }
 
 // Invoke implements nfir.ConcreteDS.

@@ -91,31 +91,16 @@ func (n *NATMap) Allocator() PortAllocator { return n.alloc }
 func (n *NATMap) quantize(now uint64) uint64 { return now - now%n.cfg.GranularityNS }
 
 // SynthesizePathological fills the map with flows that all collide into
-// one bucket and are long expired (the NAT1 worst-case state).
+// one bucket and are long expired (the NAT1 worst-case state; see
+// FlowTable.SynthesizePathological).
 func (n *NATMap) SynthesizePathological(env *nfir.Env, count int, now uint64) {
-	var created []*centry
-	for i := 0; i < count && n.ch.count < n.cfg.Capacity; i++ {
+	created := n.ch.synthesize(env, count, n.cfg.Capacity, func(i int, keys []uint64) (uint64, bool) {
 		port, ok := n.alloc.Alloc(nil2(env))
-		if !ok {
-			break
-		}
-		e := &centry{
-			keys:   []uint64{uint64(i) + 1, uint64(i) + 2, 0},
-			tag:    0,
-			val:    port<<48 | uint64(i), // val packs (extPort, intInfo48)
-			stamp:  0,
-			addr:   env.Heap.Alloc(64),
-			bucket: 0,
-		}
-		n.ch.buckets[0] = append(n.ch.buckets[0], e)
-		created = append(created, e)
-		n.ch.count++
-		n.byPort[int(port)-n.cfg.FirstPort] = e
-	}
-	// Reversed age order forces full-chain walks per expiry (see
-	// FlowTable.SynthesizePathological).
-	for i := len(created) - 1; i >= 0; i-- {
-		n.ch.ageAppend(created[i])
+		keys[0], keys[1] = uint64(i)+1, uint64(i)+2
+		return port<<48 | uint64(i), ok // val packs (extPort, intInfo48)
+	})
+	for _, e := range created {
+		n.byPort[int(e.val>>48)-n.cfg.FirstPort] = e
 	}
 }
 
