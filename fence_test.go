@@ -85,31 +85,11 @@ var retiredAnalysisOptions = []string{
 func TestRetiredAnalysisOptionsStayGone(t *testing.T) {
 	forbidSpellings(t, retiredAnalysisOptions)
 
-	fields := func(dir, typ string) []string {
-		var out []string
-		for _, f := range parsePackage(t, dir) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != typ {
-					return true
-				}
-				for _, fl := range ts.Type.(*ast.StructType).Fields.List {
-					for _, name := range fl.Names {
-						if name.IsExported() {
-							out = append(out, name.Name)
-						}
-					}
-				}
-				return false
-			})
-		}
-		return out
-	}
 	want := []string{"Level", "CallPadIC", "CallPadMA", "Coalesce", "Parallelism", "Cache"}
-	if got := fields("internal/core", "Generator"); !slices.Equal(got, want) {
+	if got := exportedFields(t, "internal/core", "Generator"); !slices.Equal(got, want) {
 		t.Errorf("core.Generator's settable fields are %v, want %v", got, want)
 	}
-	if got := fields("internal/nfir", "Engine"); !slices.Equal(got, []string{"Models"}) {
+	if got := exportedFields(t, "internal/nfir", "Engine"); !slices.Equal(got, []string{"Models"}) {
 		t.Errorf("nfir.Engine exports %v, want only Models", got)
 	}
 	for _, f := range parsePackage(t, "internal/core") {
@@ -119,6 +99,52 @@ func TestRetiredAnalysisOptionsStayGone(t *testing.T) {
 			}
 		}
 	}
+}
+
+// retiredIngestOptions are the spellings of the sharded monitor's
+// hand-written lock-free ring and of the queue-depth knob only the ring
+// needed: each shard's ingest hop is a pair of buffered channels of
+// fixed depth.
+var retiredIngestOptions = []string{"internal/ring", "ring.SPSC", "MonitorQueue", "Queue:"}
+
+// TestRetiredIngestOptionsStayGone fails if a non-test Go file outside
+// bench/ mentions any of retiredIngestOptions, or if monitor.Config's
+// settable fields are not exactly today's: a new ingest knob has to be
+// added here on purpose.
+func TestRetiredIngestOptionsStayGone(t *testing.T) {
+	forbidSpellings(t, retiredIngestOptions)
+
+	want := []string{
+		"Metric", "Budget", "ClockHz", "TargetPPS", "Trigger", "Clear", "Level", "Detailed",
+		"Shards", "Batch", "FlushStall", "FlowHash", "ShardAware", "OnAlert", "OnClassify",
+	}
+	if got := exportedFields(t, "internal/monitor", "Config"); !slices.Equal(got, want) {
+		t.Errorf("monitor.Config's settable fields are %v, want %v", got, want)
+	}
+}
+
+// exportedFields lists, in declaration order, the exported fields of
+// struct type typ in the package at dir.
+func exportedFields(t *testing.T, dir, typ string) []string {
+	t.Helper()
+	var out []string
+	for _, f := range parsePackage(t, dir) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != typ {
+				return true
+			}
+			for _, fl := range ts.Type.(*ast.StructType).Fields.List {
+				for _, name := range fl.Names {
+					if name.IsExported() {
+						out = append(out, name.Name)
+					}
+				}
+			}
+			return false
+		})
+	}
+	return out
 }
 
 // forbidSpellings fails the test for every line of a non-test Go file

@@ -197,11 +197,11 @@ func (t *FlowTable) BucketOf(keys []uint64) (int, uint16) { return t.ch.locate(k
 func (t *FlowTable) quantize(now uint64) uint64 { return now - now%t.cfg.GranularityNS }
 
 // SynthesizePathological fills the table with n entries that all collide
-// into one bucket with identical tags and stamps old enough that any
-// packet at time `now` mass-expires them. This reproduces the paper's
-// methodology for Br1/NAT1/LB1: "we modified the NF to synthesise the
-// necessary state" because no PCAP file reaches it.
-func (t *FlowTable) SynthesizePathological(env *nfir.Env, n int, now uint64) {
+// into one bucket with identical tags and a zero stamp, so any packet
+// arriving later than the timeout mass-expires them. This reproduces the
+// paper's methodology for Br1/NAT1/LB1: "we modified the NF to
+// synthesise the necessary state" because no PCAP file reaches it.
+func (t *FlowTable) SynthesizePathological(env *nfir.Env, n int) {
 	t.ch.synthesize(env, n, t.cfg.Capacity, func(i int, keys []uint64) (uint64, bool) {
 		keys[0] = uint64(i) + 1
 		return uint64(i), true

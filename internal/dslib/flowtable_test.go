@@ -302,7 +302,7 @@ func TestFlowTablePathologicalState(t *testing.T) {
 	env := newTestEnv()
 	ft := newBridgeTable(env, 512, 0)
 	now := uint64(10_000_000_000)
-	ft.SynthesizePathological(env, 256, now)
+	ft.SynthesizePathological(env, 256)
 	if ft.Count() != 256 {
 		t.Fatalf("count = %d", ft.Count())
 	}

@@ -93,7 +93,7 @@ func (n *NATMap) quantize(now uint64) uint64 { return now - now%n.cfg.Granularit
 // SynthesizePathological fills the map with flows that all collide into
 // one bucket and are long expired (the NAT1 worst-case state; see
 // FlowTable.SynthesizePathological).
-func (n *NATMap) SynthesizePathological(env *nfir.Env, count int, now uint64) {
+func (n *NATMap) SynthesizePathological(env *nfir.Env, count int) {
 	created := n.ch.synthesize(env, count, n.cfg.Capacity, func(i int, keys []uint64) (uint64, bool) {
 		port, ok := n.alloc.Alloc(nil2(env))
 		keys[0], keys[1] = uint64(i)+1, uint64(i)+2

@@ -187,7 +187,7 @@ func TestNATMapPathologicalState(t *testing.T) {
 		Costs: VigNATCosts(), FirstPort: 1024, PortCount: 256,
 	}, NewAllocatorA(env, 1024, 256))
 	now := uint64(10_000_000_000)
-	nm.SynthesizePathological(env, 128, now)
+	nm.SynthesizePathological(env, 128)
 	if nm.Count() != 128 {
 		t.Fatalf("count = %d", nm.Count())
 	}

@@ -90,7 +90,6 @@ func AttackDetection(sc Scale) (*AttackDetectionResult, error) {
 	mcfg := monitor.Config{
 		Trigger: 3, Clear: 8,
 		Shards: sc.MonitorShards, Batch: sc.MonitorBatch,
-		Queue: sc.MonitorQueue,
 	}
 	ctx := context.Background()
 

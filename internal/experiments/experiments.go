@@ -52,9 +52,6 @@ type Scale struct {
 	// the monitor defaults (serial, batch 64).
 	MonitorShards int
 	MonitorBatch  int
-	// MonitorQueue is the per-shard ingest queue depth in batches
-	// (boltmon -queue; zero means the default of 4).
-	MonitorQueue int
 }
 
 // Generator returns the production generator configured for this scale:

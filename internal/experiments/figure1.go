@@ -150,7 +150,7 @@ func natScenarios(sc Scale) ([]Scenario, error) {
 		out = append(out, Scenario{
 			Name: "NAT1", Instance: nat.Instance, Contract: ct,
 			Prepare: func() error {
-				nat.Map.SynthesizePathological(nat.Env, sc.PathoEntries, now)
+				nat.Map.SynthesizePathological(nat.Env, sc.PathoEntries)
 				return nil
 			},
 			Measure: trigger,
@@ -239,7 +239,7 @@ func bridgeScenarios(sc Scale) ([]Scenario, error) {
 		out = append(out, Scenario{
 			Name: "Br1", Instance: br.Instance, Contract: ct,
 			Prepare: func() error {
-				br.Table.SynthesizePathological(br.Env, sc.PathoEntries, now)
+				br.Table.SynthesizePathological(br.Env, sc.PathoEntries)
 				return nil
 			},
 			Measure: trigger,
@@ -327,7 +327,7 @@ func lbScenarios(sc Scale) ([]Scenario, error) {
 		out = append(out, Scenario{
 			Name: "LB1", Instance: lb.Instance, Contract: ct,
 			Prepare: func() error {
-				lb.Flows.SynthesizePathological(lb.Env, sc.PathoEntries, now)
+				lb.Flows.SynthesizePathological(lb.Env, sc.PathoEntries)
 				for b := 0; b < backends; b++ {
 					lb.Ring.SetHeartbeat(b, now)
 				}

@@ -10,7 +10,7 @@ import (
 	"gobolt/internal/traffic"
 )
 
-// This file pins the sharded ingest hop itself: the queue depth and
+// This file pins the sharded ingest hop itself: the batch size and
 // flush-stall levers' absence from report semantics, and the adaptive
 // flush's bounded detection delay.
 
@@ -34,23 +34,19 @@ func straddlingWorkload() (warm, meas []traffic.Packet) {
 	return warm, meas
 }
 
-// TestQueueDepthAndFlushStallInvariance pins that the ingest levers —
-// queue depth (including the ring's power-of-two rounding) and the
-// adaptive flush threshold — never appear in the merged output.
-// FlushStall=1 degenerates nearly every batch to a partial handoff; the
-// report must not care.
-func TestQueueDepthAndFlushStallInvariance(t *testing.T) {
+// TestBatchAndFlushStallInvariance pins that the ingest levers — batch
+// size and the adaptive flush threshold — never appear in the merged
+// output. FlushStall=1 degenerates nearly every batch to a partial
+// handoff; the report must not care.
+func TestBatchAndFlushStallInvariance(t *testing.T) {
 	_, ct := buildRoster(t, "nat")
 	warm, meas := straddlingWorkload()
 	var want string
 	for _, cfg := range []monitor.Config{
 		{Shards: 4},
-		{Shards: 4, Queue: 1},
-		{Shards: 4, Queue: 3}, // rounds up to 4 slots
-		{Shards: 4, Queue: 64},
 		{Shards: 4, FlushStall: 1},
 		{Shards: 4, FlushStall: 7},
-		{Shards: 4, Batch: 5, Queue: 2, FlushStall: 3},
+		{Shards: 4, Batch: 5, FlushStall: 3},
 	} {
 		_, got := runMonitored(t, rebuildRoster(t, "nat"), ct, cfg, warm, meas)
 		if want == "" {
@@ -245,15 +241,15 @@ func TestSerialRunAllocations(t *testing.T) {
 }
 
 // TestShardedRunAllocationsRepeat pins that a steady-state sharded Run
-// allocates a fixed, small count: the batch buffers live on the Monitor
-// across Runs, so the only per-Run allocations on top of the serial
-// monitor's are the ingester itself — its header and three per-shard
-// slices, and per shard the queue ring (header, slots, two wake
-// channels) and the worker goroutine's closure and start: 4 + 6·Shards.
-// Before, acquire allocated a fresh batch whenever the shard had not yet
-// handed one back, and every such batch grew its observation and
-// call-log arenas from nothing: how many depended on how the two threads
-// interleaved, and a Run cost 161 allocations here instead of 22.
+// allocates a fixed, small count: the batch buffers and their freelist
+// channels live on the Monitor across Runs, so the only per-Run
+// allocations on top of the serial monitor's are the ingester itself —
+// its header and three per-shard slices — and per shard the queue
+// channel (its header and, because the element is a pointer, a
+// separate buffer) and the worker goroutine's closure: 4 + 3·Shards,
+// 6 + 10 = 16 at two shards. A hop that allocated a ring per shard per Run read 22
+// here; one that allocated its batches per Run, with arenas grown from
+// nothing, read 161.
 func TestShardedRunAllocationsRepeat(t *testing.T) {
 	perRun := func(cfg monitor.Config) (lo, hi float64) {
 		run, _ := warmedReplay(t, cfg)
@@ -269,12 +265,13 @@ func TestShardedRunAllocationsRepeat(t *testing.T) {
 	const shards = 2
 	serial, _ := perRun(monitor.Config{})
 	lo, hi := perRun(monitor.Config{Shards: shards, Batch: 64})
+	t.Logf("sharded Run: %v..%v allocations, serial %v", lo, hi, serial)
 	// One allocation of slack: the runtime itself occasionally allocates
 	// inside a window (the serial monitor reads 6, 6, 6, 7 here).
 	if hi-lo > 1 {
 		t.Errorf("sharded Run allocations do not repeat: %v..%v per Run", lo, hi)
 	}
-	if limit := serial + 4 + 6*shards + 1; hi > limit {
-		t.Errorf("sharded Run allocates %v times, want <= %v (serial %v + ingester 4 + 6 per shard)", hi, limit, serial)
+	if limit := serial + 4 + 3*shards + 1; hi > limit {
+		t.Errorf("sharded Run allocates %v times, want <= %v (serial %v + ingester 4 + 3 per shard)", hi, limit, serial)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"gobolt/internal/nf"
 	"gobolt/internal/nfir"
 	"gobolt/internal/perf"
-	"gobolt/internal/ring"
 	"gobolt/internal/traffic"
 )
 
@@ -134,7 +133,7 @@ type Config struct {
 	// (default 1 — the serial monitor). Each shard owns its own
 	// classifier scratch, per-class ring/P²/hysteresis state and
 	// compiled-bound value vector; Run feeds them fixed-size batches over
-	// per-shard SPSC rings, and Report/Alerts merge shard states
+	// per-shard channels, and Report/Alerts merge shard states
 	// deterministically (classes by label, alerts by packet index). On a
 	// trace whose flows are stream-consistent — every input class's
 	// packets hash to one shard — the merged output is byte-identical to
@@ -144,11 +143,6 @@ type Config struct {
 	// 1 hands every packet off individually). Batch size never changes
 	// the merged output, only the amortization of the handoff.
 	Batch int
-	// Queue is each shard's ingest queue depth in batches (default 4).
-	// The ring rounds it up to a power of two. Like Batch it is
-	// invisible in the merged output; it trades producer stalls against
-	// buffered memory.
-	Queue int
 	// FlushStall bounds the adaptive flush: a partially-filled batch is
 	// handed off once FlushStall further packets have been ingested
 	// monitor-wide without it filling (default 4×Batch; the round-robin
@@ -235,7 +229,7 @@ type Monitor struct {
 	ing *ingester // non-nil while a sharded Run is draining
 	// frees are the per-shard freelists of batch buffers, kept across
 	// Runs; see startIngest.
-	frees []*ring.SPSC[*batch]
+	frees []chan *batch
 }
 
 // New compiles the contract's classifier and returns a monitor.
@@ -254,12 +248,6 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = defaultBatch
-	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = defaultQueue
-	}
-	if cfg.Queue > maxQueue {
-		return nil, fmt.Errorf("monitor: queue depth %d exceeds the %d-batch cap", cfg.Queue, maxQueue)
 	}
 	if cfg.FlushStall <= 0 {
 		cfg.FlushStall = 4 * cfg.Batch

@@ -8,7 +8,6 @@ import (
 	"gobolt/internal/distill"
 	"gobolt/internal/nfir"
 	"gobolt/internal/perf"
-	"gobolt/internal/ring"
 	"gobolt/internal/traffic"
 )
 
@@ -32,12 +31,10 @@ import (
 const (
 	maxShards    = 1024
 	defaultBatch = 64
-	// defaultQueue bounds each shard's ingest queue, in batches: enough
+	// queueDepth bounds each shard's ingest queue, in batches: enough
 	// to keep a shard busy while the replay fills the next batch, small
-	// enough to bound memory. Config.Queue overrides it.
-	defaultQueue = 4
-	// maxQueue caps Config.Queue; the queue is a hop, not a buffer.
-	maxQueue = 1 << 16
+	// enough to bound memory.
+	queueDepth = 4
 )
 
 // FlowKey is the default RSS-style flow hash (FNV-1a). IPv4 packets
@@ -302,10 +299,10 @@ func (b *batch) reset() {
 
 // ingester is the batched fan-out state for one sharded Run: a queue
 // and worker goroutine per shard, the under-construction batch per
-// shard, and the adaptive-flush bookkeeping. The hop is a lock-free
-// SPSC ring per shard paired with an SPSC freelist ring recycling batch
-// buffers consumer→producer, so the steady-state hop crosses no mutex,
-// no sync.Pool, and feeds the GC nothing (DESIGN.md §5j).
+// shard, and the adaptive-flush bookkeeping. The hop is two buffered
+// channels per shard: the queue carries filled batches replay→shard, and
+// the monitor's freelist (Monitor.frees) carries emptied ones back, so
+// the steady-state hop allocates nothing (DESIGN.md §5j).
 type ingester struct {
 	m    *Monitor
 	pend []*batch
@@ -316,9 +313,7 @@ type ingester struct {
 	probe   int
 	partial int // batches handed off by the adaptive flush
 
-	// queues carry filled batches replay→shard; the monitor's freelists
-	// (Monitor.frees) recycle emptied buffers shard→replay.
-	queues []*ring.SPSC[*batch]
+	queues []chan *batch
 
 	wg sync.WaitGroup
 }
@@ -326,58 +321,48 @@ type ingester struct {
 func (m *Monitor) startIngest() {
 	n := len(m.engines)
 	ing := &ingester{
-		m:     m,
-		pend:  make([]*batch, n),
-		start: make([]int, n),
+		m:      m,
+		pend:   make([]*batch, n),
+		start:  make([]int, n),
+		queues: make([]chan *batch, n),
 	}
 	for i := range ing.start {
 		ing.start[i] = -1
 	}
-	ing.queues = make([]*ring.SPSC[*batch], n)
 	if m.frees == nil {
-		m.frees = make([]*ring.SPSC[*batch], n)
+		m.frees = make([]chan *batch, n)
 	}
 	for i, e := range m.engines {
-		q, err := ring.New[*batch](m.cfg.Queue)
-		if err != nil {
-			panic(err) // New validated Queue <= maxQueue <= ring.MaxCap
-		}
 		// The freelist is filled once, on the monitor's first sharded Run,
 		// with every buffer the shard can have in flight — the queue's
 		// worth, the pending one, and the one being drained — and outlives
-		// the Run: finishIngest returns only after the worker has pushed
-		// every buffer back. So acquire always finds one, memory stays
-		// bounded by the freelist's capacity, and what a Run allocates
-		// (this ingester, its queues and goroutines) does not depend on
-		// how the two threads happened to interleave.
+		// the Run: finishIngest returns only after the worker has sent
+		// every buffer back. So neither acquire nor the worker's send
+		// back ever waits, memory stays bounded by the freelist's
+		// capacity, and what a Run allocates (this ingester, its queues
+		// and goroutines) does not depend on how the two threads
+		// happened to interleave.
 		f := m.frees[i]
 		if f == nil {
-			if f, err = ring.New[*batch](q.Cap() + 2); err != nil {
-				panic(err)
-			}
-			for j := 0; j < q.Cap()+2; j++ {
-				f.TryPush(&batch{})
+			f = make(chan *batch, queueDepth+2)
+			for range queueDepth + 2 {
+				f <- &batch{}
 			}
 			m.frees[i] = f
 		}
+		q := make(chan *batch, queueDepth)
 		ing.queues[i] = q
 		ing.wg.Add(1)
-		go func(e *engine, q, f *ring.SPSC[*batch]) {
+		go func() {
 			defer ing.wg.Done()
-			for {
-				b, ok := q.Pop()
-				if !ok {
-					return
-				}
+			for b := range q {
 				for j := range b.obs {
 					e.observeP(&b.obs[j])
 				}
 				b.reset()
-				// A full freelist (impossible by capacity, but cheap to
-				// tolerate) drops the buffer to the GC.
-				f.TryPush(b)
+				f <- b
 			}
-		}(e, q, f)
+		}()
 	}
 	m.ing = ing
 }
@@ -392,24 +377,20 @@ func (e *engine) observeP(po *pObs) {
 	e.observe(po.idx, o, po.ic, po.ma, po.cyc)
 }
 
-// acquire returns an empty batch for a shard off the shard's freelist
-// ring. The freelist cannot be empty here — it holds Cap+2 buffers and
-// with none pending at most Cap are queued and one is being drained —
-// but a fresh buffer is cheap to tolerate.
+// acquire returns an empty batch for a shard off the shard's freelist.
+// With none pending, at most queueDepth of its queueDepth+2 buffers are
+// queued and one is being drained, so the receive never waits.
 func (ing *ingester) acquire(sh int) *batch {
-	if b, ok := ing.m.frees[sh].TryPop(); ok {
-		return b
-	}
-	return &batch{}
+	return <-ing.m.frees[sh]
 }
 
-// handoff publishes a shard's pending batch to its worker. Push blocks
-// (spin, then park) when the shard is Queue batches behind.
+// handoff sends a shard's pending batch to its worker, blocking when
+// the shard is queueDepth batches behind.
 func (ing *ingester) handoff(sh int) {
 	b := ing.pend[sh]
 	ing.pend[sh] = nil
 	ing.start[sh] = -1
-	ing.queues[sh].Push(b)
+	ing.queues[sh] <- b
 }
 
 // enqueue adds one measured packet to its shard's pending batch,
@@ -462,13 +443,12 @@ func (m *Monitor) finishIngest() {
 		return
 	}
 	for sh, b := range ing.pend {
-		if b != nil && len(b.obs) > 0 {
+		if b != nil {
 			ing.handoff(sh)
 		}
-		ing.pend[sh] = nil
 	}
 	for _, q := range ing.queues {
-		q.Close()
+		close(q)
 	}
 	ing.wg.Wait()
 	m.partialFlushes += ing.partial

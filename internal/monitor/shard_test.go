@@ -337,7 +337,7 @@ func FuzzShardMerge(f *testing.F) {
 	}
 	ctx := context.Background()
 
-	f.Fuzz(func(t *testing.T, seed int64, shardsIn, streamsIn, perStreamIn uint8, budgeted bool, queueIn uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, shardsIn, streamsIn, perStreamIn uint8, budgeted bool, batchIn uint8) {
 		shards := int(shardsIn)%8 + 1
 		nStreams := int(streamsIn)%6 + 1
 		perStream := int(perStreamIn)%28 + 4
@@ -368,12 +368,12 @@ func FuzzShardMerge(f *testing.F) {
 			}
 			classes := make(map[int]string)
 			idx := 0
-			// The queue depth is a transport knob; the serial baseline
+			// The batch size is a transport knob; the serial baseline
 			// never sees it, so any divergence it causes fails the merge
 			// oracle below.
 			cfg := monitor.Config{
-				Shards: shardCount, Budget: budget, Batch: 8,
-				Queue: int(queueIn)%9 + 1,
+				Shards: shardCount, Budget: budget,
+				Batch: int(batchIn)%9 + 1,
 			}
 			if shardCount <= 1 {
 				cfg.OnClassify = func(_ *core.PacketObservation, path *core.PathContract) {
