@@ -382,3 +382,127 @@ func pcvRangesWrites(t *testing.T, path, src string) []string {
 	}
 	return out
 }
+
+// TestPacketWrittenOnlyThroughStorePkt fails if a non-test Go file
+// outside bench/ and internal/nfir writes into a packet buffer's bytes
+// (a .Pkt selector) other than through nfir.Env.StorePkt. ResetPacket
+// clears the buffer only up to the mark StorePkt raises, so a direct
+// write past the packet's end would leak into the next packet.
+func TestPacketWrittenOnlyThroughStorePkt(t *testing.T) {
+	walkNonTestGo(t, func(path, src string) {
+		if filepath.Dir(path) == filepath.Join("internal", "nfir") {
+			return
+		}
+		for _, w := range pktWrites(t, path, src) {
+			t.Errorf("%s writes the packet buffer directly: %s", path, w)
+		}
+	})
+}
+
+// The checker itself: each write form it must catch, and the reads it
+// allows.
+func TestPktWritesChecker(t *testing.T) {
+	src := `package p
+func writes(env *Env, v byte) {
+	env.Pkt[3] = v
+	env.Pkt[4] |= v
+	env.Pkt[5]++
+	copy(env.Pkt[6:], "ab")
+	binary.BigEndian.PutUint16(env.Pkt[8:], 1)
+	beStore(env.Pkt, 2, 1)
+	clear(env.Pkt[10:])
+	p := &env.Pkt[11]
+	b := env.Pkt[12:]
+	_, _ = p, b
+}
+func reads(env *Env, obs *Obs) {
+	_ = env.Pkt[3] == 68
+	_ = beLoad(env.Pkt[4:], 2)
+	_ = binary.BigEndian.Uint16(env.Pkt[5:])
+	copy(hdr, env.Pkt[14:34])
+	obs.Pkt = env.Pkt
+	env.StorePkt(6, 1, 0)
+	_ = FieldValue(obs.Pkt, 0, 2)
+}
+`
+	got := pktWrites(t, "p.go", src)
+	want := []string{
+		"line 3: env.Pkt[3]", "line 4: env.Pkt[4]", "line 5: env.Pkt[5]",
+		"line 6: env.Pkt[6:] passed to copy", "line 7: env.Pkt[8:] passed to binary.BigEndian.PutUint16",
+		"line 8: env.Pkt passed to beStore", "line 9: env.Pkt[10:] passed to clear",
+		"line 10: &env.Pkt[11]", "line 11: env.Pkt[12:] kept in a variable",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("checker found %q, want %q", got, want)
+	}
+}
+
+// pktWrites lists the writes in src into the bytes behind a .Pkt
+// selector: an index assignment or increment, taking an element's
+// address, passing the buffer or a slice of it to clear, as copy's
+// destination or to a callee whose name starts with "put" or contains "store" (any case),
+// and keeping a slice of it in a variable, which the checker does not
+// follow.
+func pktWrites(t *testing.T, path, src string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// buffer reports whether e is a .Pkt selector, sliced or indexed.
+	buffer := func(e ast.Expr) bool {
+		switch x := e.(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Pkt"
+	}
+	var out []string
+	report := func(e ast.Expr, how string) {
+		out = append(out, fmt.Sprintf("line %d: %s%s", fset.Position(e.Pos()).Line, types.ExprString(e), how))
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				if ix, ok := lhs.(*ast.IndexExpr); ok && buffer(ix) {
+					report(lhs, "")
+				}
+			}
+			for _, rhs := range x.Rhs {
+				if sl, ok := rhs.(*ast.SliceExpr); ok && buffer(sl) {
+					report(rhs, " kept in a variable")
+				}
+			}
+		case *ast.IncDecStmt:
+			if ix, ok := x.X.(*ast.IndexExpr); ok && buffer(ix) {
+				report(x.X, "")
+			}
+		case *ast.UnaryExpr:
+			if ix, ok := x.X.(*ast.IndexExpr); ok && x.Op == token.AND && buffer(ix) {
+				report(x, "")
+			}
+		case *ast.CallExpr:
+			fun := types.ExprString(x.Fun)
+			name := strings.ToLower(fun[strings.LastIndex(fun, ".")+1:])
+			if fun != "copy" && fun != "clear" && !strings.HasPrefix(name, "put") && !strings.Contains(name, "store") {
+				return true
+			}
+			args := x.Args
+			if fun == "copy" {
+				args = args[:1] // copy reads its second argument
+			}
+			for _, a := range args {
+				if buffer(a) {
+					report(a, " passed to "+fun)
+				}
+			}
+		}
+		return true
+	})
+	return out
+}

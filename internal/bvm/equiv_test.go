@@ -167,8 +167,9 @@ func TestEquivalenceLoop(t *testing.T) {
 }
 
 // A store past the end of a short packet must not leak into the next
-// short packet: both engines write env.Pkt directly, and ResetPacket
-// zeroes everything beyond the new packet's length.
+// short packet: both engines write through env.StorePkt, and
+// ResetPacket zeroes everything beyond the new packet's length that a
+// store or a longer packet dirtied.
 func TestStoreBeyondPacketEndDoesNotLeak(t *testing.T) {
 	const src = `
 .name tail-store
@@ -194,6 +195,15 @@ clean:
 		}
 		if nf.envI.Pkt[100] != 255 || nf.envC.Pkt[100] != 255 {
 			t.Fatalf("packet %d: store not applied", i)
+		}
+	}
+	// The next reset clears the whole tail, not just the byte read.
+	for _, env := range []*nfir.Env{nf.envI, nf.envC} {
+		env.ResetPacket(short, 0, 3)
+		for off, b := range env.Pkt[len(short):] {
+			if b != 0 {
+				t.Fatalf("byte %d past the packet is %#x after a reset", len(short)+off, b)
+			}
 		}
 	}
 }

@@ -67,7 +67,7 @@ func Run(p *Program, env *nfir.Env) (nfir.Action, error) {
 				return nfir.Action{}, fmt.Errorf("bvm: %s: packet store out of bounds: off=%d size=%d", p.Name, off, in.Size)
 			}
 			env.Meter.Store(env.PktAddr+off, uint8(in.Size))
-			beStore(env.Pkt[off:], in.Size, val(in.B))
+			env.StorePkt(off, in.Size, val(in.B))
 			pc++
 
 		case in.Op == OpJa:
@@ -135,7 +135,7 @@ func aluClass(op Op) perf.OpClass {
 	}
 }
 
-// beLoad/beStore mirror nfir's big-endian packet accessors.
+// beLoad mirrors nfir's big-endian packet reads.
 func beLoad(b []byte, size int) uint64 {
 	switch size {
 	case 1:
@@ -146,18 +146,5 @@ func beLoad(b []byte, size int) uint64 {
 		return uint64(binary.BigEndian.Uint32(b))
 	default:
 		return binary.BigEndian.Uint64(b)
-	}
-}
-
-func beStore(b []byte, size int, v uint64) {
-	switch size {
-	case 1:
-		b[0] = byte(v)
-	case 2:
-		binary.BigEndian.PutUint16(b, uint16(v))
-	case 4:
-		binary.BigEndian.PutUint32(b, uint32(v))
-	default:
-		binary.BigEndian.PutUint64(b, v)
 	}
 }

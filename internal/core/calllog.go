@@ -111,12 +111,20 @@ type CallLog struct {
 	recs  []CallRecord
 	res   []uint64
 	sites []*callSite
+
+	// env is the Env the log is attached to, nil when detached; restore
+	// is the detach function AttachCallLog returns, built once.
+	env     *nfir.Env
+	restore func()
 }
 
-// callSite caches one linked structure's interned methods for a CallLog.
+// callSite caches one linked structure's interned methods for a CallLog,
+// and the wrapper that records its calls, kept while the structure
+// linked under the name stays the same.
 type callSite struct {
 	ds      string
 	methods []*callMethod
+	wrapper *callLogDS
 }
 
 // callMethod is one method's op ID and the outcome labels it has
@@ -233,11 +241,47 @@ func (r *callLogDS) Invoke(method string, args []uint64, env *nfir.Env) ([]uint6
 	return results, nil
 }
 
-// AttachCallLog wraps every data structure registered in env so
-// concrete calls append to log, and returns the function that restores
-// the originals. The monitor brackets each monitored run with it.
+// AttachCallLog wraps every data structure linked in env so concrete
+// calls append to log, and returns the function that links the
+// originals back. The monitor brackets each monitored run with it.
+//
+// A log keeps one wrapper per structure and reuses it while the same
+// structure is linked under that name, and the function it returns is
+// the log's own, so attaching a log again allocates nothing. A log is
+// attached to one Env at a time: restore before attaching it elsewhere.
 func AttachCallLog(env *nfir.Env, log *CallLog) (restore func()) {
-	return env.WrapLinked(func(name string, ds nfir.ConcreteDS) nfir.ConcreteDS {
-		return &callLogDS{site: log.site(name), inner: ds, log: log}
+	env.WrapLinked(log.wrap)
+	log.env = env
+	if log.restore == nil {
+		log.restore = log.detach
+	}
+	return log.restore
+}
+
+// wrap returns the recording wrapper for ds, linked under name. A
+// structure this log already wraps stays as it is.
+func (l *CallLog) wrap(name string, ds nfir.ConcreteDS) nfir.ConcreteDS {
+	if w, ok := ds.(*callLogDS); ds == nil || ok && w.log == l {
+		return ds
+	}
+	s := l.site(name)
+	if s.wrapper == nil || s.wrapper.inner != ds {
+		s.wrapper = &callLogDS{site: s, inner: ds, log: l}
+	}
+	return s.wrapper
+}
+
+// detach links back the structures this log wraps in the Env it is
+// attached to.
+func (l *CallLog) detach() {
+	if l.env == nil {
+		return
+	}
+	l.env.WrapLinked(func(_ string, ds nfir.ConcreteDS) nfir.ConcreteDS {
+		if w, ok := ds.(*callLogDS); ok && w.log == l {
+			return w.inner
+		}
+		return ds
 	})
+	l.env = nil
 }

@@ -68,7 +68,9 @@ func TestComposeFirewallRouter(t *testing.T) {
 	pkts = append(pkts, traffic.WithOptions(3, 5_000, 0))
 	pkts = append(pkts, traffic.NonIPv4(6_000, 0))
 
-	runner := &distill.Runner{}
+	// The router gets its own Runner: a Run overwrites the records of
+	// the last, and fwRecs is read while the router runs.
+	runner, srRunner := &distill.Runner{}, &distill.Runner{}
 	fwRecs, err := runner.Run(fw.Instance, pkts)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +83,7 @@ func TestComposeFirewallRouter(t *testing.T) {
 		}
 		if rec.Action.Kind == nfir.ActionForward {
 			// Replay the same packet through the router.
-			srRecs, err := runner.Run(sr.Instance, pkts[i:i+1])
+			srRecs, err := srRunner.Run(sr.Instance, pkts[i:i+1])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,6 @@ package distill
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"gobolt/internal/dpdk"
@@ -33,6 +32,9 @@ type Record struct {
 }
 
 // Runner drives an NF instance over a workload, one packet at a time.
+// It keeps its buffers across calls, so a warmed Run allocates nothing:
+// the records it returns are valid until its next Run or RunContext,
+// which overwrites them — clone them (slices.Clone) to keep them longer.
 type Runner struct {
 	// Level selects NF-only or full-stack measurement.
 	Level dpdk.AnalysisLevel
@@ -44,23 +46,35 @@ type Runner struct {
 	// The record is the same value appended to the returned slice.
 	Observer func(i int, pkt traffic.Packet, rec *Record)
 
-	pcvs pcvInterner
+	recs []Record
+	// meter is the Env's meter during a Run, forwarding to meterFor.
+	meter    *perf.Meter
+	meterFor *hwmodel.Detailed
+	pcvs     pcvInterner
 }
 
 // pcvInterner builds Record.PCVs. Most packets of a workload observe one
 // of a few PCV vectors (an established flow: e=0, c=0, t=1), so instead
 // of a map per record, records with equal observations share one map,
-// found through a table keyed by the observations' hash. The table is
-// bounded: at maxInterned entries it starts over, which costs the next
-// packets one map each and forgets nothing a record still needs.
+// found through a table keyed by the hash of the observed (slot, value)
+// pairs of the Env's PCV slots. Slots are the Env's own numbering, so
+// the table starts over when the Env changes. It is bounded too: at
+// maxInterned entries it starts over, which costs the next packets one
+// map each and forgets nothing a record still needs.
 type pcvInterner struct {
-	table   map[uint64]internedPCVs
-	scratch []nfir.PCVObs
+	env   *nfir.Env
+	table map[uint64]internedPCVs
 }
 
 type internedPCVs struct {
-	obs []nfir.PCVObs
+	obs []slotValue
 	m   map[string]uint64
+}
+
+// slotValue is one observed PCV: its slot in the Env and its value.
+type slotValue struct {
+	slot  int
+	value uint64
 }
 
 const maxInterned = 1024
@@ -68,49 +82,82 @@ const maxInterned = 1024
 // snapshot returns the current packet's PCV observations as a map the
 // caller must not modify.
 func (in *pcvInterner) snapshot(env *nfir.Env) map[string]uint64 {
-	in.scratch = env.AppendPCVs(in.scratch[:0])
-	h := uint64(14695981039346656037) // FNV-1a over names and values
-	for _, o := range in.scratch {
-		for i := 0; i < len(o.Name); i++ {
-			h = (h ^ uint64(o.Name[i])) * 1099511628211
-		}
-		h = (h ^ o.Value) * 1099511628211
+	names, vals, seen := env.PCVSlots()
+	if env != in.env {
+		in.env = env
+		clear(in.table)
 	}
-	if hit, ok := in.table[h]; ok && slices.Equal(hit.obs, in.scratch) {
+	h, n := uint64(14695981039346656037), 0 // FNV-1a over (slot, value) words
+	for i, ok := range seen {
+		if ok {
+			h = (h ^ uint64(i)) * 1099511628211
+			h = (h ^ vals[i]) * 1099511628211
+			n++
+		}
+	}
+	if hit, ok := in.table[h]; ok && hit.matches(vals, seen) {
 		return hit.m
 	}
-	m := make(map[string]uint64, len(in.scratch))
-	for _, o := range in.scratch {
-		m[o.Name] = o.Value
+	obs := make([]slotValue, 0, n)
+	m := make(map[string]uint64, n)
+	for i, ok := range seen {
+		if ok {
+			obs = append(obs, slotValue{i, vals[i]})
+			m[names[i]] = vals[i]
+		}
 	}
 	if in.table == nil {
 		in.table = make(map[uint64]internedPCVs)
 	} else if len(in.table) >= maxInterned {
 		clear(in.table)
 	}
-	in.table[h] = internedPCVs{obs: slices.Clone(in.scratch), m: m}
+	in.table[h] = internedPCVs{obs: obs, m: m}
 	return m
+}
+
+// matches reports whether the Env's observed slots are exactly obs.
+func (p internedPCVs) matches(vals []uint64, seen []bool) bool {
+	j := 0
+	for i, ok := range seen {
+		if !ok {
+			continue
+		}
+		if j == len(p.obs) || p.obs[j] != (slotValue{i, vals[i]}) {
+			return false
+		}
+		j++
+	}
+	return j == len(p.obs)
 }
 
 // Run processes the workload through the instance's production build.
 // The instance keeps its state across calls, so warmup and measurement
-// phases can be separate Run invocations.
+// phases can be separate Run invocations. The returned records are
+// valid until the Runner's next Run or RunContext.
 func (r *Runner) Run(inst *nf.Instance, pkts []traffic.Packet) ([]Record, error) {
 	return r.RunContext(context.Background(), inst, pkts)
 }
 
 // RunContext is Run with cancellation between packets: a long replay
 // stops at the next packet boundary when ctx is done, returning the
-// records measured so far alongside the context's error.
+// records measured so far alongside the context's error. The records
+// are valid until the Runner's next Run or RunContext.
 func (r *Runner) RunContext(ctx context.Context, inst *nf.Instance, pkts []traffic.Packet) ([]Record, error) {
-	var sink perf.TraceSink
-	if r.Detailed != nil {
-		sink = r.Detailed
+	if r.meter == nil || r.meterFor != r.Detailed {
+		var sink perf.TraceSink
+		if r.Detailed != nil {
+			sink = r.Detailed
+		}
+		r.meter, r.meterFor = perf.NewMeter(sink), r.Detailed
 	}
-	meter := perf.NewMeter(sink)
+	meter := r.meter
+	meter.Reset()
 	inst.Env.Meter = meter
 
-	out := make([]Record, 0, len(pkts))
+	if cap(r.recs) < len(pkts) {
+		r.recs = make([]Record, 0, len(pkts))
+	}
+	out := r.recs[:0]
 	for i, p := range pkts {
 		if err := ctx.Err(); err != nil {
 			return out, fmt.Errorf("distill: interrupted before packet %d: %w", i, err)

@@ -138,7 +138,7 @@ func (OptionProcessor) Invoke(method string, args []uint64, env *nfir.Env) ([]ui
 		n++
 		if env.Pkt[p] == 68 { // timestamp option: fill a slot
 			charge(env, optPerSlot, []uint64{slotAddr}, false)
-			env.Pkt[p+2] = byte(env.Time) // a stand-in timestamp byte
+			env.StorePkt(p+2, 1, env.Time) // a stand-in timestamp byte
 		} else {
 			charge(env, subStep(optPerSlot, optSlotSave), []uint64{slotAddr}, false)
 		}

@@ -91,6 +91,27 @@ func TestOptionProcessorCounts(t *testing.T) {
 	}
 }
 
+// The timestamp byte the options processor writes lands past the end of
+// a packet truncated inside its options; the next reset clears it.
+func TestOptionProcessorStoreBeyondPacketEnd(t *testing.T) {
+	env := newTestEnv()
+	pkt := make([]byte, 128)
+	pkt[34] = 68
+	env.ResetPacket(pkt[:35], 0, 42) // ends one byte into the first slot
+	if _, err := (OptionProcessor{}).Invoke("process", []uint64{6}, env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Pkt[36] != 42 {
+		t.Fatal("timestamp slot not written")
+	}
+	env.ResetPacket(pkt[:20], 0, 43)
+	for off, b := range env.Pkt[20:] {
+		if b != 0 {
+			t.Fatalf("byte %d past the packet is %#x after a reset", 20+off, b)
+		}
+	}
+}
+
 // invoke2 is invoke without the packet reset (the packet carries state).
 func invoke2(t *testing.T, env *nfir.Env, ds nfir.ConcreteDS, method string, args ...uint64) ([]uint64, perf.Snapshot, map[string]uint64) {
 	t.Helper()

@@ -133,7 +133,9 @@ func Figure3(sc Scale) ([]Figure3Row, error) {
 	for n := 1; n <= 8; n++ {
 		pkts = append(pkts, traffic.WithOptions(n, uint64(2_000_000+n*1000), 0))
 	}
-	runner := &distill.Runner{}
+	// The router runs one packet at a time while fwRecs is read, so it
+	// gets its own Runner: a Run overwrites the records of the last.
+	runner, srRunner := &distill.Runner{}, &distill.Runner{}
 	fwRecs, err := runner.Run(fw.Instance, pkts)
 	if err != nil {
 		return nil, err
@@ -142,7 +144,7 @@ func Figure3(sc Scale) ([]Figure3Row, error) {
 	for i, rec := range fwRecs {
 		totalIC, totalMA := rec.IC, rec.MA
 		if rec.Action.Kind == nfir.ActionForward {
-			srRecs, err := runner.Run(sr.Instance, pkts[i:i+1])
+			srRecs, err := srRunner.Run(sr.Instance, pkts[i:i+1])
 			if err != nil {
 				return nil, err
 			}

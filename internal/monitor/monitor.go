@@ -221,6 +221,10 @@ type Monitor struct {
 
 	log core.CallLog // pooled per-packet call recorder scratch
 	obs core.PacketObservation
+	// observer is the runner's Observer during a Run, built once; env is
+	// the instance's Env while a Run replays through it.
+	observer func(int, traffic.Packet, *distill.Record)
+	env      *nfir.Env
 	// envSlot maps the PCV slots of envPCVs (the Env Run last read
 	// PCVs from) to pcvNames indices, -1 for PCVs the contract lacks.
 	envPCVs *nfir.Env
@@ -338,6 +342,7 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 		m.engines[i] = e
 	}
 	m.runner = &distill.Runner{Level: cfg.Level}
+	m.observer = m.observeRun
 	if cfg.Detailed {
 		m.detailed = hwmodel.NewDetailed()
 		m.runner.Detailed = m.detailed
@@ -349,7 +354,8 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 // packet is measured, classified, and checked. State persists across
 // calls (same-monitor Warm/Run sequences share hardware-model warmth).
 // With Shards > 1 the classification work drains through the shard
-// goroutines and is fully merged before Run returns.
+// goroutines and is fully merged before Run returns. The records are
+// the monitor's runner's, valid until the next Run or Warm.
 func (m *Monitor) Run(ctx context.Context, inst *nf.Instance, pkts []traffic.Packet) ([]distill.Record, error) {
 	restore := core.AttachCallLog(inst.Env, &m.log)
 	defer restore()
@@ -357,24 +363,29 @@ func (m *Monitor) Run(ctx context.Context, inst *nf.Instance, pkts []traffic.Pac
 	if m.cfg.Shards > 1 {
 		m.startIngest()
 	}
-	env := inst.Env
-	m.runner.Observer = func(_ int, pkt traffic.Packet, rec *distill.Record) {
-		if m.ing != nil {
-			m.ing.enqueue(pkt, rec, m.log.Records())
-		} else {
-			// The Env's PCV slots still hold this packet's observations.
-			e := m.engines[0]
-			m.pcvsFromEnv(env, e.vals)
-			m.observeWith(e, pkt, rec, m.log.Records())
-		}
-		m.log.Reset()
-	}
-	defer func() { m.runner.Observer = nil }()
+	m.env, m.runner.Observer = inst.Env, m.observer
+	defer m.stopObserving()
 	defer m.finishIngest() // idempotent; drains even on a cancelled run
 	recs, err := m.runner.RunContext(ctx, inst, pkts)
 	m.finishIngest()
 	return recs, err
 }
+
+// observeRun is the runner's Observer during Run: it hands the packet
+// and the calls it made to a shard, or observes it inline.
+func (m *Monitor) observeRun(_ int, pkt traffic.Packet, rec *distill.Record) {
+	if m.ing != nil {
+		m.ing.enqueue(pkt, rec, m.log.Records())
+	} else {
+		// The Env's PCV slots still hold this packet's observations.
+		e := m.engines[0]
+		m.pcvsFromEnv(m.env, e.vals)
+		m.observeWith(e, pkt, rec, m.log.Records())
+	}
+	m.log.Reset()
+}
+
+func (m *Monitor) stopObserving() { m.env, m.runner.Observer = nil, nil }
 
 // Warm replays a workload with monitoring off: the instance's state and
 // the monitor's hardware model see the traffic, but nothing is

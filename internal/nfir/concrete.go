@@ -14,7 +14,8 @@ import (
 // data structures' state.
 type Env struct {
 	// Pkt is the packet buffer (length MaxPacket); PktLen is the actual
-	// packet length.
+	// packet length. Read it freely; write it only through StorePkt,
+	// which keeps the mark ResetPacket clears up to.
 	Pkt    []byte
 	PktLen uint64
 	// PktAddr is the simulated address of the packet buffer.
@@ -32,6 +33,10 @@ type Env struct {
 
 	// TxAddr is the simulated TX-descriptor address charged by Forward.
 	TxAddr uint64
+
+	// pktHigh bounds the bytes of Pkt that may be nonzero: the current
+	// packet's and those StorePkt wrote since, wherever they fall.
+	pktHigh int
 
 	// linked are the data structures by name, in link order — real ones
 	// in the production build, replay stubs during analysis. linkGen
@@ -107,35 +112,44 @@ func (e *Env) Linked(name string) (ConcreteDS, bool) {
 
 // WrapLinked replaces every linked data structure by wrap(name, ds) —
 // how call recorders and contention simulators interpose on an NF's
-// stateful calls — and returns a function that links the originals back.
-func (e *Env) WrapLinked(wrap func(name string, ds ConcreteDS) ConcreteDS) (restore func()) {
-	orig := append([]linkedDS(nil), e.linked...)
-	for _, l := range orig {
-		e.Link(l.name, wrap(l.name, l.impl))
-	}
-	return func() {
-		for _, l := range orig {
-			e.Link(l.name, l.impl)
-		}
+// stateful calls. Wrapping again with a function that returns the inner
+// structures links the originals back.
+func (e *Env) WrapLinked(wrap func(name string, ds ConcreteDS) ConcreteDS) {
+	e.linkGen++
+	for i := range e.linked {
+		e.linked[i].impl = wrap(e.linked[i].name, e.linked[i].impl)
 	}
 }
 
 // ResetPacket prepares the Env for the next packet: locals, PCV
 // observations and the previous action are cleared; data-structure state
 // and the heap persist. The buffer beyond the packet reads as zero,
-// whatever an earlier, longer packet or a store past the end left there.
+// whatever an earlier, longer packet or a store past the end left there:
+// only bytes below the high-water mark can be nonzero, so only those are
+// cleared.
 func (e *Env) ResetPacket(pkt []byte, inPort, timeNS uint64) {
-	if len(pkt) > MaxPacket {
-		pkt = pkt[:MaxPacket]
+	n := copy(e.Pkt, pkt)
+	if e.pktHigh > n {
+		clear(e.Pkt[n:e.pktHigh])
 	}
-	copy(e.Pkt, pkt)
-	clear(e.Pkt[len(pkt):])
-	e.PktLen = uint64(len(pkt))
+	e.pktHigh = n
+	e.PktLen = uint64(n)
 	e.InPort = inPort
 	e.Time = timeNS
 	e.Action = Action{}
 	clear(e.assigned)
 	clear(e.pcvSeen)
+}
+
+// StorePkt writes v big-endian into the size bytes (1, 2, 4 or 8) of the
+// packet buffer at off; the caller has checked that they lie inside it.
+// Every write into Pkt goes through here, so ResetPacket knows how far
+// the buffer may be dirty.
+func (e *Env) StorePkt(off uint64, size int, v uint64) {
+	putBE(e.Pkt[off:], size, v)
+	if end := int(off) + size; end > e.pktHigh {
+		e.pktHigh = end
+	}
 }
 
 // pcvSlot interns a PCV name. An Env meets a handful of names, so a
@@ -173,25 +187,6 @@ func (e *Env) ObservePCVMax(name string, v uint64) {
 	if !e.pcvSeen[i] || v > e.pcvVals[i] {
 		e.pcvSeen[i], e.pcvVals[i] = true, v
 	}
-}
-
-// PCVObs is one PCV's accumulated observation for a packet.
-type PCVObs struct {
-	Name  string
-	Value uint64
-}
-
-// AppendPCVs appends the current packet's PCV observations to dst, in
-// the order this Env first met each name — so two packets with equal
-// observations yield equal sequences — and returns the extended slice.
-// It allocates only to grow dst.
-func (e *Env) AppendPCVs(dst []PCVObs) []PCVObs {
-	for i, seen := range e.pcvSeen {
-		if seen {
-			dst = append(dst, PCVObs{e.pcvNames[i], e.pcvVals[i]})
-		}
-	}
-	return dst
 }
 
 // PCVSlots exposes the current packet's PCV observations as this Env's
@@ -401,7 +396,7 @@ func (e *Env) exec(lp *lowered) error {
 				return fmt.Errorf("packet store out of bounds: off=%d size=%d", off, size)
 			}
 			m.Store(e.PktAddr+off, uint8(size))
-			putBE(e.Pkt[off:], size, vals[sp+1])
+			e.StorePkt(off, size, vals[sp+1])
 		case opMemStore:
 			sp -= 2
 			m.Store(vals[sp], uint8(in.a))

@@ -1,6 +1,7 @@
 package nfir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -391,8 +392,11 @@ func TestObservePCV(t *testing.T) {
 	} else if _, ok := got["e"]; !ok {
 		t.Errorf("PCVs = %v: observed 0 must be present", got)
 	}
-	if got := env.AppendPCVs(nil); len(got) != 2 || got[0] != (PCVObs{"e", 0}) || got[1] != (PCVObs{"t", 4}) {
-		t.Errorf("AppendPCVs = %v, want e then t in first-seen order", got)
+	// Slots keep the order the Env first met each name; c, seen on the
+	// earlier packet only, keeps its slot but is not observed.
+	if names, vals, seen := env.PCVSlots(); !slices.Equal(names, []string{"e", "c", "t"}) ||
+		!slices.Equal(seen, []bool{true, false, true}) || vals[0] != 0 || vals[2] != 4 {
+		t.Errorf("PCVSlots = %v %v %v, want e:0, c unobserved, t:4 in first-seen order", names, vals, seen)
 	}
 }
 

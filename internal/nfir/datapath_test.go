@@ -85,12 +85,62 @@ func TestResetPacketZeroesTail(t *testing.T) {
 		Drop(),
 	})
 	env.ResetPacket(long[:10], 0, 0)
+	if at := tailDirt(env); at >= 0 {
+		t.Fatalf("byte %d past a 10-byte packet is %#x", at, env.Pkt[at])
+	}
 	if _, err := env.Run(read); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]uint64{"in": 0xABAB, "old": 0, "stored": 0, "last": 0} {
 		if got, _ := env.Local(name); got != want {
 			t.Errorf("%s = %#x, want %#x", name, got, want)
+		}
+	}
+}
+
+// tailDirt returns the offset of the first nonzero byte of the buffer
+// past the packet, or -1 when Pkt[PktLen:] is all zero.
+func tailDirt(env *Env) int {
+	for i, b := range env.Pkt[env.PktLen:] {
+		if b != 0 {
+			return int(env.PktLen) + i
+		}
+	}
+	return -1
+}
+
+// ResetPacket clears only up to its high-water mark, so everything that
+// dirties the buffer must raise it: an oversized packet, and stores
+// through StorePkt (how nfir, bvm and dslib write) anywhere, past the
+// packet's end or not. After any of them the next reset leaves
+// Pkt[len:] all zero.
+func TestResetPacketClearsDirtiedTail(t *testing.T) {
+	env := NewEnv()
+	full := make([]byte, MaxPacket+100)
+	for i := range full {
+		full[i] = 0xAB
+	}
+	check := func(what string) {
+		t.Helper()
+		if at := tailDirt(env); at >= 0 {
+			t.Fatalf("%s: byte %d past a %d-byte packet is %#x", what, at, env.PktLen, env.Pkt[at])
+		}
+	}
+	env.ResetPacket(full, 0, 0)
+	if env.PktLen != MaxPacket {
+		t.Fatalf("an oversized packet reads PktLen %d, want %d", env.PktLen, MaxPacket)
+	}
+	env.ResetPacket(full[:10], 0, 0)
+	check("after an oversized packet")
+
+	rng := rand.New(rand.NewSource(1))
+	sizes := []int{1, 2, 4, 8}
+	for i := 0; i < 2000; i++ {
+		env.ResetPacket(full[:rng.Intn(MaxPacket+1)], 0, 0)
+		check(fmt.Sprintf("reset %d", i))
+		for k := rng.Intn(3); k > 0; k-- {
+			size := sizes[rng.Intn(len(sizes))]
+			env.StorePkt(uint64(rng.Intn(MaxPacket-size+1)), size, rng.Uint64()|1)
 		}
 	}
 }
@@ -150,7 +200,7 @@ func TestCallerEditsCannotReachProgram(t *testing.T) {
 }
 
 // Linking a different implementation takes effect on the next Run, and
-// WrapLinked's restore puts the originals back.
+// so does wrapping: unwrapping puts the originals back.
 func TestRelinkTakesEffectNextRun(t *testing.T) {
 	env := NewEnv()
 	env.Link("lpm", &fixedDS{results: []uint64{1}})
@@ -171,13 +221,17 @@ func TestRelinkTakesEffectNextRun(t *testing.T) {
 	if got := port(); got != 2 {
 		t.Errorf("after Link: port = %d, want 2", got)
 	}
-	restore := env.WrapLinked(func(string, ConcreteDS) ConcreteDS { return &fixedDS{results: []uint64{3}} })
+	var orig ConcreteDS
+	env.WrapLinked(func(_ string, ds ConcreteDS) ConcreteDS {
+		orig = ds
+		return &fixedDS{results: []uint64{3}}
+	})
 	if got := port(); got != 3 {
 		t.Errorf("after WrapLinked: port = %d, want 3", got)
 	}
-	restore()
+	env.WrapLinked(func(string, ConcreteDS) ConcreteDS { return orig })
 	if got := port(); got != 2 {
-		t.Errorf("after restore: port = %d, want 2", got)
+		t.Errorf("after unwrapping: port = %d, want 2", got)
 	}
 }
 

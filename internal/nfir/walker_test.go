@@ -130,7 +130,7 @@ func (w *walker) execStmt(s Stmt) (done bool, err error) {
 			return false, fmt.Errorf("packet store out of bounds: off=%d size=%d", off, st.Size)
 		}
 		e.Meter.Store(e.PktAddr+off, uint8(st.Size))
-		putBE(e.Pkt[off:], st.Size, v)
+		e.StorePkt(off, st.Size, v)
 		return false, nil
 	case MemStore:
 		addr, _, err := w.eval(st.Addr)
